@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import NumericError, stream_rng
+from .core import NumericError, as_probability, stream_rng
 from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
@@ -50,9 +50,19 @@ def _fmt(x: float) -> str:
 
 def _parse_vector(text: str, field: str = "--mu") -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.replace(" ", "").split(",") if p])
+        vec = np.array([float(p) for p in text.replace(" ", "").split(",") if p])
     except ValueError as exc:
         raise SpecError(field, f"cannot parse vector {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise SpecError(field, f"entries must be finite, got {text!r}")
+    return vec
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _manifest_lines(command: str, config: dict) -> list[str]:
@@ -146,7 +156,7 @@ def _report(lines: list[str]) -> None:
 def cmd_verify(args) -> int:
     bundle = load_model(args.spec)
     model = bundle.model
-    samples = args.samples or 1000
+    samples = args.samples
     seed = args.seed or 0
 
     if args.suite == "axioms":
@@ -219,6 +229,10 @@ def cmd_convert(args) -> int:
         for x in points:
             if x.size != model.n:
                 raise SpecError("--x", f"expected {model.n} entries")
+            try:
+                as_probability(x)
+            except ValueError as exc:
+                raise SpecError("--x", f"not a simplex point: {exc}") from exc
             rows.append(list(x) + [conjugate_V(model, x)])
         _csv("convert", {"direction": "w-to-v", "spec": bundle.spec},
              header, rows, args.out)
@@ -263,7 +277,7 @@ def cmd_convert(args) -> int:
 
 def cmd_rum(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    samples = args.samples or 100000
+    samples = args.samples
     mus = [_parse_vector(t) for t in args.mu]
     if not mus:
         raise SpecError("--mu", "at least one utility vector is required")
@@ -348,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True,
                        choices=("axioms", "rum-signs", "substitutable",
                                 "superlinear"))
-    p_ver.add_argument("--samples", type=int)
+    p_ver.add_argument("--samples", type=_positive_int, default=1000)
     p_ver.add_argument("--seed", type=int)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -371,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rum.add_argument("--scale", type=float, default=1.0)
     p_rum.add_argument("--binary-from-spec")
     p_rum.add_argument("--mu", action="append", default=[])
-    p_rum.add_argument("--samples", type=int)
+    p_rum.add_argument("--samples", type=_positive_int, default=100000)
     p_rum.add_argument("--seed", type=int)
     p_rum.add_argument("--out")
     p_rum.set_defaults(func=cmd_rum)

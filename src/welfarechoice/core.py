@@ -4,6 +4,11 @@ Simplex geometry, finite differences, 1-D quadrature, monotone root
 finding, and the seeded random-stream contract used by the Monte Carlo
 code. Everything here is pure given its inputs; random state is always
 created locally from an explicit seed.
+
+This is the package's one finite-difference layer: every numeric
+derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
+solvers, cross effects, sign tests) goes through `finite_diff_gradient`,
+`finite_diff_jacobian` or `mixed_partial`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and seeding shared across modules.
+    """Tolerances shared across modules.
 
     fd_step_first: central-difference step for first-order derivatives.
     fd_step_high: step for order >= 2 mixed differences (larger, since
@@ -49,7 +54,6 @@ class NumericConfig:
     fd_step_high: float = 1e-2
     quad_abs_tol: float = 1e-10
     root_tol: float = 1e-12
-    seed: int = 0
     solver_tol: float = 1e-9
     solver_max_iter: int = 100_000
 
@@ -58,8 +62,6 @@ class NumericConfig:
                       "root_tol", "solver_tol"):
             if not getattr(self, field) > 0:
                 raise ValueError(f"{field} must be positive")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 DEFAULT_CONFIG = NumericConfig()
@@ -88,11 +90,6 @@ def as_probability(values: Sequence[float] | np.ndarray,
     if abs(float(np.sum(x)) - 1.0) > tol:
         raise ValueError(f"entries sum to {np.sum(x)!r}, not 1")
     return x
-
-
-def is_interior(x: np.ndarray, margin: float = 1e-6) -> bool:
-    """True when every coordinate of a simplex point is at least `margin`."""
-    return bool(np.min(x) >= margin)
 
 
 def project_to_simplex(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -124,6 +121,28 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float],
             raise NumericError(f"non-finite function value near coordinate {i}")
         g[i] = (hi - lo) / (2.0 * h)
     return g
+
+
+def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
+                         x: np.ndarray,
+                         h: float | Sequence[float],
+                         columns: Sequence[int] | None = None) -> np.ndarray:
+    """Central-difference Jacobian of a vector function, column by column.
+
+    Column k is (F(x + h_k e_i) - F(x - h_k e_i)) / (2 h_k) with
+    i = columns[k] (every coordinate when `columns` is None). `h` is one
+    step for all columns or a sequence with one step per column.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = range(x.size) if columns is None else columns
+    steps = itertools.repeat(h) if np.ndim(h) == 0 else h
+    jac = []
+    for i, step in zip(cols, steps):
+        e = np.zeros(x.size)
+        e[i] = step
+        jac.append((np.asarray(F(x + e), dtype=float)
+                    - np.asarray(F(x - e), dtype=float)) / (2.0 * step))
+    return np.stack(jac, axis=1)
 
 
 def mixed_partial(f: Callable[[np.ndarray], float],

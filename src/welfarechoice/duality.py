@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, NumericConfig, as_utility
+from .core import as_utility, finite_diff_jacobian
 from .welfare import WelfareModel, model_bounds
 
 INTERIOR_MIN = 1e-6
@@ -110,19 +110,13 @@ def _newton_refine(model: WelfareModel, x: np.ndarray, y0: np.ndarray,
     """
     n = model.n
     y = y0.copy()
-    h = 1e-6
     e = np.ones(n)
     for _ in range(max_iter):
         q = np.asarray(model.gradient(y), dtype=float)
         grad = x - q
         if float(np.max(np.abs(grad))) <= grad_tol:
             return y
-        jac = np.empty((n, n))
-        for i in range(n):
-            step_vec = np.zeros(n)
-            step_vec[i] = h
-            jac[:, i] = (np.asarray(model.gradient(y + step_vec), float)
-                         - np.asarray(model.gradient(y - step_vec), float)) / (2 * h)
+        jac = finite_diff_jacobian(model.gradient, y, 1e-6)
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = 0.5 * (jac + jac.T)
         bordered[:n, n] = e
@@ -145,8 +139,7 @@ def _newton_refine(model: WelfareModel, x: np.ndarray, y0: np.ndarray,
     return None
 
 
-def conjugate_V(model: WelfareModel, x, grad_tol: float = 1e-8,
-                cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+def conjugate_V(model: WelfareModel, x, grad_tol: float = 1e-8) -> float:
     """Convex conjugate V(x) = sup_y { y.x - w(y) } at an interior point."""
     x = np.asarray(x, dtype=float)
     if x.size != model.n:
@@ -162,8 +155,7 @@ def conjugate_V(model: WelfareModel, x, grad_tol: float = 1e-8,
 
 
 def invert_choice(model: WelfareModel, x_target,
-                  residual_tol: float = 1e-6,
-                  cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+                  residual_tol: float = 1e-6) -> np.ndarray:
     """Zero-sum utility vector mu with q(mu) = x_target on the interior.
 
     Raises ConvergenceError carrying the best iterate when the gradient

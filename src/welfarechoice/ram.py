@@ -9,11 +9,12 @@ verification.
 
 Solver layout: entropic mirror descent with Armijo backtracking keeps
 iterates strictly interior, which barrier-like regularizers require; a
-Newton polish on the identified active set (finite-difference Hessian of
-grad V) sharpens the iterate to the KKT tolerance once mirror descent has
-localized it. Regularizers that stay finite on the boundary use projected
-gradient instead, and quadratic regularizers get an exact active-set
-enumeration because their KKT systems are linear.
+Newton polish on the identified active set sharpens the iterate to the KKT
+tolerance once mirror descent has localized it. Its Hessian of V is the
+central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
+the package's one finite-difference layer. Regularizers that stay finite
+on the boundary use projected gradient instead, and quadratic regularizers
+get an exact active-set enumeration because their KKT systems are linear.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (DEFAULT_CONFIG, NumericConfig, NumericError, as_utility,
-                   integrate_1d, normal_pdf, normal_quantile,
-                   project_to_simplex)
+                   finite_diff_jacobian, integrate_1d, normal_pdf,
+                   normal_quantile, project_to_simplex)
 from .welfare import WelfareModel
 
 ACTIVE_TOL = 1e-9
@@ -355,19 +356,6 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray,
     return res
 
 
-def _fd_hessian(reg: Regularizer, x: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of V restricted to `support` coordinates."""
-    k = support.size
-    h_mat = np.empty((k, k))
-    for col, i in enumerate(support):
-        # keep x_i +- h strictly inside (0, 1) for barrier regularizers
-        h = min(1e-7, 0.4 * x[i]) if reg.boundary_barrier else 1e-7
-        e = np.zeros(x.size)
-        e[i] = h
-        h_mat[:, col] = ((reg.gradient(x + e) - reg.gradient(x - e)) / (2.0 * h))[support]
-    return 0.5 * (h_mat + h_mat.T)
-
-
 def _newton_polish(reg: Regularizer, mu: np.ndarray, x0: np.ndarray,
                    tol: float) -> Optional[np.ndarray]:
     """Active-set Newton refinement of a near-optimal iterate.
@@ -395,7 +383,10 @@ def _newton_polish(reg: Regularizer, mu: np.ndarray, x0: np.ndarray,
             if np.max(np.abs(resid)) <= 0.05 * tol:
                 ok = True
                 break
-            hess = _fd_hessian(reg, x, support)
+            # keep x_i +- h strictly inside (0, 1) for barrier regularizers
+            h = np.minimum(1e-7, 0.4 * x[support]) if reg.boundary_barrier else 1e-7
+            hess = finite_diff_jacobian(reg.gradient, x, h, columns=support)[support]
+            hess = 0.5 * (hess + hess.T)
             jac = np.zeros((k + 1, k + 1))
             jac[:k, :k] = -hess
             jac[:k, k] = -1.0

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, as_utility, stream_rng
+from .core import (DEFAULT_CONFIG, as_utility, finite_diff_jacobian,
+                   stream_rng)
 from .ram import Regularizer
 from .welfare import WelfareModel
 
@@ -55,11 +56,7 @@ def classify_pair(model: WelfareModel, mu, i: int, j: int,
     i == j returns that label directly (with the estimate attached).
     """
     mu = as_utility(mu)
-    e = np.zeros(model.n)
-    e[i] = step
-    q_hi = np.asarray(model.gradient(mu + e), dtype=float)
-    q_lo = np.asarray(model.gradient(mu - e), dtype=float)
-    est = float((q_hi[j] - q_lo[j]) / (2.0 * step))
+    est = float(finite_diff_jacobian(model.gradient, mu, step, columns=[i])[j, 0])
     if i == j:
         return PairClassification(i=i, j=j, estimate=est, label=COMPLEMENTARY)
     return PairClassification(i=i, j=j, estimate=est, label=_label(est, dead_zone))
@@ -79,16 +76,19 @@ def substitution_report(model: WelfareModel, mu,
                         step: float = DEFAULT_CONFIG.fd_step_high,
                         dead_zone: float = DEAD_ZONE,
                         symmetry_rel_tol: float = 1e-4) -> SubstitutionReport:
-    """All-pairs classification; flags whether estimates are symmetric."""
+    """All-pairs classification; flags whether estimates are symmetric.
+
+    Entry (i, j) equals `classify_pair(model, mu, i, j)`; one Jacobian of
+    the choice map serves every pair, so the cost is 2n gradient calls.
+    """
     mu = as_utility(mu)
     n = model.n
+    estimates = finite_diff_jacobian(model.gradient, mu, step).T
     labels = np.empty((n, n), dtype=object)
-    estimates = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            c = classify_pair(model, mu, i, j, step=step, dead_zone=dead_zone)
-            labels[i, j] = c.label
-            estimates[i, j] = c.estimate
+            labels[i, j] = (COMPLEMENTARY if i == j
+                            else _label(estimates[i, j], dead_zone))
     tol = symmetry_rel_tol * max(1.0, abs(model.value(mu)))
     symmetric = bool(np.max(np.abs(estimates - estimates.T)) <= tol)
     return SubstitutionReport(mu=mu, labels=labels, estimates=estimates,

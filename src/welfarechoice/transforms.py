@@ -83,7 +83,8 @@ def mix(components: Sequence[MixtureComponent], n: int) -> WelfareModel:
         q = np.zeros(n)
         for c, idx in zip(comps, index_arrays):
             if c.weight > 0:
-                q[idx] += c.weight * np.asarray(c.model.gradient(mu[idx]), float)
+                # add.at sums over a repeated index; q[idx] += would count it once
+                np.add.at(q, idx, c.weight * np.asarray(c.model.gradient(mu[idx]), float))
         return q
 
     bounds = None

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_utility, stream_rng
+from .core import finite_diff_gradient, mixed_partial, stream_rng
 
 
 @dataclass(frozen=True)
@@ -197,18 +197,11 @@ def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
     witness = None
     for _ in range(samples):
         y = rng.uniform(0.3, 2.5, size=n)
-        h = 1e-2
         tol = rel_tol * max(1.0, abs(gen.H(y)))
         for order in range(1, max_order + 1):
             sign = (-1.0) ** order
             for combo in itertools.combinations(range(n), order):
-                total = 0.0
-                for signs in itertools.product((1.0, -1.0), repeat=order):
-                    point = y.copy()
-                    for s, i in zip(signs, combo):
-                        point[i] += s * h
-                    total += float(np.prod(signs)) * gen.H(point)
-                est = total / (2.0 * h) ** order
+                est = mixed_partial(gen.H, y, combo, h=1e-2)
                 violation = sign * est - tol
                 if violation > worst:
                     worst = violation
@@ -261,14 +254,7 @@ def gev_welfare(gen: GEVGenerator, n: int, validation_samples: int = 64,
             return eta * y * gen.partials(y) / h
     else:
         def gradient(mu):
-            mu = np.asarray(mu, float)
-            g = np.empty(n)
-            h = 1e-6
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                g[i] = (value(mu + e) - value(mu - e)) / (2 * h)
-            return g
+            return finite_diff_gradient(value, mu)
 
     return WelfareModel(n=n, value=value, gradient=gradient,
                         name=f"gev(eta={eta:g})")
@@ -342,7 +328,7 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
             break
 
     return AxiomReport(monotonic=mono, translation_invariant=trans,
-                       convex=conv, samples_used=samples)
+                       convex=conv, samples_used=k + 1)
 
 
 @dataclass(frozen=True)
@@ -394,11 +380,3 @@ def model_bounds(model: WelfareModel, estimate_box: float = 20.0) -> tuple[np.nd
     if model.superlinear_bounds is not None:
         return np.asarray(model.superlinear_bounds, dtype=float), False
     return estimate_superlinear_bounds(model, box=estimate_box), True
-
-
-def validate_gradient_simplex(model: WelfareModel, mu) -> np.ndarray:
-    """Gradient of the model at mu, checked against the simplex invariants."""
-    q = np.asarray(model.gradient(as_utility(mu)), dtype=float)
-    if abs(float(q.sum()) - 1.0) > 1e-9 or np.min(q) < -1e-12:
-        raise ValueError(f"gradient {q} is not a choice probability vector")
-    return q

@@ -82,6 +82,13 @@ class TestEval:
     def test_dimension_mismatch_exits_2(self, spec_file):
         assert main(["eval", "--spec", spec_file(MNL3), "--mu", "0,0"]) == 2
 
+    @pytest.mark.parametrize("mu", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_mu_exits_2_and_writes_nothing(self, spec_file, tmp_path, mu):
+        out = tmp_path / "never.csv"
+        assert main(["eval", "--spec", spec_file(MNL3), "--mu", mu,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestFigure:
     def test_demo_quadratic_slopes(self, tmp_path):
@@ -134,6 +141,11 @@ class TestVerify:
         assert main(["verify", "--spec", spec_file(MNL3),
                      "--suite", "superlinear", "--samples", "200"]) == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_2(self, spec_file, samples):
+        assert main(["verify", "--spec", spec_file(MNL3),
+                     "--suite", "axioms", "--samples", samples]) == 2
+
 
 class TestConvert:
     def test_w_to_v_negative_entropy(self, spec_file, tmp_path):
@@ -173,6 +185,11 @@ class TestConvert:
     def test_v_to_w_requires_regularizer_spec(self, spec_file):
         assert main(["convert", "--spec", spec_file(MNL3),
                      "--direction", "v-to-w", "--mu", "0,0,0"]) == 2
+
+    @pytest.mark.parametrize("x", ["nan,0.5,0.5", "0.3,0.3,0.3", "-0.1,0.6,0.5"])
+    def test_w_to_v_rejects_points_off_the_simplex(self, spec_file, x):
+        assert main(["convert", "--spec", spec_file(MNL3),
+                     "--direction", "w-to-v", "--x", x]) == 2
 
 
 class TestRum:
@@ -231,6 +248,11 @@ class TestRum:
                           "w_closed_form"]
         est, se, w = (float(rows[0][2]), float(rows[0][3]), float(rows[0][4]))
         assert abs(est - w) <= 4 * se
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_nonpositive_samples_exit_2(self, samples):
+        assert main(["rum", "--family", "gumbel", "--mu", "0,0",
+                     "--samples", samples]) == 2
 
 
 class TestValidate:

@@ -74,6 +74,33 @@ class TestFiniteDiffGradient:
             core.finite_diff_gradient(lambda m: np.inf, np.zeros(2))
 
 
+def logit_jacobian(mu, eta):
+    """Analytic Jacobian of the logit choice map: (diag(q) - q q') / eta."""
+    q = mnl_welfare(eta, mu.size).gradient(mu)
+    return (np.diag(q) - np.outer(q, q)) / eta
+
+
+class TestFiniteDiffJacobian:
+    def test_logit_jacobian_scalar_step(self):
+        mu = np.array([0.4, -1.1, 0.9, 0.0])
+        jac = core.finite_diff_jacobian(mnl_welfare(0.7, 4).gradient, mu, 1e-6)
+        np.testing.assert_allclose(jac, logit_jacobian(mu, 0.7), atol=1e-8)
+
+    def test_logit_jacobian_per_column_steps(self):
+        mu = np.array([0.4, -1.1, 0.9, 0.0])
+        jac = core.finite_diff_jacobian(mnl_welfare(0.7, 4).gradient, mu,
+                                        np.array([1e-6, 1e-5, 1e-7, 1e-6]))
+        np.testing.assert_allclose(jac, logit_jacobian(mu, 0.7), atol=1e-7)
+
+    def test_subset_of_columns(self):
+        mu = np.array([0.4, -1.1, 0.9, 0.0])
+        jac = core.finite_diff_jacobian(mnl_welfare(0.7, 4).gradient, mu,
+                                        [1e-6, 1e-5], columns=[3, 1])
+        assert jac.shape == (4, 2)
+        np.testing.assert_allclose(jac, logit_jacobian(mu, 0.7)[:, [3, 1]],
+                                   atol=1e-7)
+
+
 class TestMixedPartial:
     def test_bilinear(self):
         est = core.mixed_partial(lambda m: m[0] * m[1], np.zeros(2), (0, 1))

@@ -14,8 +14,8 @@ from welfarechoice.substitution import (COMPLEMENTARY, SUBSTITUTABLE,
                                         reduced_regularizer, scan_line,
                                         substitutable_model_check,
                                         substitution_report)
-from welfarechoice.welfare import log_sum_welfare, mnl_welfare, \
-    nested_logit_welfare
+from welfarechoice.welfare import WelfareModel, log_sum_welfare, \
+    mnl_welfare, nested_logit_welfare
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -86,6 +86,25 @@ class TestSubstitutionReport:
             for j in range(3):
                 if i != j:
                     assert report.labels[i, j] == SUBSTITUTABLE
+
+    def test_matches_classify_pair_with_2n_gradient_calls(self):
+        base = ram_welfare(quadratic_regularizer(
+            np.eye(4) + 0.3 * np.ones((4, 4))))
+        calls = []
+
+        def gradient(mu):
+            calls.append(1)
+            return base.gradient(mu)
+
+        model = WelfareModel(n=4, value=base.value, gradient=gradient)
+        mu = np.array([0.3, -0.2, 0.5, 0.0])
+        report = substitution_report(model, mu)
+        assert len(calls) == 8
+        for i in range(4):
+            for j in range(4):
+                c = classify_pair(model, mu, i, j)
+                assert report.estimates[i, j] == c.estimate
+                assert report.labels[i, j] == c.label
 
 
 class TestScanLine:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from welfarechoice.core import finite_diff_gradient
 from welfarechoice.rum import rum_sign_test
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
 from welfarechoice.welfare import check_axioms, log_sum_welfare, mnl_welfare
@@ -149,6 +150,24 @@ class TestCross:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cross(mnl_welfare(1.0, 3), BRAND_WEIGHTS)
+
+
+class TestTransformGradients:
+    @pytest.mark.parametrize("build", [
+        lambda: scale(log_sum_welfare(BRAND_WEIGHTS), 0.6),
+        lambda: mix([MixtureComponent(mnl_welfare(1.0, 2), (0, 2), 0.4),
+                     MixtureComponent(mnl_welfare(0.5, 3), (2, 1, 0), 0.6)], 3),
+        lambda: mix([MixtureComponent(mnl_welfare(1.0, 2), (0, 0), 0.5),
+                     MixtureComponent(mnl_welfare(1.0, 2), (0, 1), 0.5)], 2),
+        lambda: cross(mnl_welfare(1.0, 4), BRAND_WEIGHTS),
+    ], ids=["scale", "mix", "mix_repeated_index", "cross"])
+    def test_gradient_matches_fd_of_value(self, build):
+        model = build()
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            mu = rng.uniform(-3, 3, model.n)
+            fd = finite_diff_gradient(model.value, mu)
+            np.testing.assert_allclose(model.gradient(mu), fd, atol=1e-7)
 
 
 class TestTransformAxioms:

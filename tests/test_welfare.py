@@ -169,6 +169,15 @@ class TestGEV:
         with pytest.raises(ValueError):
             check_generator_signs(power, 3, max_order=4)
 
+    def test_gradient_without_partials_is_fd_of_value(self):
+        gen = GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2)))
+        gm = gev_welfare(gen, 3)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            mu = rng.uniform(-3, 3, 3)
+            np.testing.assert_array_equal(
+                gm.gradient(mu), core.finite_diff_gradient(gm.value, mu))
+
 
 class TestLogSumModel:
     def test_brand_value(self):
@@ -252,6 +261,19 @@ class TestAxiomChecker:
         report = check_axioms(bad, samples=500, seed=0)
         assert not report.convex.passed
         assert report.convex.witness is not None
+
+    def test_early_stop_reports_draws_made(self):
+        # decreasing, not translation invariant and strictly concave: every
+        # axiom fails on the first draw, so the loop stops after one sample
+        bad = WelfareModel(
+            n=2,
+            value=lambda mu: float(-np.sum(mu) - 0.01 * mu @ mu),
+            gradient=lambda mu: -1.0 - 0.02 * np.asarray(mu),
+            name="all_wrong")
+        report = check_axioms(bad, samples=50, seed=0)
+        assert not (report.monotonic.passed or report.translation_invariant.passed
+                    or report.convex.passed)
+        assert report.samples_used == 1
 
 
 class TestSuperlinear:
