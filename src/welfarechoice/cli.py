@@ -220,8 +220,13 @@ def cmd_convert(args) -> int:
 
     if args.direction == "w-to-v":
         points = [_parse_vector(t, "--x") for t in args.x]
-        if not points and args.grid_step:
-            points = list(simplex_grid(model.n, args.grid_step, margin=1e-3))
+        if not points and args.grid_step is not None:
+            try:
+                points = list(simplex_grid(model.n, args.grid_step, margin=1e-3))
+            except ValueError as exc:
+                raise SpecError("--grid-step", str(exc)) from exc
+            if not points:
+                raise SpecError("--grid-step", "no grid node lies inside the simplex")
         if not points:
             raise SpecError("--x", "provide --x points or --grid-step")
         header = [f"x_{i+1}" for i in range(model.n)] + ["V"]

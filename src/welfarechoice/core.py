@@ -9,13 +9,16 @@ This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
 solvers, cross effects, sign tests) goes through `finite_diff_gradient`,
 `finite_diff_jacobian` or `mixed_partial`.
+
+Steps and tolerances are fixed numbers: the primitives here take them as
+literal defaults, and each tolerance used elsewhere is a constant of the
+module that reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -41,32 +44,6 @@ class BracketError(ValueError):
     """Root-finding target lies outside the supplied bracket."""
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    """Tolerances shared across modules.
-
-    fd_step_first: central-difference step for first-order derivatives.
-    fd_step_high: step for order >= 2 mixed differences (larger, since
-        higher-order differences amplify roundoff).
-    """
-
-    fd_step_first: float = 1e-6
-    fd_step_high: float = 1e-2
-    quad_abs_tol: float = 1e-10
-    root_tol: float = 1e-12
-    solver_tol: float = 1e-9
-    solver_max_iter: int = 100_000
-
-    def __post_init__(self) -> None:
-        for field in ("fd_step_first", "fd_step_high", "quad_abs_tol",
-                      "root_tol", "solver_tol"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"{field} must be positive")
-
-
-DEFAULT_CONFIG = NumericConfig()
-
-
 def as_utility(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return a deterministic-utility vector (n >= 2, finite)."""
     mu = np.asarray(values, dtype=float)
@@ -77,17 +54,16 @@ def as_utility(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return mu
 
 
-def as_probability(values: Sequence[float] | np.ndarray,
-                   tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate and return a point on the probability simplex."""
+def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Validate and return a point on the probability simplex (to SIMPLEX_TOL)."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("probability vector must be one-dimensional with n >= 2")
     if not np.all(np.isfinite(x)):
         raise ValueError("probability vector must be finite")
-    if np.min(x) < -tol:
-        raise ValueError(f"entry {np.min(x):.3e} below -{tol:.0e}")
-    if abs(float(np.sum(x)) - 1.0) > tol:
+    if np.min(x) < -SIMPLEX_TOL:
+        raise ValueError(f"entry {np.min(x):.3e} below -{SIMPLEX_TOL:.0e}")
+    if abs(float(np.sum(x)) - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"entries sum to {np.sum(x)!r}, not 1")
     return x
 
@@ -109,7 +85,7 @@ def project_to_simplex(v: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float],
                          mu: np.ndarray,
-                         h: float = DEFAULT_CONFIG.fd_step_first) -> np.ndarray:
+                         h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function at `mu`."""
     mu = np.asarray(mu, dtype=float)
     g = np.empty(mu.size)
@@ -148,7 +124,7 @@ def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
 def mixed_partial(f: Callable[[np.ndarray], float],
                   mu: np.ndarray,
                   indices: Sequence[int],
-                  h: float = DEFAULT_CONFIG.fd_step_high) -> float:
+                  h: float = 1e-2) -> float:
     """Nested central difference estimating a k-th order mixed partial.
 
     `indices` lists the coordinates differentiated once each; they must be
@@ -190,7 +166,7 @@ def _quad_panel(g, a: float, b: float, abs_tol: float, depth: int) -> float:
 
 
 def integrate_1d(g: Callable[[float], float], a: float, b: float,
-                 abs_tol: float = DEFAULT_CONFIG.quad_abs_tol) -> float:
+                 abs_tol: float = 1e-10) -> float:
     """Adaptive quadrature of g over [a, b] with absolute error <= abs_tol.
 
     Panels whose error estimate misses the tolerance are bisected
@@ -205,7 +181,7 @@ def integrate_1d(g: Callable[[float], float], a: float, b: float,
 
 def bisect_increasing(g: Callable[[float], float], target: float,
                       lo: float, hi: float,
-                      tol: float = DEFAULT_CONFIG.root_tol) -> float:
+                      tol: float = 1e-12) -> float:
     """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection."""
     flo, fhi = g(lo), g(hi)
     if not (flo <= target <= fhi):
@@ -238,16 +214,15 @@ def stream_rng(seed: int, key: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def mc_partitions(seed: int, samples: int,
-                  chunk: int = MC_CHUNK) -> Iterator[tuple[int, int, int]]:
+def mc_partitions(samples: int) -> Iterator[tuple[int, int, int]]:
     """Yield (index, start, stop) partitions of a Monte Carlo run.
 
-    Partition boundaries depend only on `samples` and `chunk`, so results
+    Partition boundaries depend only on `samples` and MC_CHUNK, so results
     merged in index order are independent of how partitions are scheduled.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     idx = 0
-    for start in range(0, samples, chunk):
-        yield idx, start, min(start + chunk, samples)
+    for start in range(0, samples, MC_CHUNK):
+        yield idx, start, min(start + MC_CHUNK, samples)
         idx += 1

@@ -25,6 +25,11 @@ from .core import as_utility, finite_diff_jacobian
 from .welfare import WelfareModel, model_bounds
 
 INTERIOR_MIN = 1e-6
+# Ascent stops at this gradient residual; conjugate values and inversions
+# are accepted up to RESIDUAL_TOL.
+GRAD_TOL = 1e-8
+RESIDUAL_TOL = 1e-6
+MAX_GRID_NODES = 10 ** 5
 
 
 class ConvergenceError(RuntimeError):
@@ -49,7 +54,7 @@ def _search_radius(model: WelfareModel, x: np.ndarray) -> float:
     return 2.0 * max(k, 1.0)
 
 
-def _ascend(model: WelfareModel, x: np.ndarray, grad_tol: float,
+def _ascend(model: WelfareModel, x: np.ndarray,
             max_iter: int = 20000) -> tuple[np.ndarray, float, int]:
     """Maximize y.x - w(y) over the zero-sum hyperplane from y = 0.
 
@@ -71,11 +76,11 @@ def _ascend(model: WelfareModel, x: np.ndarray, grad_tol: float,
         grad = x - q
         d = grad - grad.mean()
         res = float(np.max(np.abs(grad)))
-        if res <= grad_tol:
+        if res <= GRAD_TOL:
             return y, res, it
 
         if res <= 1e-3 or it % 40 == 0:
-            y_ref = _newton_refine(model, x, y, grad_tol)
+            y_ref = _newton_refine(model, x, y)
             if y_ref is not None:
                 return y_ref, residual_at(y_ref), it
 
@@ -89,7 +94,7 @@ def _ascend(model: WelfareModel, x: np.ndarray, grad_tol: float,
                 break
             a *= 0.5
         if not accepted:
-            y_ref = _newton_refine(model, x, y, grad_tol)
+            y_ref = _newton_refine(model, x, y)
             if y_ref is not None:
                 return y_ref, residual_at(y_ref), it
             return y, res, it
@@ -102,7 +107,7 @@ def _ascend(model: WelfareModel, x: np.ndarray, grad_tol: float,
 
 
 def _newton_refine(model: WelfareModel, x: np.ndarray, y0: np.ndarray,
-                   grad_tol: float, max_iter: int = 30) -> Optional[np.ndarray]:
+                   max_iter: int = 30) -> Optional[np.ndarray]:
     """Newton steps for q(y) = x on the zero-sum hyperplane.
 
     The Hessian of w annihilates the all-ones vector, so the system is
@@ -114,7 +119,7 @@ def _newton_refine(model: WelfareModel, x: np.ndarray, y0: np.ndarray,
     for _ in range(max_iter):
         q = np.asarray(model.gradient(y), dtype=float)
         grad = x - q
-        if float(np.max(np.abs(grad))) <= grad_tol:
+        if float(np.max(np.abs(grad))) <= GRAD_TOL:
             return y
         jac = finite_diff_jacobian(model.gradient, y, 1e-6)
         bordered = np.zeros((n + 1, n + 1))
@@ -134,12 +139,12 @@ def _newton_refine(model: WelfareModel, x: np.ndarray, y0: np.ndarray,
         if float(np.max(np.abs(delta))) > 1e6:
             return None
     q = np.asarray(model.gradient(y), dtype=float)
-    if float(np.max(np.abs(x - q))) <= grad_tol:
+    if float(np.max(np.abs(x - q))) <= GRAD_TOL:
         return y
     return None
 
 
-def conjugate_V(model: WelfareModel, x, grad_tol: float = 1e-8) -> float:
+def conjugate_V(model: WelfareModel, x) -> float:
     """Convex conjugate V(x) = sup_y { y.x - w(y) } at an interior point."""
     x = np.asarray(x, dtype=float)
     if x.size != model.n:
@@ -147,19 +152,18 @@ def conjugate_V(model: WelfareModel, x, grad_tol: float = 1e-8) -> float:
     if np.min(x) < INTERIOR_MIN:
         raise ValueError(
             f"x must be strictly interior (min entry >= {INTERIOR_MIN:g})")
-    y, res, _ = _ascend(model, x, grad_tol)
-    if res > max(grad_tol, 1e-6):
+    y, res, _ = _ascend(model, x)
+    if res > RESIDUAL_TOL:
         raise ConvergenceError(
             f"conjugate ascent stalled at gradient residual {res:.2e}", y, res)
     return float(y @ x - model.value(y))
 
 
-def invert_choice(model: WelfareModel, x_target,
-                  residual_tol: float = 1e-6) -> np.ndarray:
+def invert_choice(model: WelfareModel, x_target) -> np.ndarray:
     """Zero-sum utility vector mu with q(mu) = x_target on the interior.
 
     Raises ConvergenceError carrying the best iterate when the gradient
-    residual cannot be brought below `residual_tol`.
+    residual cannot be brought below RESIDUAL_TOL.
     """
     x = np.asarray(x_target, dtype=float)
     if x.size != model.n:
@@ -167,10 +171,10 @@ def invert_choice(model: WelfareModel, x_target,
     if np.min(x) < INTERIOR_MIN:
         raise ValueError(
             f"target must be strictly interior (min entry >= {INTERIOR_MIN:g})")
-    y, res, _ = _ascend(model, x, grad_tol=min(residual_tol, 1e-8))
-    if res > residual_tol:
+    y, res, _ = _ascend(model, x)
+    if res > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"inversion residual {res:.2e} exceeds {residual_tol:.0e}", y, res)
+            f"inversion residual {res:.2e} exceeds {RESIDUAL_TOL:.0e}", y, res)
     return y
 
 
@@ -242,10 +246,21 @@ def semiparametric_sup(model: WelfareModel, anchors: Sequence, mu) -> float:
 
 
 def simplex_grid(n: int, spacing: float, margin: float = INTERIOR_MIN) -> np.ndarray:
-    """Interior grid nodes of the simplex with the given spacing (n <= 3)."""
+    """Interior grid nodes of the simplex with the given spacing (n <= 3).
+
+    The spacing must lie in (0, 1), and the grid, s + 1 nodes for n = 2 and
+    (s + 1)(s + 2) / 2 for n = 3 with s = round(1 / spacing), may hold at
+    most MAX_GRID_NODES before the margin drops the boundary ones.
+    """
     if n not in (2, 3):
         raise ValueError("grids are supported for n in {2, 3}")
+    if not (np.isfinite(spacing) and 0.0 < spacing < 1.0):
+        raise ValueError(f"grid spacing must lie in (0, 1), got {spacing!r}")
     steps = int(round(1.0 / spacing))
+    size = steps + 1 if n == 2 else (steps + 1) * (steps + 2) // 2
+    if size > MAX_GRID_NODES:
+        raise ValueError(f"grid spacing {spacing!r} gives {size} nodes, "
+                         f"more than {MAX_GRID_NODES}")
     nodes = []
     if n == 2:
         for i in range(steps + 1):
@@ -261,8 +276,7 @@ def simplex_grid(n: int, spacing: float, margin: float = INTERIOR_MIN) -> np.nda
     return np.asarray(nodes)
 
 
-def tabulated_welfare(model: WelfareModel, spacing: float = 0.02,
-                      grad_tol: float = 1e-8):
+def tabulated_welfare(model: WelfareModel, spacing: float = 0.02):
     """Round-trip welfare: conjugate values on a simplex grid, then
     w_tab(mu) = max over nodes of mu.x - V(x).
 
@@ -271,7 +285,7 @@ def tabulated_welfare(model: WelfareModel, spacing: float = 0.02,
     Returns (w_tab, nodes, values).
     """
     nodes = simplex_grid(model.n, spacing)
-    values = np.array([conjugate_V(model, x, grad_tol=grad_tol) for x in nodes])
+    values = np.array([conjugate_V(model, x) for x in nodes])
 
     def w_tab(mu):
         mu = np.asarray(mu, dtype=float)

@@ -25,13 +25,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, NumericConfig, NumericError, as_utility,
-                   finite_diff_jacobian, integrate_1d, normal_pdf,
-                   normal_quantile, project_to_simplex)
+from .core import (NumericError, as_utility, finite_diff_jacobian,
+                   integrate_1d, normal_pdf, normal_quantile,
+                   project_to_simplex)
 from .welfare import WelfareModel
 
 ACTIVE_TOL = 1e-9
+SOLVER_TOL = 1e-9
+SOLVER_MAX_ITER = 100_000
 _QUANTILE_CLIP = 1e-12
+_EIG_FLOOR = 1e-12
 
 
 class DegenerateRegularizerError(ValueError):
@@ -197,12 +200,10 @@ def normal_marginal(sd: float = 1.0) -> Marginal:
 
 def custom_marginal(quantile: Callable[[float], float],
                     mean: Optional[float] = None,
-                    bounded: bool = False,
-                    quad_abs_tol: float = DEFAULT_CONFIG.quad_abs_tol) -> Marginal:
+                    bounded: bool = False) -> Marginal:
     """Marginal from a raw quantile; the mean is integrated when not given."""
     if mean is None:
-        mean = integrate_1d(quantile, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP,
-                            abs_tol=quad_abs_tol)
+        mean = integrate_1d(quantile, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)
     return Marginal(family="custom", quantile=quantile, mean=float(mean),
                     bounded=bounded)
 
@@ -214,19 +215,17 @@ def _validate_monotone_quantile(m: Marginal) -> None:
         raise ValueError(f"quantile of {m.family} marginal is decreasing on a grid")
 
 
-def _marginal_tail(m: Marginal, x: float,
-                   quad_abs_tol: float = DEFAULT_CONFIG.quad_abs_tol) -> float:
+def _marginal_tail(m: Marginal, x: float) -> float:
     if m.tail_integral is not None:
         return float(m.tail_integral(x))
     lo = max(1.0 - x, _QUANTILE_CLIP)
     hi = 1.0 - _QUANTILE_CLIP
     if lo >= hi:
         return 0.0
-    return integrate_1d(m.quantile, lo, hi, abs_tol=quad_abs_tol)
+    return integrate_1d(m.quantile, lo, hi)
 
 
-def mdm_regularizer(marginals: Sequence[Marginal],
-                    quad_abs_tol: float = DEFAULT_CONFIG.quad_abs_tol) -> Regularizer:
+def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
     """V(x) = -sum_i integral_{1-x_i}^{1} Finv_i(t) dt.
 
     The gradient is -Finv_i(1 - x_i); marginals with quantiles unbounded
@@ -243,8 +242,7 @@ def mdm_regularizer(marginals: Sequence[Marginal],
 
     def value(x):
         x = np.asarray(x, float)
-        return -float(sum(_marginal_tail(m, xi, quad_abs_tol)
-                          for m, xi in zip(marginals, x)))
+        return -float(sum(_marginal_tail(m, xi) for m, xi in zip(marginals, x)))
 
     def gradient(x):
         x = np.asarray(x, float)
@@ -280,13 +278,12 @@ def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
                        vertex_values=np.zeros(n))
 
 
-def cmm_regularizer(cov: Sequence[Sequence[float]],
-                    eig_floor: float = 1e-12) -> Regularizer:
+def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
     """V(x) = -trace((Sigma^{1/2} S(x) Sigma^{1/2})^{1/2}), S(x) = Diag(x) - x x'.
 
     S(x) always annihilates the all-ones vector, so the inner matrix is
     singular by construction; both the value and the directional derivative
-    are taken on the range via the `eig_floor` cutoff. The gradient
+    are taken on the range, above an eigenvalue cutoff of 1e-12. The gradient
     component formula is dV/dx_i = -(G_ii - 2 (G x)_i) / 2 with
     G = Sigma^{1/2} M^{+/2} Sigma^{1/2}; it is valid along simplex tangent
     directions (the relative interior is the safe domain).
@@ -309,12 +306,12 @@ def cmm_regularizer(cov: Sequence[Sequence[float]],
 
     def value(x):
         ev = np.linalg.eigvalsh(_inner(x))
-        return -float(np.sum(np.sqrt(ev[ev > eig_floor])))
+        return -float(np.sum(np.sqrt(ev[ev > _EIG_FLOOR])))
 
     def gradient(x):
         x = np.asarray(x, float)
         ev, u = np.linalg.eigh(_inner(x))
-        inv_root = np.where(ev > eig_floor, 1.0 / np.sqrt(np.maximum(ev, eig_floor)), 0.0)
+        inv_root = np.where(ev > _EIG_FLOOR, 1.0 / np.sqrt(np.maximum(ev, _EIG_FLOOR)), 0.0)
         g_mat = sqrt_cov @ ((u * inv_root) @ u.T) @ sqrt_cov
         return -0.5 * (np.diag(g_mat) - 2.0 * (g_mat @ x))
 
@@ -330,22 +327,20 @@ class SolveResult:
     kkt_residual: float
     iterations: int
     converged: bool
-    objective_history: Optional[np.ndarray] = None
 
 
-def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray,
-               active_tol: float = ACTIVE_TOL) -> float:
+def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> float:
     """Max KKT violation of x for max { mu.x - V(x) } on the simplex.
 
     The equality multiplier is estimated as the mean of mu_i - dV/dx_i over
-    coordinates with x_i > active_tol; the residual is the worst of active
+    coordinates with x_i > ACTIVE_TOL; the residual is the worst of active
     stationarity |mu_i - dV_i - lam|, the positive part of the inactive
     condition, and primal feasibility.
     """
     mu = np.asarray(mu, float)
     x = np.asarray(x, float)
     g = mu - reg.gradient(np.maximum(x, 0.0))
-    active = x > active_tol
+    active = x > ACTIVE_TOL
     if not np.any(active):
         return np.inf
     lam = float(np.mean(g[active]))
@@ -356,12 +351,12 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray,
     return res
 
 
-def _newton_polish(reg: Regularizer, mu: np.ndarray, x0: np.ndarray,
-                   tol: float) -> Optional[np.ndarray]:
+def _newton_polish(reg: Regularizer, mu: np.ndarray,
+                   x0: np.ndarray) -> Optional[np.ndarray]:
     """Active-set Newton refinement of a near-optimal iterate.
 
-    Returns a polished point with KKT residual <= tol, or None when the
-    refinement fails (wrong active set, singular system, step collapse).
+    Returns a polished point with KKT residual <= SOLVER_TOL, or None when
+    the refinement fails (wrong active set, singular system, step collapse).
     """
     n = reg.n
     x = np.maximum(np.asarray(x0, float), 0.0)
@@ -380,7 +375,7 @@ def _newton_polish(reg: Regularizer, mu: np.ndarray, x0: np.ndarray,
             grad = mu - reg.gradient(np.maximum(x, 1e-300))
             lam = float(np.mean(grad[support]))
             resid = np.concatenate([grad[support] - lam, [x.sum() - 1.0]])
-            if np.max(np.abs(resid)) <= 0.05 * tol:
+            if np.max(np.abs(resid)) <= 0.05 * SOLVER_TOL:
                 ok = True
                 break
             # keep x_i +- h strictly inside (0, 1) for barrier regularizers
@@ -418,7 +413,7 @@ def _newton_polish(reg: Regularizer, mu: np.ndarray, x0: np.ndarray,
         if np.any(x < -1e-12):
             return None
         full_res = verify_kkt(reg, mu, x)
-        if full_res <= tol:
+        if full_res <= SOLVER_TOL:
             return x
         if reg.boundary_barrier:
             return None
@@ -429,37 +424,31 @@ def _newton_polish(reg: Regularizer, mu: np.ndarray, x0: np.ndarray,
         if outside.size == 0:
             return None
         worst = outside[int(np.argmax(grad[outside] - lam))]
-        if grad[worst] - lam <= tol:
+        if grad[worst] - lam <= SOLVER_TOL:
             return None
         support = np.sort(np.append(support, worst))
         x[worst] = max(x[worst], 1e-12)
     return None
 
 
-def _iterative_solve(reg: Regularizer, mu: np.ndarray, cfg: NumericConfig,
-                     mirror: bool, record_history: bool) -> SolveResult:
+def _iterative_solve(reg: Regularizer, mu: np.ndarray, mirror: bool) -> SolveResult:
     n = reg.n
     x = np.ones(n) / n
     f = float(mu @ x - reg.value(x))
     step = 1.0
-    history = [f] if record_history else None
     polish_every = 25
 
-    for it in range(cfg.solver_max_iter):
+    for it in range(SOLVER_MAX_ITER):
         res = verify_kkt(reg, mu, x)
-        if res <= cfg.solver_tol:
-            return SolveResult(x, f, res, it, True,
-                               np.asarray(history) if history is not None else None)
+        if res <= SOLVER_TOL:
+            return SolveResult(x, f, res, it, True)
         if res <= 1e-4 * max(1.0, float(np.max(np.abs(mu)))) or (it > 0 and it % polish_every == 0):
-            polished = _newton_polish(reg, mu, x, cfg.solver_tol)
+            polished = _newton_polish(reg, mu, x)
             if polished is not None:
                 fy = float(mu @ polished - reg.value(polished))
                 if fy >= f - 1e-10 * max(1.0, abs(f)):
-                    if history is not None:
-                        history.append(max(f, fy))
                     return SolveResult(polished, fy, verify_kkt(reg, mu, polished),
-                                       it, True,
-                                       np.asarray(history) if history is not None else None)
+                                       it, True)
 
         g = mu - reg.gradient(np.maximum(x, 1e-300))
         if not np.all(np.isfinite(g)):
@@ -487,24 +476,18 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray, cfg: NumericConfig,
             break
         x = y
         f = max(f, fy)
-        if history is not None:
-            history.append(f)
         step = min(a * 2.0, 1e6)
 
     res = verify_kkt(reg, mu, x)
-    polished = _newton_polish(reg, mu, x, cfg.solver_tol)
+    polished = _newton_polish(reg, mu, x)
     if polished is not None:
         fy = float(mu @ polished - reg.value(polished))
         if fy >= f - 1e-10 * max(1.0, abs(f)):
             x, f, res = polished, fy, verify_kkt(reg, mu, polished)
-            if history is not None:
-                history.append(f)
-    return SolveResult(x, f, res, cfg.solver_max_iter, res <= cfg.solver_tol,
-                       np.asarray(history) if history is not None else None)
+    return SolveResult(x, f, res, SOLVER_MAX_ITER, res <= SOLVER_TOL)
 
 
-def _quadratic_exact(reg: Regularizer, mu: np.ndarray,
-                     cfg: NumericConfig, record_history: bool) -> SolveResult:
+def _quadratic_exact(reg: Regularizer, mu: np.ndarray) -> SolveResult:
     """Enumerate active sets of the simplex QP; exact for strictly convex V."""
     a_mat = reg.quadratic_matrix
     n = reg.n
@@ -533,19 +516,17 @@ def _quadratic_exact(reg: Regularizer, mu: np.ndarray,
             if outside.size and np.max(grad[outside] - lam) > 1e-10:
                 continue
             f = float(mu @ x - reg.value(x))
-            return SolveResult(x, f, verify_kkt(reg, mu, x), tried, True,
-                               np.asarray([f]) if record_history else None)
+            return SolveResult(x, f, verify_kkt(reg, mu, x), tried, True)
     # strictly convex problems always terminate above; fall back defensively
-    return _iterative_solve(reg, mu, cfg, mirror=False, record_history=record_history)
+    return _iterative_solve(reg, mu, mirror=False)
 
 
-def solve_ram(reg: Regularizer, mu, cfg: NumericConfig = DEFAULT_CONFIG,
-              method: str = "auto", record_history: bool = False) -> SolveResult:
+def solve_ram(reg: Regularizer, mu) -> SolveResult:
     """Maximize mu.x - V(x) over the simplex.
 
-    method: "auto" picks the exact quadratic path when available, mirror
-    descent for boundary-barrier regularizers, projected gradient otherwise;
-    "mirror", "projected", and "exact" force a path.
+    The path follows the regularizer's structure: exact active-set
+    enumeration for a quadratic V with n <= 15, mirror descent for a
+    boundary barrier, projected gradient otherwise.
     """
     mu = as_utility(mu)
     if mu.size != reg.n:
@@ -553,46 +534,24 @@ def solve_ram(reg: Regularizer, mu, cfg: NumericConfig = DEFAULT_CONFIG,
     if not reg.strictly_convex:
         raise DegenerateRegularizerError(
             f"{reg.name} is not strictly convex; the argmax may be non-unique")
-
-    if method == "auto":
-        if reg.quadratic_matrix is not None and reg.n <= 15:
-            method = "exact"
-        elif reg.boundary_barrier:
-            method = "mirror"
-        else:
-            method = "projected"
-
-    if method == "exact":
-        if reg.quadratic_matrix is None:
-            raise ValueError("exact path requires a quadratic regularizer")
-        return _quadratic_exact(reg, mu, cfg, record_history)
-    if method == "mirror":
-        return _iterative_solve(reg, mu, cfg, mirror=True, record_history=record_history)
-    if method == "projected":
-        return _iterative_solve(reg, mu, cfg, mirror=False, record_history=record_history)
-    raise ValueError(f"unknown method {method!r}")
+    if reg.quadratic_matrix is not None and reg.n <= 15:
+        return _quadratic_exact(reg, mu)
+    return _iterative_solve(reg, mu, mirror=reg.boundary_barrier)
 
 
-def ram_welfare(reg: Regularizer, cfg: NumericConfig = DEFAULT_CONFIG,
-                method: str = "auto") -> WelfareModel:
+def ram_welfare(reg: Regularizer) -> WelfareModel:
     """Wrap a regularizer as a WelfareModel (w from the solve, q = argmax)."""
 
-    def value(mu):
-        result = solve_ram(reg, mu, cfg, method=method)
+    def solve(mu):
+        result = solve_ram(reg, mu)
         if not result.converged:
             raise NumericError(
                 f"solver did not converge for {reg.name} at mu={np.asarray(mu)}")
-        return result.w_value
-
-    def gradient(mu):
-        result = solve_ram(reg, mu, cfg, method=method)
-        if not result.converged:
-            raise NumericError(
-                f"solver did not converge for {reg.name} at mu={np.asarray(mu)}")
-        return result.x_star
+        return result
 
     bounds = None
     if reg.upper_bounded and reg.vertex_values is not None:
         bounds = -np.asarray(reg.vertex_values, dtype=float)
-    return WelfareModel(n=reg.n, value=value, gradient=gradient,
+    return WelfareModel(n=reg.n, value=lambda mu: solve(mu).w_value,
+                        gradient=lambda mu: solve(mu).x_star,
                         superlinear_bounds=bounds, name=f"ram[{reg.name}]")

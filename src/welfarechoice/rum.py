@@ -17,11 +17,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, NumericConfig, as_utility, mc_partitions,
-                   mixed_partial, normal_quantile, stream_rng)
+from .core import (as_utility, mc_partitions, mixed_partial, normal_quantile,
+                   stream_rng)
 from .welfare import WelfareModel
 
 THREADS_ENV = "WELFARECHOICE_THREADS"
+SIGN_REL_TOL = 1e-4
+XI_TOL = 1e-12
+BRACKET_CAP = 1e6
+_VALIDATION_GRID = 201
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ def _run_partitions(worker, seed: int, samples: int) -> list:
     Partition index -> stream mapping is fixed, and results are reduced in
     index order, so the output is independent of the thread count.
     """
-    parts = list(mc_partitions(seed, samples))
+    parts = list(mc_partitions(samples))
     threads = _thread_count()
 
     def run_one(part):
@@ -183,13 +187,13 @@ class BinaryRUMConstruction:
     bracket: float
     truncated: bool
 
-    def sample_xi(self, uniforms: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def sample_xi(self, uniforms: np.ndarray) -> np.ndarray:
         """Invert the CDF at each uniform by bisection on [-T, T]."""
         u = np.asarray(uniforms, dtype=float)
         lo = np.full(u.shape, -self.bracket)
         hi = np.full(u.shape, self.bracket)
-        # fixed iteration count: halves the bracket below tol for any T
-        iters = int(np.ceil(np.log2(2.0 * self.bracket / tol))) + 1
+        # fixed iteration count: halves the bracket below XI_TOL for any T
+        iters = int(np.ceil(np.log2(2.0 * self.bracket / XI_TOL))) + 1
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
             below = self.xi_cdf(mid) < u
@@ -210,14 +214,12 @@ class BinaryRUMConstruction:
         return NoiseSampler(n=2, family="binary-construction", draw=draw)
 
 
-def binary_rum_from_welfare(model: WelfareModel,
-                            validation_grid: int = 201,
-                            bracket_cap: float = 1e6) -> BinaryRUMConstruction:
+def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
     """Build the exact two-alternative noise representation of a welfare model.
 
     Validates that x -> dw/dmu_1 (x, 0) is nondecreasing with range inside
     [0, 1]; grows the inversion bracket geometrically until the CDF is
-    within 1e-9 of {0, 1} at the ends, capping at `bracket_cap` with the
+    within 1e-9 of {0, 1} at the ends, capping at BRACKET_CAP with the
     truncation flagged.
     """
     if model.n != 2:
@@ -236,7 +238,7 @@ def binary_rum_from_welfare(model: WelfareModel,
                     for xi in np.atleast_1d(x).ravel()]
             return np.asarray(flat).reshape(np.atleast_1d(x).shape)
 
-    grid = np.linspace(-30.0, 30.0, validation_grid)
+    grid = np.linspace(-30.0, 30.0, _VALIDATION_GRID)
     vals = np.asarray(xi_cdf(grid), dtype=float)
     if np.any(np.diff(vals) < -1e-10):
         raise InvalidBinaryWelfareError("v'(x) is decreasing on the grid")
@@ -250,10 +252,10 @@ def binary_rum_from_welfare(model: WelfareModel,
         hi_val = float(xi_cdf(np.array([bracket]))[0])
         if lo_val <= 1e-9 and hi_val >= 1.0 - 1e-9:
             break
-        if bracket >= bracket_cap:
+        if bracket >= BRACKET_CAP:
             truncated = True
             break
-        bracket = min(bracket * 2.0, bracket_cap)
+        bracket = min(bracket * 2.0, BRACKET_CAP)
 
     return BinaryRUMConstruction(model=model, v0=v0, xi_cdf=xi_cdf,
                                  bracket=bracket, truncated=truncated)
@@ -294,9 +296,8 @@ class SignTestReport:
         raise KeyError(order)
 
 
-def rum_sign_test(model: WelfareModel, max_order: int, points: Sequence,
-                  cfg: NumericConfig = DEFAULT_CONFIG,
-                  rel_tol: float = 1e-4) -> SignTestReport:
+def rum_sign_test(model: WelfareModel, max_order: int,
+                  points: Sequence) -> SignTestReport:
     """Check (-1)^k * (mixed partial of order k) <= 0 for distinct indices."""
     if max_order not in (2, 3):
         raise ValueError("max_order must be 2 or 3")
@@ -309,10 +310,9 @@ def rum_sign_test(model: WelfareModel, max_order: int, points: Sequence,
         tested = 0
         for point in points:
             point = as_utility(point)
-            tol = rel_tol * max(1.0, abs(model.value(point)))
+            tol = SIGN_REL_TOL * max(1.0, abs(model.value(point)))
             for combo in itertools.combinations(range(model.n), order):
-                est = mixed_partial(model.value, point, combo,
-                                    h=cfg.fd_step_high)
+                est = mixed_partial(model.value, point, combo)
                 violation = sign * est - tol
                 tested += 1
                 if violation > worst:
@@ -336,7 +336,7 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
     the sampling noise instead of being swamped by it.
     """
     draws = []
-    for idx, start, stop in mc_partitions(seed, samples):
+    for idx, start, stop in mc_partitions(samples):
         draws.append(sampler.draw(stream_rng(seed, idx), stop - start))
     panel = np.concatenate(draws, axis=0)
 

@@ -17,8 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, as_utility, finite_diff_jacobian,
-                   stream_rng)
+from .core import as_utility, finite_diff_jacobian, stream_rng
 from .ram import Regularizer
 from .welfare import WelfareModel
 
@@ -26,7 +25,12 @@ SUBSTITUTABLE = "substitutable"
 COMPLEMENTARY = "complementary"
 INDETERMINATE = "indeterminate"
 
+STEP = 1e-2
 DEAD_ZONE = 1e-7
+SYMMETRY_REL_TOL = 1e-4
+LATTICE_TOL = 1e-9
+MAX_RESAMPLES = 50
+CORNER_MARGIN = 1e-6
 
 
 def _label(estimate: float, dead_zone: float) -> str:
@@ -46,7 +50,7 @@ class PairClassification:
 
 
 def classify_pair(model: WelfareModel, mu, i: int, j: int,
-                  step: float = DEFAULT_CONFIG.fd_step_high,
+                  step: float = STEP,
                   dead_zone: float = DEAD_ZONE) -> PairClassification:
     """Classify the (i, j) relation at mu from the sign of dq_j/dmu_i.
 
@@ -73,9 +77,8 @@ class SubstitutionReport:
 
 
 def substitution_report(model: WelfareModel, mu,
-                        step: float = DEFAULT_CONFIG.fd_step_high,
-                        dead_zone: float = DEAD_ZONE,
-                        symmetry_rel_tol: float = 1e-4) -> SubstitutionReport:
+                        step: float = STEP,
+                        dead_zone: float = DEAD_ZONE) -> SubstitutionReport:
     """All-pairs classification; flags whether estimates are symmetric.
 
     Entry (i, j) equals `classify_pair(model, mu, i, j)`; one Jacobian of
@@ -89,7 +92,7 @@ def substitution_report(model: WelfareModel, mu,
         for j in range(n):
             labels[i, j] = (COMPLEMENTARY if i == j
                             else _label(estimates[i, j], dead_zone))
-    tol = symmetry_rel_tol * max(1.0, abs(model.value(mu)))
+    tol = SYMMETRY_REL_TOL * max(1.0, abs(model.value(mu)))
     symmetric = bool(np.max(np.abs(estimates - estimates.T)) <= tol)
     return SubstitutionReport(mu=mu, labels=labels, estimates=estimates,
                               symmetric=symmetric)
@@ -227,9 +230,7 @@ class ModularityReport:
 
 def check_modularity(f: Callable[[np.ndarray], float],
                      domain_sampler: Callable[[np.random.Generator], np.ndarray],
-                     samples: int = 1000, seed: int = 0,
-                     tol: float = 1e-9,
-                     max_resamples: int = 50) -> ModularityReport:
+                     samples: int = 1000, seed: int = 0) -> ModularityReport:
     """Test f(x v y) + f(x ^ y) >= / <= f(x) + f(y) on sampled pairs.
 
     Sampled pairs themselves must lie in the effective domain (non-finite
@@ -248,7 +249,7 @@ def check_modularity(f: Callable[[np.ndarray], float],
     sub_wit = None
     used = 0
     for _ in range(samples):
-        for _attempt in range(max_resamples):
+        for _attempt in range(MAX_RESAMPLES):
             x = np.asarray(domain_sampler(rng), dtype=float)
             y = np.asarray(domain_sampler(rng), dtype=float)
             fx, fy = f(x), f(y)
@@ -263,14 +264,14 @@ def check_modularity(f: Callable[[np.ndarray], float],
         plain = fx + fy
         if np.isnan(lattice):
             continue
-        if plain - lattice > max(sup_viol, tol):
+        if plain - lattice > max(sup_viol, LATTICE_TOL):
             sup_viol = plain - lattice
             sup_wit = (x, y)
-        if lattice - plain > max(sub_viol, tol):
+        if lattice - plain > max(sub_viol, LATTICE_TOL):
             sub_viol = lattice - plain
             sub_wit = (x, y)
-    sup_ok = sup_viol <= tol
-    sub_ok = sub_viol <= tol
+    sup_ok = sup_viol <= LATTICE_TOL
+    sub_ok = sub_viol <= LATTICE_TOL
     if sup_ok and sub_ok:
         verdict = "modular-consistent"
     elif sup_ok:
@@ -286,9 +287,8 @@ def check_modularity(f: Callable[[np.ndarray], float],
                             submodular_witness=sub_wit)
 
 
-def corner_simplex_sampler(n: int, margin: float = 1e-6
-                           ) -> Callable[[np.random.Generator], np.ndarray]:
-    """Uniform sampler over {z >= 0, sum z <= 1 - margin} in n-1 variables.
+def corner_simplex_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:
+    """Uniform sampler over {z >= 0, sum z <= 1 - CORNER_MARGIN} in n-1 variables.
 
     Uniformity comes from sampling the full simplex with a slack coordinate
     and dropping the slack.
@@ -296,7 +296,7 @@ def corner_simplex_sampler(n: int, margin: float = 1e-6
 
     def sample(rng):
         z = rng.dirichlet(np.ones(n))[: n - 1]
-        return z * (1.0 - margin)
+        return z * (1.0 - CORNER_MARGIN)
 
     return sample
 
@@ -322,9 +322,8 @@ class SubstitutabilityReport:
 
 def substitutable_model_check(model: WelfareModel, samples: int = 1000,
                               box: float = 10.0, seed: int = 0,
-                              step: float = DEFAULT_CONFIG.fd_step_high,
+                              step: float = STEP,
                               dead_zone: float = DEAD_ZONE,
-                              lattice_tol: float = 1e-9,
                               span_probes: int | None = None) -> SubstitutabilityReport:
     """Look for substitutability violations: a submodularity counterexample
     for w, or a complementary off-diagonal pair at a sampled point.
@@ -340,7 +339,7 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
     from .duality import ConvergenceError, invert_choice
 
     sub_report = check_modularity(model.value, utility_box_sampler(model.n, box),
-                                  samples=samples, seed=seed, tol=lattice_tol)
+                                  samples=samples, seed=seed)
     rng = stream_rng(seed, key=1)
     pairs = list(itertools.combinations(range(model.n), 2))
     candidates = []
@@ -370,7 +369,7 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
                 break
         if witness is not None:
             break
-    sub_ok = sub_report.submodular_violation <= lattice_tol
+    sub_ok = sub_report.submodular_violation <= LATTICE_TOL
     verdict = ("substitutable-consistent"
                if sub_ok and witness is None else "violation")
     return SubstitutabilityReport(verdict=verdict, submodularity=sub_report,

@@ -11,12 +11,21 @@ invariance, convexity) and for the superlinear lower-bound property.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import finite_diff_gradient, mixed_partial, stream_rng
+
+SIGN_REL_TOL = 1e-4
+GEV_VALIDATION_SAMPLES = 64
+GEV_VALIDATION_SEED = 7
+# Grid of the superlinear-bound estimate: GRID_POINTS per axis on
+# [-GRID_BOX, GRID_BOX]^n, refused above MAX_GRID_SIZE points.
+GRID_BOX = 20.0
+GRID_POINTS = 5
+MAX_GRID_SIZE = GRID_POINTS ** 7
 
 
 @dataclass(frozen=True)
@@ -122,33 +131,16 @@ def log_sum_welfare(weights: Sequence[Sequence[float]],
                     name: str = "log_sum") -> WelfareModel:
     """Welfare w(mu) = log sum_r exp((W mu)_r) for a nonnegative matrix W.
 
-    Rows of W are mixing weights over alternatives. With row sums equal to
-    one the gradient W^T softmax(W mu) stays on the simplex. Rows equal to a
-    unit vector certify the bound w(mu) >= mu_i, which is recorded when it
-    holds for every alternative.
+    This is unit-scale logit over the m rows of W crossed with W, renamed:
+    `cross(mnl_welfare(1, m), W)`. Rows of W are mixing weights over
+    alternatives and must sum to one; rows equal to a unit vector certify
+    the bound w(mu) >= mu_i, which is recorded when it holds for every
+    alternative.
     """
-    W = np.asarray(weights, dtype=float)
-    if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 2:
-        raise ValueError("weights must be an m x n matrix with n >= 2")
-    if np.any(W < 0):
-        raise ValueError("weights must be nonnegative")
-    if np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-12:
-        raise ValueError("each weight row must sum to 1")
-    n = W.shape[1]
+    from .transforms import cross
 
-    def value(mu):
-        return logsumexp(np.asarray(mu, float) @ W.T)
-
-    def gradient(mu):
-        p = softmax(np.asarray(mu, float) @ W.T)
-        return p @ W
-
-    has_unit_row = all(
-        any(np.allclose(W[r], np.eye(n)[i]) for r in range(W.shape[0]))
-        for i in range(n))
-    bounds = np.zeros(n) if has_unit_row else None
-    return WelfareModel(n=n, value=value, gradient=gradient,
-                        superlinear_bounds=bounds, name=name, vectorized=True)
+    W = np.atleast_2d(np.asarray(weights, dtype=float))
+    return replace(cross(mnl_welfare(1.0, W.shape[0]), W), name=name)
 
 
 @dataclass(frozen=True)
@@ -187,8 +179,7 @@ class GeneratorSignReport:
 
 
 def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
-                          max_order: int = 3, seed: int = 7,
-                          rel_tol: float = 1e-4) -> GeneratorSignReport:
+                          max_order: int = 3, seed: int = 7) -> GeneratorSignReport:
     """Advisory finite-difference test of the alternating-sign condition."""
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be in {1, 2, 3}")
@@ -197,11 +188,11 @@ def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
     witness = None
     for _ in range(samples):
         y = rng.uniform(0.3, 2.5, size=n)
-        tol = rel_tol * max(1.0, abs(gen.H(y)))
+        tol = SIGN_REL_TOL * max(1.0, abs(gen.H(y)))
         for order in range(1, max_order + 1):
             sign = (-1.0) ** order
             for combo in itertools.combinations(range(n), order):
-                est = mixed_partial(gen.H, y, combo, h=1e-2)
+                est = mixed_partial(gen.H, y, combo)
                 violation = sign * est - tol
                 if violation > worst:
                     worst = violation
@@ -213,17 +204,21 @@ def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
                                witness=None if passed else witness)
 
 
-def gev_welfare(gen: GEVGenerator, n: int, validation_samples: int = 64,
-                seed: int = 7) -> WelfareModel:
+def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
     """Welfare w(mu) = eta * log H(e^{mu_1}, ..., e^{mu_n}).
 
     The generator is validated on random positive points: H >= 0 and
     |H(alpha y) - alpha^{1/eta} H(y)| <= 1e-8 (1 + |H(y)|).
+
+    A generator is nondecreasing, so H(e^mu) >= H(e^{mu_i} e_i)
+    = e^{mu_i / eta} H(e_i) by homogeneity, which gives the superlinear
+    bound w(mu) >= mu_i + eta * log H(e_i). It is recorded when every
+    H(e_i) is positive.
     """
     if gen.eta <= 0:
         raise ValueError("eta must be positive")
-    rng = stream_rng(seed)
-    for _ in range(validation_samples):
+    rng = stream_rng(GEV_VALIDATION_SEED)
+    for _ in range(GEV_VALIDATION_SAMPLES):
         y = rng.uniform(0.05, 3.0, size=n)
         hy = gen.H(y)
         if not np.isfinite(hy) or hy < 0:
@@ -256,8 +251,13 @@ def gev_welfare(gen: GEVGenerator, n: int, validation_samples: int = 64,
         def gradient(mu):
             return finite_diff_gradient(value, mu)
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corners = np.array([gen.H(e) for e in np.eye(n)], dtype=float)
+    bounds = None
+    if np.all(np.isfinite(corners) & (corners > 0.0)):
+        bounds = eta * np.log(corners)
     return WelfareModel(n=n, value=value, gradient=gradient,
-                        name=f"gev(eta={eta:g})")
+                        superlinear_bounds=bounds, name=f"gev(eta={eta:g})")
 
 
 @dataclass(frozen=True)
@@ -356,27 +356,32 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     return SuperlinearReport(True, None, worst)
 
 
-def estimate_superlinear_bounds(model: WelfareModel, box: float = 20.0,
-                                grid_points: int = 5) -> np.ndarray:
+def estimate_superlinear_bounds(model: WelfareModel) -> np.ndarray:
     """Coarse-grid estimate of the largest valid superlinear constants.
 
     Returns elementwise minima of w(mu) - mu_i over a uniform grid on
-    [-box, box]^n; the result may overestimate the true infimum and is
-    only used as a search-radius heuristic.
+    [-GRID_BOX, GRID_BOX]^n; the result may overestimate the true infimum
+    and is only used as a search-radius heuristic. The grid has
+    GRID_POINTS^n points, so a model with more than MAX_GRID_SIZE of them
+    is refused before any is evaluated.
     """
     n = model.n
-    axes = [np.linspace(-box, box, grid_points)] * n
+    if GRID_POINTS ** n > MAX_GRID_SIZE:
+        raise ValueError(
+            f"{model.name} has no analytic superlinear bounds, and estimating "
+            f"them takes {GRID_POINTS}^{n} evaluations (cap {MAX_GRID_SIZE})")
+    axes = [np.linspace(-GRID_BOX, GRID_BOX, GRID_POINTS)] * n
     best = np.full(n, np.inf)
     for point in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n):
         best = np.minimum(best, model.value(point) - point)
     return best
 
 
-def model_bounds(model: WelfareModel, estimate_box: float = 20.0) -> tuple[np.ndarray, bool]:
+def model_bounds(model: WelfareModel) -> tuple[np.ndarray, bool]:
     """Superlinear constants for a model: analytic if present, else estimated.
 
     Returns (bounds, estimated_flag).
     """
     if model.superlinear_bounds is not None:
         return np.asarray(model.superlinear_bounds, dtype=float), False
-    return estimate_superlinear_bounds(model, box=estimate_box), True
+    return estimate_superlinear_bounds(model), True

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,14 @@ class TestVerify:
         assert main(["verify", "--spec", spec_file(MNL3),
                      "--suite", "axioms", "--samples", samples]) == 2
 
+    def test_bound_grid_above_the_cap_exits_2(self, spec_file):
+        # each row pairs two alternatives, so H(e_i) = 0 and no analytic bound exists
+        rows = [[0.5 if k in (i, (i + 1) % 8) else 0.0 for k in range(8)]
+                for i in range(8)]
+        spec = spec_file({"kind": "gev_custom", "eta": 1.0, "exponents": rows})
+        assert main(["verify", "--spec", spec, "--suite", "superlinear",
+                     "--samples", "10"]) == 2
+
 
 class TestConvert:
     def test_w_to_v_negative_entropy(self, spec_file, tmp_path):
@@ -190,6 +200,28 @@ class TestConvert:
     def test_w_to_v_rejects_points_off_the_simplex(self, spec_file, x):
         assert main(["convert", "--spec", spec_file(MNL3),
                      "--direction", "w-to-v", "--x", x]) == 2
+
+    @pytest.mark.parametrize("step", ["1e-9", "0", "-1", "nan", "2", "inf"])
+    def test_w_to_v_rejects_bad_grid_steps(self, spec_file, capsys, step):
+        started = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["convert", "--spec", spec_file(MNL3),
+                         "--direction", "w-to-v", "--grid-step", step]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "input error: --grid-step:" in capsys.readouterr().err
+
+    def test_w_to_v_on_a_grid(self, spec_file, tmp_path):
+        out = str(tmp_path / "grid.csv")
+        assert main(["convert", "--spec", spec_file(MNL3),
+                     "--direction", "w-to-v", "--grid-step", "0.25",
+                     "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        # (s + 1)(s + 2) / 2 = 15 nodes at s = 4, of which 3 are interior
+        assert len(rows) == 3
+        for row in rows:
+            x = np.array([float(v) for v in row[:3]])
+            assert abs(float(row[3]) - float(np.sum(x * np.log(x)))) <= 1e-5
 
 
 class TestRum:

@@ -180,21 +180,9 @@ class TestRandomStreams:
         assert not np.allclose(a, b)
 
     def test_partitions_cover_range(self):
-        parts = list(core.mc_partitions(0, 200000))
+        parts = list(core.mc_partitions(200000))
         assert parts[0][1] == 0
         assert parts[-1][2] == 200000
         for (i1, _, stop), (i2, start, _) in zip(parts, parts[1:]):
             assert stop == start and i2 == i1 + 1
 
-
-class TestNumericConfig:
-    def test_defaults_are_positive(self):
-        cfg = core.NumericConfig()
-        assert cfg.fd_step_first == 1e-6
-        assert cfg.fd_step_high == 1e-2
-        assert cfg.quad_abs_tol == 1e-10
-        assert cfg.root_tol == 1e-12
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            core.NumericConfig(fd_step_first=0.0)

@@ -169,6 +169,17 @@ class TestTabulatedRoundTrip:
         assert np.all(np.abs(nodes.sum(axis=1) - 1.0) <= 1e-12)
         assert np.min(nodes) >= 1e-6
 
+    @pytest.mark.parametrize("n, spacing", [(3, 0.0), (3, -0.1), (3, 1.0),
+                                            (3, float("nan")), (3, float("inf")),
+                                            (3, 1e-3), (2, 1e-5)])
+    def test_grid_refuses_bad_spacing_and_oversized_grids(self, n, spacing):
+        with pytest.raises(ValueError):
+            simplex_grid(n, spacing)
+
+    def test_grid_size_cap_is_inclusive(self):
+        # s = 99999 gives s + 1 = 10^5 nodes on the 1-simplex, two on its boundary
+        assert len(simplex_grid(2, 1.0 / 99999)) == 99998
+
     def test_mnl_round_trip_through_tabulated_conjugate(self):
         # conjugate values on an interior grid, then a node-max solve;
         # spacing 0.005 on the unit utility box keeps the Bregman gap

@@ -1,0 +1,108 @@
+"""Property tests of the paper's identities over drawn model parameters.
+
+Each test draws the model (scale eta, size n, nests, mixture subsets,
+crossing matrix W) as well as the utility point, at the tolerances of the
+acceptance criteria: q = grad w to 1e-5 relative (criterion 2) and entropy
+RAM = logit to 1e-6 (criterion 1).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from welfarechoice import core
+from welfarechoice.ram import entropy_regularizer, solve_ram
+from welfarechoice.transforms import MixtureComponent, cross, mix, scale
+from welfarechoice.welfare import (log_sum_welfare, logsumexp, mnl_welfare,
+                                   nested_logit_welfare, softmax)
+
+etas = st.floats(min_value=0.3, max_value=3.0)
+sizes = st.integers(min_value=2, max_value=5)
+
+
+def utilities(n, box=5.0):
+    return st.lists(st.floats(min_value=-box, max_value=box),
+                    min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def stochastic_matrices(draw, n):
+    """m x n nonnegative matrix with unit row sums; rows may be unit vectors."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    W = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    for r in range(m):
+        W[r, draw(st.integers(0, n - 1))] += 1.0
+    return W / W.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def nested_models(draw, n):
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    nests = [[i for i in range(n) if labels[i] == k] for k in sorted(set(labels))]
+    lambdas = draw(st.lists(st.floats(min_value=0.2, max_value=1.0),
+                            min_size=len(nests), max_size=len(nests)))
+    return nested_logit_welfare(nests, lambdas, n)
+
+
+@st.composite
+def mixtures(draw, n):
+    full = draw(st.permutations(range(n)))
+    subset = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    weight = draw(st.floats(min_value=0.0, max_value=1.0))
+    return mix([MixtureComponent(mnl_welfare(draw(etas), n), tuple(full), weight),
+                MixtureComponent(mnl_welfare(draw(etas), len(subset)),
+                                 tuple(subset), 1.0 - weight)], n)
+
+
+@st.composite
+def closed_forms(draw):
+    n = draw(sizes)
+    kind = draw(st.sampled_from(["mnl", "nested_logit", "scale", "mix", "cross"]))
+    if kind == "mnl":
+        model = mnl_welfare(draw(etas), n)
+    elif kind == "nested_logit":
+        model = draw(nested_models(n))
+    elif kind == "scale":
+        model = scale(mnl_welfare(draw(etas), n), draw(etas))
+    elif kind == "mix":
+        model = draw(mixtures(n))
+    else:
+        W = draw(stochastic_matrices(n))
+        model = cross(mnl_welfare(draw(etas), W.shape[0]), W)
+    return model, draw(utilities(n))
+
+
+@given(closed_forms())
+@settings(max_examples=300, deadline=None)
+def test_gradient_is_fd_of_value(case):
+    model, mu = case
+    q = np.asarray(model.gradient(mu), dtype=float)
+    fd = core.finite_diff_gradient(model.value, mu)
+    assert np.max(np.abs(q - fd)) <= 1e-5 * max(1.0, float(np.max(np.abs(q))))
+
+
+@given(st.floats(min_value=0.5, max_value=2.0),
+       st.integers(min_value=2, max_value=6).flatmap(utilities))
+@settings(max_examples=200, deadline=None)
+def test_entropy_ram_is_logit(eta, mu):
+    result = solve_ram(entropy_regularizer(eta, mu.size), mu)
+    assert result.converged
+    assert np.max(np.abs(result.x_star - softmax(mu / eta))) <= 1e-6
+    assert abs(result.w_value - eta * logsumexp(mu / eta)) <= 1e-6
+
+
+@given(sizes.flatmap(lambda n: st.tuples(stochastic_matrices(n), utilities(n),
+                                         st.lists(utilities(n), min_size=1,
+                                                  max_size=4))))
+@settings(max_examples=200, deadline=None)
+def test_log_sum_is_crossed_unit_logit(case):
+    W, mu, batch = case
+    model = log_sum_welfare(W, name="drawn")
+    crossed = cross(mnl_welfare(1.0, W.shape[0]), W)
+    assert model.name == "drawn"
+    assert model.vectorized and crossed.vectorized
+    np.testing.assert_array_equal(model.superlinear_bounds, crossed.superlinear_bounds)
+    for point in (mu, np.stack(batch)):
+        np.testing.assert_array_equal(model.value(point), crossed.value(point))
+        np.testing.assert_array_equal(model.gradient(point), crossed.gradient(point))

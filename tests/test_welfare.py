@@ -1,15 +1,19 @@
 """Closed-form welfare models and the axiom/bound checkers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from welfarechoice import core
+from welfarechoice.duality import conjugate_V
+from welfarechoice.modelspec import build_model
 from welfarechoice.welfare import (GEVGenerator, GeneratorInvalidError,
                                    WelfareModel, check_axioms,
                                    check_generator_signs, check_superlinear,
-                                   gev_welfare, log_sum_welfare, mnl_welfare,
+                                   estimate_superlinear_bounds, gev_welfare,
+                                   log_sum_welfare, mnl_welfare, model_bounds,
                                    nested_logit_welfare)
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
@@ -169,6 +173,48 @@ class TestGEV:
         with pytest.raises(ValueError):
             check_generator_signs(power, 3, max_order=4)
 
+    def test_analytic_superlinear_bound_holds_and_is_tight(self):
+        # eta = 1/2, rows sum to 2; the repeated first row makes H(e_1) = 2
+        spec = {"kind": "gev_custom", "eta": 0.5,
+                "exponents": [[2, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 0]]}
+        model = build_model(spec).model
+        np.testing.assert_allclose(model.superlinear_bounds,
+                                   [0.5 * math.log(2.0), 0.0, 0.0], rtol=1e-15)
+        bounds, estimated = model_bounds(model)
+        assert not estimated
+        assert check_superlinear(model, bounds, samples=2000, seed=0).passed
+        for i in range(3):
+            mu = np.zeros(3)
+            mu[i] = 40.0
+            assert model.value(mu) - mu[i] - bounds[i] <= 1e-12
+
+    def test_no_analytic_bound_when_a_corner_vanishes(self):
+        spec = {"kind": "gev_custom", "eta": 1.0,
+                "exponents": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]}
+        model = build_model(spec).model
+        assert model.superlinear_bounds is None
+        assert model_bounds(model)[1]
+
+    def test_conjugate_on_seven_alternatives_skips_the_grid(self):
+        calls = []
+        model = build_model({"kind": "gev_custom", "eta": 1.0,
+                             "exponents": np.eye(7).tolist()}).model
+        counted = replace(model, value=lambda mu: calls.append(1) or model.value(mu))
+        x = np.arange(1.0, 8.0) / 28.0
+        assert abs(conjugate_V(counted, x) - float(np.sum(x * np.log(x)))) <= 1e-6
+        assert len(calls) < 5 ** 7
+
+    def test_bound_grid_refused_above_the_cap(self):
+        calls = []
+        inner = mnl_welfare(1.0, 8)
+        model = WelfareModel(n=8, gradient=inner.gradient,
+                             value=lambda mu: calls.append(1) or inner.value(mu))
+        with pytest.raises(ValueError, match="5\\^8"):
+            estimate_superlinear_bounds(model)
+        with pytest.raises(ValueError):
+            conjugate_V(model, np.ones(8) / 8)
+        assert calls == []
+
     def test_gradient_without_partials_is_fd_of_value(self):
         gen = GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2)))
         gm = gev_welfare(gen, 3)
@@ -196,7 +242,7 @@ class TestLogSumModel:
 
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):
-            log_sum_welfare([[0.5, 0.6, 0.0]])
+            log_sum_welfare([[0.5, 0.6, 0.0], [0.0, 0.0, 1.0]])
 
 
 class TestGradientSimplexInvariant:
