@@ -42,6 +42,6 @@ from .welfare import (AxiomReport, GEVGenerator, GeneratorInvalidError,
                       WelfareModel, check_axioms, check_superlinear,
                       estimate_superlinear_bounds, gev_welfare,
                       log_sum_welfare, logsumexp, mnl_welfare, model_bounds,
-                      nested_logit_welfare, softmax)
+                      nested_logit_welfare, pointwise, softmax)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,7 +35,8 @@ from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
                   logistic_sampler, mc_choice_probs, mc_welfare,
                   normal_sampler, rum_sign_test)
 from .substitution import scan_line, substitutable_model_check
-from .welfare import check_axioms, check_superlinear, model_bounds
+from .welfare import (batch_gradient, batch_value, check_axioms,
+                      check_superlinear, model_bounds)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -112,11 +113,9 @@ def cmd_eval(args) -> int:
             raise SpecError("--mu", f"expected {model.n} entries, got {mu.size}")
     header = [f"mu_{i+1}" for i in range(model.n)] + ["w"] + \
         [f"q_{i+1}" for i in range(model.n)]
-    rows = []
-    for mu in mus:
-        w = model.value(mu)
-        q = np.asarray(model.gradient(mu), dtype=float)
-        rows.append(list(mu) + [w] + list(q))
+    points = np.stack(mus)
+    rows = [list(mu) + [w] + list(q) for mu, w, q in
+            zip(points, batch_value(model, points), batch_gradient(model, points))]
     _csv("eval", {"spec": bundle.spec, "mu": [list(m) for m in mus]},
          header, rows, args.out)
     return EXIT_OK
@@ -127,10 +126,9 @@ def cmd_figure(args) -> int:
         bundle = demo_quadratic_model()
         model = bundle.model
         grid = np.round(np.arange(-200, 201) * 0.01, 10)
-        rows = []
-        for t in grid:
-            q = np.asarray(model.gradient(np.array([t, 0.0, 0.0])), float)
-            rows.append([t, q[0], q[1], q[2]])
+        points = np.zeros((grid.size, 3))
+        points[:, 0] = grid
+        rows = [[t, *q] for t, q in zip(grid, batch_gradient(model, points))]
         _csv("figure", {"example": 2, "grid": [-2.0, 2.0, 0.01]},
              ["mu1", "q1", "q2", "q3"], rows, args.out)
         return EXIT_OK

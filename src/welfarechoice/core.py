@@ -22,8 +22,6 @@ import warnings
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtri
 
 SIMPLEX_TOL = 1e-10
 
@@ -149,6 +147,7 @@ def mixed_partial(f: Callable[[np.ndarray], float],
 
 
 def _quad_panel(g, a: float, b: float, abs_tol: float, depth: int) -> float:
+    from scipy import integrate  # imported on first use, which most CLI runs never reach
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(g, a, b, epsabs=abs_tol, epsrel=0.0, limit=200)
@@ -201,6 +200,7 @@ def bisect_increasing(g: Callable[[float], float], target: float,
 
 def normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
     """Standard normal quantile (inverse CDF), accurate to machine precision."""
+    from scipy.special import ndtri  # imported on first use, like scipy.integrate
     return ndtri(p)
 
 

@@ -16,6 +16,7 @@ on w that is exact on the anchor set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -261,19 +262,9 @@ def simplex_grid(n: int, spacing: float, margin: float = INTERIOR_MIN) -> np.nda
     if size > MAX_GRID_NODES:
         raise ValueError(f"grid spacing {spacing!r} gives {size} nodes, "
                          f"more than {MAX_GRID_NODES}")
-    nodes = []
-    if n == 2:
-        for i in range(steps + 1):
-            x = np.array([i, steps - i], dtype=float) / steps
-            if np.min(x) >= margin:
-                nodes.append(x)
-    else:
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                x = np.array([i, j, steps - i - j], dtype=float) / steps
-                if np.min(x) >= margin:
-                    nodes.append(x)
-    return np.asarray(nodes)
+    nodes = [np.array([*c, steps - sum(c)], dtype=float) / steps
+             for c in itertools.product(range(steps + 1), repeat=n - 1) if sum(c) <= steps]
+    return np.asarray([x for x in nodes if np.min(x) >= margin])
 
 
 def tabulated_welfare(model: WelfareModel, spacing: float = 0.02):

@@ -28,7 +28,7 @@ import numpy as np
 from .core import (NumericError, as_utility, finite_diff_jacobian,
                    integrate_1d, normal_pdf, normal_quantile,
                    project_to_simplex)
-from .welfare import WelfareModel
+from .welfare import WelfareModel, pointwise
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
@@ -46,16 +46,15 @@ class Regularizer:
     """Convex regularizer V on the simplex with interior gradient.
 
     `boundary_barrier` marks gradients that blow up toward the boundary
-    (solver must stay interior). `upper_bounded` marks regularizers bounded
-    above on the simplex, which makes the induced welfare superlinear with
-    constants b_i = -V(e_i); those vertex values are stored when finite.
+    (solver must stay interior). `vertex_values` holds V(e_i) for a
+    regularizer bounded above on the simplex, which makes the induced
+    welfare superlinear with constants b_i = -V(e_i); it is None otherwise.
     """
 
     n: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     boundary_barrier: bool
-    upper_bounded: bool
     strictly_convex: bool = True
     name: str = "regularizer"
     vertex_values: Optional[np.ndarray] = None
@@ -75,7 +74,7 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
         return eta * (1.0 + np.log(np.maximum(np.asarray(x, float), 1e-300)))
 
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=True, upper_bounded=True,
+                       boundary_barrier=True,
                        name=f"entropy(eta={eta:g})", vertex_values=np.zeros(n))
 
 
@@ -98,9 +97,8 @@ def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
         return 2.0 * (A @ np.asarray(x, float))
 
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=False, upper_bounded=True,
-                       name="quadratic", vertex_values=np.diag(A).copy(),
-                       quadratic_matrix=A.copy())
+                       boundary_barrier=False, name="quadratic",
+                       vertex_values=np.diag(A).copy(), quadratic_matrix=A.copy())
 
 
 def log_barrier_regularizer(n: int) -> Regularizer:
@@ -118,8 +116,7 @@ def log_barrier_regularizer(n: int) -> Regularizer:
         return -1.0 / np.maximum(np.asarray(x, float), 1e-300)
 
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=True, upper_bounded=False,
-                       name="log_barrier", vertex_values=None)
+                       boundary_barrier=True, name="log_barrier")
 
 
 @dataclass(frozen=True)
@@ -251,8 +248,7 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
     barrier = not all(m.bounded for m in marginals)
     vertex = -np.array([m.mean for m in marginals])
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=barrier, upper_bounded=True,
-                       name="mdm", vertex_values=vertex)
+                       boundary_barrier=barrier, name="mdm", vertex_values=vertex)
 
 
 def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
@@ -273,9 +269,8 @@ def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
         return -sigma * (1.0 - 2.0 * x) / (2.0 * root)
 
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=strictly, upper_bounded=True,
-                       strictly_convex=strictly, name="mmm",
-                       vertex_values=np.zeros(n))
+                       boundary_barrier=strictly, strictly_convex=strictly,
+                       name="mmm", vertex_values=np.zeros(n))
 
 
 def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
@@ -316,8 +311,7 @@ def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
         return -0.5 * (np.diag(g_mat) - 2.0 * (g_mat @ x))
 
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=True, upper_bounded=True,
-                       name="cmm", vertex_values=np.zeros(n))
+                       boundary_barrier=True, name="cmm", vertex_values=np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -392,14 +386,10 @@ def _newton_polish(reg: Regularizer, mu: np.ndarray,
                 return None
             direction = step[:k]
             t = 1.0
-            if reg.boundary_barrier:
-                neg = direction < 0
-                if np.any(neg):
-                    t = min(1.0, 0.9 * float(np.min(-x[support][neg] / direction[neg])))
-            else:
-                neg = direction < 0
-                if np.any(neg):
-                    t = min(1.0, float(np.min(-x[support][neg] / direction[neg])))
+            neg = direction < 0
+            if np.any(neg):
+                frac = 0.9 if reg.boundary_barrier else 1.0
+                t = min(1.0, frac * float(np.min(-x[support][neg] / direction[neg])))
             if t <= 1e-14:
                 return None
             x_new = x.copy()
@@ -477,6 +467,8 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray, mirror: bool) -> SolveRes
         x = y
         f = max(f, fy)
         step = min(a * 2.0, 1e6)
+    else:
+        it = SOLVER_MAX_ITER
 
     res = verify_kkt(reg, mu, x)
     polished = _newton_polish(reg, mu, x)
@@ -484,7 +476,7 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray, mirror: bool) -> SolveRes
         fy = float(mu @ polished - reg.value(polished))
         if fy >= f - 1e-10 * max(1.0, abs(f)):
             x, f, res = polished, fy, verify_kkt(reg, mu, polished)
-    return SolveResult(x, f, res, SOLVER_MAX_ITER, res <= SOLVER_TOL)
+    return SolveResult(x, f, res, it, res <= SOLVER_TOL)
 
 
 def _quadratic_exact(reg: Regularizer, mu: np.ndarray) -> SolveResult:
@@ -550,8 +542,8 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
         return result
 
     bounds = None
-    if reg.upper_bounded and reg.vertex_values is not None:
+    if reg.vertex_values is not None:
         bounds = -np.asarray(reg.vertex_values, dtype=float)
-    return WelfareModel(n=reg.n, value=lambda mu: solve(mu).w_value,
-                        gradient=lambda mu: solve(mu).x_star,
+    return WelfareModel(n=reg.n, value=pointwise(lambda mu: solve(mu).w_value),
+                        gradient=pointwise(lambda mu: solve(mu).x_star),
                         superlinear_bounds=bounds, name=f"ram[{reg.name}]")

@@ -9,7 +9,6 @@ welfare models with a random-utility representation from those without.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,12 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (as_utility, mc_partitions, mixed_partial, normal_quantile,
-                   stream_rng)
-from .welfare import WelfareModel
+from .core import as_utility, mc_partitions, normal_quantile, stream_rng
+from .welfare import WelfareModel, _sign_violations, batch_gradient, pointwise
 
 THREADS_ENV = "WELFARECHOICE_THREADS"
-SIGN_REL_TOL = 1e-4
 XI_TOL = 1e-12
 BRACKET_CAP = 1e6
 _VALIDATION_GRID = 201
@@ -226,34 +223,21 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
         raise ValueError("the construction applies to two-alternative models")
     v0 = model.value(np.zeros(2))
 
-    if model.vectorized:
-        def xi_cdf(x):
-            x = np.asarray(x, dtype=float)
-            pts = np.stack([x, np.zeros_like(x)], axis=-1)
-            return np.asarray(model.gradient(pts))[..., 0]
-    else:
-        def xi_cdf(x):
-            x = np.asarray(x, dtype=float)
-            flat = [float(model.gradient(np.array([xi, 0.0]))[0])
-                    for xi in np.atleast_1d(x).ravel()]
-            return np.asarray(flat).reshape(np.atleast_1d(x).shape)
+    def xi_cdf(x):
+        x = np.asarray(x, dtype=float)
+        return batch_gradient(model, np.stack([x, np.zeros_like(x)], axis=-1))[..., 0]
 
-    grid = np.linspace(-30.0, 30.0, _VALIDATION_GRID)
-    vals = np.asarray(xi_cdf(grid), dtype=float)
+    vals = xi_cdf(np.linspace(-30.0, 30.0, _VALIDATION_GRID))
     if np.any(np.diff(vals) < -1e-10):
         raise InvalidBinaryWelfareError("v'(x) is decreasing on the grid")
     if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
         raise InvalidBinaryWelfareError("v'(x) leaves [0, 1] on the grid")
 
     bracket = 1.0
-    truncated = False
     while True:
-        lo_val = float(xi_cdf(np.array([-bracket]))[0])
-        hi_val = float(xi_cdf(np.array([bracket]))[0])
-        if lo_val <= 1e-9 and hi_val >= 1.0 - 1e-9:
-            break
-        if bracket >= BRACKET_CAP:
-            truncated = True
+        lo_val, hi_val = xi_cdf(np.array([-bracket, bracket]))
+        truncated = not (lo_val <= 1e-9 and hi_val >= 1.0 - 1e-9)
+        if not truncated or bracket >= BRACKET_CAP:
             break
         bracket = min(bracket * 2.0, BRACKET_CAP)
 
@@ -301,30 +285,23 @@ def rum_sign_test(model: WelfareModel, max_order: int,
     """Check (-1)^k * (mixed partial of order k) <= 0 for distinct indices."""
     if max_order not in (2, 3):
         raise ValueError("max_order must be 2 or 3")
+    orders = range(2, max_order + 1)
+    worst = dict.fromkeys(orders, (-np.inf, None, None))
+    tested = dict.fromkeys(orders, 0)
+    for point, order, combo, _, violation in _sign_violations(
+            model.value, [as_utility(p) for p in points], orders):
+        tested[order] += 1
+        if violation > worst[order][0]:
+            worst[order] = (violation, point, combo)
     verdicts = []
-    for order in range(2, max_order + 1):
-        sign = (-1.0) ** order
-        worst = -np.inf
-        witness = None
-        witness_idx = None
-        tested = 0
-        for point in points:
-            point = as_utility(point)
-            tol = SIGN_REL_TOL * max(1.0, abs(model.value(point)))
-            for combo in itertools.combinations(range(model.n), order):
-                est = mixed_partial(model.value, point, combo)
-                violation = sign * est - tol
-                tested += 1
-                if violation > worst:
-                    worst = violation
-                    witness = point
-                    witness_idx = combo
-        passed = worst <= 0.0
+    for order in orders:
+        violation, point, combo = worst[order]
+        passed = violation <= 0.0
         verdicts.append(OrderVerdict(order=order, passed=passed,
-                                     worst_violation=float(worst),
-                                     witness_point=None if passed else witness,
-                                     witness_indices=None if passed else witness_idx,
-                                     tuples_tested=tested))
+                                     worst_violation=float(violation),
+                                     witness_point=None if passed else point,
+                                     witness_indices=None if passed else combo,
+                                     tuples_tested=tested[order]))
     return SignTestReport(max_order=max_order, verdicts=tuple(verdicts))
 
 
@@ -340,6 +317,7 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
         draws.append(sampler.draw(stream_rng(seed, idx), stop - start))
     panel = np.concatenate(draws, axis=0)
 
+    # one point at a time: broadcasting would build a (points, samples, n) array
     def value(mu):
         return float(np.mean(np.max(np.asarray(mu, float)[None, :] + panel, axis=1)))
 
@@ -347,5 +325,5 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
         winners = np.argmax(np.asarray(mu, float)[None, :] + panel, axis=1)
         return np.bincount(winners, minlength=sampler.n) / samples
 
-    return WelfareModel(n=sampler.n, value=value, gradient=gradient,
-                        name=f"mc[{sampler.family}]")
+    return WelfareModel(n=sampler.n, value=pointwise(value),
+                        gradient=pointwise(gradient), name=f"mc[{sampler.family}]")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import as_utility, finite_diff_jacobian, stream_rng
 from .ram import Regularizer
-from .welfare import WelfareModel
+from .welfare import WelfareModel, batch_gradient
 
 SUBSTITUTABLE = "substitutable"
 COMPLEMENTARY = "complementary"
@@ -117,21 +117,13 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
         raise ValueError("steps must be >= 2")
     mu_base = as_utility(mu_base)
     grid = np.linspace(lo, hi, steps)
-    q_vals = np.empty(steps)
-    for k, t in enumerate(grid):
-        mu = mu_base.copy()
-        mu[i] = t
-        q_vals[k] = float(np.asarray(model.gradient(mu))[j])
-    rows = []
-    spacing = grid[1] - grid[0]
-    for k in range(steps):
-        if 0 < k < steps - 1:
-            slope = (q_vals[k + 1] - q_vals[k - 1]) / (2.0 * spacing)
-            label = _label(slope, dead_zone)
-        else:
-            label = INDETERMINATE
-        rows.append(ScanRow(mu_i=float(grid[k]), q_j=q_vals[k], label=label))
-    return rows
+    points = np.tile(mu_base, (steps, 1))
+    points[:, i] = grid
+    q_vals = batch_gradient(model, points)[:, j]
+    slopes = (q_vals[2:] - q_vals[:-2]) / (2.0 * (grid[1] - grid[0]))
+    labels = [INDETERMINATE, *(_label(s, dead_zone) for s in slopes), INDETERMINATE]
+    return [ScanRow(mu_i=float(t), q_j=q, label=label)
+            for t, q, label in zip(grid, q_vals, labels)]
 
 
 @dataclass(frozen=True)

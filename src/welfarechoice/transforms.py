@@ -33,8 +33,7 @@ def scale(model: WelfareModel, eta: float) -> WelfareModel:
         bounds = eta * np.asarray(model.superlinear_bounds, dtype=float)
     return WelfareModel(n=model.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,
-                        name=f"scale({model.name}, {eta:g})",
-                        vectorized=model.vectorized)
+                        name=f"scale({model.name}, {eta:g})")
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,17 @@ def mix(components: Sequence[MixtureComponent], n: int) -> WelfareModel:
 
     def value(mu):
         mu = np.asarray(mu, float)
-        return sum(c.weight * c.model.value(mu[idx])
+        return sum(c.weight * c.model.value(mu[..., idx])
                    for c, idx in zip(comps, index_arrays) if c.weight > 0)
 
     def gradient(mu):
         mu = np.asarray(mu, float)
-        q = np.zeros(n)
+        q = np.zeros(mu.shape)
         for c, idx in zip(comps, index_arrays):
             if c.weight > 0:
-                # add.at sums over a repeated index; q[idx] += would count it once
-                np.add.at(q, idx, c.weight * np.asarray(c.model.gradient(mu[idx]), float))
+                # add.at sums over a repeated index; q[..., idx] += would count it once
+                np.add.at(q, (..., idx),
+                          c.weight * np.asarray(c.model.gradient(mu[..., idx]), float))
         return q
 
     bounds = None
@@ -131,16 +131,12 @@ def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareMode
 
     bounds = None
     if model.superlinear_bounds is not None:
-        inner_b = np.asarray(model.superlinear_bounds, dtype=float)
-        per_col = np.full(n, -np.inf)
-        eye = np.eye(n)
-        for r in range(model.n):
-            for i in range(n):
-                if np.allclose(A[r], eye[i]):
-                    per_col[i] = max(per_col[i], inner_b[r])
+        # row r of A equal to the unit vector e_i certifies w(mu) >= mu_i + b_r
+        unit = np.all(np.isclose(A[:, None, :], np.eye(n)), axis=-1)
+        inner_b = np.asarray(model.superlinear_bounds, dtype=float)[:, None]
+        per_col = np.max(np.where(unit, inner_b, -np.inf), axis=0)
         if np.all(np.isfinite(per_col)):
             bounds = per_col
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,
-                        name=f"cross({model.name})",
-                        vectorized=model.vectorized)
+                        name=f"cross({model.name})")

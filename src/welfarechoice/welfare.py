@@ -32,22 +32,58 @@ MAX_GRID_SIZE = GRID_POINTS ** 7
 class WelfareModel:
     """Evaluable welfare function w with gradient q = grad w.
 
-    `value` maps a utility vector to a float; `gradient` maps it to a point
-    on the probability simplex. When `vectorized` is True both accept
-    arrays of shape (..., n) and broadcast over leading axes.
+    Both callables broadcast over leading axes: `value` maps utilities of
+    shape (..., n) to shape (...), and `gradient` maps them to shape
+    (..., n), each row a point on the probability simplex. Per-point
+    functions meet this contract through `pointwise`.
     `superlinear_bounds` holds per-alternative constants b with
     w(mu) >= mu_i + b_i when such bounds are known analytically.
     """
 
     n: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     superlinear_bounds: Optional[np.ndarray] = None
     name: str = "welfare"
-    vectorized: bool = False
 
     def __call__(self, mu) -> float:
         return float(self.value(np.asarray(mu, dtype=float)))
+
+
+def pointwise(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a function of one utility vector to the broadcasting contract.
+
+    The lifted function calls `f` directly on a 1-D input and once per row
+    of the leading axes otherwise, stacking the results in row order.
+    """
+
+    def lifted(mu):
+        if np.ndim(mu) <= 1:
+            return f(mu)
+        mu = np.asarray(mu, dtype=float)
+        out = np.asarray([f(row) for row in mu.reshape(-1, mu.shape[-1])])
+        return out.reshape(mu.shape[:-1] + out.shape[1:])
+
+    return lifted
+
+
+def _checked(model: WelfareModel, what: str, points, shape: tuple) -> np.ndarray:
+    out = np.asarray(getattr(model, what)(np.asarray(points, dtype=float)), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{model.name}.{what} returned shape {out.shape}, not {shape}: "
+                         "a WelfareModel broadcasts over utilities of shape (..., n); "
+                         "wrap per-point functions in welfarechoice.pointwise")
+    return out
+
+
+def batch_value(model: WelfareModel, points) -> np.ndarray:
+    """w at utilities of shape (..., n) in one call, checked against the contract."""
+    return _checked(model, "value", points, np.shape(points)[:-1])
+
+
+def batch_gradient(model: WelfareModel, points) -> np.ndarray:
+    """q at utilities of shape (..., n) in one call, checked against the contract."""
+    return _checked(model, "gradient", points, np.shape(points))
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
@@ -80,7 +116,7 @@ def mnl_welfare(eta: float, n: int) -> WelfareModel:
 
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=np.zeros(n),
-                        name=f"mnl(eta={eta:g})", vectorized=True)
+                        name=f"mnl(eta={eta:g})")
 
 
 def nested_logit_welfare(nests: Sequence[Sequence[int]],
@@ -108,18 +144,19 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
         nest_of[b] = k
 
     def nest_logsums(mu):
-        return np.array([logsumexp(mu[b] / lam[k]) for k, b in enumerate(blocks)])
+        return np.stack([logsumexp(mu[..., b] / lam[k])
+                         for k, b in enumerate(blocks)], axis=-1)
 
     def value(mu):
         mu = np.asarray(mu, float)
-        return float(logsumexp(lam * nest_logsums(mu)))
+        return logsumexp(lam * nest_logsums(mu))
 
     def gradient(mu):
         mu = np.asarray(mu, float)
         ls = nest_logsums(mu)
         w = logsumexp(lam * ls)
         k = nest_of
-        logq = mu / lam[k] + (lam[k] - 1.0) * ls[k] - w
+        logq = mu / lam[k] + (lam[k] - 1.0) * ls[..., k] - np.expand_dims(w, -1)
         return np.exp(logq)
 
     return WelfareModel(n=n, value=value, gradient=gradient,
@@ -178,26 +215,38 @@ class GeneratorSignReport:
     witness: Optional[dict] = None
 
 
+def _sign_violations(f: Callable[[np.ndarray], float], points,
+                     orders: Sequence[int]):
+    """Alternating-sign violations of f, point by point.
+
+    Yields (point, order, indices, estimate, violation) for every tuple of
+    distinct indices of each order, in point -> order -> tuple order, where
+    violation = (-1)^k * (mixed partial of order k) - SIGN_REL_TOL *
+    max(1, |f(point)|); a positive violation breaks the sign condition.
+    """
+    for point in points:
+        tol = SIGN_REL_TOL * max(1.0, abs(f(point)))
+        for order in orders:
+            sign = (-1.0) ** order
+            for combo in itertools.combinations(range(point.size), order):
+                est = mixed_partial(f, point, combo)
+                yield point, order, combo, est, sign * est - tol
+
+
 def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
                           max_order: int = 3, seed: int = 7) -> GeneratorSignReport:
     """Advisory finite-difference test of the alternating-sign condition."""
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be in {1, 2, 3}")
     rng = stream_rng(seed)
+    points = (rng.uniform(0.3, 2.5, size=n) for _ in range(samples))
     worst = -np.inf
     witness = None
-    for _ in range(samples):
-        y = rng.uniform(0.3, 2.5, size=n)
-        tol = SIGN_REL_TOL * max(1.0, abs(gen.H(y)))
-        for order in range(1, max_order + 1):
-            sign = (-1.0) ** order
-            for combo in itertools.combinations(range(n), order):
-                est = mixed_partial(gen.H, y, combo)
-                violation = sign * est - tol
-                if violation > worst:
-                    worst = violation
-                    witness = {"y": y.copy(), "indices": combo, "order": order,
-                               "estimate": est}
+    for y, order, combo, est, violation in _sign_violations(
+            gen.H, points, range(1, max_order + 1)):
+        if violation > worst:
+            worst = violation
+            witness = {"y": y, "indices": combo, "order": order, "estimate": est}
     passed = worst <= 0.0
     return GeneratorSignReport(max_order=max_order, passed=passed,
                                worst_violation=float(worst),
@@ -231,7 +280,7 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
 
     eta = gen.eta
 
-    def value(mu):
+    def value_at(mu):
         mu = np.asarray(mu, float)
         shift = float(np.max(mu))
         # homogeneity: H(e^mu) = e^{shift/eta} H(e^{mu - shift})
@@ -241,22 +290,23 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
         return eta * np.log(h) + shift
 
     if gen.partials is not None:
-        def gradient(mu):
+        def gradient_at(mu):
             mu = np.asarray(mu, float)
             shift = float(np.max(mu))
             y = np.exp(mu - shift)
             h = gen.H(y)
             return eta * y * gen.partials(y) / h
     else:
-        def gradient(mu):
-            return finite_diff_gradient(value, mu)
+        def gradient_at(mu):
+            return finite_diff_gradient(value_at, mu)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         corners = np.array([gen.H(e) for e in np.eye(n)], dtype=float)
     bounds = None
     if np.all(np.isfinite(corners) & (corners > 0.0)):
         bounds = eta * np.log(corners)
-    return WelfareModel(n=n, value=value, gradient=gradient,
+    return WelfareModel(n=n, value=pointwise(value_at),
+                        gradient=pointwise(gradient_at),
                         superlinear_bounds=bounds, name=f"gev(eta={eta:g})")
 
 
@@ -371,10 +421,8 @@ def estimate_superlinear_bounds(model: WelfareModel) -> np.ndarray:
             f"{model.name} has no analytic superlinear bounds, and estimating "
             f"them takes {GRID_POINTS}^{n} evaluations (cap {MAX_GRID_SIZE})")
     axes = [np.linspace(-GRID_BOX, GRID_BOX, GRID_POINTS)] * n
-    best = np.full(n, np.inf)
-    for point in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n):
-        best = np.minimum(best, model.value(point) - point)
-    return best
+    points = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
+    return np.min(batch_value(model, points)[:, None] - points, axis=0)
 
 
 def model_bounds(model: WelfareModel) -> tuple[np.ndarray, bool]:

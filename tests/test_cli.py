@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -311,3 +313,15 @@ class TestValidate:
                                         [0.0, 0.0, 1.0],
                                         [0.5, 0.5, 0.0]]})
         assert main(["validate", "--spec", spec]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the functions that use it, not at start-up
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, welfarechoice.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

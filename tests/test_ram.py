@@ -71,7 +71,7 @@ class TestLogBarrierRegularizer:
         assert reg.value(np.array([1.0, 0.0])) == np.inf
         reg4 = log_barrier_regularizer(4)
         assert abs(reg4.value(np.ones(4) / 4) - 4 * math.log(4)) <= 1e-12
-        assert not reg.upper_bounded
+        assert reg.vertex_values is None
 
 
 class TestMDMRegularizer:
@@ -289,6 +289,16 @@ class TestSolveRAM:
         model = ram_welfare(entropy_regularizer(1.0, 3))
         report = check_axioms(model, samples=120, box=5.0, seed=0)
         assert report.all_passed
+
+    def test_failed_line_search_reports_iterations_made(self):
+        # V is infinite everywhere, so no trial step is ever accepted and
+        # mirror descent stops on its first iteration
+        reg = ram.Regularizer(n=3, value=lambda x: np.inf,
+                              gradient=lambda x: np.zeros(3),
+                              boundary_barrier=True, name="nowhere_finite")
+        result = solve_ram(reg, np.array([1.0, 0.0, -1.0]))
+        assert not result.converged
+        assert result.iterations == 0
 
 
 class TestVerifyKKT:

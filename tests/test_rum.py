@@ -51,8 +51,7 @@ def iid_logistic_binary_welfare(nodes=200):
         return np.stack([q1, 1.0 - q1], axis=-1)
 
     return WelfareModel(n=2, value=value, gradient=gradient,
-                        superlinear_bounds=None, name="iid_logistic_binary",
-                        vectorized=True)
+                        superlinear_bounds=None, name="iid_logistic_binary")
 
 
 class TestMCChoiceProbs:
@@ -198,8 +197,8 @@ class TestBinaryConstruction:
         # a gradient that is not within [0, 1] cannot be a CDF
         bad = WelfareModel(
             n=2,
-            value=lambda mu: float(mu[0] * 2.0),
-            gradient=lambda mu: np.array([2.0, -1.0]),
+            value=lambda mu: 2.0 * np.asarray(mu)[..., 0],
+            gradient=lambda mu: np.broadcast_to([2.0, -1.0], np.shape(mu)),
             name="bad_slope")
         with pytest.raises(InvalidBinaryWelfareError):
             binary_rum_from_welfare(bad)
