@@ -178,30 +178,51 @@ def integrate_1d(g: Callable[[float], float], a: float, b: float,
     return _quad_panel(g, a, b, abs_tol, depth=0)
 
 
-def bisect_increasing(g: Callable[[float], float], target: float,
-                      lo: float, hi: float,
-                      tol: float = 1e-12) -> float:
-    """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection."""
+def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi,
+                      tol: float = 1e-12):
+    """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection.
+
+    Each step makes four halvings in one call of g: it evaluates g at the
+    15 interior points that split the bracket into 16 equal parts and keeps
+    the part where g crosses the target. After ceil(log2(width / tol) / 4)
+    steps the bracket is no wider than `tol`, and its midpoint is returned.
+
+    Broadcasts elementwise: `target`, `lo` and `hi` may be arrays, and g
+    maps an array of any shape ending in theirs to values of that shape,
+    entry by entry. Each entry takes the steps its own bracket needs, so an
+    entry's root does not depend on the others. Scalar inputs give a scalar.
+    """
+    target, lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(target, lo, hi))
     flo, fhi = g(lo), g(hi)
-    if not (flo <= target <= fhi):
+    outside = ~((flo <= target) & (target <= fhi))
+    if np.any(outside):
+        k = np.flatnonzero(outside)[0]
         raise BracketError(
-            f"target {target!r} outside [g(lo), g(hi)] = [{flo!r}, {fhi!r}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = g(mid)
-        if abs(fmid - target) <= tol:
-            return mid
-        if fmid < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            f"target {target.flat[k]!r} outside [g(lo), g(hi)] = "
+            f"[{np.ravel(flo)[k]!r}, {np.ravel(fhi)[k]!r}]")
+    width = hi - lo
+    with np.errstate(divide="ignore"):
+        steps = np.maximum(np.ceil(np.log2(width / tol) / 4.0), 0.0)
+    final = np.ldexp(width, -4 * steps.astype(int))  # dividing by 16 is exact
+    split = (np.arange(1.0, 16.0) / 16.0).reshape((15,) + (1,) * lo.ndim)
+    for step in range(int(np.max(steps, initial=0.0))):
+        width = width * (step < steps)  # a finished entry keeps its bracket
+        below = (g(lo + width * split) < target).sum(axis=0)
+        lo = lo + width * (below / 16.0)
+        width = width / 16.0
+    return (lo + 0.5 * final)[()]
 
 
 def normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
     """Standard normal quantile (inverse CDF), accurate to machine precision."""
     from scipy.special import ndtri  # imported on first use, like scipy.integrate
     return ndtri(p)
+
+
+def normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
+    """Standard normal distribution function."""
+    from scipy.special import ndtr  # imported on first use, like scipy.integrate
+    return ndtr(z)
 
 
 def normal_pdf(z: float | np.ndarray) -> float | np.ndarray:

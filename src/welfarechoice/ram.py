@@ -7,28 +7,36 @@ moment-based families built from marginal quantiles, marginal standard
 deviations, and full covariance matrices), the solver, and KKT residual
 verification.
 
-Solver layout: entropic mirror descent with Armijo backtracking keeps
-iterates strictly interior, which barrier-like regularizers require; a
-Newton polish on the identified active set sharpens the iterate to the KKT
-tolerance once mirror descent has localized it. Its Hessian of V is the
+Solver layout: the path follows the regularizer's fields, and each path
+takes a batch of points. A quadratic V (n <= 15) has linear KKT systems:
+active sets are enumerated largest first, each support's bordered KKT
+matrix is built when a solve first reaches it and kept on the regularizer,
+and all points pending at a support are solved in one stacked call. A
+separable V (`choice` set) needs one multiplier lam, with maximizer
+choice(lam - mu) at the lam of unit sum: in closed form where the
+regularizer has one (entropy), else by the batched bisection of
+`core.bisect_increasing`. The rest (CMM, MDM with a quantile-only
+marginal, user regularizers) is solved point by point: entropic mirror
+descent with Armijo backtracking keeps iterates strictly interior, which
+barrier-like regularizers require, projected gradient serves regularizers
+finite on the boundary, and a Newton polish on the identified active set
+sharpens the iterate to the KKT tolerance. Its Hessian of V is the
 central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
-the package's one finite-difference layer. Regularizers that stay finite
-on the boundary use projected gradient instead, and quadratic regularizers
-get an exact active-set enumeration because their KKT systems are linear.
+the package's one finite-difference layer.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_utility, finite_diff_jacobian,
-                   integrate_1d, normal_pdf, normal_quantile,
-                   project_to_simplex)
-from .welfare import WelfareModel, pointwise
+from .core import (NumericError, as_utility, bisect_increasing,
+                   finite_diff_jacobian, integrate_1d, normal_cdf, normal_pdf,
+                   normal_quantile, project_to_simplex)
+from .welfare import WelfareModel, logsumexp
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
@@ -49,6 +57,13 @@ class Regularizer:
     (solver must stay interior). `vertex_values` holds V(e_i) for a
     regularizer bounded above on the simplex, which makes the induced
     welfare superlinear with constants b_i = -V(e_i); it is None otherwise.
+    `quadratic_matrix` holds A for V(x) = x' A x. `choice` is set for a
+    separable V = sum_i v_i(x_i): it maps t of shape (..., n) to the
+    coordinates x_i = (v_i')^{-1}(-t_i), clipped to [0, 1], so that the
+    maximizer is choice(lam - mu) for the one multiplier lam with unit sum;
+    such a regularizer's `gradient` broadcasts over (..., n) as well.
+    `multiplier` maps mu of shape (m, n) to that lam where it has a closed
+    form (entropy), which spares the search for it.
     """
 
     n: int
@@ -59,6 +74,10 @@ class Regularizer:
     name: str = "regularizer"
     vertex_values: Optional[np.ndarray] = None
     quadratic_matrix: Optional[np.ndarray] = None
+    choice: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # bordered KKT systems of the supports a quadratic solve has reached
+    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def entropy_regularizer(eta: float, n: int) -> Regularizer:
@@ -73,9 +92,16 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
     def gradient(x):
         return eta * (1.0 + np.log(np.maximum(np.asarray(x, float), 1e-300)))
 
+    def choice(t):
+        return np.exp(np.minimum(-np.asarray(t, float) / eta - 1.0, 0.0))
+
+    def multiplier(mu):
+        return eta * (logsumexp(mu / eta) - 1.0)
+
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=True,
-                       name=f"entropy(eta={eta:g})", vertex_values=np.zeros(n))
+                       name=f"entropy(eta={eta:g})", vertex_values=np.zeros(n),
+                       choice=choice, multiplier=multiplier)
 
 
 def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
@@ -115,8 +141,11 @@ def log_barrier_regularizer(n: int) -> Regularizer:
     def gradient(x):
         return -1.0 / np.maximum(np.asarray(x, float), 1e-300)
 
+    def choice(t):
+        return 1.0 / np.maximum(np.asarray(t, float), 1.0)
+
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=True, name="log_barrier")
+                       boundary_barrier=True, name="log_barrier", choice=choice)
 
 
 @dataclass(frozen=True)
@@ -127,6 +156,10 @@ class Marginal:
     with a closed form carry it, otherwise adaptive quadrature (with the
     integration limits clipped away from the quantile singularities at 0
     and 1) is used. `bounded` marks quantiles bounded on (0, 1).
+    `survival` is t -> 1 - F(t) and `upper_quantile` is x -> F^{-1}(1 - x),
+    both computed without forming 1 - F or 1 - x, which would drop the
+    digits of a small x; the built-in families carry them (the uniform
+    needs no upper quantile), and their functions broadcast over arrays.
     """
 
     family: str
@@ -134,11 +167,14 @@ class Marginal:
     mean: float
     tail_integral: Optional[Callable[[float], float]] = None
     bounded: bool = False
+    survival: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    upper_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def uniform_marginal() -> Marginal:
     return Marginal(family="uniform", quantile=lambda t: t, mean=0.5,
-                    tail_integral=lambda x: x - 0.5 * x * x, bounded=True)
+                    tail_integral=lambda x: x - 0.5 * x * x, bounded=True,
+                    survival=lambda t: np.clip(1.0 - np.asarray(t, float), 0.0, 1.0))
 
 
 def exponential_marginal(rate: float = 1.0) -> Marginal:
@@ -154,7 +190,9 @@ def exponential_marginal(rate: float = 1.0) -> Marginal:
         return (x - x * np.log(max(x, 1e-300))) / rate
 
     return Marginal(family=f"exponential(rate={rate:g})", quantile=q,
-                    mean=1.0 / rate, tail_integral=tail)
+                    mean=1.0 / rate, tail_integral=tail,
+                    survival=lambda t: np.exp(-rate * np.maximum(t, 0.0)),
+                    upper_quantile=lambda x: -np.log(np.maximum(x, _QUANTILE_CLIP)) / rate)
 
 
 def logistic_marginal(scale: float = 1.0) -> Marginal:
@@ -171,8 +209,17 @@ def logistic_marginal(scale: float = 1.0) -> Marginal:
         cl = (1.0 - x) * np.log(max(1.0 - x, 1e-300))
         return scale * (-xl - cl)
 
+    def survival(t):
+        # exp stays finite; 1 / (1 + e^700) is already below any probability that matters
+        return 1.0 / (1.0 + np.exp(np.minimum(np.asarray(t, float) / scale, 700.0)))
+
+    def upper_q(x):
+        x = np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)
+        return scale * (np.log1p(-x) - np.log(x))
+
     return Marginal(family=f"logistic(scale={scale:g})", quantile=q,
-                    mean=0.0, tail_integral=tail)
+                    mean=0.0, tail_integral=tail, survival=survival,
+                    upper_quantile=upper_q)
 
 
 def normal_marginal(sd: float = 1.0) -> Marginal:
@@ -192,7 +239,10 @@ def normal_marginal(sd: float = 1.0) -> Marginal:
         return sd * float(normal_pdf(normal_quantile(1.0 - x)))
 
     return Marginal(family=f"normal(sd={sd:g})", quantile=q,
-                    mean=0.0, tail_integral=tail)
+                    mean=0.0, tail_integral=tail,
+                    survival=lambda t: normal_cdf(-np.asarray(t, float) / sd),
+                    upper_quantile=lambda x: -sd * normal_quantile(
+                        np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)))
 
 
 def custom_marginal(quantile: Callable[[float], float],
@@ -225,8 +275,10 @@ def _marginal_tail(m: Marginal, x: float) -> float:
 def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
     """V(x) = -sum_i integral_{1-x_i}^{1} Finv_i(t) dt.
 
-    The gradient is -Finv_i(1 - x_i); marginals with quantiles unbounded
-    near 0 or 1 act as boundary barriers.
+    The gradient is -Finv_i(1 - x_i), from each marginal's upper quantile
+    where it has one; marginals with quantiles unbounded
+    near 0 or 1 act as boundary barriers. When every marginal carries its
+    survival function, the choice map is x_i = 1 - F_i(t_i).
     """
     marginals = list(marginals)
     n = len(marginals)
@@ -241,14 +293,22 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
         x = np.asarray(x, float)
         return -float(sum(_marginal_tail(m, xi) for m, xi in zip(marginals, x)))
 
+    upper = [m.upper_quantile or (lambda x, q=m.quantile: q(1.0 - x)) for m in marginals]
+
     def gradient(x):
         x = np.asarray(x, float)
-        return -np.array([m.quantile(1.0 - xi) for m, xi in zip(marginals, x)])
+        return -np.stack([uq(x[..., i]) for i, uq in enumerate(upper)], axis=-1)
+
+    def choice(t):
+        t = np.asarray(t, float)
+        return np.stack([m.survival(t[..., i]) for i, m in enumerate(marginals)], axis=-1)
 
     barrier = not all(m.bounded for m in marginals)
     vertex = -np.array([m.mean for m in marginals])
+    separable = all(m.survival is not None for m in marginals)
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=barrier, name="mdm", vertex_values=vertex)
+                       boundary_barrier=barrier, name="mdm", vertex_values=vertex,
+                       choice=choice if separable else None)
 
 
 def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
@@ -268,9 +328,15 @@ def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
         root = np.sqrt(np.maximum(x * (1.0 - x), 1e-300))
         return -sigma * (1.0 - 2.0 * x) / (2.0 * root)
 
+    def choice(t):
+        # 1 - t/r = sigma^2 / (r (r + t)) keeps the t > 0 branch free of cancellation
+        t = np.asarray(t, float)
+        r = np.hypot(t, sigma)
+        return np.where(t > 0.0, 0.5 * sigma ** 2 / (r * (r + np.abs(t))), 0.5 * (1.0 - t / r))
+
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=strictly, strictly_convex=strictly,
-                       name="mmm", vertex_values=np.zeros(n))
+                       name="mmm", vertex_values=np.zeros(n), choice=choice)
 
 
 def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
@@ -479,71 +545,190 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray, mirror: bool) -> SolveRes
     return SolveResult(x, f, res, it, res <= SOLVER_TOL)
 
 
-def _quadratic_exact(reg: Regularizer, mu: np.ndarray) -> SolveResult:
-    """Enumerate active sets of the simplex QP; exact for strictly convex V."""
-    a_mat = reg.quadratic_matrix
-    n = reg.n
-    tried = 0
-    for size in range(n, 0, -1):
-        for support in itertools.combinations(range(n), size):
-            tried += 1
-            s = np.asarray(support)
-            k = s.size
-            system = np.zeros((k + 1, k + 1))
-            system[:k, :k] = 2.0 * a_mat[np.ix_(s, s)]
-            system[:k, k] = 1.0
-            system[k, :k] = 1.0
-            rhs = np.concatenate([mu[s], [1.0]])
-            try:
-                sol = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x_s, lam = sol[:k], sol[k]
-            if np.min(x_s) < -1e-12:
-                continue
-            x = np.zeros(n)
-            x[s] = np.maximum(x_s, 0.0)
-            grad = mu - 2.0 * (a_mat @ x)
-            outside = np.setdiff1d(np.arange(n), s)
-            if outside.size and np.max(grad[outside] - lam) > 1e-10:
-                continue
-            f = float(mu @ x - reg.value(x))
-            return SolveResult(x, f, verify_kkt(reg, mu, x), tried, True)
-    # strictly convex problems always terminate above; fall back defensively
-    return _iterative_solve(reg, mu, mirror=False)
+def _support_system(reg: Regularizer, support: tuple):
+    """Index arrays and bordered KKT matrix of one support, cached on `reg`."""
+    entry = reg._supports.get(support)
+    if entry is None:
+        s = np.asarray(support)
+        k = s.size
+        system = np.zeros((k + 1, k + 1))
+        system[:k, :k] = 2.0 * reg.quadratic_matrix[np.ix_(s, s)]
+        system[:k, k] = 1.0
+        system[k, :k] = 1.0
+        entry = reg._supports[support] = (s, np.setdiff1d(np.arange(reg.n), s), system)
+    return entry
 
 
-def solve_ram(reg: Regularizer, mu) -> SolveResult:
-    """Maximize mu.x - V(x) over the simplex.
+def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
+    """Enumerate active sets of the simplex QP for a batch; exact for strictly convex V.
 
-    The path follows the regularizer's structure: exact active-set
-    enumeration for a quadratic V with n <= 15, mirror descent for a
-    boundary barrier, projected gradient otherwise.
+    Supports are tried largest first, in `itertools.combinations` order, and
+    each point keeps the first whose KKT solution is nonnegative (to 1e-12)
+    with no outside coordinate above the multiplier (by more than 1e-10).
+    All points still pending at a support are solved in one stacked call.
     """
-    mu = as_utility(mu)
-    if mu.size != reg.n:
-        raise ValueError(f"mu has {mu.size} entries, regularizer expects {reg.n}")
+    a_mat = reg.quadratic_matrix
+    m, n = mu.shape
+    x = np.zeros((m, n))
+    iterations = np.zeros(m, dtype=int)
+    pending = np.arange(m)
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(n, 0, -1))
+    for tried, support in enumerate(supports, start=1):
+        if pending.size == 0:
+            break
+        s, outside, system = _support_system(reg, support)
+        k = s.size
+        mu_p = mu[pending]
+        rhs = np.concatenate([mu_p[:, s], np.ones((pending.size, 1))], axis=1)
+        try:
+            sol = np.linalg.solve(system, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            continue
+        x_s, lam = sol[:, :k], sol[:, k]
+        ok = ~(np.min(x_s, axis=1) < -1e-12)
+        x_p = np.zeros((pending.size, n))
+        x_p[:, s] = np.maximum(x_s, 0.0)
+        if outside.size:
+            grad = mu_p - 2.0 * np.matmul(a_mat, x_p[..., None])[..., 0]
+            ok &= ~(np.max(grad[:, outside] - lam[:, None], axis=1) > 1e-10)
+        x[pending[ok]] = x_p[ok]
+        iterations[pending[ok]] = tried
+        pending = pending[~ok]
+    converged = np.ones(m, dtype=bool)
+    # strictly convex problems always terminate above; fall back defensively
+    for i in pending:
+        res = _iterative_solve(reg, mu[i], mirror=False)
+        x[i], iterations[i], converged[i] = res.x_star, res.iterations, res.converged
+    return x, iterations, converged
+
+
+def _separable_argmax(reg: Regularizer, mu: np.ndarray):
+    """Maximizers choice(lam - mu) of a batch, lam in closed form or by bisection.
+
+    The sum of choice(lam - mu) decreases in lam, and the gradient at the
+    barycentre brackets its unit crossing exactly: at lam = min_i(mu_i -
+    dV_i(1/n)) every coordinate is at least 1/n, at the max at most 1/n.
+    The bracket is widened by a relative 1e-6 against rounding at its ends.
+    Near a vertex, 1 - x_k of the largest coordinate keeps few digits, and
+    grad V at the rounded x_k implies a slightly different lam; lam is
+    re-read there and the other coordinates recomputed, wherever that keeps
+    the unit sum, so that x is consistent with grad V. A point converges
+    when its coordinates sum to 1 within SOLVER_TOL.
+    """
+    m = mu.shape[0]
+    steps = 0
+
+    def minus_total(lam):
+        nonlocal steps
+        steps += 1
+        return -reg.choice(lam[..., None] - mu).sum(axis=-1)
+
+    if reg.multiplier is not None:
+        lam = reg.multiplier(mu)
+    else:
+        ends = mu - reg.gradient(np.full(reg.n, 1.0 / reg.n))
+        lo, hi = np.min(ends, axis=-1), np.max(ends, axis=-1)
+        pad = 1e-6 * (1.0 + np.abs(lo) + np.abs(hi))
+        lam = bisect_increasing(minus_total, -1.0, lo - pad, hi + pad)
+    x = reg.choice(lam[:, None] - mu)
+    rows, k = np.arange(m), np.argmax(x, axis=-1)
+    snapped = reg.choice((mu[rows, k] - reg.gradient(x)[rows, k])[:, None] - mu)
+    snapped[rows, k] = x[rows, k]
+    keep = np.abs(np.sum(snapped, axis=-1) - 1.0) <= SOLVER_TOL
+    x = np.where(keep[:, None], snapped, x)
+    # a non-finite coordinate fails the sum test too
+    converged = np.abs(np.sum(x, axis=-1) - 1.0) <= SOLVER_TOL
+    return x, np.full(m, steps), converged
+
+
+def _argmax(reg: Regularizer, mu: np.ndarray):
+    """Maximizers of a batch mu of shape (m, n): x (m, n), iterations, converged."""
     if not reg.strictly_convex:
         raise DegenerateRegularizerError(
             f"{reg.name} is not strictly convex; the argmax may be non-unique")
     if reg.quadratic_matrix is not None and reg.n <= 15:
-        return _quadratic_exact(reg, mu)
-    return _iterative_solve(reg, mu, mirror=reg.boundary_barrier)
+        return _quadratic_argmax(reg, mu)
+    if reg.choice is not None:
+        return _separable_argmax(reg, mu)
+    results = [_iterative_solve(reg, row, mirror=reg.boundary_barrier) for row in mu]
+    return (np.array([r.x_star for r in results]).reshape(mu.shape),
+            np.array([r.iterations for r in results], dtype=int),
+            np.array([r.converged for r in results], dtype=bool))
+
+
+def _utilities(reg: Regularizer, mu) -> np.ndarray:
+    """Validated utilities of shape (..., n), flattened to (m, n)."""
+    mu = np.asarray(mu, dtype=float)
+    as_utility(mu.ravel())  # finite entries, at least two
+    if mu.shape[-1] != reg.n:
+        raise ValueError(f"mu has {mu.shape[-1]} entries, regularizer expects {reg.n}")
+    return mu.reshape(-1, reg.n)
+
+
+def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mu.x - V(x) row by row."""
+    return np.array([float(m @ xi - reg.value(xi)) for m, xi in zip(mu, x)])
+
+
+def solve_ram(reg: Regularizer, mu) -> SolveResult:
+    """Maximize mu.x - V(x) over the simplex, at one point or a batch.
+
+    The path follows the regularizer's structure: for a quadratic V with
+    n <= 15, active-set enumeration with each support's KKT matrix cached
+    on the regularizer; for a separable V (`choice` set), the one multiplier,
+    in closed form or by bisection; otherwise mirror descent for a boundary barrier and
+    projected gradient for the rest, with a Newton polish, point by point.
+
+    A 1-D `mu` gives scalar fields. A batch of shape (..., n) is solved in
+    one call and gives `x_star` of shape (..., n) and the other fields of
+    shape (...), each entry equal to the solve of its own point; for a
+    separable V, `iterations` counts the bisection steps of the batch.
+    """
+    flat = _utilities(reg, mu)
+    x, iterations, converged = _argmax(reg, flat)
+    w = _objective(reg, flat, x)
+    kkt = np.array([verify_kkt(reg, m, xi) for m, xi in zip(flat, x)])
+    if np.ndim(mu) == 1:
+        return SolveResult(x[0], float(w[0]), float(kkt[0]), int(iterations[0]),
+                           bool(converged[0]))
+    shape = np.shape(mu)[:-1]
+    return SolveResult(x.reshape(np.shape(mu)), w.reshape(shape), kkt.reshape(shape),
+                       iterations.reshape(shape), converged.reshape(shape))
 
 
 def ram_welfare(reg: Regularizer) -> WelfareModel:
-    """Wrap a regularizer as a WelfareModel (w from the solve, q = argmax)."""
+    """Wrap a regularizer as a WelfareModel (w from the solve, q = argmax).
+
+    `value` and `gradient` solve their whole point set in one call, and share
+    it: the last point set solved is kept, so asking for w and q at the same
+    points solves once.
+    """
+    last = [None]  # (key, x) of the last point set, replaced whole
 
     def solve(mu):
-        result = solve_ram(reg, mu)
-        if not result.converged:
-            raise NumericError(
-                f"solver did not converge for {reg.name} at mu={np.asarray(mu)}")
-        return result
+        flat = _utilities(reg, mu)
+        key = (flat.shape, flat.tobytes())
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            x, _, converged = _argmax(reg, flat)
+            if not np.all(converged):
+                bad = flat[int(np.argmin(converged))]
+                raise NumericError(f"solver did not converge for {reg.name} at mu={bad}")
+            entry = last[0] = (key, x)
+        return flat, entry[1]
+
+    def value(mu):
+        flat, x = solve(mu)
+        w = _objective(reg, flat, x)
+        return float(w[0]) if np.ndim(mu) == 1 else w.reshape(np.shape(mu)[:-1])
+
+    def gradient(mu):
+        _, x = solve(mu)
+        return x.reshape(np.shape(mu)).copy()
 
     bounds = None
     if reg.vertex_values is not None:
         bounds = -np.asarray(reg.vertex_values, dtype=float)
-    return WelfareModel(n=reg.n, value=pointwise(lambda mu: solve(mu).w_value),
-                        gradient=pointwise(lambda mu: solve(mu).x_star),
+    return WelfareModel(n=reg.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds, name=f"ram[{reg.name}]")

@@ -83,6 +83,22 @@ class TestEval:
         assert code == 2
         assert not out.exists()
 
+    def test_three_points_make_three_solves(self, spec_file, tmp_path, monkeypatch):
+        from welfarechoice import ram
+        solved = []
+        argmax = ram._argmax
+
+        def counting(reg, mu):
+            solved.append(mu.shape[0])
+            return argmax(reg, mu)
+
+        monkeypatch.setattr(ram, "_argmax", counting)
+        out = str(tmp_path / "eval.csv")
+        assert main(["eval", "--spec", spec_file(MMM3), "--mu", "0.5,0,-0.5",
+                     "--mu", "1,2,0", "--mu", "0,0,0", "--out", out]) == 0
+        assert sum(solved) == 3
+        assert len(read_csv(out)[2]) == 3
+
     def test_dimension_mismatch_exits_2(self, spec_file):
         assert main(["eval", "--spec", spec_file(MNL3), "--mu", "0,0"]) == 2
 
@@ -288,6 +304,16 @@ class TestRum:
         assert main(["rum", "--family", "gumbel", "--mu", "0,0",
                      "--samples", samples]) == 2
 
+    def test_binary_construction_of_a_two_alternative_mmm(self, spec_file, tmp_path):
+        # the bracket search solves at mu = (-64, 0), where mirror descent failed
+        spec = spec_file({"kind": "ram_mmm", "sigma": [1.0, 2.0]})
+        out = str(tmp_path / "bin.csv")
+        assert main(["rum", "--binary-from-spec", spec, "--mu", "0.5,-0.5",
+                     "--samples", "200", "--seed", "1", "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        est, se, w = (float(rows[0][2]), float(rows[0][3]), float(rows[0][4]))
+        assert abs(est - w) <= 4 * se
+
 
 class TestValidate:
     def test_valid_spec(self, spec_file):
@@ -315,13 +341,38 @@ class TestValidate:
         assert main(["validate", "--spec", spec]) == 0
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported by the functions that use it, not at start-up
+def scipy_modules_after(code):
+    """scipy modules loaded by running `code` in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, welfarechoice.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the functions that use it, not at start-up
+    assert scipy_modules_after("import sys, welfarechoice.cli") == "[]"
+
+
+def test_ram_solves_load_no_scipy():
+    # one solve and one welfare evaluation per RAM family, MDM with logistic
+    # marginals; none of their paths needs scipy
+    specs = [{"kind": "ram_entropy", "n": 3, "eta": 1.0},
+             {"kind": "ram_quadratic", "matrix": [[3, 2, 0], [2, 3, 2], [0, 2, 3]]},
+             {"kind": "ram_logbarrier", "n": 3},
+             {"kind": "ram_mdm", "marginals": [{"family": "logistic", "scale": s}
+                                               for s in (1.0, 0.7, 1.5)]},
+             {"kind": "ram_mmm", "sigma": [2.0, 2.5, 2.0]},
+             {"kind": "ram_cmm", "covariance": [[9, 0.9, 0.9], [0.9, 9, 0.9],
+                                                [0.9, 0.9, 9]]}]
+    code = ("import sys, numpy as np\n"
+            "from welfarechoice import modelspec, ram\n"
+            f"for spec in {specs!r}:\n"
+            "    b = modelspec.build_model(spec)\n"
+            "    mu = np.array([0.4, -0.3, 0.1])\n"
+            "    assert ram.solve_ram(b.regularizer, mu).converged\n"
+            "    b.model.value(mu), b.model.gradient(mu + 1.0)")
+    assert scipy_modules_after(code) == "[]"

@@ -3,7 +3,9 @@
 Each test draws the model (scale eta, size n, nests, mixture subsets,
 crossing matrix W) as well as the utility point, at the tolerances of the
 acceptance criteria: q = grad w to 1e-5 relative (criterion 2) and entropy
-RAM = logit to 1e-6 (criterion 1).
+RAM = logit to 1e-6 (criterion 1). The separable RAM families are also
+drawn far from the origin, where their multiplier search must still meet
+the solver's KKT tolerance.
 """
 
 import numpy as np
@@ -11,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from welfarechoice import core
-from welfarechoice.ram import entropy_regularizer, solve_ram
+from welfarechoice.ram import (SOLVER_TOL, entropy_regularizer,
+                               log_barrier_regularizer, logistic_marginal,
+                               mdm_regularizer, mmm_regularizer, solve_ram,
+                               verify_kkt)
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
 from welfarechoice.welfare import (log_sum_welfare, logsumexp, mnl_welfare,
                                    nested_logit_welfare, softmax)
@@ -106,3 +111,31 @@ def test_log_sum_is_crossed_unit_logit(case):
     for point in (mu, np.stack(batch)):
         np.testing.assert_array_equal(model.value(point), crossed.value(point))
         np.testing.assert_array_equal(model.gradient(point), crossed.gradient(point))
+
+
+@st.composite
+def separable_problems(draw):
+    """(regularizer, mu, eta) with n in 2..5 and mu in [-50, 50]^n; eta only for entropy."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    mu = draw(utilities(n, box=50.0))
+    params = st.lists(st.floats(min_value=0.5, max_value=3.0), min_size=n, max_size=n)
+    family = draw(st.sampled_from(["entropy", "log_barrier", "mmm", "mdm_logistic"]))
+    if family == "entropy":
+        eta = draw(st.floats(min_value=0.5, max_value=2.0))
+        return entropy_regularizer(eta, n), mu, eta
+    if family == "log_barrier":
+        return log_barrier_regularizer(n), mu, None
+    if family == "mmm":
+        return mmm_regularizer(draw(params)), mu, None
+    return mdm_regularizer([logistic_marginal(s) for s in draw(params)]), mu, None
+
+
+@given(separable_problems())
+@settings(max_examples=300, deadline=None)
+def test_separable_ram_meets_kkt_far_from_origin(problem):
+    reg, mu, eta = problem
+    result = solve_ram(reg, mu)
+    assert result.converged
+    assert verify_kkt(reg, mu, result.x_star) <= SOLVER_TOL
+    if eta is not None:
+        assert np.max(np.abs(result.x_star - softmax(mu / eta))) <= 1e-12

@@ -1,13 +1,15 @@
 """Regularizer library and simplex solver tests."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from welfarechoice import core, ram
-from welfarechoice.ram import (DegenerateRegularizerError, cmm_regularizer,
-                               custom_marginal, entropy_regularizer,
+from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError,
+                               cmm_regularizer, custom_marginal,
+                               entropy_regularizer,
                                exponential_marginal, log_barrier_regularizer,
                                logistic_marginal, mdm_regularizer,
                                mmm_regularizer, normal_marginal,
@@ -299,6 +301,125 @@ class TestSolveRAM:
         result = solve_ram(reg, np.array([1.0, 0.0, -1.0]))
         assert not result.converged
         assert result.iterations == 0
+
+
+class TestSolverPaths:
+    """The path follows the regularizer's fields; each path solves a batch."""
+
+    REGULARIZERS = {
+        "entropy": lambda: entropy_regularizer(1.0, 3),
+        "quadratic": lambda: quadratic_regularizer(COUPLING),
+        "logbarrier": lambda: log_barrier_regularizer(3),
+        "mdm": lambda: mdm_regularizer([logistic_marginal(s) for s in (1.0, 0.7, 1.5)]),
+        "mmm": lambda: mmm_regularizer([2.0, 2.5, 2.0]),
+        "cmm": lambda: cmm_regularizer(np.eye(3) + 0.2),
+    }
+
+    @pytest.mark.parametrize("family", sorted(REGULARIZERS))
+    def test_batch_matches_per_point_solves_bit_for_bit(self, family):
+        reg = self.REGULARIZERS[family]()
+        points = np.random.default_rng(12).uniform(-2.0, 2.0, (2, 3, 3))
+        batch = solve_ram(reg, points)
+        assert batch.x_star.shape == (2, 3, 3)
+        for field in ("w_value", "kkt_residual", "iterations", "converged"):
+            assert np.shape(getattr(batch, field)) == (2, 3)
+        for idx in np.ndindex(2, 3):
+            single = solve_ram(reg, points[idx])
+            np.testing.assert_array_equal(batch.x_star[idx], single.x_star)
+            assert batch.w_value[idx] == single.w_value
+            assert batch.kkt_residual[idx] == single.kkt_residual
+            assert batch.converged[idx] == single.converged
+            if reg.choice is None:
+                # a separable solve reports the bisection steps of its whole batch
+                assert batch.iterations[idx] == single.iterations
+        model = ram_welfare(reg)
+        np.testing.assert_array_equal(model.gradient(points), batch.x_star)
+        np.testing.assert_array_equal(model.value(points), batch.w_value)
+
+    def test_structure_picks_the_path(self):
+        for family in ("entropy", "logbarrier", "mdm", "mmm"):
+            assert self.REGULARIZERS[family]().choice is not None
+        assert self.REGULARIZERS["quadratic"]().quadratic_matrix is not None
+        assert cmm_regularizer(np.eye(3)).choice is None
+        # a marginal with a quantile only keeps MDM on mirror descent
+        custom = custom_marginal(logistic_marginal(1.0).quantile, mean=0.0)
+        reg = mdm_regularizer([custom, logistic_marginal(1.0)])
+        assert reg.choice is None
+        result = solve_ram(reg, np.array([0.5, -0.2]))
+        assert result.converged and result.kkt_residual <= SOLVER_TOL
+
+    def test_support_table_is_built_lazily_and_reused(self):
+        reg = quadratic_regularizer(np.eye(3))
+        assert reg._supports == {}
+        # an interior optimum stops at the first support, the full one
+        solve_ram(reg, np.zeros(3))
+        assert list(reg._supports) == [(0, 1, 2)]
+        first = solve_ram(reg, np.array([2.0, -2.0, 0.0]))
+        assert first.x_star[1] == 0.0
+        cached = dict(reg._supports)
+        again = solve_ram(reg, np.array([2.0, -2.0, 0.0]))
+        assert len(cached) == first.iterations
+        assert all(reg._supports[k] is v for k, v in cached.items())
+        np.testing.assert_array_equal(first.x_star, again.x_star)
+
+    def test_value_and_gradient_share_one_solve(self, monkeypatch):
+        solved = []
+        argmax = ram._argmax
+
+        def counting(reg, mu):
+            solved.append(mu.shape[0])
+            return argmax(reg, mu)
+
+        monkeypatch.setattr(ram, "_argmax", counting)
+        reg = mmm_regularizer([2.0, 2.5, 2.0])
+        model = ram_welfare(reg)
+        points = np.array([[0.5, 0.0, -0.5], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        w = model.value(points)
+        q = model.gradient(points)
+        assert solved == [3]
+        q[0, 0] = 7.0  # callers get copies, not the kept solve
+        assert model.gradient(points)[0, 0] != 7.0
+        assert solved == [3]
+        model.value(points[0])
+        assert solved == [3, 1]
+        expected = solve_ram(reg, points)
+        np.testing.assert_array_equal(w, expected.w_value)
+        np.testing.assert_array_equal(model.gradient(points), expected.x_star)
+
+
+class TestKnownFailurePoints:
+    """Points where mirror descent failed; the multiplier search solves them."""
+
+    def assert_solved(self, reg, mu, expected=None, atol=0.0):
+        mu = np.asarray(mu, dtype=float)
+        result = solve_ram(reg, mu)
+        assert result.converged
+        assert verify_kkt(reg, mu, result.x_star) <= SOLVER_TOL
+        if expected is not None:
+            np.testing.assert_allclose(result.x_star, expected, atol=atol)
+        return result
+
+    def test_mmm_far_corner(self):
+        self.assert_solved(mmm_regularizer([2.0, 2.5, 2.0]), [-20.0, -20.0, 20.0],
+                           [0.0016, 0.0026, 0.9958], atol=5e-5)
+
+    def test_mmm_two_alternatives_far_from_origin(self):
+        self.assert_solved(mmm_regularizer([1.0, 2.0]), [-64.0, 0.0],
+                           [5.5e-4, 0.99945], atol=5e-6)
+
+    def test_log_barrier_two_alternatives_far_from_origin(self):
+        result = self.assert_solved(log_barrier_regularizer(2), [-192.0, 0.0])
+        # stationarity 1/x_2 - 1/x_1 = mu_1 - mu_2 on the segment
+        x1, x2 = result.x_star
+        assert abs((1.0 / x2 - 1.0 / x1) + 192.0) <= 1e-8
+
+    def test_mdm_mixed_marginals(self):
+        reg = mdm_regularizer([logistic_marginal(1.0), exponential_marginal(1.0),
+                               normal_marginal(0.5)])
+        start = time.perf_counter()
+        result = self.assert_solved(reg, [1.7402897, 1.26341422, -1.989046])
+        assert time.perf_counter() - start < 1.0
+        assert result.x_star[2] <= 1e-12
 
 
 class TestVerifyKKT:
