@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .core import (BracketError, NumericError, QuadratureError,
                    as_probability, as_utility, bisect_increasing,
                    finite_diff_gradient, integrate_1d, mixed_partial,
-                   normal_quantile, project_to_simplex)
+                   normal_quantile)
 from .duality import (AnchorDistribution, ConvergenceError, anchor_family,
                       conjugate_V, invert_choice, semiparametric_sup,
                       simplex_grid, tabulated_welfare)

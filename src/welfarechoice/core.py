@@ -1,9 +1,10 @@
 """Shared numeric foundations.
 
-Simplex geometry, finite differences, 1-D quadrature, monotone root
-finding, and the seeded random-stream contract used by the Monte Carlo
-code. Everything here is pure given its inputs; random state is always
-created locally from an explicit seed.
+Input validation, sum-constrained Newton steps and their bordered matrix,
+finite differences, 1-D quadrature, monotone root finding, and the seeded
+random-stream contract used by the Monte Carlo code. Everything here is
+pure given its inputs; random state is always created locally from an
+explicit seed.
 
 This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
@@ -66,19 +67,31 @@ def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return x
 
 
-def project_to_simplex(v: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
+def bordered(matrix: np.ndarray) -> np.ndarray:
+    """The KKT matrix [[M, 1], [1', 0]] of a quadratic model under one sum constraint.
 
-    Sort-based algorithm: O(n log n), exact up to floating point.
+    Newton steps on the simplex (unit sum) and on the zero-sum hyperplane
+    solve against it, as does each support of the quadratic RAM solver.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project a non-finite vector")
-    n = v.size
-    a = np.sort(v)[::-1]
-    cssv = (np.cumsum(a) - 1.0) / np.arange(1, n + 1)
-    k = np.nonzero(a > cssv)[0][-1]
-    return np.maximum(v - cssv[k], 0.0)
+    k = matrix.shape[0]
+    system = np.ones((k + 1, k + 1))
+    system[:k, :k] = matrix
+    system[k, k] = 0.0
+    return system
+
+
+def newton_step(hess: np.ndarray, g: np.ndarray, gap: float = 0.0) -> np.ndarray | None:
+    """Ascent step d of [[H, 1], [1', 0]] (d, nu) = (g, gap) with H symmetrized.
+
+    H is a finite-difference Hessian of the convex part of the objective, g
+    its gradient and gap what d must add to the sum. Returns None when the
+    system is singular or non-finite, or d is no ascent (g.d <= 0).
+    """
+    try:
+        d = np.linalg.solve(bordered(0.5 * (hess + hess.T)), np.append(g, gap))[:-1]
+    except np.linalg.LinAlgError:
+        return None
+    return d if np.all(np.isfinite(d)) and float(g @ d) > 0.0 else None
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float],

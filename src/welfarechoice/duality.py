@@ -3,7 +3,8 @@
 welfare -> regularizer: the convex conjugate V(x) = sup_y { y.x - w(y) },
 computed by concave maximization over the zero-sum hyperplane (translation
 invariance collapses one dimension, and the superlinear constants bound the
-search radius).
+search radius). One damped Newton ascent does it, with the centred gradient
+standing in only where a Newton step is unusable.
 
 welfare -> choice inversion: the same maximizer y* satisfies q(y*) = x, so
 the ascent doubles as the inverse choice map on the simplex interior.
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import as_utility, finite_diff_jacobian
+from .core import as_utility, finite_diff_jacobian, newton_step
 from .welfare import WelfareModel, model_bounds
 
 INTERIOR_MIN = 1e-6
@@ -30,6 +31,7 @@ INTERIOR_MIN = 1e-6
 # are accepted up to RESIDUAL_TOL.
 GRAD_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
+ASCENT_MAX_ITER = 20000
 MAX_GRID_NODES = 10 ** 5
 
 
@@ -55,94 +57,54 @@ def _search_radius(model: WelfareModel, x: np.ndarray) -> float:
     return 2.0 * max(k, 1.0)
 
 
-def _ascend(model: WelfareModel, x: np.ndarray,
-            max_iter: int = 20000) -> tuple[np.ndarray, float, int]:
-    """Maximize y.x - w(y) over the zero-sum hyperplane from y = 0.
+def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Maximize y.x - w(y) over the zero-sum hyperplane by damped Newton from y = 0.
 
-    Projected gradient ascent with Armijo backtracking, plus a Newton
-    refinement on the hyperplane (bordered system with the finite-difference
-    Hessian of w) once the gradient is small. Returns (y, residual, iters).
+    The Hessian of w, the central-difference Jacobian of q, annihilates the
+    all-ones vector, so `core.newton_step` borders it. A step that is
+    unusable there or longer than 1e6 gives way to the centred gradient,
+    whose trial length doubles after each accepted gradient step.
+    Backtracking accepts a step when the residual max|x - q| at least
+    halves, or else by the Armijo test on y.x - w(y); the ascent stops once
+    it leaves the search radius. Returns (y, residual, iters).
     """
-    n = model.n
     radius = _search_radius(model, x)
-    y = np.zeros(n)
-    g_val = -model.value(y)
+    y = np.zeros(model.n)
+    grad = x - np.asarray(model.gradient(y), dtype=float)
+    res = float(np.max(np.abs(grad)))
+    val = None  # y.x - w(y), evaluated when a step needs the Armijo test
     step = 1.0
 
-    def residual_at(y_):
-        return float(np.max(np.abs(x - model.gradient(y_))))
-
-    for it in range(max_iter):
-        q = np.asarray(model.gradient(y), dtype=float)
-        grad = x - q
-        d = grad - grad.mean()
-        res = float(np.max(np.abs(grad)))
+    for it in range(ASCENT_MAX_ITER):
         if res <= GRAD_TOL:
             return y, res, it
-
-        if res <= 1e-3 or it % 40 == 0:
-            y_ref = _newton_refine(model, x, y)
-            if y_ref is not None:
-                return y_ref, residual_at(y_ref), it
-
-        a = step
-        accepted = False
+        d = newton_step(finite_diff_jacobian(model.gradient, y, 1e-6), grad)
+        newton = d is not None and float(np.max(np.abs(d))) <= 1e6
+        if newton:
+            d, a = d - d.mean(), 1.0
+        else:
+            d, a = grad - grad.mean(), step
         for _ in range(70):
             y_new = y + a * d
-            val = float(y_new @ x - model.value(y_new))
-            if np.isfinite(val) and val >= g_val + 1e-4 * a * float(d @ d):
-                accepted = True
+            grad_new = x - np.asarray(model.gradient(y_new), dtype=float)
+            res_new = float(np.max(np.abs(grad_new)))
+            if res_new <= 0.5 * res:
+                val_new = None
+                break
+            if val is None:
+                val = float(y @ x - model.value(y))
+            val_new = float(y_new @ x - model.value(y_new))
+            if np.isfinite(val_new) and val_new >= val + 1e-4 * a * float(grad @ d):
                 break
             a *= 0.5
-        if not accepted:
-            y_ref = _newton_refine(model, x, y)
-            if y_ref is not None:
-                return y_ref, residual_at(y_ref), it
+        else:
             return y, res, it
-        y, g_val = y_new, val
-        step = min(a * 2.0, 1e6)
+        if not newton:
+            step = min(a * 2.0, 1e6)
+        y, grad, res, val = y_new, grad_new, res_new, val_new
         if float(np.max(np.abs(y))) > radius + 10.0:
-            break
-
-    return y, residual_at(y), max_iter
-
-
-def _newton_refine(model: WelfareModel, x: np.ndarray, y0: np.ndarray,
-                   max_iter: int = 30) -> Optional[np.ndarray]:
-    """Newton steps for q(y) = x on the zero-sum hyperplane.
-
-    The Hessian of w annihilates the all-ones vector, so the system is
-    bordered with it. Returns None when the refinement does not converge.
-    """
-    n = model.n
-    y = y0.copy()
-    e = np.ones(n)
-    for _ in range(max_iter):
-        q = np.asarray(model.gradient(y), dtype=float)
-        grad = x - q
-        if float(np.max(np.abs(grad))) <= GRAD_TOL:
-            return y
-        jac = finite_diff_jacobian(model.gradient, y, 1e-6)
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = 0.5 * (jac + jac.T)
-        bordered[:n, n] = e
-        bordered[n, :n] = e
-        rhs = np.concatenate([grad, [0.0]])
-        try:
-            sol = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        delta = sol[:n]
-        delta -= delta.mean()
-        if not np.all(np.isfinite(delta)):
-            return None
-        y = y + delta
-        if float(np.max(np.abs(delta))) > 1e6:
-            return None
-    q = np.asarray(model.gradient(y), dtype=float)
-    if float(np.max(np.abs(x - q))) <= GRAD_TOL:
-        return y
-    return None
+            return y, res, it + 1
+    return y, res, ASCENT_MAX_ITER
 
 
 def conjugate_V(model: WelfareModel, x) -> float:

@@ -16,11 +16,8 @@ separable V (`choice` set) needs one multiplier lam, with maximizer
 choice(lam - mu) at the lam of unit sum: in closed form where the
 regularizer has one (entropy), else by the batched bisection of
 `core.bisect_increasing`. The rest (CMM, MDM with a quantile-only
-marginal, user regularizers) is solved point by point: entropic mirror
-descent with Armijo backtracking keeps iterates strictly interior, which
-barrier-like regularizers require, projected gradient serves regularizers
-finite on the boundary, and a Newton polish on the identified active set
-sharpens the iterate to the KKT tolerance. Its Hessian of V is the
+marginal, quadratics with n > 15, user regularizers) is solved point by
+point by one damped active-set Newton ascent, whose Hessian of V is the
 central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
 the package's one finite-difference layer.
 """
@@ -33,9 +30,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_utility, bisect_increasing,
-                   finite_diff_jacobian, integrate_1d, normal_cdf, normal_pdf,
-                   normal_quantile, project_to_simplex)
+from .core import (NumericError, as_utility, bisect_increasing, bordered,
+                   finite_diff_jacobian, integrate_1d, newton_step, normal_cdf,
+                   normal_pdf, normal_quantile)
 from .welfare import WelfareModel, logsumexp
 
 ACTIVE_TOL = 1e-9
@@ -399,7 +396,11 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> float:
     """
     mu = np.asarray(mu, float)
     x = np.asarray(x, float)
-    g = mu - reg.gradient(np.maximum(x, 0.0))
+    return _kkt_residual(mu - reg.gradient(np.maximum(x, 0.0)), x)
+
+
+def _kkt_residual(g: np.ndarray, x: np.ndarray) -> float:
+    """The residual of `verify_kkt` from g = mu - grad V(x)."""
     active = x > ACTIVE_TOL
     if not np.any(active):
         return np.inf
@@ -411,151 +412,96 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> float:
     return res
 
 
-def _newton_polish(reg: Regularizer, mu: np.ndarray,
-                   x0: np.ndarray) -> Optional[np.ndarray]:
-    """Active-set Newton refinement of a near-optimal iterate.
+def _support_residual(g: np.ndarray, x: np.ndarray, support: np.ndarray) -> float:
+    """Stationarity of g = mu - grad V(x) on a support, and the unit-sum gap."""
+    return max(float(np.max(np.abs(g[support] - np.mean(g[support])))),
+               abs(float(np.sum(x)) - 1.0))
 
-    Returns a polished point with KKT residual <= SOLVER_TOL, or None when
-    the refinement fails (wrong active set, singular system, step collapse).
+
+def _iterative_solve(reg: Regularizer, mu: np.ndarray) -> SolveResult:
+    """Damped active-set Newton ascent of mu.x - V(x) from the barycentre.
+
+    Each step is `core.newton_step` on the support, with the Hessian of V
+    taken as the central-difference Jacobian of grad V, or the centred
+    gradient where that step is unusable. A barrier V keeps every
+    coordinate, and a step goes at most 0.9 of the way to the boundary; any
+    other V may step onto the boundary, and a coordinate that reaches 0
+    leaves the support. Backtracking accepts a step when the support
+    residual at least halves, or else by the Armijo test on the objective.
+    When a non-barrier V is stationary on its support, the outside
+    coordinate that most violates the KKT conditions joins it.
     """
-    n = reg.n
-    x = np.maximum(np.asarray(x0, float), 0.0)
-    x = x / x.sum()
-    if reg.boundary_barrier:
-        support = np.arange(n)
-        x = np.maximum(x, 1e-15)
-        x = x / x.sum()
-    else:
-        support = np.where(x > ACTIVE_TOL)[0]
-
-    for _round in range(n + 1):
-        ok = False
-        for _ in range(40):
-            k = support.size
-            grad = mu - reg.gradient(np.maximum(x, 1e-300))
-            lam = float(np.mean(grad[support]))
-            resid = np.concatenate([grad[support] - lam, [x.sum() - 1.0]])
-            if np.max(np.abs(resid)) <= 0.05 * SOLVER_TOL:
-                ok = True
-                break
-            # keep x_i +- h strictly inside (0, 1) for barrier regularizers
-            h = np.minimum(1e-7, 0.4 * x[support]) if reg.boundary_barrier else 1e-7
-            hess = finite_diff_jacobian(reg.gradient, x, h, columns=support)[support]
-            hess = 0.5 * (hess + hess.T)
-            jac = np.zeros((k + 1, k + 1))
-            jac[:k, :k] = -hess
-            jac[:k, k] = -1.0
-            jac[k, :k] = 1.0
-            try:
-                step = np.linalg.solve(jac, -resid)
-            except np.linalg.LinAlgError:
-                return None
-            direction = step[:k]
-            t = 1.0
-            neg = direction < 0
-            if np.any(neg):
-                frac = 0.9 if reg.boundary_barrier else 1.0
-                t = min(1.0, frac * float(np.min(-x[support][neg] / direction[neg])))
-            if t <= 1e-14:
-                return None
-            x_new = x.copy()
-            x_new[support] = x[support] + t * direction
-            if reg.boundary_barrier and np.any(x_new[support] <= 0.0):
-                return None
-            x_new[support] = np.maximum(x_new[support], 0.0)
-            x = x_new
-        if not ok:
-            return None
-        if np.any(x < -1e-12):
-            return None
-        full_res = verify_kkt(reg, mu, x)
-        if full_res <= SOLVER_TOL:
-            return x
-        if reg.boundary_barrier:
-            return None
-        # inactive condition violated: admit the worst violator and retry
-        grad = mu - reg.gradient(np.maximum(x, 0.0))
-        lam = float(np.mean(grad[support]))
-        outside = np.setdiff1d(np.arange(n), support)
-        if outside.size == 0:
-            return None
-        worst = outside[int(np.argmax(grad[outside] - lam))]
-        if grad[worst] - lam <= SOLVER_TOL:
-            return None
-        support = np.sort(np.append(support, worst))
-        x[worst] = max(x[worst], 1e-12)
-    return None
-
-
-def _iterative_solve(reg: Regularizer, mu: np.ndarray, mirror: bool) -> SolveResult:
-    n = reg.n
-    x = np.ones(n) / n
-    f = float(mu @ x - reg.value(x))
-    step = 1.0
-    polish_every = 25
+    barrier = reg.boundary_barrier
+    x = np.full(reg.n, 1.0 / reg.n)
+    support = np.ones(reg.n, dtype=bool)
+    g = mu - reg.gradient(x)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("regularizer gradient is not finite at the barycentre")
+    f = None  # objective at x, evaluated when a step needs the Armijo test
 
     for it in range(SOLVER_MAX_ITER):
-        res = verify_kkt(reg, mu, x)
-        if res <= SOLVER_TOL:
-            return SolveResult(x, f, res, it, True)
-        if res <= 1e-4 * max(1.0, float(np.max(np.abs(mu)))) or (it > 0 and it % polish_every == 0):
-            polished = _newton_polish(reg, mu, x)
-            if polished is not None:
-                fy = float(mu @ polished - reg.value(polished))
-                if fy >= f - 1e-10 * max(1.0, abs(f)):
-                    return SolveResult(polished, fy, verify_kkt(reg, mu, polished),
-                                       it, True)
-
-        g = mu - reg.gradient(np.maximum(x, 1e-300))
-        if not np.all(np.isfinite(g)):
-            raise NumericError("regularizer gradient is not finite at an iterate")
-        accepted = False
-        a = step
-        for _ in range(90):
-            if mirror:
-                z = x * np.exp(np.clip(a * (g - np.max(g)), -700.0, 0.0))
-                total = float(z.sum())
-                if total <= 0.0 or not np.isfinite(total):
-                    a *= 0.5
-                    continue
-                y = z / total
-            else:
-                y = project_to_simplex(x + a * g)
-            fy = float(mu @ y - reg.value(y))
-            gain = float(g @ (y - x))
-            if np.isfinite(fy) and (fy >= f + 1e-4 * gain
-                                    or fy >= f - 1e-14 * max(1.0, abs(f))):
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
+        if _kkt_residual(g, x) <= SOLVER_TOL:
             break
-        x = y
-        f = max(f, fy)
-        step = min(a * 2.0, 1e6)
+        s = np.flatnonzero(support)
+        lam = float(np.mean(g[s]))
+        res = _support_residual(g, x, s)
+        if not barrier and res <= SOLVER_TOL:
+            gap = np.where(support, -np.inf, g - lam)
+            worst = int(np.argmax(gap))
+            if gap[worst] > SOLVER_TOL:
+                support[worst] = True
+                continue
+        centred = g[s] - lam
+        # x_i +- h stays strictly inside (0, 1) for a barrier V
+        h = np.minimum(1e-7, 0.4 * x[s]) if barrier else 1e-7
+        hess = finite_diff_jacobian(reg.gradient, x, h, columns=s)[s]
+        d = newton_step(hess, centred, 1.0 - np.sum(x))
+        if d is None:
+            d = centred
+        # distance to the boundary along d, per coordinate that d shrinks
+        reach = np.where(d < 0.0, x[s] / np.maximum(-d, 1e-300), np.inf)
+        t = min(1.0, float(np.min(reach)) * (0.9 if barrier else 1.0))
+        if t <= 0.0:
+            break
+        for _ in range(60):
+            y = x.copy()
+            y[s] += t * d
+            y_support = support
+            if not barrier:
+                y[s[reach <= t]] = 0.0
+                y = np.maximum(y, 0.0)
+                y_support = support & (y > 0.0)
+            gy = mu - reg.gradient(y)
+            if np.all(np.isfinite(gy)):
+                if _support_residual(gy, y, np.flatnonzero(y_support)) <= 0.5 * res:
+                    fy = None
+                    break
+                if f is None:
+                    f = float(mu @ x - reg.value(x))
+                fy = float(mu @ y - reg.value(y))
+                if np.isfinite(fy) and (fy >= f + 1e-4 * t * float(centred @ d)
+                                        or fy >= f - 1e-14 * max(1.0, abs(f))):
+                    break
+            t *= 0.5
+        else:
+            break
+        x, g, f, support = y, gy, fy, y_support
     else:
         it = SOLVER_MAX_ITER
 
-    res = verify_kkt(reg, mu, x)
-    polished = _newton_polish(reg, mu, x)
-    if polished is not None:
-        fy = float(mu @ polished - reg.value(polished))
-        if fy >= f - 1e-10 * max(1.0, abs(f)):
-            x, f, res = polished, fy, verify_kkt(reg, mu, polished)
-    return SolveResult(x, f, res, it, res <= SOLVER_TOL)
+    res = _kkt_residual(g, x)
+    return SolveResult(x, float(mu @ x - reg.value(x)), res, it, res <= SOLVER_TOL)
 
 
 def _support_system(reg: Regularizer, support: tuple):
-    """Index arrays and bordered KKT matrix of one support, cached on `reg`."""
+    """Indices of the support and n (the unit-sum row), the outside indices
+    and the bordered KKT matrix of one support, cached on `reg`."""
     entry = reg._supports.get(support)
     if entry is None:
         s = np.asarray(support)
-        k = s.size
-        system = np.zeros((k + 1, k + 1))
-        system[:k, :k] = 2.0 * reg.quadratic_matrix[np.ix_(s, s)]
-        system[:k, k] = 1.0
-        system[k, :k] = 1.0
-        entry = reg._supports[support] = (s, np.setdiff1d(np.arange(reg.n), s), system)
+        system = bordered(2.0 * reg.quadratic_matrix[np.ix_(s, s)])
+        entry = reg._supports[support] = (np.append(s, reg.n),
+                                          np.setdiff1d(np.arange(reg.n), s), system)
     return entry
 
 
@@ -572,33 +518,40 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
     x = np.zeros((m, n))
     iterations = np.zeros(m, dtype=int)
     pending = np.arange(m)
+    # x depends only on utility differences: taking utilities relative to
+    # each point's largest keeps huge ones from cancelling in the solves (a
+    # support without the largest is optimal only within 4 max|A| of it);
+    # column n holds the right-hand side of the unit-sum row
+    shifted = np.ones((m, n + 1))
+    shifted[:, :n] = mu - mu.max(axis=1, keepdims=True)
     supports = itertools.chain.from_iterable(
         itertools.combinations(range(n), size) for size in range(n, 0, -1))
     for tried, support in enumerate(supports, start=1):
         if pending.size == 0:
             break
-        s, outside, system = _support_system(reg, support)
-        k = s.size
-        mu_p = mu[pending]
-        rhs = np.concatenate([mu_p[:, s], np.ones((pending.size, 1))], axis=1)
+        rows, outside, system = _support_system(reg, support)
+        s, k = rows[:-1], rows.size - 1
+        mu_p = shifted[pending]
         try:
-            sol = np.linalg.solve(system, rhs[..., None])[..., 0]
+            sol = np.linalg.solve(system, mu_p[:, rows, None])[..., 0]
         except np.linalg.LinAlgError:
             continue
         x_s, lam = sol[:, :k], sol[:, k]
-        ok = ~(np.min(x_s, axis=1) < -1e-12)
+        ok = ~(x_s.min(axis=1) < -1e-12)
         x_p = np.zeros((pending.size, n))
         x_p[:, s] = np.maximum(x_s, 0.0)
         if outside.size:
-            grad = mu_p - 2.0 * np.matmul(a_mat, x_p[..., None])[..., 0]
-            ok &= ~(np.max(grad[:, outside] - lam[:, None], axis=1) > 1e-10)
-        x[pending[ok]] = x_p[ok]
-        iterations[pending[ok]] = tried
+            grad = mu_p[:, :n] - 2.0 * np.matmul(a_mat, x_p[..., None])[..., 0]
+            ok &= ~((grad[:, outside] - lam[:, None]).max(axis=1) > 1e-10)
+        done = pending[ok]
+        x[done], iterations[done] = x_p[ok], tried
         pending = pending[~ok]
     converged = np.ones(m, dtype=bool)
-    # strictly convex problems always terminate above; fall back defensively
-    for i in pending:
-        res = _iterative_solve(reg, mu[i], mirror=False)
+    # strictly convex problems always terminate above, with a unit sum; the
+    # Newton ascent takes any point left without a support (x = 0) or whose
+    # solve lost the sum's digits
+    for i in (abs(x.sum(axis=1) - 1.0) > SOLVER_TOL).nonzero()[0]:
+        res = _iterative_solve(reg, mu[i])
         x[i], iterations[i], converged[i] = res.x_star, res.iterations, res.converged
     return x, iterations, converged
 
@@ -651,7 +604,7 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
         return _quadratic_argmax(reg, mu)
     if reg.choice is not None:
         return _separable_argmax(reg, mu)
-    results = [_iterative_solve(reg, row, mirror=reg.boundary_barrier) for row in mu]
+    results = [_iterative_solve(reg, row) for row in mu]
     return (np.array([r.x_star for r in results]).reshape(mu.shape),
             np.array([r.iterations for r in results], dtype=int),
             np.array([r.converged for r in results], dtype=bool))
@@ -677,8 +630,8 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     The path follows the regularizer's structure: for a quadratic V with
     n <= 15, active-set enumeration with each support's KKT matrix cached
     on the regularizer; for a separable V (`choice` set), the one multiplier,
-    in closed form or by bisection; otherwise mirror descent for a boundary barrier and
-    projected gradient for the rest, with a Newton polish, point by point.
+    in closed form or by bisection; otherwise a damped active-set Newton
+    ascent, point by point.
 
     A 1-D `mu` gives scalar fields. A batch of shape (..., n) is solved in
     one call and gives `x_star` of shape (..., n) and the other fields of

@@ -50,17 +50,16 @@ class PairClassification:
 
 
 def classify_pair(model: WelfareModel, mu, i: int, j: int,
-                  step: float = STEP,
                   dead_zone: float = DEAD_ZONE) -> PairClassification:
     """Classify the (i, j) relation at mu from the sign of dq_j/dmu_i.
 
-    A central difference at `step` estimates the cross effect; estimates
+    A central difference at STEP estimates the cross effect; estimates
     inside the dead zone are reported indeterminate rather than forced to a
     sign. The diagonal is complementary for every welfare-derived model, so
     i == j returns that label directly (with the estimate attached).
     """
     mu = as_utility(mu)
-    est = float(finite_diff_jacobian(model.gradient, mu, step, columns=[i])[j, 0])
+    est = float(finite_diff_jacobian(model.gradient, mu, STEP, columns=[i])[j, 0])
     if i == j:
         return PairClassification(i=i, j=j, estimate=est, label=COMPLEMENTARY)
     return PairClassification(i=i, j=j, estimate=est, label=_label(est, dead_zone))
@@ -77,7 +76,6 @@ class SubstitutionReport:
 
 
 def substitution_report(model: WelfareModel, mu,
-                        step: float = STEP,
                         dead_zone: float = DEAD_ZONE) -> SubstitutionReport:
     """All-pairs classification; flags whether estimates are symmetric.
 
@@ -86,7 +84,7 @@ def substitution_report(model: WelfareModel, mu,
     """
     mu = as_utility(mu)
     n = model.n
-    estimates = finite_diff_jacobian(model.gradient, mu, step).T
+    estimates = finite_diff_jacobian(model.gradient, mu, STEP).T
     labels = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
@@ -314,7 +312,6 @@ class SubstitutabilityReport:
 
 def substitutable_model_check(model: WelfareModel, samples: int = 1000,
                               box: float = 10.0, seed: int = 0,
-                              step: float = STEP,
                               dead_zone: float = DEAD_ZONE,
                               span_probes: int | None = None) -> SubstitutabilityReport:
     """Look for substitutability violations: a submodularity counterexample
@@ -353,7 +350,7 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
     tested = 0
     for mu in candidates:
         for i, j in pairs:
-            c = classify_pair(model, mu, i, j, step=step, dead_zone=dead_zone)
+            c = classify_pair(model, mu, i, j, dead_zone=dead_zone)
             tested += 1
             if c.label == COMPLEMENTARY:
                 witness = c

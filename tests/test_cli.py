@@ -74,6 +74,16 @@ class TestEval:
         q = [float(v) for v in rows[0][4:]]
         assert abs(q[0] - q[2]) <= 1e-9
 
+    def test_quadratic_at_a_huge_utility_picks_the_vertex(self, spec_file, tmp_path):
+        spec = spec_file({"kind": "ram_quadratic",
+                          "matrix": [[3.0, 2.0, 0.0],
+                                     [2.0, 3.0, 2.0],
+                                     [0.0, 2.0, 3.0]]})
+        out = str(tmp_path / "quad.csv")
+        assert main(["eval", "--spec", spec, "--mu", "0,1e17,0", "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert [float(v) for v in rows[0][4:]] == [0.0, 1.0, 0.0]
+
     def test_malformed_spec_exits_2_and_writes_nothing(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "mnl", "n": 3')

@@ -1,56 +1,27 @@
-"""Numeric foundation tests: projection, differences, quadrature, roots."""
+"""Numeric foundation tests: Newton steps, differences, quadrature, roots."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from welfarechoice import core
 from welfarechoice.welfare import mnl_welfare
 
 
-def brute_force_projection(v, resolution=2001):
-    """Oracle: dense grid minimization of the distance over the 1-simplex."""
-    t = np.linspace(0.0, 1.0, resolution)
-    candidates = np.stack([t, 1.0 - t], axis=1)
-    d = np.sum((candidates - np.asarray(v)[None, :]) ** 2, axis=1)
-    return candidates[np.argmin(d)]
+class TestNewtonStep:
+    def test_bordered_appends_the_sum_constraint(self):
+        np.testing.assert_array_equal(core.bordered(np.array([[2.0, 1.0], [1.0, 3.0]])),
+                                      [[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 0.0]])
 
+    def test_step_solves_the_bordered_system(self):
+        # 2 d_1 + nu = 1, 4 d_2 + nu = -1, d_1 + d_2 = 0
+        d = core.newton_step(np.diag([2.0, 4.0]), np.array([1.0, -1.0]))
+        np.testing.assert_allclose(d, [1.0 / 3.0, -1.0 / 3.0], atol=1e-15)
 
-class TestProjectToSimplex:
-    def test_already_on_simplex(self):
-        np.testing.assert_allclose(core.project_to_simplex([0.2, 0.8]),
-                                   [0.2, 0.8], atol=1e-12)
-
-    def test_outside_point_matches_grid_oracle(self):
-        got = core.project_to_simplex([2.0, 0.0])
-        oracle = brute_force_projection([2.0, 0.0])
-        np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(got, oracle, atol=1e-3)
-
-    def test_symmetric_point(self):
-        np.testing.assert_allclose(core.project_to_simplex([0.5, 0.5, 0.5]),
-                                   np.ones(3) / 3, atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            core.project_to_simplex([np.nan, 0.0])
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
-    @settings(max_examples=200, deadline=None)
-    def test_output_is_valid_probability(self, values):
-        x = core.project_to_simplex(values)
-        core.as_probability(x)
-
-    @given(st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_optimality_against_random_feasible_points(self, values):
-        v = np.asarray(values)
-        x = core.project_to_simplex(v)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            y = rng.dirichlet(np.ones(v.size))
-            assert np.sum((x - v) ** 2) <= np.sum((y - v) ** 2) + 1e-9
+    def test_unusable_steps_give_none(self):
+        assert core.newton_step(np.zeros((3, 3)), np.array([1.0, 0.0, -1.0])) is None
+        assert core.newton_step(np.full((2, 2), np.nan), np.array([1.0, -1.0])) is None
+        # a concave model gives a descent direction
+        assert core.newton_step(np.diag([-2.0, -4.0]), np.array([1.0, -1.0])) is None
 
 
 class TestFiniteDiffGradient:

@@ -5,7 +5,9 @@ crossing matrix W) as well as the utility point, at the tolerances of the
 acceptance criteria: q = grad w to 1e-5 relative (criterion 2) and entropy
 RAM = logit to 1e-6 (criterion 1). The separable RAM families are also
 drawn far from the origin, where their multiplier search must still meet
-the solver's KKT tolerance.
+the solver's KKT tolerance; CMM must meet it through its Newton ascent;
+and the conjugate of a welfare (V = w*) must give back V at interior
+points to 1e-4 (criterion 9).
 """
 
 import numpy as np
@@ -13,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from welfarechoice import core
-from welfarechoice.ram import (SOLVER_TOL, entropy_regularizer,
+from welfarechoice.duality import conjugate_V
+from welfarechoice.ram import (SOLVER_TOL, cmm_regularizer, entropy_regularizer,
                                log_barrier_regularizer, logistic_marginal,
-                               mdm_regularizer, mmm_regularizer, solve_ram,
+                               mdm_regularizer, mmm_regularizer,
+                               quadratic_regularizer, ram_welfare, solve_ram,
                                verify_kkt)
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
 from welfarechoice.welfare import (log_sum_welfare, logsumexp, mnl_welfare,
@@ -139,3 +143,50 @@ def test_separable_ram_meets_kkt_far_from_origin(problem):
     assert verify_kkt(reg, mu, result.x_star) <= SOLVER_TOL
     if eta is not None:
         assert np.max(np.abs(result.x_star - softmax(mu / eta))) <= 1e-12
+
+
+def positive_definite(n):
+    """B B' / n + I / 2 from a drawn n x n matrix B with entries in [-1, 1]."""
+    entries = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n * n, max_size=n * n)
+    return entries.map(lambda b: np.reshape(b, (n, n)) @ np.reshape(b, (n, n)).T / n
+                       + 0.5 * np.eye(n))
+
+
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.tuples(positive_definite(n), utilities(n))))
+@settings(max_examples=100, deadline=None)
+def test_cmm_newton_ascent_meets_kkt(case):
+    cov, mu = case
+    reg = cmm_regularizer(cov)
+    result = solve_ram(reg, mu)
+    assert result.converged
+    assert verify_kkt(reg, mu, result.x_star) <= SOLVER_TOL
+
+
+def interior_points(n):
+    """Points of the simplex with every coordinate at least 0.05."""
+    weights = st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n)
+    return weights.map(lambda w: 0.05 + (1.0 - 0.05 * n) * np.asarray(w) / np.sum(w))
+
+
+@st.composite
+def conjugate_cases(draw):
+    """(welfare model, interior x, V(x)) for quadratic and entropy RAM and for MNL."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    x = draw(interior_points(n))
+    family = draw(st.sampled_from(["quadratic", "entropy", "mnl"]))
+    if family == "quadratic":
+        reg = quadratic_regularizer(draw(positive_definite(n)))
+        return ram_welfare(reg), x, reg.value(x)
+    eta = draw(etas)
+    if family == "entropy":
+        reg = entropy_regularizer(eta, n)
+        return ram_welfare(reg), x, reg.value(x)
+    return mnl_welfare(eta, n), x, eta * float(np.sum(x * np.log(x)))
+
+
+@given(conjugate_cases())
+@settings(max_examples=100, deadline=None)
+def test_conjugate_of_welfare_is_the_regularizer(case):
+    model, x, expected = case
+    assert abs(conjugate_V(model, x) - expected) <= 1e-4

@@ -268,7 +268,7 @@ class TestSolveRAM:
             reg = quadratic_regularizer(b_mat @ b_mat.T + 0.5 * np.eye(3))
             mu = rng.uniform(-3, 3, 3)
             exact = solve_ram(reg, mu)
-            iterative = ram._iterative_solve(reg, mu, mirror=False)
+            iterative = ram._iterative_solve(reg, mu)
             assert exact.converged and iterative.converged
             np.testing.assert_allclose(exact.x_star, iterative.x_star, atol=1e-7)
 
@@ -294,7 +294,7 @@ class TestSolveRAM:
 
     def test_failed_line_search_reports_iterations_made(self):
         # V is infinite everywhere, so no trial step is ever accepted and
-        # mirror descent stops on its first iteration
+        # the Newton ascent stops on its first iteration
         reg = ram.Regularizer(n=3, value=lambda x: np.inf,
                               gradient=lambda x: np.zeros(3),
                               boundary_barrier=True, name="nowhere_finite")
@@ -341,7 +341,7 @@ class TestSolverPaths:
             assert self.REGULARIZERS[family]().choice is not None
         assert self.REGULARIZERS["quadratic"]().quadratic_matrix is not None
         assert cmm_regularizer(np.eye(3)).choice is None
-        # a marginal with a quantile only keeps MDM on mirror descent
+        # a marginal with a quantile only keeps MDM on the Newton ascent
         custom = custom_marginal(logistic_marginal(1.0).quantile, mean=0.0)
         reg = mdm_regularizer([custom, logistic_marginal(1.0)])
         assert reg.choice is None
@@ -420,6 +420,48 @@ class TestKnownFailurePoints:
         result = self.assert_solved(reg, [1.7402897, 1.26341422, -1.989046])
         assert time.perf_counter() - start < 1.0
         assert result.x_star[2] <= 1e-12
+
+
+class TestQuadraticPaths:
+    """The support table at huge utilities, and the Newton ascent past n = 15."""
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9, 1e12])
+    def test_huge_utilities_meet_kkt(self, scale):
+        # the support systems see utilities relative to the largest, so
+        # nothing cancels; before that, hundreds of these points came back
+        # marked converged with KKT residuals up to 2e-5
+        reg = quadratic_regularizer(COUPLING)
+        points = np.random.default_rng(31).uniform(-scale, scale, (2000, 3))
+        result = solve_ram(reg, points)
+        assert np.all(result.converged)
+        kkt = [verify_kkt(reg, mu, x) for mu, x in zip(points, result.x_star)]
+        assert max(kkt) <= SOLVER_TOL
+
+    def test_diagonal_sixteen_matches_water_filling(self):
+        rng = np.random.default_rng(32)
+        a = rng.uniform(0.5, 2.0, 16)
+        reg = quadratic_regularizer(np.diag(a))
+        for mu in rng.uniform(-3.0, 3.0, (5, 16)):
+            lo, hi = float(np.min(mu)) - 2.0 * float(np.max(a)), float(np.max(mu))
+            for _ in range(200):  # the total of max(0, (mu - lam) / 2a) falls in lam
+                lam = 0.5 * (lo + hi)
+                if np.sum(np.maximum(0.0, (mu - lam) / (2.0 * a))) > 1.0:
+                    lo = lam
+                else:
+                    hi = lam
+            expected = np.maximum(0.0, (mu - 0.5 * (lo + hi)) / (2.0 * a))
+            result = solve_ram(reg, mu)
+            assert result.converged
+            np.testing.assert_allclose(result.x_star, expected, atol=1e-9)
+
+    def test_dense_twenty_converges(self):
+        rng = np.random.default_rng(33)
+        b = rng.normal(size=(20, 20))
+        reg = quadratic_regularizer(b @ b.T / 20.0 + 0.5 * np.eye(20))
+        for mu in rng.uniform(-3.0, 3.0, (5, 20)):
+            result = solve_ram(reg, mu)
+            assert result.converged
+            assert verify_kkt(reg, mu, result.x_star) <= SOLVER_TOL
 
 
 class TestVerifyKKT:
