@@ -571,6 +571,10 @@ def _separable_argmax(reg: Regularizer, mu: np.ndarray):
     """
     m = mu.shape[0]
     steps = 0
+    # x depends only on utility differences: far from the origin, lam ~ |mu|
+    # would keep too few digits for the unit-sum test, so utilities are taken
+    # relative to each point's largest
+    mu = mu - mu.max(axis=-1, keepdims=True)
 
     def minus_total(lam):
         nonlocal steps

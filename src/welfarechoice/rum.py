@@ -5,6 +5,13 @@ sampling, the exact two-alternative noise construction that reproduces any
 welfare function from a single scalar random variable, and the
 alternating-sign test on mixed partial derivatives that separates
 welfare models with a random-utility representation from those without.
+
+The Monte Carlo reductions read draws laid out (n, size), one row per
+alternative (a sampler's draws through the view `eps.T`; the frozen panel
+is stored that way), and find the row maximum and the winners in one
+elementwise pass per alternative, since numpy reduces a short last axis one
+element at a time. The passes add and compare the same numbers as
+`np.max` and `np.argmax`, so the results are the same.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_utility, mc_partitions, normal_quantile, stream_rng
+from .core import (NumericError, as_utility, mc_partitions, normal_quantile,
+                   stream_rng)
 from .welfare import WelfareModel, _sign_violations, batch_gradient, pointwise
 
 THREADS_ENV = "WELFARECHOICE_THREADS"
@@ -29,9 +37,11 @@ _VALIDATION_GRID = 201
 class NoiseSampler:
     """Noise distribution for random-utility simulation.
 
-    `draw(rng, size)` returns a (size, n) array. All built-in families are
-    generated by inverse-CDF transforms of uniforms so a stream's draws are
-    fully determined by its generator state.
+    `draw(rng, size)` returns a (size, n) array, which the Monte Carlo code
+    reads column by column, as `eps.T`. All built-in families are
+    generated by inverse-CDF transforms of uniforms, applied in place to the
+    uniforms' array, so a stream's draws are fully determined by its
+    generator state.
     """
 
     n: int
@@ -46,7 +56,11 @@ def gumbel_sampler(eta: float, n: int) -> NoiseSampler:
 
     def draw(rng, size):
         u = rng.random((size, n))
-        return -eta * np.log(-np.log(u))
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        u *= -eta
+        return u
 
     return NoiseSampler(n=n, family=f"gumbel(eta={eta:g})", draw=draw)
 
@@ -57,7 +71,9 @@ def normal_sampler(sd: float, n: int) -> NoiseSampler:
         raise ValueError("sd must be positive")
 
     def draw(rng, size):
-        return sd * normal_quantile(rng.random((size, n)))
+        z = normal_quantile(rng.random((size, n)))
+        z *= sd
+        return z
 
     return NoiseSampler(n=n, family=f"normal(sd={sd:g})", draw=draw)
 
@@ -69,7 +85,12 @@ def logistic_sampler(scale: float, n: int) -> NoiseSampler:
 
     def draw(rng, size):
         u = rng.random((size, n))
-        return scale * (np.log(u) - np.log1p(-u))
+        upper = np.negative(u)
+        np.log1p(upper, out=upper)
+        np.log(u, out=u)
+        u -= upper
+        u *= scale
+        return u
 
     return NoiseSampler(n=n, family=f"logistic(scale={scale:g})", draw=draw)
 
@@ -110,6 +131,37 @@ def _run_partitions(worker, seed: int, samples: int) -> list:
         return list(pool.map(run_one, parts))
 
 
+def _sampler_utility(sampler: NoiseSampler, mu) -> np.ndarray:
+    """Validated utilities: finite, one per alternative the sampler draws."""
+    mu = as_utility(mu)
+    if mu.size != sampler.n:
+        raise ValueError(f"mu has {mu.size} entries, the sampler draws {sampler.n}")
+    return mu
+
+
+def _row_max(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """max_i(mu_i + cols[i]) for each draw, from draws `cols` of shape (n, size)."""
+    m = cols[0] + mu[0]
+    for i in range(1, mu.size):
+        np.maximum(m, cols[i] + mu[i], out=m)
+    return m
+
+
+def _winner_counts(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """How often each alternative attains the row maximum, ties to the lowest
+    index (as `np.argmax`), from draws `cols` of shape (n, size)."""
+    m = _row_max(mu, cols)
+    undecided = np.ones(m.shape, dtype=bool)
+    counts = np.zeros(mu.size, dtype=np.int64)
+    for i in range(mu.size):
+        won = (cols[i] + mu[i] == m) & undecided
+        counts[i] = np.count_nonzero(won)
+        undecided ^= won
+    if undecided.any():
+        raise NumericError("noise draws contain NaN: a draw has no largest alternative")
+    return counts
+
+
 @dataclass(frozen=True)
 class MCProbabilities:
     probs: np.ndarray
@@ -129,12 +181,10 @@ class MCWelfare:
 def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
                     seed: int) -> MCProbabilities:
     """Empirical argmax frequencies of mu + eps (ties to the lowest index)."""
-    mu = as_utility(mu)
+    mu = _sampler_utility(sampler, mu)
 
     def worker(rng, size):
-        eps = sampler.draw(rng, size)
-        winners = np.argmax(mu[None, :] + eps, axis=1)
-        return np.bincount(winners, minlength=sampler.n)
+        return _winner_counts(mu, sampler.draw(rng, size).T)
 
     counts = np.zeros(sampler.n, dtype=np.int64)
     for c in _run_partitions(worker, seed, samples):
@@ -146,11 +196,10 @@ def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
 
 def mc_welfare(sampler: NoiseSampler, mu, samples: int, seed: int) -> MCWelfare:
     """Sample mean of max_i(mu_i + eps_i) with its standard error."""
-    mu = as_utility(mu)
+    mu = _sampler_utility(sampler, mu)
 
     def worker(rng, size):
-        eps = sampler.draw(rng, size)
-        m = np.max(mu[None, :] + eps, axis=1)
+        m = _row_max(mu, sampler.draw(rng, size).T)
         return float(np.sum(m)), float(np.sum(m * m))
 
     total = 0.0
@@ -159,6 +208,8 @@ def mc_welfare(sampler: NoiseSampler, mu, samples: int, seed: int) -> MCWelfare:
         total += s
         total_sq += sq
     mean = total / samples
+    if np.isnan(mean):
+        raise NumericError("noise draws contain NaN: the mean maximum is undefined")
     var = max(total_sq / samples - mean * mean, 0.0)
     se = np.sqrt(var / samples)
     return MCWelfare(value=mean, std_error=se, samples=samples, seed=seed)
@@ -312,18 +363,21 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
     finite-difference stencils of the choice probabilities difference out
     the sampling noise instead of being swamped by it.
     """
-    draws = []
+    panel = np.empty((sampler.n, samples))  # one row of draws per alternative
     for idx, start, stop in mc_partitions(samples):
-        draws.append(sampler.draw(stream_rng(seed, idx), stop - start))
-    panel = np.concatenate(draws, axis=0)
+        panel[:, start:stop] = sampler.draw(stream_rng(seed, idx), stop - start).T
 
-    # one point at a time: broadcasting would build a (points, samples, n) array
+    # one point at a time: each pass is already one elementwise operation over
+    # the whole panel, and broadcasting would build a (points, samples) array
+    # per pass
     def value(mu):
-        return float(np.mean(np.max(np.asarray(mu, float)[None, :] + panel, axis=1)))
+        w = float(np.mean(_row_max(_sampler_utility(sampler, mu), panel)))
+        if np.isnan(w):
+            raise NumericError("noise draws contain NaN: the mean maximum is undefined")
+        return w
 
     def gradient(mu):
-        winners = np.argmax(np.asarray(mu, float)[None, :] + panel, axis=1)
-        return np.bincount(winners, minlength=sampler.n) / samples
+        return _winner_counts(_sampler_utility(sampler, mu), panel) / samples
 
     return WelfareModel(n=sampler.n, value=pointwise(value),
                         gradient=pointwise(gradient), name=f"mc[{sampler.family}]")

@@ -413,6 +413,17 @@ class TestKnownFailurePoints:
         x1, x2 = result.x_star
         assert abs((1.0 / x2 - 1.0 / x1) + 192.0) <= 1e-8
 
+    def test_log_barrier_far_from_origin(self):
+        # the multiplier search sees utilities relative to each point's
+        # largest; with lam ~ 1e8 it kept too few digits, and 157 of these
+        # points missed the unit sum. The KKT residual cannot fall below the
+        # rounding of |mu| itself, so it is bounded relative to |mu|.
+        reg = log_barrier_regularizer(3)
+        points = np.random.default_rng(0).uniform(-1e8, 1e8, (200, 3))
+        result = solve_ram(reg, points)
+        assert np.all(result.converged)
+        assert np.all(result.kkt_residual <= 1e-14 * np.max(np.abs(points), axis=1))
+
     def test_mdm_mixed_marginals(self):
         reg = mdm_regularizer([logistic_marginal(1.0), exponential_marginal(1.0),
                                normal_marginal(0.5)])

@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from welfarechoice.core import MC_CHUNK, NumericError, mc_partitions, stream_rng
 from welfarechoice.ram import (entropy_regularizer, exponential_marginal,
                                mdm_regularizer, mmm_regularizer, ram_welfare)
 from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV,
-                               binary_rum_from_welfare, degenerate_sampler,
+                               NoiseSampler, binary_rum_from_welfare, degenerate_sampler,
                                gumbel_sampler, logistic_sampler,
                                mc_choice_probs, mc_welfare, mc_welfare_model,
                                normal_sampler, rum_sign_test)
@@ -52,6 +53,116 @@ def iid_logistic_binary_welfare(nodes=200):
 
     return WelfareModel(n=2, value=value, gradient=gradient,
                         superlinear_bounds=None, name="iid_logistic_binary")
+
+
+def tie_sampler(n):
+    """Draws from {-inf, 0, 0.25, 1}: with utilities on the same grid, rows
+    tie exactly and some alternatives can never win; column 0 stays finite
+    so every row maximum is."""
+    levels = np.array([-np.inf, 0.0, 0.25, 1.0])
+
+    def draw(rng, size):
+        eps = levels[rng.integers(0, 4, (size, n))]
+        eps[:, 0] = np.maximum(eps[:, 0], 0.0)
+        return eps
+
+    return NoiseSampler(n=n, family="ties", draw=draw)
+
+
+def reference_mc(sampler, mu, samples, seed):
+    """Winner counts and the sums of m and m^2, m the row maximum, by
+    np.argmax and np.max over each partition's (size, n) draws."""
+    counts = np.zeros(sampler.n, dtype=np.int64)
+    total = total_sq = 0.0
+    for idx, start, stop in mc_partitions(samples):
+        rows = mu[None, :] + sampler.draw(stream_rng(seed, idx), stop - start)
+        counts += np.bincount(np.argmax(rows, axis=1), minlength=sampler.n)
+        m = np.max(rows, axis=1)
+        total += float(np.sum(m))
+        total_sq += float(np.sum(m * m))
+    return counts, total, total_sq
+
+
+SAMPLERS = {"gumbel": lambda n: gumbel_sampler(1.0, n), "ties": tie_sampler}
+
+
+class TestColumnKernels:
+    """The column-wise reductions against np.max / np.argmax, bit for bit."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("samples", [1000, 2 * MC_CHUNK + 17])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
+    def test_mc_runs_match_the_reference(self, monkeypatch, family, n, samples, threads):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        sampler = SAMPLERS[family](n)
+        mu = np.resize([0.25, 0.0, 0.25, -0.75], n)  # exact ties with the draws
+        counts, total, total_sq = reference_mc(sampler, mu, samples, seed=n)
+        probs = mc_choice_probs(sampler, mu, samples, seed=n)
+        welfare = mc_welfare(sampler, mu, samples, seed=n)
+        np.testing.assert_array_equal(probs.probs, counts / samples)
+        mean = total / samples
+        assert welfare.value == mean
+        assert welfare.std_error == np.sqrt(max(total_sq / samples - mean * mean, 0.0)
+                                            / samples)
+
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
+    def test_panel_matches_a_concatenated_panel(self, family):
+        sampler, samples = SAMPLERS[family](3), MC_CHUNK + 5
+        model = mc_welfare_model(sampler, samples, seed=9)
+        panel = np.concatenate([sampler.draw(stream_rng(9, idx), stop - start)
+                                for idx, start, stop in mc_partitions(samples)])
+        points = np.array([[0.25, 0.0, 0.25], [0.0, -1.0, 0.5], [1.0, 1.0, 1.0]])
+        for mu in points:
+            rows = mu[None, :] + panel
+            assert model.value(mu) == float(np.mean(np.max(rows, axis=1)))
+            np.testing.assert_array_equal(
+                model.gradient(mu),
+                np.bincount(np.argmax(rows, axis=1), minlength=3) / samples)
+
+
+BAD_POINTS = [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]]
+
+
+class TestMCValidation:
+    """A utility vector of the wrong length or with a non-finite entry, and
+    draws containing NaN, are refused by every Monte Carlo entry point,
+    never reduced to a number."""
+
+    @pytest.mark.parametrize("mu", BAD_POINTS)
+    def test_runs_refuse(self, mu):
+        sampler = gumbel_sampler(1.0, 3)
+        with pytest.raises(ValueError):
+            mc_welfare(sampler, mu, 1000, seed=1)
+        with pytest.raises(ValueError):
+            mc_choice_probs(sampler, mu, 1000, seed=1)
+
+    @pytest.mark.parametrize("mu", BAD_POINTS)
+    def test_panel_refuses(self, mu):
+        model = mc_welfare_model(gumbel_sampler(1.0, 3), 1000, seed=1)
+        with pytest.raises(ValueError):
+            model.value(np.asarray(mu))
+        with pytest.raises(ValueError):
+            model.gradient(np.asarray(mu))
+
+    def test_nan_draws_are_refused(self):
+        # a NaN draw has no largest alternative; np.argmax credited the first
+        # NaN and the welfare mean came back nan
+        def draw(rng, size):
+            eps = rng.standard_normal((size, 3))
+            eps[::10, 1] = np.nan
+            return eps
+
+        sampler = NoiseSampler(n=3, family="nan", draw=draw)
+        with pytest.raises(NumericError):
+            mc_choice_probs(sampler, np.zeros(3), 1000, seed=1)
+        with pytest.raises(NumericError):
+            mc_welfare(sampler, np.zeros(3), 1000, seed=1)
+        model = mc_welfare_model(sampler, 1000, seed=1)
+        with pytest.raises(NumericError):
+            model.value(np.zeros(3))
+        with pytest.raises(NumericError):
+            model.gradient(np.zeros(3))
 
 
 class TestMCChoiceProbs:
