@@ -38,10 +38,9 @@ from .substitution import (COMPLEMENTARY, INDETERMINATE, SUBSTITUTABLE,
                            utility_box_sampler)
 from .transforms import MixtureComponent, cross, mix, scale
 from .welfare import (AxiomReport, GEVGenerator, GeneratorInvalidError,
-                      GeneratorSignReport, check_generator_signs,
-                      WelfareModel, check_axioms, check_superlinear,
-                      estimate_superlinear_bounds, gev_welfare,
-                      log_sum_welfare, logsumexp, mnl_welfare, model_bounds,
-                      nested_logit_welfare, pointwise, softmax)
+                      WelfareModel, check_axioms, check_generator_signs,
+                      check_superlinear, estimate_superlinear_bounds,
+                      gev_welfare, log_sum_welfare, logsumexp, mnl_welfare,
+                      model_bounds, nested_logit_welfare, pointwise, softmax)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

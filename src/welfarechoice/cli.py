@@ -30,7 +30,6 @@ from .core import NumericError, as_probability, stream_rng
 from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
-from .ram import solve_ram
 from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
                   logistic_sampler, mc_choice_probs, mc_welfare,
                   normal_sampler, rum_sign_test)
@@ -102,10 +101,10 @@ def _csv(command: str, config: dict, header: Sequence[str],
     _emit(out, lines)
 
 
-def cmd_eval(args) -> int:
-    bundle = load_model(args.spec)
-    model = bundle.model
-    mus = [_parse_vector(t) for t in args.mu]
+def _welfare_table(model, texts: Sequence[str]):
+    """The --mu points, and the header and rows (mu, w, q) at them, from one
+    batch_value and one batch_gradient call."""
+    mus = [_parse_vector(t) for t in texts]
     if not mus:
         raise SpecError("--mu", "at least one utility vector is required")
     for mu in mus:
@@ -116,6 +115,12 @@ def cmd_eval(args) -> int:
     points = np.stack(mus)
     rows = [list(mu) + [w] + list(q) for mu, w, q in
             zip(points, batch_value(model, points), batch_gradient(model, points))]
+    return mus, header, rows
+
+
+def cmd_eval(args) -> int:
+    bundle = load_model(args.spec)
+    mus, header, rows = _welfare_table(bundle.model, args.mu)
     _csv("eval", {"spec": bundle.spec, "mu": [list(m) for m in mus]},
          header, rows, args.out)
     return EXIT_OK
@@ -245,17 +250,7 @@ def cmd_convert(args) -> int:
         if bundle.regularizer is None:
             raise SpecError("--direction",
                             "v-to-w requires a regularizer-backed (ram_*) spec")
-        mus = [_parse_vector(t) for t in args.mu]
-        if not mus:
-            raise SpecError("--mu", "at least one utility vector is required")
-        header = [f"mu_{i+1}" for i in range(model.n)] + ["w"] + \
-            [f"q_{i+1}" for i in range(model.n)]
-        rows = []
-        for mu in mus:
-            result = solve_ram(bundle.regularizer, mu)
-            if not result.converged:
-                raise NumericError(f"solver did not converge at mu={mu}")
-            rows.append(list(mu) + [result.w_value] + list(result.x_star))
+        _, header, rows = _welfare_table(model, args.mu)
         _csv("convert", {"direction": "v-to-w", "spec": bundle.spec},
              header, rows, args.out)
         return EXIT_OK

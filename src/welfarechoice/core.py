@@ -19,6 +19,7 @@ module that reads it.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from typing import Callable, Iterator, Sequence
 
@@ -67,6 +68,16 @@ def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return x
 
 
+def as_symmetric(matrix, what: str) -> np.ndarray:
+    """Validate and return a square matrix, symmetric to 1e-10; errors name it `what`."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what} must be square")
+    if np.max(np.abs(matrix - matrix.T)) > 1e-10:
+        raise ValueError(f"{what} must be symmetric")
+    return matrix
+
+
 def bordered(matrix: np.ndarray) -> np.ndarray:
     """The KKT matrix [[M, 1], [1', 0]] of a quadratic model under one sum constraint.
 
@@ -97,39 +108,41 @@ def newton_step(hess: np.ndarray, g: np.ndarray, gap: float = 0.0) -> np.ndarray
 def finite_diff_gradient(f: Callable[[np.ndarray], float],
                          mu: np.ndarray,
                          h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function at `mu`."""
+    """Central-difference gradient of a scalar function at `mu`, its
+    `finite_diff_jacobian`; a non-finite value of f raises NumericError."""
     mu = np.asarray(mu, dtype=float)
-    g = np.empty(mu.size)
-    for i in range(mu.size):
-        e = np.zeros(mu.size)
-        e[i] = h
-        hi, lo = f(mu + e), f(mu - e)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError(f"non-finite function value near coordinate {i}")
-        g[i] = (hi - lo) / (2.0 * h)
-    return g
+
+    def finite(point):
+        value = f(point)
+        if not math.isfinite(value):
+            raise NumericError("non-finite function value near coordinate "
+                               f"{int(np.argmax(point != mu))}")
+        return value
+
+    return finite_diff_jacobian(finite, mu, h)
 
 
 def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
                          x: np.ndarray,
                          h: float | Sequence[float],
                          columns: Sequence[int] | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector function, column by column.
+    """Central-difference Jacobian of a function, column by column.
 
     Column k is (F(x + h_k e_i) - F(x - h_k e_i)) / (2 h_k) with
     i = columns[k] (every coordinate when `columns` is None). `h` is one
-    step for all columns or a sequence with one step per column.
+    step for all columns or a sequence with one step per column. F maps a
+    1-D x to a scalar (the result is 1-D) or to a 1-D array.
     """
     x = np.asarray(x, dtype=float)
+    step = np.asarray(h, dtype=float)
     cols = range(x.size) if columns is None else columns
-    steps = itertools.repeat(h) if np.ndim(h) == 0 else h
-    jac = []
-    for i, step in zip(cols, steps):
+    hi, lo = [], []
+    for i, s in zip(cols, itertools.repeat(step) if step.ndim == 0 else step):
         e = np.zeros(x.size)
-        e[i] = step
-        jac.append((np.asarray(F(x + e), dtype=float)
-                    - np.asarray(F(x - e), dtype=float)) / (2.0 * step))
-    return np.stack(jac, axis=1)
+        e[i] = s
+        hi.append(F(x + e))
+        lo.append(F(x - e))
+    return np.subtract(hi, lo).T / (2.0 * step)
 
 
 def mixed_partial(f: Callable[[np.ndarray], float],
@@ -177,9 +190,8 @@ def _quad_panel(g, a: float, b: float, abs_tol: float, depth: int) -> float:
             + _quad_panel(g, mid, b, 0.5 * abs_tol, depth + 1))
 
 
-def integrate_1d(g: Callable[[float], float], a: float, b: float,
-                 abs_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of g over [a, b] with absolute error <= abs_tol.
+def integrate_1d(g: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive quadrature of g over [a, b] with absolute error <= 1e-10.
 
     Panels whose error estimate misses the tolerance are bisected
     recursively, which isolates integrable endpoint singularities.
@@ -188,7 +200,7 @@ def integrate_1d(g: Callable[[float], float], a: float, b: float,
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
-    return _quad_panel(g, a, b, abs_tol, depth=0)
+    return _quad_panel(g, a, b, 1e-10, depth=0)
 
 
 def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi,

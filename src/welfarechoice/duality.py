@@ -9,8 +9,9 @@ standing in only where a Newton step is unusable.
 welfare -> choice inversion: the same maximizer y* satisfies q(y*) = x, so
 the ascent doubles as the inverse choice map on the simplex interior.
 
-welfare -> discrete distribution family: each anchor point z yields an
-n-point noise distribution whose expected maximum equals w at z and never
+welfare -> discrete distribution family: for a model with analytic
+superlinear constants, each anchor point z yields an n-point noise
+distribution whose expected maximum equals w at z and never
 exceeds w elsewhere; the supremum over anchors is a certified lower bound
 on w that is exact on the anchor set.
 """
@@ -107,18 +108,26 @@ def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]
     return y, res, ASCENT_MAX_ITER
 
 
-def conjugate_V(model: WelfareModel, x) -> float:
-    """Convex conjugate V(x) = sup_y { y.x - w(y) } at an interior point."""
-    x = np.asarray(x, dtype=float)
+def _interior_ascent(model: WelfareModel, x: np.ndarray, what: str) -> np.ndarray:
+    """`_ascend` at an x of the model's dimension with entries >= INTERIOR_MIN,
+    held to RESIDUAL_TOL; `what` names x in the errors."""
     if x.size != model.n:
         raise ValueError("dimension mismatch")
     if np.min(x) < INTERIOR_MIN:
         raise ValueError(
-            f"x must be strictly interior (min entry >= {INTERIOR_MIN:g})")
+            f"{what} must be strictly interior (min entry >= {INTERIOR_MIN:g})")
     y, res, _ = _ascend(model, x)
     if res > RESIDUAL_TOL:
         raise ConvergenceError(
-            f"conjugate ascent stalled at gradient residual {res:.2e}", y, res)
+            f"ascent for {what} stalled at gradient residual {res:.2e} "
+            f"(tolerance {RESIDUAL_TOL:.0e})", y, res)
+    return y
+
+
+def conjugate_V(model: WelfareModel, x) -> float:
+    """Convex conjugate V(x) = sup_y { y.x - w(y) } at an interior point."""
+    x = np.asarray(x, dtype=float)
+    y = _interior_ascent(model, x, "x")
     return float(y @ x - model.value(y))
 
 
@@ -128,17 +137,7 @@ def invert_choice(model: WelfareModel, x_target) -> np.ndarray:
     Raises ConvergenceError carrying the best iterate when the gradient
     residual cannot be brought below RESIDUAL_TOL.
     """
-    x = np.asarray(x_target, dtype=float)
-    if x.size != model.n:
-        raise ValueError("dimension mismatch")
-    if np.min(x) < INTERIOR_MIN:
-        raise ValueError(
-            f"target must be strictly interior (min entry >= {INTERIOR_MIN:g})")
-    y, res, _ = _ascend(model, x)
-    if res > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"inversion residual {res:.2e} exceeds {RESIDUAL_TOL:.0e}", y, res)
-    return y
+    return _interior_ascent(model, np.asarray(x_target, dtype=float), "target")
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class AnchorDistribution:
     Atom i (probability weights[i]) places `offset` on coordinate i and
     `offset - penalty` elsewhere; t_star is the smallest positive weight.
     The expected maximum of mu + noise equals w(z) at mu = z and is bounded
-    above by w everywhere when the penalty is computed from valid
-    superlinear constants.
+    above by w everywhere, since the penalty is computed from the model's
+    analytic superlinear constants.
     """
 
     z: np.ndarray
@@ -157,7 +156,6 @@ class AnchorDistribution:
     offset: float
     penalty: float
     t_star: float
-    bounds_estimated: bool = False
 
     def expected_max(self, mu) -> float:
         mu = np.asarray(mu, dtype=float)
@@ -176,9 +174,13 @@ def anchor_family(model: WelfareModel,
     """Anchor distributions for each z: weights q(z), offset l(z), penalty M(z).
 
     M(z) = max{ 1 + max_{ij}(z_i - z_j), (l(z) - min_i b_i) / t*(z) } with
-    t*(z) the smallest positive weight.
+    t*(z) the smallest positive weight. Estimated constants certify no
+    bound, so a model without analytic `superlinear_bounds` is refused.
     """
-    b, estimated = model_bounds(model)
+    if model.superlinear_bounds is None:
+        raise ValueError(f"{model.name} has no analytic superlinear bounds, "
+                         "which anchor distributions need")
+    b = np.asarray(model.superlinear_bounds, dtype=float)
     out = []
     for z in anchors:
         z = as_utility(z)
@@ -191,8 +193,7 @@ def anchor_family(model: WelfareModel,
         spread = float(np.max(z) - np.min(z))
         penalty = max(1.0 + spread, (offset - float(np.min(b))) / t_star)
         out.append(AnchorDistribution(z=z, weights=q, offset=offset,
-                                      penalty=penalty, t_star=t_star,
-                                      bounds_estimated=estimated))
+                                      penalty=penalty, t_star=t_star))
     return out
 
 

@@ -30,9 +30,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_utility, bisect_increasing, bordered,
-                   finite_diff_jacobian, integrate_1d, newton_step, normal_cdf,
-                   normal_pdf, normal_quantile)
+from .core import (NumericError, as_symmetric, as_utility, bisect_increasing,
+                   bordered, finite_diff_jacobian, integrate_1d, newton_step,
+                   normal_cdf, normal_pdf, normal_quantile)
 from .welfare import WelfareModel, logsumexp
 
 ACTIVE_TOL = 1e-9
@@ -51,16 +51,13 @@ class Regularizer:
     """Convex regularizer V on the simplex with interior gradient.
 
     `boundary_barrier` marks gradients that blow up toward the boundary
-    (solver must stay interior). `vertex_values` holds V(e_i) for a
-    regularizer bounded above on the simplex, which makes the induced
-    welfare superlinear with constants b_i = -V(e_i); it is None otherwise.
-    `quadratic_matrix` holds A for V(x) = x' A x. `choice` is set for a
-    separable V = sum_i v_i(x_i): it maps t of shape (..., n) to the
-    coordinates x_i = (v_i')^{-1}(-t_i), clipped to [0, 1], so that the
-    maximizer is choice(lam - mu) for the one multiplier lam with unit sum;
-    such a regularizer's `gradient` broadcasts over (..., n) as well.
-    `multiplier` maps mu of shape (m, n) to that lam where it has a closed
-    form (entropy), which spares the search for it.
+    (solver must stay interior). `quadratic_matrix` holds A for
+    V(x) = x' A x. `choice` is set for a separable V = sum_i v_i(x_i): it
+    maps t of shape (..., n) to the coordinates x_i = (v_i')^{-1}(-t_i),
+    clipped to [0, 1], so that the maximizer is choice(lam - mu) for the one
+    multiplier lam with unit sum; such a regularizer's `gradient` broadcasts
+    over (..., n) as well. `multiplier` maps mu of shape (m, n) to that lam
+    where it has a closed form (entropy), which spares the search for it.
     """
 
     n: int
@@ -69,7 +66,6 @@ class Regularizer:
     boundary_barrier: bool
     strictly_convex: bool = True
     name: str = "regularizer"
-    vertex_values: Optional[np.ndarray] = None
     quadratic_matrix: Optional[np.ndarray] = None
     choice: Optional[Callable[[np.ndarray], np.ndarray]] = None
     multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -97,17 +93,13 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
 
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=True,
-                       name=f"entropy(eta={eta:g})", vertex_values=np.zeros(n),
-                       choice=choice, multiplier=multiplier)
+                       name=f"entropy(eta={eta:g})", choice=choice,
+                       multiplier=multiplier)
 
 
 def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
     """V(x) = x' A x for symmetric positive definite A."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if np.max(np.abs(A - A.T)) > 1e-10:
-        raise ValueError("A must be symmetric")
+    A = as_symmetric(A, "A")
     if np.min(np.linalg.eigvalsh(A)) <= 1e-10:
         raise ValueError("A must be positive definite")
     n = A.shape[0]
@@ -121,7 +113,7 @@ def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
 
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=False, name="quadratic",
-                       vertex_values=np.diag(A).copy(), quadratic_matrix=A.copy())
+                       quadratic_matrix=A.copy())
 
 
 def log_barrier_regularizer(n: int) -> Regularizer:
@@ -301,10 +293,9 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
         return np.stack([m.survival(t[..., i]) for i, m in enumerate(marginals)], axis=-1)
 
     barrier = not all(m.bounded for m in marginals)
-    vertex = -np.array([m.mean for m in marginals])
     separable = all(m.survival is not None for m in marginals)
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=barrier, name="mdm", vertex_values=vertex,
+                       boundary_barrier=barrier, name="mdm",
                        choice=choice if separable else None)
 
 
@@ -333,7 +324,7 @@ def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
 
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=strictly, strictly_convex=strictly,
-                       name="mmm", vertex_values=np.zeros(n), choice=choice)
+                       name="mmm", choice=choice)
 
 
 def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
@@ -346,11 +337,7 @@ def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
     G = Sigma^{1/2} M^{+/2} Sigma^{1/2}; it is valid along simplex tangent
     directions (the relative interior is the safe domain).
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be square")
-    if np.max(np.abs(cov - cov.T)) > 1e-10:
-        raise ValueError("covariance must be symmetric")
+    cov = as_symmetric(cov, "covariance")
     eigvals, eigvecs = np.linalg.eigh(cov)
     if np.min(eigvals) <= 1e-10:
         raise ValueError("covariance must be positive definite")
@@ -374,7 +361,7 @@ def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
         return -0.5 * (np.diag(g_mat) - 2.0 * (g_mat @ x))
 
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=True, name="cmm", vertex_values=np.zeros(n))
+                       boundary_barrier=True, name="cmm")
 
 
 @dataclass(frozen=True)
@@ -659,7 +646,9 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
 
     `value` and `gradient` solve their whole point set in one call, and share
     it: the last point set solved is kept, so asking for w and q at the same
-    points solves once.
+    points solves once. x = e_i gives w(mu) >= mu_i - V(e_i), so the
+    superlinear bounds are -V(e_i) when V is finite at every vertex, and
+    None otherwise (a barrier such as the log-barrier).
     """
     last = [None]  # (key, x) of the last point set, replaced whole
 
@@ -684,8 +673,7 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
         _, x = solve(mu)
         return x.reshape(np.shape(mu)).copy()
 
-    bounds = None
-    if reg.vertex_values is not None:
-        bounds = -np.asarray(reg.vertex_values, dtype=float)
+    vertices = np.array([reg.value(e) for e in np.eye(reg.n)], dtype=float)
+    bounds = -vertices if np.all(np.isfinite(vertices)) else None
     return WelfareModel(n=reg.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds, name=f"ram[{reg.name}]")

@@ -19,13 +19,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (NumericError, as_utility, mc_partitions, normal_quantile,
                    stream_rng)
-from .welfare import WelfareModel, _sign_violations, batch_gradient, pointwise
+from .welfare import (SignTestReport, WelfareModel, _sign_test, batch_gradient,
+                      pointwise)
 
 THREADS_ENV = "WELFARECHOICE_THREADS"
 XI_TOL = 1e-12
@@ -296,64 +297,13 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
                                  bracket=bracket, truncated=truncated)
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
-    order: int
-    passed: bool
-    worst_violation: float
-    witness_point: Optional[np.ndarray]
-    witness_indices: Optional[tuple]
-    tuples_tested: int
-
-
-@dataclass(frozen=True)
-class SignTestReport:
-    """Alternating-sign test on mixed partials: (-1)^k d^k w <= 0.
-
-    Order 2 requires cross partials <= 0 (substitutability); order 3
-    requires them >= 0. Violations carry the worst witness. Estimates use
-    nested central differences, so the tolerance scales with the local
-    welfare magnitude; orders above 3 are refused as numerically
-    meaningless in double precision.
-    """
-
-    max_order: int
-    verdicts: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def verdict(self, order: int) -> OrderVerdict:
-        for v in self.verdicts:
-            if v.order == order:
-                return v
-        raise KeyError(order)
-
-
 def rum_sign_test(model: WelfareModel, max_order: int,
                   points: Sequence) -> SignTestReport:
-    """Check (-1)^k * (mixed partial of order k) <= 0 for distinct indices."""
+    """Check (-1)^k * (mixed partial of order k) <= 0 for k = 2..max_order."""
     if max_order not in (2, 3):
         raise ValueError("max_order must be 2 or 3")
-    orders = range(2, max_order + 1)
-    worst = dict.fromkeys(orders, (-np.inf, None, None))
-    tested = dict.fromkeys(orders, 0)
-    for point, order, combo, _, violation in _sign_violations(
-            model.value, [as_utility(p) for p in points], orders):
-        tested[order] += 1
-        if violation > worst[order][0]:
-            worst[order] = (violation, point, combo)
-    verdicts = []
-    for order in orders:
-        violation, point, combo = worst[order]
-        passed = violation <= 0.0
-        verdicts.append(OrderVerdict(order=order, passed=passed,
-                                     worst_violation=float(violation),
-                                     witness_point=None if passed else point,
-                                     witness_indices=None if passed else combo,
-                                     tuples_tested=tested[order]))
-    return SignTestReport(max_order=max_order, verdicts=tuple(verdicts))
+    return _sign_test(model.value, [as_utility(p) for p in points],
+                      range(2, max_order + 1))
 
 
 def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareModel:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_utility, finite_diff_jacobian, stream_rng
+from .core import as_symmetric, as_utility, finite_diff_jacobian, stream_rng
 from .ram import Regularizer
 from .welfare import WelfareModel, batch_gradient
 
@@ -75,8 +75,7 @@ class SubstitutionReport:
     symmetric: bool
 
 
-def substitution_report(model: WelfareModel, mu,
-                        dead_zone: float = DEAD_ZONE) -> SubstitutionReport:
+def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     """All-pairs classification; flags whether estimates are symmetric.
 
     Entry (i, j) equals `classify_pair(model, mu, i, j)`; one Jacobian of
@@ -89,7 +88,7 @@ def substitution_report(model: WelfareModel, mu,
     for i in range(n):
         for j in range(n):
             labels[i, j] = (COMPLEMENTARY if i == j
-                            else _label(estimates[i, j], dead_zone))
+                            else _label(estimates[i, j], DEAD_ZONE))
     tol = SYMMETRY_REL_TOL * max(1.0, abs(model.value(mu)))
     symmetric = bool(np.max(np.abs(estimates - estimates.T)) <= tol)
     return SubstitutionReport(mu=mu, labels=labels, estimates=estimates,
@@ -104,8 +103,7 @@ class ScanRow:
 
 
 def scan_line(model: WelfareModel, mu_base, i: int, j: int,
-              lo: float, hi: float, steps: int,
-              dead_zone: float = DEAD_ZONE) -> list[ScanRow]:
+              lo: float, hi: float, steps: int) -> list[ScanRow]:
     """Evaluate q_j along mu_i in [lo, hi]; classify interior grid points.
 
     Classification uses the grid's own central differences; the two
@@ -119,7 +117,7 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     points[:, i] = grid
     q_vals = batch_gradient(model, points)[:, j]
     slopes = (q_vals[2:] - q_vals[:-2]) / (2.0 * (grid[1] - grid[0]))
-    labels = [INDETERMINATE, *(_label(s, dead_zone) for s in slopes), INDETERMINATE]
+    labels = [INDETERMINATE, *(_label(s, DEAD_ZONE) for s in slopes), INDETERMINATE]
     return [ScanRow(mu_i=float(t), q_j=q, label=label)
             for t, q, label in zip(grid, q_vals, labels)]
 
@@ -153,11 +151,7 @@ class QuadraticCriterionReport:
 
 
 def quadratic_criterion(A: Sequence[Sequence[float]]) -> QuadraticCriterionReport:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if np.max(np.abs(A - A.T)) > 1e-10:
-        raise ValueError("A must be symmetric")
+    A = as_symmetric(A, "A")
     n = A.shape[0]
     checks = []
     for i in range(n):
@@ -312,7 +306,6 @@ class SubstitutabilityReport:
 
 def substitutable_model_check(model: WelfareModel, samples: int = 1000,
                               box: float = 10.0, seed: int = 0,
-                              dead_zone: float = DEAD_ZONE,
                               span_probes: int | None = None) -> SubstitutabilityReport:
     """Look for substitutability violations: a submodularity counterexample
     for w, or a complementary off-diagonal pair at a sampled point.
@@ -350,7 +343,7 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
     tested = 0
     for mu in candidates:
         for i, j in pairs:
-            c = classify_pair(model, mu, i, j, dead_zone=dead_zone)
+            c = classify_pair(model, mu, i, j)
             tested += 1
             if c.label == COMPLEMENTARY:
                 witness = c

@@ -200,57 +200,81 @@ class GeneratorInvalidError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneratorSignReport:
-    """Alternating-sign check on generator partials, orders 1..max_order.
+class OrderVerdict:
+    order: int
+    passed: bool
+    worst_violation: float
+    witness_point: Optional[np.ndarray]
+    witness_indices: Optional[tuple]
+    tuples_tested: int
 
-    A generator with (-1)^k d^k H <= 0 for distinct indices defines an
-    extreme-value noise model; one that fails still defines a welfare
-    function, just without the random-utility interpretation. Orders above
-    3 are numerically unreliable with finite differences and are refused.
+
+@dataclass(frozen=True)
+class SignTestReport:
+    """Alternating-sign test on mixed partials: (-1)^k d^k f <= 0.
+
+    Order 2 requires cross partials <= 0 (substitutability); order 3
+    requires them >= 0. Each order's verdict carries its worst violation
+    and, when it fails, the witness. Estimates use nested central
+    differences, so the tolerance scales with the local magnitude of f;
+    orders above 3 are refused as numerically meaningless in double
+    precision.
     """
 
     max_order: int
-    passed: bool
-    worst_violation: float
-    witness: Optional[dict] = None
+    verdicts: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(v.passed for v in self.verdicts)
+
+    def verdict(self, order: int) -> OrderVerdict:
+        for v in self.verdicts:
+            if v.order == order:
+                return v
+        raise KeyError(order)
 
 
-def _sign_violations(f: Callable[[np.ndarray], float], points,
-                     orders: Sequence[int]):
-    """Alternating-sign violations of f, point by point.
-
-    Yields (point, order, indices, estimate, violation) for every tuple of
-    distinct indices of each order, in point -> order -> tuple order, where
-    violation = (-1)^k * (mixed partial of order k) - SIGN_REL_TOL *
-    max(1, |f(point)|); a positive violation breaks the sign condition.
-    """
+def _sign_test(f: Callable[[np.ndarray], float], points,
+               orders: Sequence[int]) -> SignTestReport:
+    """Per-order verdicts of f at `points`. A tuple of k distinct indices
+    violates the condition by (-1)^k * (mixed partial) - SIGN_REL_TOL *
+    max(1, |f(point)|) when that is positive; each order keeps its first
+    worst, in point -> order -> tuple order."""
+    worst = dict.fromkeys(orders, (-np.inf, None, None))
+    tested = dict.fromkeys(orders, 0)
     for point in points:
         tol = SIGN_REL_TOL * max(1.0, abs(f(point)))
         for order in orders:
             sign = (-1.0) ** order
             for combo in itertools.combinations(range(point.size), order):
-                est = mixed_partial(f, point, combo)
-                yield point, order, combo, est, sign * est - tol
+                violation = sign * mixed_partial(f, point, combo) - tol
+                tested[order] += 1
+                if violation > worst[order][0]:
+                    worst[order] = (violation, point, combo)
+    verdicts = []
+    for order in orders:
+        violation, point, combo = worst[order]
+        passed = violation <= 0.0
+        verdicts.append(OrderVerdict(order=order, passed=passed,
+                                     worst_violation=float(violation),
+                                     witness_point=None if passed else point,
+                                     witness_indices=None if passed else combo,
+                                     tuples_tested=tested[order]))
+    return SignTestReport(max_order=max(orders), verdicts=tuple(verdicts))
 
 
 def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
-                          max_order: int = 3, seed: int = 7) -> GeneratorSignReport:
-    """Advisory finite-difference test of the alternating-sign condition."""
+                          max_order: int = 3, seed: int = 7) -> SignTestReport:
+    """Advisory sign test of H, orders 1..max_order, at `samples` points of
+    [0.3, 2.5]^n. A generator that passes defines an extreme-value noise
+    model; one that fails still defines a welfare function, just without
+    the random-utility interpretation."""
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be in {1, 2, 3}")
     rng = stream_rng(seed)
-    points = (rng.uniform(0.3, 2.5, size=n) for _ in range(samples))
-    worst = -np.inf
-    witness = None
-    for y, order, combo, est, violation in _sign_violations(
-            gen.H, points, range(1, max_order + 1)):
-        if violation > worst:
-            worst = violation
-            witness = {"y": y, "indices": combo, "order": order, "estimate": est}
-    passed = worst <= 0.0
-    return GeneratorSignReport(max_order=max_order, passed=passed,
-                               worst_violation=float(worst),
-                               witness=None if passed else witness)
+    points = [rng.uniform(0.3, 2.5, size=n) for _ in range(samples)]
+    return _sign_test(gen.H, points, range(1, max_order + 1))
 
 
 def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:

@@ -23,6 +23,15 @@ BRAND_CROSS = {"kind": "transform_cross",
                "inner": {"kind": "mnl", "n": 4, "eta": 1.0}}
 MMM3 = {"kind": "ram_mmm", "sigma": [2.0, 2.0, 2.0]}
 ENTROPY3 = {"kind": "ram_entropy", "n": 3, "eta": 1.0}
+RAM_SPECS = [ENTROPY3,
+             {"kind": "ram_quadratic", "matrix": [[3, 2, 0], [2, 3, 2], [0, 2, 3]]},
+             {"kind": "ram_logbarrier", "n": 3},
+             {"kind": "ram_mdm", "marginals": [{"family": "logistic", "scale": 1.0},
+                                               {"family": "normal", "sd": 1.5},
+                                               {"family": "exponential", "rate": 2.0}]},
+             {"kind": "ram_mmm", "sigma": [2.0, 2.5, 2.0]},
+             {"kind": "ram_cmm", "covariance": [[9, 0.9, 0.9], [0.9, 9, 0.9],
+                                                [0.9, 0.9, 9]]}]
 
 
 @pytest.fixture
@@ -206,6 +215,33 @@ class TestConvert:
         _, _, rows_m = read_csv(out_m)
         for a, b in zip(rows_v[0][3:], rows_m[0][3:]):
             assert abs(float(a) - float(b)) <= 1e-6
+
+    @pytest.mark.parametrize("spec", RAM_SPECS, ids=lambda s: s["kind"])
+    def test_v_to_w_rows_equal_eval_rows(self, spec_file, tmp_path, spec):
+        points = ["--mu=0.4,-0.3,0.1", "--mu=2,0,-1", "--mu=-3.5,1.25,0"]
+        out_v = str(tmp_path / "v2w.csv")
+        out_e = str(tmp_path / "eval.csv")
+        path = spec_file(spec)
+        assert main(["convert", "--spec", path, "--direction", "v-to-w",
+                     *points, "--out", out_v]) == 0
+        assert main(["eval", "--spec", path, *points, "--out", out_e]) == 0
+        assert read_csv(out_v)[1:] == read_csv(out_e)[1:]
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "ram_logbarrier", "n": 3},
+        {"kind": "gev_custom", "eta": 1.0,
+         "exponents": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]},
+        {"kind": "transform_mix", "n": 3, "components": [
+            {"weight": 0.5, "indices": [1, 2], "inner": {"kind": "mnl", "n": 2, "eta": 1.0}},
+            {"weight": 0.5, "indices": [2, 3], "inner": {"kind": "mnl", "n": 2, "eta": 1.0}}]},
+    ], ids=["ram_logbarrier", "gev_custom", "transform_mix"])
+    def test_w_to_theta_without_analytic_bounds_exits_2(self, spec_file, tmp_path,
+                                                        capsys, spec):
+        out = tmp_path / "never.csv"
+        assert main(["convert", "--spec", spec_file(spec), "--direction", "w-to-theta",
+                     "--anchor", "0,0,0", "--out", str(out)]) == 2
+        assert "no analytic superlinear bounds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_w_to_theta_anchor_equality(self, spec_file, tmp_path):
         out = str(tmp_path / "theta.csv")

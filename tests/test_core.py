@@ -1,5 +1,7 @@
 """Numeric foundation tests: Newton steps, differences, quadrature, roots."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,26 @@ class TestFiniteDiffGradient:
     def test_non_finite_value_raises(self):
         with pytest.raises(core.NumericError):
             core.finite_diff_gradient(lambda m: np.inf, np.zeros(2))
+
+    @pytest.mark.parametrize("f, coordinate", [
+        (lambda m: np.inf, 0),
+        (lambda m: np.float64(-np.inf), 0),
+        (lambda m: np.nan, 0),
+        (lambda m: np.inf if m[1] > 0 else 0.0, 1),
+    ], ids=["inf", "minus-inf", "nan", "inf-beyond-coordinate-1"])
+    def test_non_finite_value_raises_without_a_warning(self, f, coordinate):
+        # a stencil that subtracted before checking would warn on inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(core.NumericError, match=f"coordinate {coordinate}$"):
+                core.finite_diff_gradient(f, np.zeros(3))
+
+    def test_is_the_jacobian_of_a_scalar_function(self):
+        f = mnl_welfare(1.0, 3).value
+        mu = np.array([0.3, -1.2, 2.0])
+        g = core.finite_diff_gradient(f, mu)
+        assert g.shape == (3,)
+        np.testing.assert_array_equal(g, core.finite_diff_jacobian(f, mu, 1e-6))
 
 
 def logit_jacobian(mu, eta):

@@ -8,9 +8,11 @@ import pytest
 from welfarechoice.duality import (anchor_family, conjugate_V,
                                    invert_choice, semiparametric_sup,
                                    simplex_grid, tabulated_welfare)
-from welfarechoice.ram import (entropy_regularizer, quadratic_regularizer,
-                               ram_welfare)
-from welfarechoice.welfare import log_sum_welfare, mnl_welfare
+from welfarechoice.ram import (entropy_regularizer, log_barrier_regularizer,
+                               quadratic_regularizer, ram_welfare)
+from welfarechoice.transforms import MixtureComponent, mix
+from welfarechoice.welfare import (estimate_superlinear_bounds, log_sum_welfare,
+                                   mnl_welfare)
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -129,6 +131,23 @@ class TestAnchorFamily:
                 w = model.value(mu)
                 for dist in family:
                     assert dist.expected_max(mu) <= w + 1e-9
+
+
+    @pytest.mark.parametrize("model", [
+        ram_welfare(log_barrier_regularizer(3)),
+        log_sum_welfare([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+        mix([MixtureComponent(mnl_welfare(1.0, 2), (0, 1), 0.5),
+             MixtureComponent(mnl_welfare(1.0, 2), (1, 2), 0.5)], 3),
+    ], ids=["log_barrier", "partial_rows", "partial_mix"])
+    def test_models_without_analytic_bounds_are_refused(self, model):
+        # no finite b_i exists for these, and the grid estimate is no bound
+        assert model.superlinear_bounds is None
+        estimate = estimate_superlinear_bounds(model)
+        assert model.value(np.array([200.0, 0.0, 0.0])) - 200.0 < estimate[0] - 1.0
+        with pytest.raises(ValueError, match="no analytic superlinear bounds"):
+            anchor_family(model, [np.zeros(3)])
+        with pytest.raises(ValueError, match="no analytic superlinear bounds"):
+            semiparametric_sup(model, [np.zeros(3)], np.zeros(3))
 
 
 class TestSemiparametricSup:

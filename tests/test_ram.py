@@ -15,7 +15,8 @@ from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError,
                                mmm_regularizer, normal_marginal,
                                quadratic_regularizer, ram_welfare, solve_ram,
                                uniform_marginal, verify_kkt)
-from welfarechoice.welfare import check_axioms, mnl_welfare, softmax
+from welfarechoice.welfare import (check_axioms, check_superlinear, mnl_welfare,
+                                   softmax)
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -73,7 +74,7 @@ class TestLogBarrierRegularizer:
         assert reg.value(np.array([1.0, 0.0])) == np.inf
         reg4 = log_barrier_regularizer(4)
         assert abs(reg4.value(np.ones(4) / 4) - 4 * math.log(4)) <= 1e-12
-        assert reg.vertex_values is None
+        assert ram_welfare(reg).superlinear_bounds is None
 
 
 class TestMDMRegularizer:
@@ -227,6 +228,32 @@ class TestCMMRegularizer:
     def test_non_pd_covariance_rejected(self):
         with pytest.raises(ValueError):
             cmm_regularizer(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+class TestSuperlinearBounds:
+    @pytest.mark.parametrize("reg, expected", [
+        (entropy_regularizer(1.5, 3), [0.0, 0.0, 0.0]),
+        (quadratic_regularizer(COUPLING), [-3.0, -3.0, -3.0]),
+        (mdm_regularizer([uniform_marginal(), exponential_marginal(2.0),
+                          logistic_marginal(1.0)]), [0.5, 0.5, 0.0]),
+        (mmm_regularizer([2.0, 2.5, 2.0]), [0.0, 0.0, 0.0]),
+        (cmm_regularizer([[9, 0.9, 0.9], [0.9, 9, 0.9], [0.9, 0.9, 9]]), [0.0, 0.0, 0.0]),
+    ], ids=["entropy", "quadratic", "mdm", "mmm", "cmm"])
+    def test_bounds_are_minus_the_vertex_values(self, reg, expected):
+        model = ram_welfare(reg)
+        np.testing.assert_array_equal(model.superlinear_bounds,
+                                      [-reg.value(e) for e in np.eye(3)])
+        np.testing.assert_allclose(model.superlinear_bounds, expected, atol=1e-15)
+        assert check_superlinear(model, model.superlinear_bounds, samples=50).passed
+
+    def test_custom_marginal_bound_is_its_integrated_mean(self):
+        reg = mdm_regularizer([custom_marginal(lambda t: t * t, mean=1.0 / 3.0, bounded=True),
+                               uniform_marginal()])
+        np.testing.assert_allclose(ram_welfare(reg).superlinear_bounds,
+                                   [1.0 / 3.0, 0.5], atol=1e-10)
+
+    def test_log_barrier_has_none(self):
+        assert ram_welfare(log_barrier_regularizer(3)).superlinear_bounds is None
 
 
 class TestSolveRAM:

@@ -162,11 +162,20 @@ class TestGEV:
             eta=1.0, H=lambda y: float(y[0] + y[1] + y[2] + np.sqrt(y[0] * y[1])))
         rep = check_generator_signs(shared, 3)
         assert not rep.passed
-        assert rep.witness["order"] == 2
-        assert rep.witness["indices"] == (0, 1)
+        assert rep.verdict(1).passed and rep.verdict(3).passed
+        assert rep.verdict(2).witness_indices == (0, 1)
         # construction still accepts it (only nonnegativity and homogeneity
         # are hard requirements)
         gev_welfare(shared, 3)
+
+    def test_sign_report_has_one_verdict_per_order(self):
+        power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        rep = check_generator_signs(power, 3, samples=10, max_order=2)
+        assert rep.max_order == 2
+        assert [v.order for v in rep.verdicts] == [1, 2]
+        # 10 points: 3 first-order and 3 second-order tuples each
+        assert [v.tuples_tested for v in rep.verdicts] == [30, 30]
+        assert all(v.passed and v.witness_point is None for v in rep.verdicts)
 
     def test_sign_report_refuses_high_orders(self):
         power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
