@@ -12,14 +12,14 @@ takes a batch of points. A quadratic V (n <= 15) has linear KKT systems:
 active sets are enumerated largest first, each support's bordered KKT
 matrix is built when a solve first reaches it and kept on the regularizer,
 and all points pending at a support are solved in one stacked call. A
-separable V (`choice` set) needs one multiplier lam, with maximizer
-choice(lam - mu) at the lam of unit sum: in closed form where the
-regularizer has one (entropy), else by the batched bisection of
-`core.bisect_increasing`. The rest (CMM, MDM with a quantile-only
-marginal, quadratics with n > 15, user regularizers) is solved point by
-point by one damped active-set Newton ascent, whose Hessian of V is the
-central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
-the package's one finite-difference layer.
+separable V (`choice` set: entropy, log-barrier, MMM and every MDM) needs
+one multiplier lam, with maximizer choice(lam - mu) at the lam of unit
+sum: in closed form where the regularizer has one (entropy), else by the
+batched bisection of `core.bisect_increasing`. The rest (CMM, quadratics
+with n > 15, user regularizers) is solved point by point by one damped
+active-set Newton ascent, whose Hessian of V is the central-difference
+Jacobian of grad V from `core.finite_diff_jacobian`, the package's one
+finite-difference layer.
 """
 
 from __future__ import annotations
@@ -139,58 +139,46 @@ def log_barrier_regularizer(n: int) -> Regularizer:
 
 @dataclass(frozen=True)
 class Marginal:
-    """Per-alternative noise marginal, described by its quantile function.
+    """Per-alternative noise marginal F, described by the three functions MDM reads.
 
-    `tail_integral` is x -> integral of the quantile over [1-x, 1]; families
-    with a closed form carry it, otherwise adaptive quadrature (with the
-    integration limits clipped away from the quantile singularities at 0
-    and 1) is used. `bounded` marks quantiles bounded on (0, 1).
-    `survival` is t -> 1 - F(t) and `upper_quantile` is x -> F^{-1}(1 - x),
-    both computed without forming 1 - F or 1 - x, which would drop the
-    digits of a small x; the built-in families carry them (the uniform
-    needs no upper quantile), and their functions broadcast over arrays.
+    `upper_quantile` is x -> F^{-1}(1 - x), `survival` is t -> 1 - F(t)
+    (both broadcast over arrays) and `tail_integral` is x -> the integral of
+    F^{-1} over [1 - x, 1]. The built-in families compute them without
+    forming 1 - F or 1 - x, which would drop the digits of a small x.
+    `bounded` marks quantiles bounded on (0, 1).
     """
 
     family: str
-    quantile: Callable[[float], float]
-    mean: float
-    tail_integral: Optional[Callable[[float], float]] = None
+    upper_quantile: Callable[[np.ndarray], np.ndarray]
+    survival: Callable[[np.ndarray], np.ndarray]
+    tail_integral: Callable[[float], float]
     bounded: bool = False
-    survival: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    upper_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def uniform_marginal() -> Marginal:
-    return Marginal(family="uniform", quantile=lambda t: t, mean=0.5,
-                    tail_integral=lambda x: x - 0.5 * x * x, bounded=True,
-                    survival=lambda t: np.clip(1.0 - np.asarray(t, float), 0.0, 1.0))
+    return Marginal(family="uniform", upper_quantile=lambda x: 1.0 - x,
+                    survival=lambda t: np.clip(1.0 - np.asarray(t, float), 0.0, 1.0),
+                    tail_integral=lambda x: x - 0.5 * x * x, bounded=True)
 
 
 def exponential_marginal(rate: float = 1.0) -> Marginal:
     if rate <= 0:
         raise ValueError("rate must be positive")
 
-    def q(t):
-        return -np.log1p(-min(t, 1.0 - _QUANTILE_CLIP)) / rate
-
     def tail(x):
         if x <= 0.0:
             return 0.0
         return (x - x * np.log(max(x, 1e-300))) / rate
 
-    return Marginal(family=f"exponential(rate={rate:g})", quantile=q,
-                    mean=1.0 / rate, tail_integral=tail,
+    return Marginal(family=f"exponential(rate={rate:g})",
+                    upper_quantile=lambda x: -np.log(np.maximum(x, _QUANTILE_CLIP)) / rate,
                     survival=lambda t: np.exp(-rate * np.maximum(t, 0.0)),
-                    upper_quantile=lambda x: -np.log(np.maximum(x, _QUANTILE_CLIP)) / rate)
+                    tail_integral=tail)
 
 
 def logistic_marginal(scale: float = 1.0) -> Marginal:
     if scale <= 0:
         raise ValueError("scale must be positive")
-
-    def q(t):
-        t = min(max(t, _QUANTILE_CLIP), 1.0 - _QUANTILE_CLIP)
-        return scale * np.log(t / (1.0 - t))
 
     def tail(x):
         x = min(max(x, 0.0), 1.0)
@@ -206,97 +194,97 @@ def logistic_marginal(scale: float = 1.0) -> Marginal:
         x = np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)
         return scale * (np.log1p(-x) - np.log(x))
 
-    return Marginal(family=f"logistic(scale={scale:g})", quantile=q,
-                    mean=0.0, tail_integral=tail, survival=survival,
-                    upper_quantile=upper_q)
+    return Marginal(family=f"logistic(scale={scale:g})", upper_quantile=upper_q,
+                    survival=survival, tail_integral=tail)
 
 
 def normal_marginal(sd: float = 1.0) -> Marginal:
     if sd <= 0:
         raise ValueError("sd must be positive")
 
-    def q(t):
-        t = min(max(t, _QUANTILE_CLIP), 1.0 - _QUANTILE_CLIP)
-        return sd * float(normal_quantile(t))
-
     def tail(x):
         x = min(max(x, 0.0), 1.0)
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 0.0  # full integral equals the (zero) mean
+        if x <= 0.0 or x >= 1.0:
+            return 0.0  # at x = 1 the full integral, the (zero) mean
         return sd * float(normal_pdf(normal_quantile(1.0 - x)))
 
-    return Marginal(family=f"normal(sd={sd:g})", quantile=q,
-                    mean=0.0, tail_integral=tail,
-                    survival=lambda t: normal_cdf(-np.asarray(t, float) / sd),
+    return Marginal(family=f"normal(sd={sd:g})",
                     upper_quantile=lambda x: -sd * normal_quantile(
-                        np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)))
+                        np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)),
+                    survival=lambda t: normal_cdf(-np.asarray(t, float) / sd),
+                    tail_integral=tail)
 
 
-def custom_marginal(quantile: Callable[[float], float],
-                    mean: Optional[float] = None,
+def custom_marginal(quantile: Callable[[np.ndarray], np.ndarray],
                     bounded: bool = False) -> Marginal:
-    """Marginal from a raw quantile; the mean is integrated when not given."""
-    if mean is None:
-        mean = integrate_1d(quantile, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)
-    return Marginal(family="custom", quantile=quantile, mean=float(mean),
-                    bounded=bounded)
+    """Marginal from a nondecreasing quantile F^{-1} that broadcasts over arrays.
 
+    The tail integral is quadrature of the quantile between clipped limits.
+    The survival function solves F^{-1}(1 - x) = t by bisection in the
+    log-odds s of x = 1 / (1 + e^-s) from clip to 1 - clip, which resolves
+    x and 1 - x to relative precision; t is first clipped to the values there.
+    """
+    ends = np.array([-1.0, 1.0]) * (np.log1p(-_QUANTILE_CLIP) - np.log(_QUANTILE_CLIP))
 
-def _validate_monotone_quantile(m: Marginal) -> None:
-    grid = np.linspace(0.01, 0.99, 33)
-    vals = np.array([m.quantile(t) for t in grid])
-    if np.any(np.diff(vals) < -1e-10):
-        raise ValueError(f"quantile of {m.family} marginal is decreasing on a grid")
+    def upper_quantile(x):
+        return quantile(1.0 - x)
 
+    def tail(x):
+        lo, hi = max(1.0 - x, _QUANTILE_CLIP), 1.0 - _QUANTILE_CLIP
+        return integrate_1d(quantile, lo, hi) if lo < hi else 0.0
 
-def _marginal_tail(m: Marginal, x: float) -> float:
-    if m.tail_integral is not None:
-        return float(m.tail_integral(x))
-    lo = max(1.0 - x, _QUANTILE_CLIP)
-    hi = 1.0 - _QUANTILE_CLIP
-    if lo >= hi:
-        return 0.0
-    return integrate_1d(m.quantile, lo, hi)
+    def upper_at(s):  # the upper quantile at log-odds s
+        return upper_quantile(1.0 / (1.0 + np.exp(-s)))
+
+    def survival(t):
+        top, bottom = upper_at(ends)
+        s = bisect_increasing(lambda s: -upper_at(s), -np.clip(t, bottom, top), *ends)
+        return 1.0 / (1.0 + np.exp(-s))
+
+    return Marginal(family="custom", upper_quantile=upper_quantile, survival=survival,
+                    tail_integral=tail, bounded=bounded)
 
 
 def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
-    """V(x) = -sum_i integral_{1-x_i}^{1} Finv_i(t) dt.
+    """V(x) = -sum_i integral_{1-x_i}^{1} Finv_i(t) dt, separable for any marginals.
 
-    The gradient is -Finv_i(1 - x_i), from each marginal's upper quantile
-    where it has one; marginals with quantiles unbounded
-    near 0 or 1 act as boundary barriers. When every marginal carries its
-    survival function, the choice map is x_i = 1 - F_i(t_i).
+    The gradient is -Finv_i(1 - x_i) and the choice map x_i = 1 - F_i(t_i).
+    Marginals with quantiles unbounded near 0 or 1 act as boundary
+    barriers. Each upper quantile must broadcast and not increase, and each
+    mean, -V(e_i) = tail_integral(1), must be finite.
     """
     marginals = list(marginals)
     n = len(marginals)
     if n < 2:
         raise ValueError("need at least two marginals")
+    grid = np.linspace(0.01, 0.99, 33)
     for m in marginals:
-        _validate_monotone_quantile(m)
-        if not np.isfinite(m.mean):
+        try:
+            upper = np.asarray(m.upper_quantile(grid), dtype=float).reshape(grid.shape)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"quantile of {m.family} marginal does not broadcast "
+                             f"over arrays: {exc}") from exc
+        if np.any(np.diff(upper) > 1e-10):
+            raise ValueError(f"quantile of {m.family} marginal is decreasing on a grid")
+        if not np.isfinite(m.tail_integral(1.0)):
             raise ValueError(f"{m.family} marginal must have a finite mean")
 
     def value(x):
         x = np.asarray(x, float)
-        return -float(sum(_marginal_tail(m, xi) for m, xi in zip(marginals, x)))
-
-    upper = [m.upper_quantile or (lambda x, q=m.quantile: q(1.0 - x)) for m in marginals]
+        return -float(sum(m.tail_integral(xi) for m, xi in zip(marginals, x)))
 
     def gradient(x):
         x = np.asarray(x, float)
-        return -np.stack([uq(x[..., i]) for i, uq in enumerate(upper)], axis=-1)
+        return -np.stack([m.upper_quantile(x[..., i]) for i, m in enumerate(marginals)],
+                         axis=-1)
 
     def choice(t):
         t = np.asarray(t, float)
         return np.stack([m.survival(t[..., i]) for i, m in enumerate(marginals)], axis=-1)
 
-    barrier = not all(m.bounded for m in marginals)
-    separable = all(m.survival is not None for m in marginals)
     return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=barrier, name="mdm",
-                       choice=choice if separable else None)
+                       boundary_barrier=not all(m.bounded for m in marginals),
+                       name="mdm", choice=choice)
 
 
 def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
@@ -595,6 +583,7 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
         return _quadratic_argmax(reg, mu)
     if reg.choice is not None:
         return _separable_argmax(reg, mu)
+    # the rest: CMM, quadratics with n > 15 and user regularizers
     results = [_iterative_solve(reg, row) for row in mu]
     return (np.array([r.x_star for r in results]).reshape(mu.shape),
             np.array([r.iterations for r in results], dtype=int),
@@ -620,9 +609,10 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
 
     The path follows the regularizer's structure: for a quadratic V with
     n <= 15, active-set enumeration with each support's KKT matrix cached
-    on the regularizer; for a separable V (`choice` set), the one multiplier,
-    in closed form or by bisection; otherwise a damped active-set Newton
-    ascent, point by point.
+    on the regularizer; for a separable V (`choice` set: entropy,
+    log-barrier, MMM and every MDM), the one multiplier, in closed form or
+    by bisection; otherwise (CMM, quadratics with n > 15, user
+    regularizers) a damped active-set Newton ascent, point by point.
 
     A 1-D `mu` gives scalar fields. A batch of shape (..., n) is solved in
     one call and gives `x_star` of shape (..., n) and the other fields of

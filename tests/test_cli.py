@@ -193,6 +193,21 @@ class TestVerify:
         assert main(["verify", "--spec", spec, "--suite", "superlinear",
                      "--samples", "10"]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "ram_logbarrier", "n": 3},
+        {"kind": "gev_custom", "eta": 1.0,
+         "exponents": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]},
+        {"kind": "transform_mix", "n": 3, "components": [
+            {"weight": 0.5, "indices": [1, 2], "inner": {"kind": "mnl", "n": 2, "eta": 1.0}},
+            {"weight": 0.5, "indices": [2, 3], "inner": {"kind": "mnl", "n": 2, "eta": 1.0}}]},
+    ], ids=["ram_logbarrier", "gev_custom", "transform_mix"])
+    def test_superlinear_without_analytic_bounds_exits_2(self, spec_file, capsys, spec):
+        # estimated constants are no bound: w(200 e_1) - 200 = -12.6 for the
+        # log-barrier, below its grid estimate of -9.43
+        assert main(["verify", "--spec", spec_file(spec), "--suite", "superlinear",
+                     "--samples", "50"]) == 2
+        assert "no analytic superlinear bounds" in capsys.readouterr().err
+
 
 class TestConvert:
     def test_w_to_v_negative_entropy(self, spec_file, tmp_path):

@@ -12,7 +12,7 @@ from welfarechoice.rum import (binary_rum_from_welfare, gumbel_sampler,
                                mc_welfare_model)
 from welfarechoice.substitution import scan_line
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
-from welfarechoice.welfare import (GEVGenerator, WelfareModel,
+from welfarechoice.welfare import (GEVGenerator, WelfareModel, check_superlinear,
                                    estimate_superlinear_bounds, gev_welfare,
                                    log_sum_welfare, mnl_welfare,
                                    nested_logit_welfare, pointwise)
@@ -81,7 +81,9 @@ PER_POINT = WelfareModel(n=2, value=lambda mu: float(np.max(mu)),
     lambda: binary_rum_from_welfare(PER_POINT),
     lambda: scan_line(PER_POINT, np.zeros(2), i=0, j=1, lo=-1.0, hi=1.0, steps=5),
     lambda: estimate_superlinear_bounds(PER_POINT),
-], ids=["binary_rum_from_welfare", "scan_line", "estimate_superlinear_bounds"])
+    lambda: check_superlinear(PER_POINT, np.zeros(2)),
+], ids=["binary_rum_from_welfare", "scan_line", "estimate_superlinear_bounds",
+        "check_superlinear"])
 def test_non_broadcasting_model_gets_the_contract_error(call):
     with pytest.raises(ValueError, match="pointwise"):
         call()

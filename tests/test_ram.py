@@ -95,11 +95,11 @@ class TestMDMRegularizer:
         # computed by adaptive quadrature and must agree with the analytics
         pairs = [
             (logistic_marginal(1.0),
-             custom_marginal(logistic_marginal(1.0).quantile, mean=0.0)),
+             custom_marginal(lambda t: np.log(t / (1.0 - t)))),
             (normal_marginal(0.8),
-             custom_marginal(normal_marginal(0.8).quantile, mean=0.0)),
+             custom_marginal(lambda t: 0.8 * core.normal_quantile(t))),
             (exponential_marginal(2.0),
-             custom_marginal(exponential_marginal(2.0).quantile, mean=0.5)),
+             custom_marginal(lambda t: -np.log1p(-t) / 2.0)),
         ]
         rng = np.random.default_rng(2)
         for closed, quad in pairs:
@@ -140,6 +140,49 @@ class TestMDMRegularizer:
         assert abs(result.x_star[0] - 1.0 / (1.0 + math.exp(-0.5))) <= 1e-6
         mnl_prob = float(softmax(mu)[0])
         assert abs(result.x_star[0] - mnl_prob) > 0.05
+
+
+class TestCustomMarginals:
+    """A marginal given by its quantile only takes the one-multiplier path."""
+
+    TWINS = {  # (custom, built-in) pairs of three marginals per family
+        "logistic": [(custom_marginal(lambda t, s=s: s * np.log(t / (1.0 - t))),
+                      logistic_marginal(s)) for s in (1.0, 0.7, 1.5)],
+        "normal": [(custom_marginal(lambda t, sd=sd: sd * core.normal_quantile(t)),
+                    normal_marginal(sd)) for sd in (0.8, 1.0, 1.3)],
+        "exponential": [(custom_marginal(lambda t, r=r: -np.log1p(-t) / r),
+                         exponential_marginal(r)) for r in (1.0, 2.0, 0.5)],
+        "uniform": [(custom_marginal(lambda t: t, bounded=True), uniform_marginal())] * 3,
+    }
+
+    @pytest.mark.parametrize("box, atol", [(3.0, 1e-11), (30.0, 1e-8)])
+    @pytest.mark.parametrize("family", sorted(TWINS))
+    def test_custom_twin_matches_the_built_in(self, family, box, atol):
+        customs, built_ins = zip(*self.TWINS[family])
+        points = np.random.default_rng(21).uniform(-box, box, (40, 3))
+        result = solve_ram(mdm_regularizer(customs), points)
+        assert np.all(result.converged)
+        np.testing.assert_allclose(result.x_star,
+                                   solve_ram(mdm_regularizer(built_ins), points).x_star,
+                                   rtol=0.0, atol=atol)
+
+    def test_custom_next_to_built_in_points_converge(self):
+        # the Newton ascent left all four unconverged, at KKT residuals 0.35-1.4
+        reg = mdm_regularizer([custom_marginal(lambda t: 0.8 * core.normal_quantile(t)),
+                               custom_marginal(lambda t: -np.log1p(-t) / 2.0),
+                               uniform_marginal()])
+        for mu in np.random.default_rng(0).uniform(-5.0, 5.0, (4, 3)):
+            start = time.perf_counter()
+            result = solve_ram(reg, mu)
+            assert time.perf_counter() - start < 1.0
+            assert result.converged and result.kkt_residual <= SOLVER_TOL
+
+    @pytest.mark.parametrize("quantile", [lambda t: math.log(t / (1.0 - t)),
+                                          lambda t: float(np.mean(t))],
+                             ids=["raises", "returns_a_scalar"])
+    def test_scalar_only_quantile_is_refused_when_built(self, quantile):
+        with pytest.raises(ValueError, match="does not broadcast"):
+            mdm_regularizer([custom_marginal(quantile), logistic_marginal(1.0)])
 
 
 class TestMMMRegularizer:
@@ -247,7 +290,7 @@ class TestSuperlinearBounds:
         assert check_superlinear(model, model.superlinear_bounds, samples=50).passed
 
     def test_custom_marginal_bound_is_its_integrated_mean(self):
-        reg = mdm_regularizer([custom_marginal(lambda t: t * t, mean=1.0 / 3.0, bounded=True),
+        reg = mdm_regularizer([custom_marginal(lambda t: t * t, bounded=True),
                                uniform_marginal()])
         np.testing.assert_allclose(ram_welfare(reg).superlinear_bounds,
                                    [1.0 / 3.0, 0.5], atol=1e-10)
@@ -368,10 +411,10 @@ class TestSolverPaths:
             assert self.REGULARIZERS[family]().choice is not None
         assert self.REGULARIZERS["quadratic"]().quadratic_matrix is not None
         assert cmm_regularizer(np.eye(3)).choice is None
-        # a marginal with a quantile only keeps MDM on the Newton ascent
-        custom = custom_marginal(logistic_marginal(1.0).quantile, mean=0.0)
+        # a marginal given by its quantile only is separable too
+        custom = custom_marginal(lambda t: np.log(t / (1.0 - t)))
         reg = mdm_regularizer([custom, logistic_marginal(1.0)])
-        assert reg.choice is None
+        assert reg.choice is not None
         result = solve_ram(reg, np.array([0.5, -0.2]))
         assert result.converged and result.kkt_residual <= SOLVER_TOL
 

@@ -345,7 +345,7 @@ class TestSuperlinear:
     def test_average_model_fails_with_witness(self):
         avg = WelfareModel(
             n=3,
-            value=lambda mu: float(np.mean(mu)),
+            value=lambda mu: np.mean(mu, axis=-1),
             gradient=lambda mu: np.ones(3) / 3,
             name="average")
         # at mu = (3, 0, 0): w = 1 < 3
