@@ -9,7 +9,11 @@ explicit seed.
 This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
 solvers, cross effects, sign tests) goes through `finite_diff_gradient`,
-`finite_diff_jacobian` or `mixed_partial`.
+`finite_diff_jacobian` or `mixed_partial`. A stencil is one call: its 2k
+or 2^k points are stacked into one (points, n) array, so the function
+differenced must broadcast over (..., n), as a `WelfareModel` does. A
+per-point function is lifted with `welfarechoice.pointwise`; one that is
+not gets a ValueError naming it, never a result of the wrong shape.
 
 Steps and tolerances are fixed numbers: the primitives here take them as
 literal defaults, and each tolerance used elsewhere is a constant of the
@@ -19,7 +23,6 @@ module that reads it.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from typing import Callable, Iterator, Sequence
 
@@ -83,76 +86,114 @@ def bordered(matrix: np.ndarray) -> np.ndarray:
 
     Newton steps on the simplex (unit sum) and on the zero-sum hyperplane
     solve against it, as does each support of the quadratic RAM solver.
+    A stack of matrices (..., k, k) gives a stack of systems.
     """
-    k = matrix.shape[0]
-    system = np.ones((k + 1, k + 1))
-    system[:k, :k] = matrix
-    system[k, k] = 0.0
+    k = matrix.shape[-1]
+    system = np.ones(matrix.shape[:-2] + (k + 1, k + 1))
+    system[..., :k, :k] = matrix
+    system[..., k, k] = 0.0
     return system
 
 
-def newton_step(hess: np.ndarray, g: np.ndarray, gap: float = 0.0) -> np.ndarray | None:
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, each row equal to its own 1-D `a @ b` bit for bit.
+
+    A stacked (1, n) @ (n, 1) product makes the same dot call per row as the
+    1-D product; `np.sum(a * b)` or `einsum` round differently.
+    """
+    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def newton_step(hess: np.ndarray, g: np.ndarray, gap=0.0) -> np.ndarray:
     """Ascent step d of [[H, 1], [1', 0]] (d, nu) = (g, gap) with H symmetrized.
 
     H is a finite-difference Hessian of the convex part of the objective, g
-    its gradient and gap what d must add to the sum. Returns None when the
-    system is singular or non-finite, or d is no ascent (g.d <= 0).
+    its gradient and gap what d must add to the sum. Broadcasts over leading
+    axes: H (..., k, k), g (..., k) and gap (...) give d (..., k), all
+    systems in one stacked solve. A row of d is NaN where its system is
+    singular or non-finite, or d is no ascent (g.d <= 0).
     """
-    try:
-        d = np.linalg.solve(bordered(0.5 * (hess + hess.T)), np.append(g, gap))[:-1]
-    except np.linalg.LinAlgError:
-        return None
-    return d if np.all(np.isfinite(d)) and float(g @ d) > 0.0 else None
+    hess, g = np.asarray(hess, dtype=float), np.asarray(g, dtype=float)
+    system = bordered(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    rhs = np.concatenate([g, np.broadcast_to(gap, g.shape[:-1])[..., None]], axis=-1)
+    # an exact zero pivot, where the solve would fail, gives sign 0; such a
+    # system is swapped for the identity and its row discarded
+    with np.errstate(invalid="ignore"):
+        usable = np.linalg.slogdet(system)[0] != 0.0
+    system = np.where(usable[..., None, None], system, np.eye(system.shape[-1]))
+    d = np.linalg.solve(system, rhs[..., None])[..., :-1, 0]
+    usable &= np.all(np.isfinite(d), axis=-1) & (rowdot(g, d) > 0.0)
+    return np.where(usable[..., None], d, np.nan)
 
 
-def finite_diff_gradient(f: Callable[[np.ndarray], float],
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+              scalar: bool) -> np.ndarray:
+    """f at every row of a stencil `points` (P, n) in one call, checked
+    against the broadcasting contract: P values, or P rows of values."""
+    out = np.asarray(f(points), dtype=float)
+    if out.shape[:1] != points.shape[:1] or (scalar and out.ndim != 1):
+        raise ValueError(
+            f"function returned shape {out.shape} for a stencil of {points.shape[0]} "
+            "points: a stencil is evaluated in one call, so the function must "
+            "broadcast over (..., n); wrap per-point functions in "
+            "welfarechoice.pointwise")
+    return out
+
+
+def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray],
                          mu: np.ndarray,
                          h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function at `mu`, its
     `finite_diff_jacobian`; a non-finite value of f raises NumericError."""
     mu = np.asarray(mu, dtype=float)
 
-    def finite(point):
-        value = f(point)
-        if not math.isfinite(value):
+    def finite(points):
+        values = _evaluate(f, points, scalar=True)
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            # the first coordinate whose pair of points holds one
             raise NumericError("non-finite function value near coordinate "
-                               f"{int(np.argmax(point != mu))}")
-        return value
+                               f"{int(np.argmax(bad.reshape(2, -1).any(axis=0)))}")
+        return values
 
     return finite_diff_jacobian(finite, mu, h)
 
 
 def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
                          x: np.ndarray,
-                         h: float | Sequence[float],
+                         h: float | Sequence[float] | np.ndarray,
                          columns: Sequence[int] | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a function, column by column.
+    """Central-difference Jacobian of a function at one point or a batch.
 
     Column k is (F(x + h_k e_i) - F(x - h_k e_i)) / (2 h_k) with
     i = columns[k] (every coordinate when `columns` is None). `h` is one
-    step for all columns or a sequence with one step per column. F maps a
-    1-D x to a scalar (the result is 1-D) or to a 1-D array.
+    step for all columns or steps of shape (..., k). For x of shape (..., n)
+    the 2k points of every stencil go to F in one call of shape (points, n);
+    F maps them to scalars (the result has shape (..., k)) or to vectors of
+    length p (shape (..., p, k)).
     """
     x = np.asarray(x, dtype=float)
-    step = np.asarray(h, dtype=float)
-    cols = range(x.size) if columns is None else columns
-    hi, lo = [], []
-    for i, s in zip(cols, itertools.repeat(step) if step.ndim == 0 else step):
-        e = np.zeros(x.size)
-        e[i] = s
-        hi.append(F(x + e))
-        lo.append(F(x - e))
-    return np.subtract(hi, lo).T / (2.0 * step)
+    n = x.shape[-1]
+    cols = np.arange(n) if columns is None else np.asarray(columns, dtype=int)
+    step = np.broadcast_to(np.asarray(h, dtype=float), x.shape[:-1] + cols.shape)
+    shift = np.zeros(step.shape + (n,))
+    shift[..., np.arange(cols.size), cols] = step
+    points = np.stack([x[..., None, :] + shift, x[..., None, :] - shift])
+    values = _evaluate(F, points.reshape(-1, n), scalar=False)
+    hi, lo = values.reshape(points.shape[:-1] + values.shape[1:])
+    if hi.ndim > step.ndim:  # a vector F: one column per perturbed coordinate
+        return np.swapaxes(hi - lo, -1, -2) / (2.0 * step[..., None, :])
+    return (hi - lo) / (2.0 * step)
 
 
-def mixed_partial(f: Callable[[np.ndarray], float],
+def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
                   mu: np.ndarray,
                   indices: Sequence[int],
                   h: float = 1e-2) -> float:
     """Nested central difference estimating a k-th order mixed partial.
 
     `indices` lists the coordinates differentiated once each; they must be
-    distinct. Cost is 2^k function evaluations.
+    distinct. The 2^k points of the stencil are one call of f.
     """
     mu = np.asarray(mu, dtype=float)
     idx = list(indices)
@@ -160,15 +201,14 @@ def mixed_partial(f: Callable[[np.ndarray], float],
         raise ValueError("indices must be distinct")
     if not 1 <= len(idx) <= mu.size:
         raise ValueError("need between 1 and n distinct indices")
-    total = 0.0
-    for signs in itertools.product((1.0, -1.0), repeat=len(idx)):
-        point = mu.copy()
-        for s, i in zip(signs, idx):
-            point[i] += s * h
-        val = f(point)
-        if not np.isfinite(val):
-            raise NumericError("non-finite function value in difference stencil")
-        total += float(np.prod(signs)) * val
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(idx))))
+    points = np.tile(mu, (len(signs), 1))
+    points[:, idx] += signs * h
+    values = _evaluate(f, points, scalar=True)
+    if not np.all(np.isfinite(values)):
+        raise NumericError("non-finite function value in difference stencil")
+    # summed in stencil order, as one point at a time would be
+    total = sum(float(np.prod(s)) * v for s, v in zip(signs, values))
     return total / (2.0 * h) ** len(idx)
 
 

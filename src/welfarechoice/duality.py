@@ -80,7 +80,7 @@ def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]
         if res <= GRAD_TOL:
             return y, res, it
         d = newton_step(finite_diff_jacobian(model.gradient, y, 1e-6), grad)
-        newton = d is not None and float(np.max(np.abs(d))) <= 1e6
+        newton = bool(np.max(np.abs(d)) <= 1e6)  # False for an unusable (NaN) step
         if newton:
             d, a = d - d.mean(), 1.0
         else:

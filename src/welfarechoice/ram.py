@@ -16,10 +16,15 @@ separable V (`choice` set: entropy, log-barrier, MMM and every MDM) needs
 one multiplier lam, with maximizer choice(lam - mu) at the lam of unit
 sum: in closed form where the regularizer has one (entropy), else by the
 batched bisection of `core.bisect_increasing`. The rest (CMM, quadratics
-with n > 15, user regularizers) is solved point by point by one damped
-active-set Newton ascent, whose Hessian of V is the central-difference
-Jacobian of grad V from `core.finite_diff_jacobian`, the package's one
-finite-difference layer.
+with n > 15, user regularizers) goes through one damped active-set Newton
+ascent that steps all pending points together, whose Hessian of V is the
+central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
+the package's one finite-difference layer: one stencil call of grad V
+for the whole batch.
+
+Every regularizer's `value` and `gradient` broadcast over points of shape
+(..., n), as a `WelfareModel` does; a user regularizer written for one
+point is lifted with `welfarechoice.pointwise`.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ import numpy as np
 
 from .core import (NumericError, as_symmetric, as_utility, bisect_increasing,
                    bordered, finite_diff_jacobian, integrate_1d, newton_step,
-                   normal_cdf, normal_pdf, normal_quantile)
-from .welfare import WelfareModel, logsumexp
+                   normal_cdf, normal_pdf, normal_quantile, rowdot)
+from .welfare import WelfareModel, _checked, logsumexp
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
@@ -50,13 +55,15 @@ class DegenerateRegularizerError(ValueError):
 class Regularizer:
     """Convex regularizer V on the simplex with interior gradient.
 
+    `value` maps points of shape (..., n) to shape (...) and `gradient` maps
+    them to shape (..., n), each row equal to the call on that row alone;
+    per-point functions meet this contract through `pointwise`.
     `boundary_barrier` marks gradients that blow up toward the boundary
     (solver must stay interior). `quadratic_matrix` holds A for
     V(x) = x' A x. `choice` is set for a separable V = sum_i v_i(x_i): it
     maps t of shape (..., n) to the coordinates x_i = (v_i')^{-1}(-t_i),
     clipped to [0, 1], so that the maximizer is choice(lam - mu) for the one
-    multiplier lam with unit sum; such a regularizer's `gradient` broadcasts
-    over (..., n) as well. `multiplier` maps mu of shape (m, n) to that lam
+    multiplier lam with unit sum. `multiplier` maps mu of shape (m, n) to that lam
     where it has a closed form (entropy), which spares the search for it.
     """
 
@@ -80,7 +87,8 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
 
     def value(x):
         x = np.asarray(x, float)
-        return eta * float(np.sum(np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)))
+        return eta * np.sum(np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0),
+                            axis=-1)
 
     def gradient(x):
         return eta * (1.0 + np.log(np.maximum(np.asarray(x, float), 1e-300)))
@@ -104,12 +112,14 @@ def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
         raise ValueError("A must be positive definite")
     n = A.shape[0]
 
+    # stacked vector products, so that each row of a batch is computed as a
+    # single point is
     def value(x):
         x = np.asarray(x, float)
-        return float(x @ A @ x)
+        return rowdot(np.matmul(x[..., None, :], A)[..., 0, :], x)
 
     def gradient(x):
-        return 2.0 * (A @ np.asarray(x, float))
+        return 2.0 * np.matmul(A, np.asarray(x, float)[..., None])[..., 0]
 
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=False, name="quadratic",
@@ -123,9 +133,9 @@ def log_barrier_regularizer(n: int) -> Regularizer:
 
     def value(x):
         x = np.asarray(x, float)
-        if np.min(x) <= 0.0:
-            return np.inf
-        return -float(np.sum(np.log(x)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = -np.sum(np.log(x), axis=-1)
+        return np.where(np.min(x, axis=-1) <= 0.0, np.inf, inside)[()]
 
     def gradient(x):
         return -1.0 / np.maximum(np.asarray(x, float), 1e-300)
@@ -269,9 +279,12 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
         if not np.isfinite(m.tail_integral(1.0)):
             raise ValueError(f"{m.family} marginal must have a finite mean")
 
+    tails = [np.frompyfunc(m.tail_integral, 1, 1) for m in marginals]  # elementwise
+
     def value(x):
         x = np.asarray(x, float)
-        return -float(sum(m.tail_integral(xi) for m, xi in zip(marginals, x)))
+        # summed in coordinate order, as for one point
+        return -np.asarray(sum(t(x[..., i]) for i, t in enumerate(tails)), dtype=float)[()]
 
     def gradient(x):
         x = np.asarray(x, float)
@@ -297,7 +310,7 @@ def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
 
     def value(x):
         x = np.asarray(x, float)
-        return -float(np.sum(sigma * np.sqrt(np.maximum(x * (1.0 - x), 0.0))))
+        return -np.sum(sigma * np.sqrt(np.maximum(x * (1.0 - x), 0.0)), axis=-1)
 
     def gradient(x):
         x = np.asarray(x, float)
@@ -332,21 +345,24 @@ def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
     sqrt_cov = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     n = cov.shape[0]
 
-    def _inner(x):
-        x = np.asarray(x, float)
-        s = np.diag(x) - np.outer(x, x)
+    diag = np.arange(n)
+
+    def _inner(x):  # a stack of matrices for a batch, one stacked eigh
+        s = np.zeros(x.shape + (n,))
+        s[..., diag, diag] = x
+        s -= x[..., :, None] * x[..., None, :]
         return sqrt_cov @ s @ sqrt_cov
 
     def value(x):
-        ev = np.linalg.eigvalsh(_inner(x))
-        return -float(np.sum(np.sqrt(ev[ev > _EIG_FLOOR])))
+        ev = np.linalg.eigvalsh(_inner(np.asarray(x, float)))
+        return -np.sum(np.sqrt(np.where(ev > _EIG_FLOOR, ev, 0.0)), axis=-1)
 
     def gradient(x):
         x = np.asarray(x, float)
         ev, u = np.linalg.eigh(_inner(x))
         inv_root = np.where(ev > _EIG_FLOOR, 1.0 / np.sqrt(np.maximum(ev, _EIG_FLOOR)), 0.0)
-        g_mat = sqrt_cov @ ((u * inv_root) @ u.T) @ sqrt_cov
-        return -0.5 * (np.diag(g_mat) - 2.0 * (g_mat @ x))
+        g_mat = sqrt_cov @ ((u * inv_root[..., None, :]) @ np.swapaxes(u, -1, -2)) @ sqrt_cov
+        return -0.5 * (g_mat[..., diag, diag] - 2.0 * np.matmul(g_mat, x[..., None])[..., 0])
 
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=True, name="cmm")
@@ -361,40 +377,82 @@ class SolveResult:
     converged: bool
 
 
-def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> float:
+def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray):
     """Max KKT violation of x for max { mu.x - V(x) } on the simplex.
 
     The equality multiplier is estimated as the mean of mu_i - dV/dx_i over
     coordinates with x_i > ACTIVE_TOL; the residual is the worst of active
     stationarity |mu_i - dV_i - lam|, the positive part of the inactive
-    condition, and primal feasibility.
+    condition, and primal feasibility. Points of shape (..., n) give
+    residuals of shape (...) from one gradient call; one point, a float.
     """
     mu = np.asarray(mu, float)
     x = np.asarray(x, float)
-    return _kkt_residual(mu - reg.gradient(np.maximum(x, 0.0)), x)
+    g = mu - _checked(reg, "gradient", np.maximum(x, 0.0), x.shape)
+    res = _kkt_residual(g.reshape(-1, reg.n), x.reshape(-1, reg.n))
+    return float(res[0]) if x.ndim == 1 else res.reshape(x.shape[:-1])
 
 
-def _kkt_residual(g: np.ndarray, x: np.ndarray) -> float:
-    """The residual of `verify_kkt` from g = mu - grad V(x)."""
+def _masked_mean(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean of each row of g over its masked entries (NaN for none). Rows
+    with the same count are gathered and averaged together, so each mean
+    is that of its own entries as a 1-D array, bit for bit."""
+    if mask.all():  # nothing to gather
+        return g.sum(axis=1) / g.shape[1]
+    counts = mask.sum(axis=1)
+    out = np.full(len(g), np.nan)
+    for k in set(counts.tolist()) - {0}:
+        rows = counts == k
+        out[rows] = g[rows][mask[rows]].reshape(-1, k).sum(axis=1) / k  # as np.mean
+    return out
+
+
+def _max(a, b):
+    """max(a, b) as Python's max takes it: b only where b > a, so that a tie
+    keeps a's zero and a NaN in b is passed over, as in the 1-D residuals."""
+    return np.where(b > a, b, a)
+
+
+def _kkt_residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The residual of `verify_kkt` per row, from g = mu - grad V(x), both (m, n)."""
     active = x > ACTIVE_TOL
-    if not np.any(active):
-        return np.inf
-    lam = float(np.mean(g[active]))
-    res = float(np.max(np.abs(g[active] - lam)))
-    if np.any(~active):
-        res = max(res, float(np.max(np.maximum(g[~active] - lam, 0.0))))
-    res = max(res, abs(float(np.sum(x)) - 1.0), float(max(0.0, -np.min(x))))
-    return res
+    dev = g - _masked_mean(g, active)[:, None]
+    res = np.max(np.where(active, np.abs(dev), -np.inf), axis=1)
+    res = _max(res, np.max(np.where(active, -np.inf, np.maximum(dev, 0.0)), axis=1))
+    res = _max(res, np.abs(np.sum(x, axis=1) - 1.0))
+    res = _max(res, _max(0.0, -np.min(x, axis=1)))
+    return np.where(np.any(active, axis=1), res, np.inf)
 
 
-def _support_residual(g: np.ndarray, x: np.ndarray, support: np.ndarray) -> float:
-    """Stationarity of g = mu - grad V(x) on a support, and the unit-sum gap."""
-    return max(float(np.max(np.abs(g[support] - np.mean(g[support])))),
-               abs(float(np.sum(x)) - 1.0))
+def _support_residual(g: np.ndarray, x: np.ndarray, support: np.ndarray):
+    """Stationarity of g = mu - grad V(x) on each row's support and the
+    unit-sum gap, with lam (m, 1), the mean of g on the support."""
+    lam = _masked_mean(g, support)[:, None]
+    return _max(np.max(np.where(support, np.abs(g - lam), 0.0), axis=1),
+                np.abs(np.sum(x, axis=1) - 1.0)), lam
 
 
-def _iterative_solve(reg: Regularizer, mu: np.ndarray) -> SolveResult:
-    """Damped active-set Newton ascent of mu.x - V(x) from the barycentre.
+def _support_steps(jac: np.ndarray, centred: np.ndarray, support: np.ndarray,
+                   gap: np.ndarray) -> np.ndarray:
+    """Each row's `core.newton_step` on its support, from the FD Hessian
+    `jac` (m, n, n) restricted there, or the centred gradient where that
+    step is unusable; zero outside the support. Rows with supports of one
+    size are solved in one stacked call."""
+    d = np.zeros_like(centred)
+    sizes = support.sum(axis=1)
+    for k in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == k)
+        idx = np.nonzero(support[rows])[1].reshape(-1, k)
+        hess = jac[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+        c = centred[rows[:, None], idx]
+        step = newton_step(hess, c, gap[rows])
+        d[rows[:, None], idx] = np.where(np.isnan(step), c, step)
+    return d
+
+
+def _iterative_solve(reg: Regularizer, mu: np.ndarray):
+    """Damped active-set Newton ascent of mu.x - V(x) from the barycentre,
+    for a batch mu of shape (m, n): x (m, n), iterations and converged.
 
     Each step is `core.newton_step` on the support, with the Hessian of V
     taken as the central-difference Jacobian of grad V, or the centred
@@ -405,67 +463,88 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray) -> SolveResult:
     residual at least halves, or else by the Armijo test on the objective.
     When a non-barrier V is stationary on its support, the outside
     coordinate that most violates the KKT conditions joins it.
+
+    Each point keeps its own support, step length and acceptance, and
+    stops as it would alone. The points still pending take each iteration
+    together: one stencil call of grad V gives all their Hessians, and each
+    backtracking round is one call of grad V (and of V for the points
+    that reach the Armijo test).
     """
+    m, n = mu.shape
     barrier = reg.boundary_barrier
-    x = np.full(reg.n, 1.0 / reg.n)
-    support = np.ones(reg.n, dtype=bool)
-    g = mu - reg.gradient(x)
+    x = np.full((m, n), 1.0 / n)
+    support = np.ones((m, n), dtype=bool)
+    g = mu - _checked(reg, "gradient", x, x.shape)
     if not np.all(np.isfinite(g)):
         raise NumericError("regularizer gradient is not finite at the barycentre")
-    f = None  # objective at x, evaluated when a step needs the Armijo test
+    f = np.full(m, np.nan)  # objective at x, evaluated when a step needs the Armijo test
+    iterations = np.full(m, SOLVER_MAX_ITER)
+    todo = np.arange(m)
 
     for it in range(SOLVER_MAX_ITER):
-        if _kkt_residual(g, x) <= SOLVER_TOL:
+        done = _kkt_residual(g[todo], x[todo]) <= SOLVER_TOL
+        iterations[todo[done]] = it
+        todo = todo[~done]
+        if todo.size == 0:
             break
-        s = np.flatnonzero(support)
-        lam = float(np.mean(g[s]))
-        res = _support_residual(g, x, s)
-        if not barrier and res <= SOLVER_TOL:
-            gap = np.where(support, -np.inf, g - lam)
-            worst = int(np.argmax(gap))
-            if gap[worst] > SOLVER_TOL:
-                support[worst] = True
-                continue
-        centred = g[s] - lam
+        s = support[todo]
+        res, lam = _support_residual(g[todo], x[todo], s)
+        step = np.ones(todo.size, dtype=bool)  # the points that take a step now
+        if not barrier:
+            gap = np.where(s, -np.inf, g[todo] - lam)
+            join = (res <= SOLVER_TOL) & (np.max(gap, axis=1) > SOLVER_TOL)
+            support[todo[join], np.argmax(gap[join], axis=1)] = True
+            step = ~join
+            s, lam, res = s[step], lam[step], res[step]
+        rows = todo[step]
+        xs = x[rows]
+        centred = np.where(s, g[rows] - lam, 0.0)
         # x_i +- h stays strictly inside (0, 1) for a barrier V
-        h = np.minimum(1e-7, 0.4 * x[s]) if barrier else 1e-7
-        hess = finite_diff_jacobian(reg.gradient, x, h, columns=s)[s]
-        d = newton_step(hess, centred, 1.0 - np.sum(x))
-        if d is None:
-            d = centred
+        h = np.minimum(1e-7, 0.4 * xs) if barrier else 1e-7
+        d = _support_steps(finite_diff_jacobian(reg.gradient, xs, h), centred, s,
+                           1.0 - np.sum(xs, axis=1))
+        slope = rowdot(centred, d)
         # distance to the boundary along d, per coordinate that d shrinks
-        reach = np.where(d < 0.0, x[s] / np.maximum(-d, 1e-300), np.inf)
-        t = min(1.0, float(np.min(reach)) * (0.9 if barrier else 1.0))
-        if t <= 0.0:
-            break
+        reach = np.where(d < 0.0, xs / np.maximum(-d, 1e-300), np.inf)
+        t = np.minimum(1.0, np.min(reach, axis=1) * (0.9 if barrier else 1.0))
+        moved = np.zeros(rows.size, dtype=bool)
+        trial = np.flatnonzero(t > 0.0)  # positions in rows still backtracking
         for _ in range(60):
-            y = x.copy()
-            y[s] += t * d
-            y_support = support
+            if trial.size == 0:
+                break
+            at = rows[trial]
+            y = xs[trial] + t[trial, None] * d[trial]
+            y_support = s[trial]
             if not barrier:
-                y[s[reach <= t]] = 0.0
+                y[reach[trial] <= t[trial, None]] = 0.0
                 y = np.maximum(y, 0.0)
-                y_support = support & (y > 0.0)
-            gy = mu - reg.gradient(y)
-            if np.all(np.isfinite(gy)):
-                if _support_residual(gy, y, np.flatnonzero(y_support)) <= 0.5 * res:
-                    fy = None
-                    break
-                if f is None:
-                    f = float(mu @ x - reg.value(x))
-                fy = float(mu @ y - reg.value(y))
-                if np.isfinite(fy) and (fy >= f + 1e-4 * t * float(centred @ d)
-                                        or fy >= f - 1e-14 * max(1.0, abs(f))):
-                    break
-            t *= 0.5
-        else:
-            break
-        x, g, f, support = y, gy, fy, y_support
-    else:
-        it = SOLVER_MAX_ITER
+                y_support = y_support & (y > 0.0)
+            gy = mu[at] - reg.gradient(y)
+            finite = np.all(np.isfinite(gy), axis=1)
+            ok = finite & (_support_residual(gy, y, y_support)[0] <= 0.5 * res[trial])
+            fy = np.full(trial.size, np.nan)
+            armijo = finite & ~ok
+            if np.any(armijo):
+                ra, pa = at[armijo], trial[armijo]
+                unknown = ra[np.isnan(f[ra])]
+                f[unknown] = _objective(reg, mu[unknown], x[unknown])
+                fa, fya = f[ra], _objective(reg, mu[ra], y[armijo])
+                fy[armijo] = fya
+                ok[armijo] = np.isfinite(fya) & (
+                    (fya >= fa + 1e-4 * t[pa] * slope[pa])
+                    | (fya >= fa - 1e-14 * np.maximum(1.0, np.abs(fa))))
+            acc = at[ok]
+            x[acc], g[acc], f[acc], support[acc] = y[ok], gy[ok], fy[ok], y_support[ok]
+            moved[trial[ok]] = True
+            trial = trial[~ok]
+            t[trial] *= 0.5
+        # a point whose step found no acceptable length stops here
+        stopped = np.zeros(todo.size, dtype=bool)
+        stopped[np.flatnonzero(step)[~moved]] = True
+        iterations[todo[stopped]] = it
+        todo = todo[~stopped]
 
-    res = _kkt_residual(g, x)
-    return SolveResult(x, float(mu @ x - reg.value(x)), res, it, res <= SOLVER_TOL)
+    return x, iterations, _kkt_residual(g, x) <= SOLVER_TOL
 
 
 def _support_system(reg: Regularizer, support: tuple):
@@ -525,9 +604,9 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
     # strictly convex problems always terminate above, with a unit sum; the
     # Newton ascent takes any point left without a support (x = 0) or whose
     # solve lost the sum's digits
-    for i in (abs(x.sum(axis=1) - 1.0) > SOLVER_TOL).nonzero()[0]:
-        res = _iterative_solve(reg, mu[i])
-        x[i], iterations[i], converged[i] = res.x_star, res.iterations, res.converged
+    left = np.flatnonzero(abs(x.sum(axis=1) - 1.0) > SOLVER_TOL)
+    if left.size:
+        x[left], iterations[left], converged[left] = _iterative_solve(reg, mu[left])
     return x, iterations, converged
 
 
@@ -584,10 +663,7 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
     if reg.choice is not None:
         return _separable_argmax(reg, mu)
     # the rest: CMM, quadratics with n > 15 and user regularizers
-    results = [_iterative_solve(reg, row) for row in mu]
-    return (np.array([r.x_star for r in results]).reshape(mu.shape),
-            np.array([r.iterations for r in results], dtype=int),
-            np.array([r.converged for r in results], dtype=bool))
+    return _iterative_solve(reg, mu)
 
 
 def _utilities(reg: Regularizer, mu) -> np.ndarray:
@@ -600,8 +676,8 @@ def _utilities(reg: Regularizer, mu) -> np.ndarray:
 
 
 def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mu.x - V(x) row by row."""
-    return np.array([float(m @ xi - reg.value(xi)) for m, xi in zip(mu, x)])
+    """mu.x - V(x) for each row, in one call of V."""
+    return rowdot(mu, x) - _checked(reg, "value", x, x.shape[:-1])
 
 
 def solve_ram(reg: Regularizer, mu) -> SolveResult:
@@ -612,7 +688,10 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     on the regularizer; for a separable V (`choice` set: entropy,
     log-barrier, MMM and every MDM), the one multiplier, in closed form or
     by bisection; otherwise (CMM, quadratics with n > 15, user
-    regularizers) a damped active-set Newton ascent, point by point.
+    regularizers) a damped active-set Newton ascent that steps the whole
+    batch together. V's `value` and `gradient` must broadcast over points
+    of shape (..., n); a user regularizer written for one point is lifted
+    with `welfarechoice.pointwise`.
 
     A 1-D `mu` gives scalar fields. A batch of shape (..., n) is solved in
     one call and gives `x_star` of shape (..., n) and the other fields of
@@ -622,7 +701,7 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     flat = _utilities(reg, mu)
     x, iterations, converged = _argmax(reg, flat)
     w = _objective(reg, flat, x)
-    kkt = np.array([verify_kkt(reg, m, xi) for m, xi in zip(flat, x)])
+    kkt = verify_kkt(reg, flat, x)
     if np.ndim(mu) == 1:
         return SolveResult(x[0], float(w[0]), float(kkt[0]), int(iterations[0]),
                            bool(converged[0]))
@@ -663,7 +742,7 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
         _, x = solve(mu)
         return x.reshape(np.shape(mu)).copy()
 
-    vertices = np.array([reg.value(e) for e in np.eye(reg.n)], dtype=float)
+    vertices = _checked(reg, "value", np.eye(reg.n), (reg.n,))
     bounds = -vertices if np.all(np.isfinite(vertices)) else None
     return WelfareModel(n=reg.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds, name=f"ram[{reg.name}]")

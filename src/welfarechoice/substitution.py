@@ -75,15 +75,22 @@ class SubstitutionReport:
     symmetric: bool
 
 
+def _cross_effects(model: WelfareModel, mu) -> np.ndarray:
+    """dq_j/dmu_i at entry (i, j): one Jacobian of the choice map, from one
+    gradient call on 2n points, whose column i is computed exactly as
+    `classify_pair` computes it."""
+    return finite_diff_jacobian(model.gradient, as_utility(mu), STEP).T
+
+
 def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     """All-pairs classification; flags whether estimates are symmetric.
 
     Entry (i, j) equals `classify_pair(model, mu, i, j)`; one Jacobian of
-    the choice map serves every pair, so the cost is 2n gradient calls.
+    the choice map serves every pair.
     """
     mu = as_utility(mu)
     n = model.n
-    estimates = finite_diff_jacobian(model.gradient, mu, STEP).T
+    estimates = _cross_effects(model, mu)
     labels = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
@@ -342,11 +349,13 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
     witness_mu = None
     tested = 0
     for mu in candidates:
+        # entry (i, j) is `classify_pair(model, mu, i, j).estimate`
+        estimates = _cross_effects(model, mu)
         for i, j in pairs:
-            c = classify_pair(model, mu, i, j)
             tested += 1
-            if c.label == COMPLEMENTARY:
-                witness = c
+            est = float(estimates[i, j])
+            if _label(est, DEAD_ZONE) == COMPLEMENTARY:
+                witness = PairClassification(i=i, j=j, estimate=est, label=COMPLEMENTARY)
                 witness_mu = mu
                 break
         if witness is not None:

@@ -68,12 +68,14 @@ def pointwise(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.nd
     return lifted
 
 
-def _checked(model: WelfareModel, what: str, points, shape: tuple) -> np.ndarray:
+def _checked(model, what: str, points, shape: tuple) -> np.ndarray:
+    """model.value or model.gradient at points, checked to have `shape`; the
+    model is a `WelfareModel` or a `ram.Regularizer`, which broadcast alike."""
     out = np.asarray(getattr(model, what)(np.asarray(points, dtype=float)), dtype=float)
     if out.shape != shape:
         raise ValueError(f"{model.name}.{what} returned shape {out.shape}, not {shape}: "
-                         "a WelfareModel broadcasts over utilities of shape (..., n); "
-                         "wrap per-point functions in welfarechoice.pointwise")
+                         f"a {type(model).__name__} broadcasts over points of shape "
+                         "(..., n); wrap per-point functions in welfarechoice.pointwise")
     return out
 
 
@@ -275,7 +277,7 @@ def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
         raise ValueError("max_order must be in {1, 2, 3}")
     rng = stream_rng(seed)
     points = [rng.uniform(0.3, 2.5, size=n) for _ in range(samples)]
-    return _sign_test(gen.H, points, range(1, max_order + 1))
+    return _sign_test(pointwise(gen.H), points, range(1, max_order + 1))
 
 
 def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
@@ -323,7 +325,7 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
             return eta * y * gen.partials(y) / h
     else:
         def gradient_at(mu):
-            return finite_diff_gradient(value_at, mu)
+            return finite_diff_gradient(pointwise(value_at), mu)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         corners = np.array([gen.H(e) for e in np.eye(n)], dtype=float)

@@ -93,6 +93,17 @@ class TestEval:
         _, _, rows = read_csv(out)
         assert [float(v) for v in rows[0][4:]] == [0.0, 1.0, 0.0]
 
+    def test_log_barrier_far_from_the_origin_exits_0_on_the_simplex(self, spec_file,
+                                                                    tmp_path):
+        spec = spec_file({"kind": "ram_logbarrier", "n": 3})
+        out = str(tmp_path / "barrier.csv")
+        assert main(["eval", "--spec", spec, "--mu", "1e8,-1e8,0", "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1
+        q = np.array([float(v) for v in rows[0][4:]])
+        assert np.all(q > 0.0) and abs(q.sum() - 1.0) <= 1e-8
+        assert q[0] > 0.99
+
     def test_malformed_spec_exits_2_and_writes_nothing(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "mnl", "n": 3')

@@ -1,13 +1,17 @@
-"""The evaluation contract: every welfare model broadcasts over (..., n)."""
+"""The evaluation contract: every welfare model and regularizer broadcasts over
+(..., n), and a difference stencil is one call of the function it differences."""
 
 import numpy as np
 import pytest
 
+from welfarechoice.core import finite_diff_gradient, finite_diff_jacobian, mixed_partial
 from welfarechoice.modelspec import build_model
-from welfarechoice.ram import (cmm_regularizer, entropy_regularizer,
+from welfarechoice.ram import (Regularizer, cmm_regularizer, custom_marginal,
+                               entropy_regularizer, exponential_marginal,
                                log_barrier_regularizer, logistic_marginal,
-                               mdm_regularizer, mmm_regularizer,
-                               quadratic_regularizer, ram_welfare)
+                               mdm_regularizer, mmm_regularizer, normal_marginal,
+                               quadratic_regularizer, ram_welfare, solve_ram,
+                               uniform_marginal)
 from welfarechoice.rum import (binary_rum_from_welfare, gumbel_sampler,
                                mc_welfare_model)
 from welfarechoice.substitution import scan_line
@@ -77,13 +81,89 @@ PER_POINT = WelfareModel(n=2, value=lambda mu: float(np.max(mu)),
                          name="per_point")
 
 
+# a regularizer whose value was written for one point
+PER_POINT_V = Regularizer(n=2, value=lambda x: float(np.sum(x * x)),
+                          gradient=lambda x: 2.0 * x, boundary_barrier=False,
+                          name="per_point_v")
+
+
 @pytest.mark.parametrize("call", [
     lambda: binary_rum_from_welfare(PER_POINT),
     lambda: scan_line(PER_POINT, np.zeros(2), i=0, j=1, lo=-1.0, hi=1.0, steps=5),
     lambda: estimate_superlinear_bounds(PER_POINT),
     lambda: check_superlinear(PER_POINT, np.zeros(2)),
+    lambda: solve_ram(PER_POINT_V, np.array([0.5, -0.5])),
+    lambda: ram_welfare(PER_POINT_V),
 ], ids=["binary_rum_from_welfare", "scan_line", "estimate_superlinear_bounds",
-        "check_superlinear"])
+        "check_superlinear", "solve_ram", "ram_welfare"])
 def test_non_broadcasting_model_gets_the_contract_error(call):
     with pytest.raises(ValueError, match="pointwise"):
         call()
+
+
+# every Regularizer broadcasts over (..., n) as well
+def _spd(n, seed):
+    b = np.random.default_rng(seed).normal(size=(n, n))
+    return b @ b.T / n + 0.5 * np.eye(n)
+
+
+REGULARIZERS = {
+    "entropy": lambda: entropy_regularizer(0.7, 3),
+    "quadratic": lambda: quadratic_regularizer(COUPLING),
+    "quadratic_n16": lambda: quadratic_regularizer(_spd(16, 16)),
+    "log_barrier": lambda: log_barrier_regularizer(4),
+    "mdm": lambda: mdm_regularizer([logistic_marginal(1.0), normal_marginal(0.7),
+                                    exponential_marginal(2.0), uniform_marginal()]),
+    "mdm_custom": lambda: mdm_regularizer(
+        [custom_marginal(lambda t: np.log(t) - np.log1p(-t)), logistic_marginal(1.3),
+         custom_marginal(lambda t: t, bounded=True)]),
+    "mmm": lambda: mmm_regularizer([2.0, 2.5, 2.0]),
+    "cmm": lambda: cmm_regularizer(np.eye(3) + 0.2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REGULARIZERS))
+def test_regularizer_batch_matches_per_point_calls_bit_for_bit(kind):
+    reg = REGULARIZERS[kind]()
+    points = np.random.default_rng(5).dirichlet(np.ones(reg.n), size=(2, 3))
+    values = reg.value(points)
+    grads = reg.gradient(points)
+    assert np.shape(values) == (2, 3)
+    assert np.shape(grads) == (2, 3, reg.n)
+    for idx in np.ndindex(2, 3):
+        assert values[idx] == reg.value(points[idx])
+        np.testing.assert_array_equal(grads[idx], reg.gradient(points[idx]))
+
+
+# each difference stencil is one call of the function differenced
+def _counted(f):
+    calls = []
+
+    def counting(points):
+        calls.append(np.shape(points))
+        return f(points)
+
+    return counting, calls
+
+
+STENCILS = {
+    "finite_diff_jacobian": lambda f: finite_diff_jacobian(f, np.array([0.3, -0.2, 0.5]), 1e-4),
+    "finite_diff_gradient": lambda f: finite_diff_gradient(f, np.array([0.3, -0.2, 0.5])),
+    "mixed_partial": lambda f: mixed_partial(f, np.array([0.3, -0.2, 0.5]), (0, 1, 2)),
+}
+STENCIL_POINTS = {"finite_diff_jacobian": 6, "finite_diff_gradient": 6, "mixed_partial": 8}
+
+
+@pytest.mark.parametrize("name", sorted(STENCILS))
+def test_a_stencil_is_one_call(name):
+    model = mnl_welfare(1.0, 3)
+    f, calls = _counted(model.gradient if name == "finite_diff_jacobian" else model.value)
+    STENCILS[name](f)
+    assert calls == [(STENCIL_POINTS[name], 3)]
+
+
+@pytest.mark.parametrize("name", sorted(STENCILS))
+def test_per_point_function_gets_the_contract_error(name):
+    # written for one point: on a stencil, m[0] and m[1] are its first two points
+    with pytest.raises(ValueError, match="pointwise"):
+        STENCILS[name](lambda m: m[0] + 2 * m[1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from welfarechoice import core
-from welfarechoice.welfare import mnl_welfare
+from welfarechoice.welfare import mnl_welfare, pointwise
 
 
 class TestNewtonStep:
@@ -19,16 +19,27 @@ class TestNewtonStep:
         d = core.newton_step(np.diag([2.0, 4.0]), np.array([1.0, -1.0]))
         np.testing.assert_allclose(d, [1.0 / 3.0, -1.0 / 3.0], atol=1e-15)
 
-    def test_unusable_steps_give_none(self):
-        assert core.newton_step(np.zeros((3, 3)), np.array([1.0, 0.0, -1.0])) is None
-        assert core.newton_step(np.full((2, 2), np.nan), np.array([1.0, -1.0])) is None
+    def test_unusable_steps_give_nan(self):
+        assert np.all(np.isnan(core.newton_step(np.zeros((3, 3)), np.array([1.0, 0.0, -1.0]))))
+        assert np.all(np.isnan(core.newton_step(np.full((2, 2), np.nan), np.array([1.0, -1.0]))))
         # a concave model gives a descent direction
-        assert core.newton_step(np.diag([-2.0, -4.0]), np.array([1.0, -1.0])) is None
+        assert np.all(np.isnan(core.newton_step(np.diag([-2.0, -4.0]), np.array([1.0, -1.0]))))
+
+    def test_a_stack_is_solved_row_by_row(self):
+        hess = np.array([np.diag([2.0, 4.0]), np.zeros((2, 2)), np.diag([-2.0, -4.0]),
+                         [[3.0, 1.0], [1.0, 2.0]]])
+        g = np.array([[1.0, -1.0], [1.0, -1.0], [1.0, -1.0], [0.5, 0.2]])
+        gap = np.array([0.0, 0.0, 0.0, 0.1])
+        d = core.newton_step(hess, g, gap)
+        assert d.shape == (4, 2)
+        for k in range(4):
+            np.testing.assert_array_equal(d[k], core.newton_step(hess[k], g[k], gap[k]))
+        assert np.all(np.isfinite(d[[0, 3]])) and np.all(np.isnan(d[[1, 2]]))
 
 
 class TestFiniteDiffGradient:
     def test_linear_function(self):
-        g = core.finite_diff_gradient(lambda m: m[0] + 2 * m[1],
+        g = core.finite_diff_gradient(lambda m: m[..., 0] + 2 * m[..., 1],
                                       np.array([0.3, -1.2]), h=1e-6)
         np.testing.assert_allclose(g, [1.0, 2.0], atol=1e-8)
 
@@ -38,13 +49,13 @@ class TestFiniteDiffGradient:
         np.testing.assert_allclose(g, np.ones(3) / 3, atol=1e-6)
 
     def test_quadratic(self):
-        g = core.finite_diff_gradient(lambda m: float(m @ m),
+        g = core.finite_diff_gradient(pointwise(lambda m: float(m @ m)),
                                       np.array([1.0, 0.0]), h=1e-6)
         np.testing.assert_allclose(g, [2.0, 0.0], atol=1e-6)
 
     def test_non_finite_value_raises(self):
         with pytest.raises(core.NumericError):
-            core.finite_diff_gradient(lambda m: np.inf, np.zeros(2))
+            core.finite_diff_gradient(pointwise(lambda m: np.inf), np.zeros(2))
 
     @pytest.mark.parametrize("f, coordinate", [
         (lambda m: np.inf, 0),
@@ -57,7 +68,7 @@ class TestFiniteDiffGradient:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(core.NumericError, match=f"coordinate {coordinate}$"):
-                core.finite_diff_gradient(f, np.zeros(3))
+                core.finite_diff_gradient(pointwise(f), np.zeros(3))
 
     def test_is_the_jacobian_of_a_scalar_function(self):
         f = mnl_welfare(1.0, 3).value
@@ -96,7 +107,7 @@ class TestFiniteDiffJacobian:
 
 class TestMixedPartial:
     def test_bilinear(self):
-        est = core.mixed_partial(lambda m: m[0] * m[1], np.zeros(2), (0, 1))
+        est = core.mixed_partial(lambda m: m[..., 0] * m[..., 1], np.zeros(2), (0, 1))
         assert abs(est - 1.0) <= 1e-6
 
     def test_mnl_second_order(self):

@@ -16,7 +16,7 @@ from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError,
                                quadratic_regularizer, ram_welfare, solve_ram,
                                uniform_marginal, verify_kkt)
 from welfarechoice.welfare import (check_axioms, check_superlinear, mnl_welfare,
-                                   softmax)
+                                   pointwise, softmax)
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -338,9 +338,9 @@ class TestSolveRAM:
             reg = quadratic_regularizer(b_mat @ b_mat.T + 0.5 * np.eye(3))
             mu = rng.uniform(-3, 3, 3)
             exact = solve_ram(reg, mu)
-            iterative = ram._iterative_solve(reg, mu)
-            assert exact.converged and iterative.converged
-            np.testing.assert_allclose(exact.x_star, iterative.x_star, atol=1e-7)
+            x, _, converged = ram._iterative_solve(reg, mu[None])
+            assert exact.converged and converged[0]
+            np.testing.assert_allclose(exact.x_star, x[0], atol=1e-7)
 
     def test_envelope_gradient_identity(self):
         # the solved welfare's utility-gradient is the maximizer itself
@@ -365,8 +365,8 @@ class TestSolveRAM:
     def test_failed_line_search_reports_iterations_made(self):
         # V is infinite everywhere, so no trial step is ever accepted and
         # the Newton ascent stops on its first iteration
-        reg = ram.Regularizer(n=3, value=lambda x: np.inf,
-                              gradient=lambda x: np.zeros(3),
+        reg = ram.Regularizer(n=3, value=pointwise(lambda x: np.inf),
+                              gradient=pointwise(lambda x: np.zeros(3)),
                               boundary_barrier=True, name="nowhere_finite")
         result = solve_ram(reg, np.array([1.0, 0.0, -1.0]))
         assert not result.converged
