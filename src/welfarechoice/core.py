@@ -129,7 +129,12 @@ def newton_step(hess: np.ndarray, g: np.ndarray, gap=0.0) -> np.ndarray:
 def _evaluate(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
               scalar: bool) -> np.ndarray:
     """f at every row of a stencil `points` (P, n) in one call, checked
-    against the broadcasting contract: P values, or P rows of values."""
+    against the broadcasting contract: P values, or P rows of values. A
+    stencil of P = n points gets a copy of its first, whose value is dropped,
+    so that a per-point function (leading axis n) cannot pass the check."""
+    pad = points.shape[0] == points.shape[1]
+    if pad:
+        points = np.concatenate([points, points[:1]])
     out = np.asarray(f(points), dtype=float)
     if out.shape[:1] != points.shape[:1] or (scalar and out.ndim != 1):
         raise ValueError(
@@ -137,7 +142,7 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
             "points: a stencil is evaluated in one call, so the function must "
             "broadcast over (..., n); wrap per-point functions in "
             "welfarechoice.pointwise")
-    return out
+    return out[:-1] if pad else out
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray],

@@ -7,19 +7,22 @@ column convention of the CSV outputs; they are converted on load.
 Kinds: mnl, nested_logit, gev_custom, ram_entropy, ram_quadratic,
 ram_logbarrier, ram_mdm, ram_mmm, ram_cmm, transform_scale, transform_mix,
 transform_cross.
+
+A `gev_custom` spec, the generator H(y) = sum_k prod_i y_i^{E_ki} whose
+rows of E sum to 1/eta, is evaluated as a crossed logit (logit over the rows
+of E crossed with eta * E): w = eta * log H(e^mu) = eta * logsumexp(E mu).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import ram, transforms
-from .welfare import GEVGenerator, WelfareModel, gev_welfare, log_sum_welfare, \
-    mnl_welfare, nested_logit_welfare
+from .welfare import WelfareModel, log_sum_welfare, mnl_welfare, nested_logit_welfare
 
 KINDS = ("mnl", "nested_logit", "gev_custom", "ram_entropy", "ram_quadratic",
          "ram_logbarrier", "ram_mdm", "ram_mmm", "ram_cmm",
@@ -128,20 +131,15 @@ def _build(kind: str, spec: dict, path: str) -> ModelBundle:
         if np.any(expo < 0):
             raise SpecError(f"{path}exponents", "entries must be nonnegative")
         row_sums = expo.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0 / eta)) > 1e-10:
+        if not np.all(np.abs(row_sums - 1.0 / eta) <= 1e-10):
             raise SpecError(f"{path}exponents",
                             f"row sums must equal 1/eta = {1.0 / eta:g}")
-        n = expo.shape[1]
-
-        def H(y):
-            return float(np.sum(np.prod(np.power(y[None, :], expo), axis=1)))
-
-        def partials(y):
-            terms = np.prod(np.power(y[None, :], expo), axis=1)
-            return (terms[:, None] * expo / np.maximum(y, 1e-300)[None, :]).sum(axis=0)
-
-        gen = GEVGenerator(eta=eta, H=H, partials=partials)
-        return ModelBundle(gev_welfare(gen, n), None, spec)
+        # the bound eta * log H(e_i) counts the rows supported on i alone
+        model = transforms.cross(mnl_welfare(eta, len(expo)), expo / row_sums[:, None])
+        alone = np.count_nonzero(expo[np.count_nonzero(expo, axis=1) == 1], axis=0)
+        bounds = eta * np.log(alone) if np.all(alone) else None
+        return ModelBundle(replace(model, superlinear_bounds=bounds,
+                                   name=f"gev(eta={eta:g})"), None, spec)
 
     if kind == "ram_entropy":
         n = _int(spec, "n", path, 2)

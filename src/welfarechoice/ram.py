@@ -383,8 +383,9 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray):
     The equality multiplier is estimated as the mean of mu_i - dV/dx_i over
     coordinates with x_i > ACTIVE_TOL; the residual is the worst of active
     stationarity |mu_i - dV_i - lam|, the positive part of the inactive
-    condition, and primal feasibility. Points of shape (..., n) give
-    residuals of shape (...) from one gradient call; one point, a float.
+    condition, and primal feasibility; inf where no coordinate is active or
+    that is NaN. Points of shape (..., n) give residuals of shape (...) from
+    one gradient call; one point, a float.
     """
     mu = np.asarray(mu, float)
     x = np.asarray(x, float)
@@ -394,42 +395,29 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray):
 
 
 def _masked_mean(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean of each row of g over its masked entries (NaN for none). Rows
-    with the same count are gathered and averaged together, so each mean
-    is that of its own entries as a 1-D array, bit for bit."""
-    if mask.all():  # nothing to gather
-        return g.sum(axis=1) / g.shape[1]
-    counts = mask.sum(axis=1)
-    out = np.full(len(g), np.nan)
-    for k in set(counts.tolist()) - {0}:
-        rows = counts == k
-        out[rows] = g[rows][mask[rows]].reshape(-1, k).sum(axis=1) / k  # as np.mean
-    return out
-
-
-def _max(a, b):
-    """max(a, b) as Python's max takes it: b only where b > a, so that a tie
-    keeps a's zero and a NaN in b is passed over, as in the 1-D residuals."""
-    return np.where(b > a, b, a)
+    """Mean of each row of g over its masked entries (NaN for none)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(mask, g, 0.0).sum(axis=1) / mask.sum(axis=1)
 
 
 def _kkt_residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The residual of `verify_kkt` per row, from g = mu - grad V(x), both (m, n)."""
+    """The residual of `verify_kkt` per row, from g = mu - grad V(x), both
+    (m, n); inf for a row with no active coordinate or a NaN residual."""
     active = x > ACTIVE_TOL
     dev = g - _masked_mean(g, active)[:, None]
     res = np.max(np.where(active, np.abs(dev), -np.inf), axis=1)
-    res = _max(res, np.max(np.where(active, -np.inf, np.maximum(dev, 0.0)), axis=1))
-    res = _max(res, np.abs(np.sum(x, axis=1) - 1.0))
-    res = _max(res, _max(0.0, -np.min(x, axis=1)))
-    return np.where(np.any(active, axis=1), res, np.inf)
+    res = np.maximum(res, np.max(np.where(active, -np.inf, np.maximum(dev, 0.0)), axis=1))
+    res = np.maximum(res, np.abs(np.sum(x, axis=1) - 1.0))
+    res = np.maximum(res, -np.min(x, axis=1))  # res >= 0 here
+    return np.where(np.any(active, axis=1) & ~np.isnan(res), res, np.inf)
 
 
 def _support_residual(g: np.ndarray, x: np.ndarray, support: np.ndarray):
     """Stationarity of g = mu - grad V(x) on each row's support and the
     unit-sum gap, with lam (m, 1), the mean of g on the support."""
     lam = _masked_mean(g, support)[:, None]
-    return _max(np.max(np.where(support, np.abs(g - lam), 0.0), axis=1),
-                np.abs(np.sum(x, axis=1) - 1.0)), lam
+    return np.maximum(np.max(np.where(support, np.abs(g - lam), 0.0), axis=1),
+                      np.abs(np.sum(x, axis=1) - 1.0)), lam
 
 
 def _support_steps(jac: np.ndarray, centred: np.ndarray, support: np.ndarray,

@@ -108,8 +108,8 @@ def mnl_welfare(eta: float, n: int) -> WelfareModel:
     """Multinomial logit: w(mu) = eta * log(sum_i exp(mu_i / eta))."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if n < 2:
-        raise ValueError("need at least two alternatives")
+    if n < 1:
+        raise ValueError("need at least one alternative")
 
     def value(mu):
         return eta * logsumexp(np.asarray(mu, float) / eta)
@@ -423,6 +423,8 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     Points are drawn and evaluated in blocks, one `batch_value` call each;
     the witness is the first violating draw, and a NaN margin is none.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     b = np.asarray(b, dtype=float)
     rng = stream_rng(seed)
     worst = np.inf

@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from welfarechoice.cli import main
+from welfarechoice.modelspec import KINDS, build_model
 from welfarechoice.rum import THREADS_ENV
 
 MNL3 = {"kind": "mnl", "n": 3, "eta": 1.0}
@@ -411,6 +413,20 @@ class TestValidate:
                                         [0.0, 0.0, 1.0],
                                         [0.5, 0.5, 0.0]]})
         assert main(["validate", "--spec", spec]) == 0
+
+    def test_readme_spec_examples_build(self):
+        # the "Model spec files" block of the README: one JSON document per example
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Model spec files are JSON", 1)[1]
+        block = block.split("```json\n", 1)[1].split("```", 1)[0]
+        decoder, specs, rest = json.JSONDecoder(), [], block.strip()
+        while rest:
+            spec, end = decoder.raw_decode(rest)
+            specs.append(spec)
+            rest = rest[end:].lstrip()
+        for spec in specs:
+            build_model(spec)
+        assert sorted(spec["kind"] for spec in specs) == sorted(KINDS)
 
 
 def scipy_modules_after(code):

@@ -167,3 +167,13 @@ def test_per_point_function_gets_the_contract_error(name):
     # written for one point: on a stencil, m[0] and m[1] are its first two points
     with pytest.raises(ValueError, match="pointwise"):
         STENCILS[name](lambda m: m[0] + 2 * m[1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: mixed_partial(f, np.array([0.3, 0.7]), (0,)),
+    lambda f: finite_diff_jacobian(f, np.array([0.3, 0.7]), 1e-6, columns=[0]),
+], ids=["mixed_partial", "finite_diff_jacobian"])
+def test_per_point_function_on_a_stencil_of_n_points_gets_the_contract_error(call):
+    # two points in two coordinates: m[0] * m[1] has the stencil's length
+    with pytest.raises(ValueError, match="pointwise"):
+        call(lambda m: m[0] * m[1])

@@ -567,3 +567,10 @@ class TestVerifyKKT:
         reg = entropy_regularizer(1.0, 3)
         residual = verify_kkt(reg, np.array([1.0, 0.0, 0.0]), np.ones(3) / 3)
         assert abs(residual - 2.0 / 3.0) <= 1e-12
+
+    def test_nan_coordinate_is_not_certified(self):
+        reg = entropy_regularizer(1.0, 3)
+        x = np.array([np.nan, 0.5, 0.5])
+        assert verify_kkt(reg, np.zeros(3), x) == math.inf
+        np.testing.assert_array_equal(
+            verify_kkt(reg, np.zeros((2, 3)), np.stack([x, np.ones(3) / 3])), [math.inf, 0.0])

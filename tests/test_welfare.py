@@ -1,5 +1,6 @@
 """Closed-form welfare models and the axiom/bound checkers."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from welfarechoice import core
+from welfarechoice.cli import main
 from welfarechoice.duality import conjugate_V
 from welfarechoice.modelspec import build_model
 from welfarechoice.welfare import (GEVGenerator, GeneratorInvalidError,
@@ -353,3 +355,61 @@ class TestSuperlinear:
         assert not report.passed
         assert report.witness is not None
         assert abs(avg.value(np.array([3.0, 0.0, 0.0])) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_refused(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            check_superlinear(mnl_welfare(1.0, 3), np.zeros(3), samples=samples)
+
+
+class TestGEVCustomSpec:
+    """`gev_custom` is evaluated as a crossed logit; these pin it to the
+    generator H(y) = sum_k prod_i y_i^{E_ki} it describes."""
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_matches_the_generator_formula(self, eta):
+        expo = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5],
+                         [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]) / eta
+        model = build_model({"kind": "gev_custom", "eta": eta,
+                             "exponents": expo.tolist()}).model
+        mu = np.random.default_rng(3).uniform(-5.0, 5.0, (200, 3))
+        terms = np.prod(np.exp(mu)[:, None, :] ** expo, axis=-1)  # H's terms at e^mu
+        h = terms.sum(axis=1)
+        # q_i = eta y_i H_i(y) / H(y) with y_i H_i(y) = sum_k E_ki * term_k
+        np.testing.assert_allclose(model.value(mu), eta * np.log(h), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.gradient(mu), eta * (terms @ expo) / h[:, None],
+                                   rtol=0, atol=1e-12)
+        assert model.name == f"gev(eta={eta:g})"
+
+    def test_duplicate_unit_rows_raise_the_bound(self, tmp_path):
+        spec = {"kind": "gev_custom", "eta": 2.0,
+                "exponents": [[0.5, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]}
+        model = build_model(spec).model
+        np.testing.assert_array_equal(model.superlinear_bounds, [2.0 * math.log(2.0), 0.0, 0.0])
+        path = tmp_path / "gev.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify", "--spec", str(path), "--suite", "superlinear",
+                     "--samples", "500"]) == 0
+
+    def test_one_row_is_linear(self):
+        model = build_model({"kind": "gev_custom", "eta": 1.0,
+                             "exponents": [[0.25, 0.75]]}).model
+        mu = np.random.default_rng(4).uniform(-5.0, 5.0, (20, 2))
+        np.testing.assert_allclose(model.value(mu), mu @ [0.25, 0.75], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.gradient(mu), np.tile([0.25, 0.75], (20, 1)),
+                                   rtol=0, atol=1e-15)
+        assert model.superlinear_bounds is None
+
+    def test_row_sums_within_1e_10_validate(self):
+        model = build_model({"kind": "gev_custom", "eta": 1.0,
+                             "exponents": [[1.0 + 1e-11, 0.0], [0.5, 0.5 - 1e-11],
+                                           [0.0, 1.0]]}).model
+        assert model.n == 2
+
+    @pytest.mark.parametrize("exponents", [[[1.0]], [[1.0], [1.0]], [[float("nan"), 1.0]]],
+                             ids=["one_column", "one_column_two_rows", "nan"])
+    def test_refused_specs_exit_2(self, tmp_path, exponents):
+        path = tmp_path / "gev.json"
+        path.write_text(json.dumps({"kind": "gev_custom", "eta": 1.0,
+                                    "exponents": exponents}))
+        assert main(["validate", "--spec", str(path)]) == 2
