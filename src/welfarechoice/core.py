@@ -57,6 +57,15 @@ def as_utility(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return mu
 
 
+def as_utility_of(values: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """`as_utility(values)`, refused unless it has one entry per alternative of n."""
+    mu = as_utility(values)
+    if mu.size != n:
+        raise ValueError(f"utility vector has {mu.size} entries, "
+                         f"not one for each of {n} alternatives")
+    return mu
+
+
 def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return a point on the probability simplex (to SIMPLEX_TOL)."""
     x = np.asarray(values, dtype=float)
@@ -194,25 +203,27 @@ def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
 def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
                   mu: np.ndarray,
                   indices: Sequence[int],
-                  h: float = 1e-2) -> float:
+                  h: float = 1e-2) -> float | np.ndarray:
     """Nested central difference estimating a k-th order mixed partial.
 
     `indices` lists the coordinates differentiated once each; they must be
-    distinct. The 2^k points of the stencil are one call of f.
+    distinct. For mu of shape (..., n) the 2^k points of every stencil are
+    one call of f, and the result has shape (...).
     """
     mu = np.asarray(mu, dtype=float)
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    if not 1 <= len(idx) <= mu.size:
+    if not 1 <= len(idx) <= mu.shape[-1]:
         raise ValueError("need between 1 and n distinct indices")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(idx))))
-    points = np.tile(mu, (len(signs), 1))
-    points[:, idx] += signs * h
-    values = _evaluate(f, points, scalar=True)
+    points = np.repeat(mu[..., None, :], len(signs), axis=-2)
+    points[..., idx] += signs * h
+    values = _evaluate(f, points.reshape(-1, mu.shape[-1]), scalar=True)
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite function value in difference stencil")
     # summed in stencil order, as one point at a time would be
+    values = np.moveaxis(values.reshape(points.shape[:-1]), -1, 0)
     total = sum(float(np.prod(s)) * v for s, v in zip(signs, values))
     return total / (2.0 * h) ** len(idx)
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_utility, mc_partitions, normal_quantile,
+from .core import (NumericError, as_utility_of, mc_partitions, normal_quantile,
                    stream_rng)
 from .welfare import (SignTestReport, WelfareModel, _sign_test, batch_gradient,
                       pointwise)
@@ -132,14 +132,6 @@ def _run_partitions(worker, seed: int, samples: int) -> list:
         return list(pool.map(run_one, parts))
 
 
-def _sampler_utility(sampler: NoiseSampler, mu) -> np.ndarray:
-    """Validated utilities: finite, one per alternative the sampler draws."""
-    mu = as_utility(mu)
-    if mu.size != sampler.n:
-        raise ValueError(f"mu has {mu.size} entries, the sampler draws {sampler.n}")
-    return mu
-
-
 def _row_max(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """max_i(mu_i + cols[i]) for each draw, from draws `cols` of shape (n, size)."""
     m = cols[0] + mu[0]
@@ -182,7 +174,7 @@ class MCWelfare:
 def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
                     seed: int) -> MCProbabilities:
     """Empirical argmax frequencies of mu + eps (ties to the lowest index)."""
-    mu = _sampler_utility(sampler, mu)
+    mu = as_utility_of(mu, sampler.n)
 
     def worker(rng, size):
         return _winner_counts(mu, sampler.draw(rng, size).T)
@@ -197,7 +189,7 @@ def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
 
 def mc_welfare(sampler: NoiseSampler, mu, samples: int, seed: int) -> MCWelfare:
     """Sample mean of max_i(mu_i + eps_i) with its standard error."""
-    mu = _sampler_utility(sampler, mu)
+    mu = as_utility_of(mu, sampler.n)
 
     def worker(rng, size):
         m = _row_max(mu, sampler.draw(rng, size).T)
@@ -302,7 +294,7 @@ def rum_sign_test(model: WelfareModel, max_order: int,
     """Check (-1)^k * (mixed partial of order k) <= 0 for k = 2..max_order."""
     if max_order not in (2, 3):
         raise ValueError("max_order must be 2 or 3")
-    return _sign_test(model.value, [as_utility(p) for p in points],
+    return _sign_test(model.value, [as_utility_of(p, model.n) for p in points],
                       range(2, max_order + 1))
 
 
@@ -321,13 +313,13 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
     # the whole panel, and broadcasting would build a (points, samples) array
     # per pass
     def value(mu):
-        w = float(np.mean(_row_max(_sampler_utility(sampler, mu), panel)))
+        w = float(np.mean(_row_max(as_utility_of(mu, sampler.n), panel)))
         if np.isnan(w):
             raise NumericError("noise draws contain NaN: the mean maximum is undefined")
         return w
 
     def gradient(mu):
-        return _winner_counts(_sampler_utility(sampler, mu), panel) / samples
+        return _winner_counts(as_utility_of(mu, sampler.n), panel) / samples
 
     return WelfareModel(n=sampler.n, value=pointwise(value),
                         gradient=pointwise(gradient), name=f"mc[{sampler.family}]")

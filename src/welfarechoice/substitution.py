@@ -7,6 +7,12 @@ welfare function); off-diagonal signs distinguish model families. The
 quadratic-matrix criterion, the dimension-reduced regularizer slices, and
 the sampled lattice (super/submodularity) tests provide the structural
 counterparts.
+
+The sampled checks evaluate in blocks: the lattice test draws pairs from a
+sampler (rng, size) -> (size, d) and evaluates a block of them, then their
+joins and meets, in one call each, so the tested function broadcasts as a
+`WelfareModel` does; the model check reads a block of candidates' cross
+effects from one Jacobian.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_symmetric, as_utility, finite_diff_jacobian, stream_rng
+from .core import _evaluate, as_symmetric, as_utility_of, finite_diff_jacobian, stream_rng
 from .ram import Regularizer
-from .welfare import WelfareModel, batch_gradient
+from .welfare import _DRAW_BLOCK, WelfareModel, batch_gradient, batch_value
 
 SUBSTITUTABLE = "substitutable"
 COMPLEMENTARY = "complementary"
@@ -58,11 +64,10 @@ def classify_pair(model: WelfareModel, mu, i: int, j: int,
     sign. The diagonal is complementary for every welfare-derived model, so
     i == j returns that label directly (with the estimate attached).
     """
-    mu = as_utility(mu)
+    mu = as_utility_of(mu, model.n)
     est = float(finite_diff_jacobian(model.gradient, mu, STEP, columns=[i])[j, 0])
-    if i == j:
-        return PairClassification(i=i, j=j, estimate=est, label=COMPLEMENTARY)
-    return PairClassification(i=i, j=j, estimate=est, label=_label(est, dead_zone))
+    label = COMPLEMENTARY if i == j else _label(est, dead_zone)
+    return PairClassification(i=i, j=j, estimate=est, label=label)
 
 
 @dataclass(frozen=True)
@@ -75,11 +80,11 @@ class SubstitutionReport:
     symmetric: bool
 
 
-def _cross_effects(model: WelfareModel, mu) -> np.ndarray:
-    """dq_j/dmu_i at entry (i, j): one Jacobian of the choice map, from one
-    gradient call on 2n points, whose column i is computed exactly as
-    `classify_pair` computes it."""
-    return finite_diff_jacobian(model.gradient, as_utility(mu), STEP).T
+def _cross_effects(model: WelfareModel, mu: np.ndarray) -> np.ndarray:
+    """dq_j/dmu_i at entry (..., i, j) for mu of shape (..., n): one Jacobian
+    of the choice map, from one gradient call on 2n points per row of mu,
+    whose column i is computed exactly as `classify_pair` computes it."""
+    return np.swapaxes(finite_diff_jacobian(model.gradient, mu, STEP), -1, -2)
 
 
 def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
@@ -88,14 +93,12 @@ def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     Entry (i, j) equals `classify_pair(model, mu, i, j)`; one Jacobian of
     the choice map serves every pair.
     """
-    mu = as_utility(mu)
+    mu = as_utility_of(mu, model.n)
     n = model.n
     estimates = _cross_effects(model, mu)
-    labels = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            labels[i, j] = (COMPLEMENTARY if i == j
-                            else _label(estimates[i, j], DEAD_ZONE))
+    labels = np.array([[COMPLEMENTARY if i == j else _label(e, DEAD_ZONE)
+                        for j, e in enumerate(row)] for i, row in enumerate(estimates)],
+                      dtype=object)
     tol = SYMMETRY_REL_TOL * max(1.0, abs(model.value(mu)))
     symmetric = bool(np.max(np.abs(estimates - estimates.T)) <= tol)
     return SubstitutionReport(mu=mu, labels=labels, estimates=estimates,
@@ -118,7 +121,7 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    mu_base = as_utility(mu_base)
+    mu_base = as_utility_of(mu_base, model.n)
     grid = np.linspace(lo, hi, steps)
     points = np.tile(mu_base, (steps, 1))
     points[:, i] = grid
@@ -174,13 +177,14 @@ class ReducedRegularizer:
     """Slice of V with coordinate `index` eliminated via the simplex equation.
 
     value(z) = V(z_1, .., z_{index-1}, 1 - sum z, z_index, .., z_{n-2}) on
-    {z >= 0, sum z <= 1}, +inf outside. The eliminated coordinate absorbs
-    the simplex constraint so lattice operations on z are meaningful.
+    {z >= 0, sum z <= 1}, +inf outside, where V is never evaluated. The
+    eliminated coordinate absorbs the simplex constraint so lattice
+    operations on z are meaningful. `value` broadcasts over (..., n - 1).
     """
 
     index: int
     n: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
 
 
 def reduced_regularizer(reg: Regularizer, index: int) -> ReducedRegularizer:
@@ -190,13 +194,14 @@ def reduced_regularizer(reg: Regularizer, index: int) -> ReducedRegularizer:
 
     def value(z):
         z = np.asarray(z, dtype=float)
-        if z.size != n - 1:
+        if z.shape[-1:] != (n - 1,):
             raise ValueError(f"expected {n - 1} coordinates")
-        total = float(np.sum(z))
-        if np.min(z) < 0.0 or total > 1.0:
-            return np.inf
-        x = np.insert(z, index, 1.0 - total)
-        return float(reg.value(x))
+        total = np.sum(z, axis=-1)
+        inside = ~((np.min(z, axis=-1) < 0.0) | (total > 1.0))
+        out = np.full(total.shape, np.inf)
+        x = np.insert(z, index, 1.0 - total, axis=-1)[inside]
+        out[inside] = batch_value(reg, x)
+        return out[()]
 
     return ReducedRegularizer(index=index, n=n, value=value)
 
@@ -219,8 +224,8 @@ class ModularityReport:
     submodular_witness: Optional[tuple]
 
 
-def check_modularity(f: Callable[[np.ndarray], float],
-                     domain_sampler: Callable[[np.random.Generator], np.ndarray],
+def check_modularity(f: Callable[[np.ndarray], np.ndarray],
+                     domain_sampler: Callable[[np.random.Generator, int], np.ndarray],
                      samples: int = 1000, seed: int = 0) -> ModularityReport:
     """Test f(x v y) + f(x ^ y) >= / <= f(x) + f(y) on sampled pairs.
 
@@ -230,39 +235,46 @@ def check_modularity(f: Callable[[np.ndarray], float],
     supermodularity, while it does falsify submodularity. That matches the
     asymmetric typing of the two properties (supermodular functions may
     take +inf, submodular ones -inf).
+
+    Pairs go in blocks of at most `_DRAW_BLOCK`: `domain_sampler(rng, size)`
+    returns points of shape (size, d), x then y for each pair, and f maps
+    (..., d) to (...). A block is one call of f for its pairs, one per round
+    of redraws of its non-finite pairs (a pair is dropped after MAX_RESAMPLES
+    draws) and one for joins and meets. A pair whose lattice sum is NaN is
+    used but tests nothing. Each witness is the first largest violation.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = stream_rng(seed)
-    sup_viol = 0.0
-    sub_viol = 0.0
-    sup_wit = None
-    sub_wit = None
+
+    def draw(size):
+        pairs = np.asarray(domain_sampler(rng, 2 * size), dtype=float)
+        pairs = pairs.reshape(size, 2, pairs.shape[-1])
+        return pairs, _evaluate(f, pairs.reshape(2 * size, -1), scalar=True).reshape(size, 2)
+
+    viol, wit = [0.0, 0.0], [None, None]  # supermodular, submodular
     used = 0
-    for _ in range(samples):
-        for _attempt in range(MAX_RESAMPLES):
-            x = np.asarray(domain_sampler(rng), dtype=float)
-            y = np.asarray(domain_sampler(rng), dtype=float)
-            fx, fy = f(x), f(y)
-            if np.isfinite(fx) and np.isfinite(fy):
+    for start in range(0, samples, _DRAW_BLOCK):
+        pairs, values = draw(min(_DRAW_BLOCK, samples - start))
+        bad = ~np.all(np.isfinite(values), axis=1)
+        for _round in range(MAX_RESAMPLES - 1):
+            if not bad.any():
                 break
-        else:
+            pairs[bad], values[bad] = draw(np.count_nonzero(bad))
+            bad[bad] = ~np.all(np.isfinite(values[bad]), axis=1)
+        pairs, plain = pairs[~bad], values[~bad].sum(axis=1)
+        used += len(pairs)
+        if not len(pairs):
             continue
-        used += 1
-        join = np.maximum(x, y)
-        meet = np.minimum(x, y)
-        lattice = f(join) + f(meet)
-        plain = fx + fy
-        if np.isnan(lattice):
-            continue
-        if plain - lattice > max(sup_viol, LATTICE_TOL):
-            sup_viol = plain - lattice
-            sup_wit = (x, y)
-        if lattice - plain > max(sub_viol, LATTICE_TOL):
-            sub_viol = lattice - plain
-            sub_wit = (x, y)
-    sup_ok = sup_viol <= LATTICE_TOL
-    sub_ok = sub_viol <= LATTICE_TOL
+        lattice = np.stack([pairs.max(axis=1), pairs.min(axis=1)], axis=1)
+        lattice = _evaluate(f, lattice.reshape(2 * len(pairs), -1), scalar=True)
+        lattice = lattice.reshape(-1, 2).sum(axis=1)
+        for side, gap in enumerate((plain - lattice, lattice - plain)):
+            # a NaN lattice sum tests nothing
+            k = np.argmax(np.where(np.isnan(lattice), -np.inf, gap))
+            if gap[k] > max(viol[side], LATTICE_TOL):
+                viol[side], wit[side] = float(gap[k]), (pairs[k, 0].copy(), pairs[k, 1].copy())
+    sup_ok, sub_ok = (v <= LATTICE_TOL for v in viol)
     if sup_ok and sub_ok:
         verdict = "modular-consistent"
     elif sup_ok:
@@ -271,33 +283,23 @@ def check_modularity(f: Callable[[np.ndarray], float],
         verdict = "submodular-consistent"
     else:
         verdict = "neither"
-    return ModularityReport(verdict=verdict, samples_used=used,
-                            supermodular_violation=sup_viol,
-                            submodular_violation=sub_viol,
-                            supermodular_witness=sup_wit,
-                            submodular_witness=sub_wit)
+    return ModularityReport(verdict, used, *viol, *wit)
 
 
-def corner_simplex_sampler(n: int) -> Callable[[np.random.Generator], np.ndarray]:
-    """Uniform sampler over {z >= 0, sum z <= 1 - CORNER_MARGIN} in n-1 variables.
+def corner_simplex_sampler(n: int) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Uniform sampler of `size` points of {z >= 0, sum z <= 1 - CORNER_MARGIN}
+    in n-1 variables, shape (size, n - 1).
 
     Uniformity comes from sampling the full simplex with a slack coordinate
     and dropping the slack.
     """
-
-    def sample(rng):
-        z = rng.dirichlet(np.ones(n))[: n - 1]
-        return z * (1.0 - CORNER_MARGIN)
-
-    return sample
+    return lambda rng, size: rng.dirichlet(np.ones(n), size)[:, : n - 1] * (1.0 - CORNER_MARGIN)
 
 
 def utility_box_sampler(n: int, box: float
-                        ) -> Callable[[np.random.Generator], np.ndarray]:
-    def sample(rng):
-        return rng.uniform(-box, box, n)
-
-    return sample
+                        ) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Uniform sampler of `size` points of [-box, box]^n, shape (size, n)."""
+    return lambda rng, size: rng.uniform(-box, box, (size, n))
 
 
 @dataclass(frozen=True)
@@ -329,40 +331,34 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
 
     sub_report = check_modularity(model.value, utility_box_sampler(model.n, box),
                                   samples=samples, seed=seed)
-    rng = stream_rng(seed, key=1)
-    pairs = list(itertools.combinations(range(model.n), 2))
-    candidates = []
-    points = max(1, samples // max(1, len(pairs)))
-    for _ in range(points):
-        candidates.append(rng.uniform(-box, box, model.n))
+    rows, cols = np.triu_indices(model.n, 1)  # the pairs i < j in lexicographic order
+    points = max(1, samples // max(1, rows.size))
+    candidates = [stream_rng(seed, key=1).uniform(-box, box, (points, model.n))]
     if span_probes is None:
         span_probes = max(10, min(50, samples // 20))
     rng_span = stream_rng(seed, key=2)
     for _ in range(span_probes):
         target = rng_span.dirichlet(np.ones(model.n)) * 0.9 + 0.1 / model.n
         try:
-            candidates.append(invert_choice(model, target))
+            candidates.append(invert_choice(model, target)[None])
         except (ConvergenceError, ValueError, ArithmeticError):
             continue
+    candidates = np.concatenate(candidates)
 
-    witness = None
-    witness_mu = None
-    tested = 0
-    for mu in candidates:
-        # entry (i, j) is `classify_pair(model, mu, i, j).estimate`
-        estimates = _cross_effects(model, mu)
-        for i, j in pairs:
-            tested += 1
-            est = float(estimates[i, j])
-            if _label(est, DEAD_ZONE) == COMPLEMENTARY:
-                witness = PairClassification(i=i, j=j, estimate=est, label=COMPLEMENTARY)
-                witness_mu = mu
-                break
-        if witness is not None:
+    witness = witness_mu = None
+    tested = len(candidates) * rows.size
+    for start in range(0, len(candidates), _DRAW_BLOCK):
+        block = candidates[start:start + _DRAW_BLOCK]
+        # entry (c, t) is `classify_pair(model, block[c], rows[t], cols[t]).estimate`
+        estimates = _cross_effects(model, block)[:, rows, cols]
+        found = np.argwhere(estimates > DEAD_ZONE)
+        if found.size:
+            c, t = found[0]
+            tested = int((start + c) * rows.size + t + 1)
+            witness = PairClassification(int(rows[t]), int(cols[t]), float(estimates[c, t]),
+                                         COMPLEMENTARY)
+            witness_mu = block[c]
             break
-    sub_ok = sub_report.submodular_violation <= LATTICE_TOL
-    verdict = ("substitutable-consistent"
-               if sub_ok and witness is None else "violation")
-    return SubstitutabilityReport(verdict=verdict, submodularity=sub_report,
-                                  complementary_witness=witness,
-                                  witness_mu=witness_mu, points_tested=tested)
+    consistent = witness is None and sub_report.submodular_violation <= LATTICE_TOL
+    return SubstitutabilityReport("substitutable-consistent" if consistent else "violation",
+                                  sub_report, witness, witness_mu, tested)

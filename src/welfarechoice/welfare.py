@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import finite_diff_gradient, mixed_partial, stream_rng
+from .core import _evaluate, finite_diff_gradient, mixed_partial, stream_rng
 
 SIGN_REL_TOL = 1e-4
 GEV_VALIDATION_SAMPLES = 64
@@ -238,32 +238,30 @@ class SignTestReport:
         raise KeyError(order)
 
 
-def _sign_test(f: Callable[[np.ndarray], float], points,
+def _sign_test(f: Callable[[np.ndarray], np.ndarray], points,
                orders: Sequence[int]) -> SignTestReport:
-    """Per-order verdicts of f at `points`. A tuple of k distinct indices
-    violates the condition by (-1)^k * (mixed partial) - SIGN_REL_TOL *
-    max(1, |f(point)|) when that is positive; each order keeps its first
-    worst, in point -> order -> tuple order."""
-    worst = dict.fromkeys(orders, (-np.inf, None, None))
-    tested = dict.fromkeys(orders, 0)
-    for point in points:
-        tol = SIGN_REL_TOL * max(1.0, abs(f(point)))
-        for order in orders:
-            sign = (-1.0) ** order
-            for combo in itertools.combinations(range(point.size), order):
-                violation = sign * mixed_partial(f, point, combo) - tol
-                tested[order] += 1
-                if violation > worst[order][0]:
-                    worst[order] = (violation, point, combo)
+    """Per-order verdicts of f at `points` (P, n). A tuple of k distinct
+    indices violates the condition by (-1)^k * (mixed partial) - SIGN_REL_TOL
+    * max(1, |f(point)|) when that is positive; each order keeps its first
+    worst, in point -> tuple order. f is called once for the tolerances and
+    once per tuple, at every point together."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[0] == 0:
+        raise ValueError("a sign test needs at least one point")
+    tol = SIGN_REL_TOL * np.fmax(1.0, np.abs(_evaluate(f, points, scalar=True)))
     verdicts = []
     for order in orders:
-        violation, point, combo = worst[order]
-        passed = violation <= 0.0
-        verdicts.append(OrderVerdict(order=order, passed=passed,
-                                     worst_violation=float(violation),
-                                     witness_point=None if passed else point,
-                                     witness_indices=None if passed else combo,
-                                     tuples_tested=tested[order]))
+        combos = list(itertools.combinations(range(points.shape[1]), order))
+        violation = np.reshape([(-1.0) ** order * mixed_partial(f, points, combo) - tol
+                                for combo in combos], (len(combos), len(points))).T
+        # a NaN violation is never the worst
+        worst = float(np.fmax.reduce(violation, axis=None, initial=-np.inf))
+        passed = worst <= 0.0
+        p, t = (None, None) if passed else np.argwhere(violation == worst)[0]
+        verdicts.append(OrderVerdict(order=order, passed=passed, worst_violation=worst,
+                                     witness_point=None if passed else points[p],
+                                     witness_indices=None if passed else combos[t],
+                                     tuples_tested=violation.size))
     return SignTestReport(max_order=max(orders), verdicts=tuple(verdicts))
 
 
@@ -275,8 +273,9 @@ def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
     the random-utility interpretation."""
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be in {1, 2, 3}")
-    rng = stream_rng(seed)
-    points = [rng.uniform(0.3, 2.5, size=n) for _ in range(samples)]
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    points = stream_rng(seed).uniform(0.3, 2.5, size=(samples, n))
     return _sign_test(pointwise(gen.H), points, range(1, max_order + 1))
 
 

@@ -126,6 +126,21 @@ class TestMixedPartial:
         with pytest.raises(ValueError):
             core.mixed_partial(lambda m: m[0], np.zeros(2), (0, 0))
 
+    def test_batch_is_one_call_and_equals_each_row(self):
+        model = mnl_welfare(1.0, 3)
+        mu = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 3))
+        calls = []
+
+        def value(m):
+            calls.append(m.shape)
+            return model.value(m)
+
+        est = core.mixed_partial(value, mu, (0, 2))
+        assert calls == [(20, 3)]
+        assert est.shape == (5,)
+        for row, e in zip(mu, est):
+            assert core.mixed_partial(model.value, row, (0, 2)) == e
+
 
 class TestIntegrate1D:
     def test_identity_on_unit_interval(self):

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,6 +352,28 @@ class TestSignTests:
     def test_order_above_three_refused(self):
         with pytest.raises(ValueError):
             rum_sign_test(mnl_welfare(1.0, 4), max_order=4, points=[np.zeros(4)])
+
+    def test_no_points_refused(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            rum_sign_test(mnl_welfare(1.0, 3), 3, [])
+
+    def test_points_of_the_wrong_length_refused(self):
+        with pytest.raises(ValueError, match="5 entries, not one for each of 3"):
+            rum_sign_test(mnl_welfare(1.0, 3), 3, [np.zeros(5)])
+
+    def test_one_call_for_the_tolerances_and_one_per_tuple(self):
+        m = mnl_welfare(1.0, 3)
+        shapes = []
+
+        def value(mu):
+            shapes.append(mu.shape)
+            return m.value(mu)
+
+        points = np.random.default_rng(3).uniform(-2.0, 2.0, (7, 3))
+        report = rum_sign_test(replace(m, value=value), 3, points)
+        assert report.passed
+        # 3 pairs of 4 stencil points and 1 triple of 8, at all 7 points
+        assert shapes == [(7, 3)] + [(28, 3)] * 3 + [(56, 3)]
 
 
 class TestMCWelfareModel:

@@ -1,20 +1,22 @@
 """Pairwise substitutability classification and structural criteria."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from welfarechoice.ram import (mmm_regularizer, quadratic_regularizer,
                                ram_welfare)
 from welfarechoice.rum import gumbel_sampler, mc_welfare_model
-from welfarechoice.substitution import (COMPLEMENTARY, SUBSTITUTABLE,
+from welfarechoice.substitution import (COMPLEMENTARY, MAX_RESAMPLES, SUBSTITUTABLE,
                                         check_modularity,
                                         classify_pair, corner_simplex_sampler,
                                         quadratic_criterion,
                                         reduced_regularizer, scan_line,
                                         substitutable_model_check,
                                         substitution_report)
-from welfarechoice.welfare import WelfareModel, log_sum_welfare, \
+from welfarechoice.welfare import _DRAW_BLOCK, WelfareModel, log_sum_welfare, \
     mnl_welfare, nested_logit_welfare
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
@@ -142,6 +144,16 @@ class TestScanLine:
             assert r.label == SUBSTITUTABLE
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: classify_pair(m, np.zeros(4), 0, 3),
+    lambda m: substitution_report(m, np.zeros(4)),
+    lambda m: scan_line(m, np.zeros(4), i=0, j=1, lo=-1.0, hi=1.0, steps=5),
+], ids=["classify_pair", "substitution_report", "scan_line"])
+def test_points_of_the_wrong_length_are_refused(call):
+    with pytest.raises(ValueError, match="4 entries, not one for each of 3"):
+        call(mnl_welfare(1.0, 3))
+
+
 class TestQuadraticCriterion:
     def test_coupling_matrix_fails_expected_triple(self):
         report = quadratic_criterion(COUPLING)
@@ -188,10 +200,28 @@ class TestReducedRegularizer:
         assert rr.value(np.array([0.7, 0.7])) == np.inf
         assert rr.value(np.array([-0.1, 0.3])) == np.inf
 
+    def test_broadcasts_and_never_evaluates_v_off_domain(self):
+        reg = quadratic_regularizer(COUPLING)
+        seen = []
+
+        def value(x):
+            seen.append(x)
+            return reg.value(x)
+
+        rr = reduced_regularizer(replace(reg, value=value), 1)
+        z = np.random.default_rng(6).uniform(-0.2, 0.8, (40, 2))
+        values = rr.value(z)
+        assert values.shape == (40,) and len(seen) == 1
+        assert np.all(seen[0] >= 0.0)
+        outside = (np.min(z, axis=1) < 0.0) | (np.sum(z, axis=1) > 1.0)
+        assert np.all(values[outside] == np.inf)
+        for row, v in zip(z[~outside], values[~outside]):
+            assert reduced_regularizer(reg, 1).value(row) == v
+
 
 class TestCheckModularity:
     def test_product_is_supermodular(self):
-        report = check_modularity(lambda z: float(z[0] * z[1]),
+        report = check_modularity(lambda z: z[..., 0] * z[..., 1],
                                   corner_simplex_sampler(3), samples=500, seed=0)
         assert report.verdict == "supermodular-consistent"
 
@@ -205,14 +235,75 @@ class TestCheckModularity:
     def test_mnl_welfare_is_submodular(self):
         m = mnl_welfare(1.0, 3)
         report = check_modularity(m.value,
-                                  lambda rng: rng.uniform(-8.0, 8.0, 3),
+                                  lambda rng, size: rng.uniform(-8.0, 8.0, (size, 3)),
                                   samples=1000, seed=0)
         assert report.verdict == "submodular-consistent"
 
     def test_linear_function_is_modular(self):
-        report = check_modularity(lambda z: float(z[0] + 2 * z[1]),
+        report = check_modularity(lambda z: z[..., 0] + 2 * z[..., 1],
                                   corner_simplex_sampler(3), samples=300, seed=0)
         assert report.verdict == "modular-consistent"
+
+
+def counting(f, shapes):
+    def counted(z):
+        shapes.append(np.shape(z))
+        return f(z)
+    return counted
+
+
+def product_off_the_edge(z):
+    """z1 * z2, +inf where z1 > 0.9."""
+    return np.where(z[..., 0] > 0.9, np.inf, z[..., 0] * z[..., 1])
+
+
+class TestCheckModularityBlocks:
+    def test_one_call_for_the_pairs_and_one_for_joins_and_meets(self):
+        shapes = []
+        report = check_modularity(counting(lambda z: z[..., 0] * z[..., 1], shapes),
+                                  corner_simplex_sampler(3), samples=200, seed=1)
+        assert shapes == [(400, 2), (400, 2)]
+        assert report.samples_used == 200
+
+    def test_out_of_domain_pairs_are_redrawn(self):
+        shapes = []
+        report = check_modularity(counting(product_off_the_edge, shapes),
+                                  lambda rng, size: rng.uniform(0.0, 1.0, (size, 2)),
+                                  samples=300, seed=2)
+        assert len(shapes) > 2
+        assert report.samples_used == 300
+        assert report.verdict == "supermodular-consistent"
+
+    def test_pairs_never_in_the_domain_are_dropped(self):
+        shapes = []
+        report = check_modularity(counting(product_off_the_edge, shapes),
+                                  lambda rng, size: rng.uniform(0.95, 1.0, (size, 2)),
+                                  samples=30, seed=3)
+        # every pair is drawn MAX_RESAMPLES times, and no join or meet is evaluated
+        assert len(shapes) == MAX_RESAMPLES
+        assert report.samples_used == 0
+        assert report.verdict == "modular-consistent"
+        assert report.supermodular_witness is None and report.submodular_witness is None
+
+    def test_per_point_function_gets_the_contract_error(self):
+        with pytest.raises(ValueError, match="pointwise"):
+            check_modularity(lambda z: z[0] * z[1], corner_simplex_sampler(3),
+                             samples=10, seed=0)
+
+    def test_sampler_requests_stay_within_two_blocks(self):
+        sizes = []
+        sampler = corner_simplex_sampler(3)
+
+        def counted(rng, size):
+            sizes.append(size)
+            return sampler(rng, size)
+
+        samples = _DRAW_BLOCK + 5
+        report = check_modularity(lambda z: z[..., 0] + z[..., 1], counted,
+                                  samples=samples, seed=0)
+        assert max(sizes) <= 2 * _DRAW_BLOCK
+        assert sum(sizes) == 2 * samples
+        assert report.samples_used == samples
 
 
 class TestSubstitutableModelCheck:

@@ -179,6 +179,12 @@ class TestGEV:
         assert [v.tuples_tested for v in rep.verdicts] == [30, 30]
         assert all(v.passed and v.witness_point is None for v in rep.verdicts)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sign_report_refuses_no_samples(self, samples):
+        power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        with pytest.raises(ValueError, match="samples"):
+            check_generator_signs(power, 3, samples=samples)
+
     def test_sign_report_refuses_high_orders(self):
         power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
         with pytest.raises(ValueError):
