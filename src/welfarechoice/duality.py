@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_utility, finite_diff_jacobian, newton_step
+from .core import as_utility_of, finite_diff_jacobian, newton_step
 from .welfare import WelfareModel, model_bounds
 
 INTERIOR_MIN = 1e-6
@@ -183,7 +183,7 @@ def anchor_family(model: WelfareModel,
     b = np.asarray(model.superlinear_bounds, dtype=float)
     out = []
     for z in anchors:
-        z = as_utility(z)
+        z = as_utility_of(z, model.n)
         q = np.asarray(model.gradient(z), dtype=float)
         positive = q[q > 0.0]
         if positive.size == 0:
@@ -205,7 +205,7 @@ def semiparametric_sup(model: WelfareModel, anchors: Sequence, mu) -> float:
     if not len(anchors):
         raise ValueError("anchors must be nonempty")
     family = anchor_family(model, anchors)
-    mu = as_utility(mu)
+    mu = as_utility_of(mu, model.n)
     return max(dist.expected_max(mu) for dist in family)
 
 

@@ -361,50 +361,111 @@ class AxiomReport:
                 and self.convex.passed)
 
 
-def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
-                 seed: int = 0) -> AxiomReport:
-    """Randomized test of monotonicity, translation invariance, convexity."""
+def _check_draws(samples: int, box: float) -> None:
+    """Refuse fewer than one sample, and a box whose draws, -box + 2 box u,
+    would not all be finite: a NaN point makes no comparison fail."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (box > 0 and np.isfinite(2.0 * box)):
+        raise ValueError(f"box must be positive and finite, got {box!r}")
+
+
+def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
+                 seed: int = 0) -> AxiomReport:
+    """Randomized test of monotonicity, translation invariance, convexity.
+
+    Sample k draws mu, then delta while monotonicity is live, t while
+    translation invariance is live (the first 9 samples cycle through fixed
+    shifts instead), then nu while convexity is live, and tests
+    w(mu + delta) >= w(mu), w(mu + t) = w(mu) + t and
+    w((mu + nu) / 2) <= (w(mu) + w(nu)) / 2. Each witness is an axiom's
+    first violating sample, and the test stops once all three have failed.
+
+    Samples go in blocks of at most `_DRAW_BLOCK` rows (the first 9 apart),
+    each one `rng.random` array in that per-sample layout and one call of
+    `model.value` for its points. At a block's first violation the stream
+    is rewound and redrawn up to that sample, so the draws, witnesses and
+    `samples_used` are those of one sample at a time. A model that fails
+    the broadcasting contract is evaluated through `pointwise` instead;
+    that path goes once the benchmark's per-point control broadcasts.
+    """
+    _check_draws(samples, box)
     rng = stream_rng(seed)
     n = model.n
     slack = 1e-9
+    shifts = np.array([-3.0, 0.7, 10.0])
+    fixed = 3 * len(shifts)
+    value = model.value
+    live = {"mono": True, "trans": True, "conv": True}
+    witness: dict = {}
 
-    mono = AxiomCheck(True)
-    trans = AxiomCheck(True)
-    conv = AxiomCheck(True)
-    shifts = [-3.0, 0.7, 10.0]
+    def evaluate(points):
+        nonlocal value
+        try:
+            return _evaluate(value, points, scalar=True)
+        except (TypeError, ValueError, IndexError):
+            if value is not model.value:
+                raise
+            # a per-point model, lifted (ROADMAP item 1 retires this path)
+            value = pointwise(model.value)
+            return _evaluate(value, points, scalar=True)
 
-    for k in range(samples):
-        mu = rng.uniform(-box, box, n)
-        w_mu = model.value(mu)
+    k = 0
+    while k < samples and any(live.values()):
+        size = min(fixed - k if k < fixed else _DRAW_BLOCK, samples - k)
+        # a row holds mu, then delta, t and nu where their axiom is live;
+        # each is scaled as rng.uniform scales it, low + (high - low) * u
+        widths = [n, n * live["mono"], live["trans"] and k >= fixed, n * live["conv"]]
+        state = rng.bit_generator.state
+        u = rng.random((size, sum(widths)))
+        mu, delta, t, nu = np.split(u, np.cumsum(widths)[:-1], axis=1)
+        mu = -box + 2.0 * box * mu
+        points = {"mu": mu}
+        if live["mono"]:
+            delta = box / 2 * delta
+            points["up"] = mu + delta
+        if live["trans"]:
+            t = (-box + 2.0 * box * t[:, 0] if k >= fixed
+                 else shifts[np.arange(k, k + size) % len(shifts)])
+            points["shift"] = mu + t[:, None]
+        if live["conv"]:
+            nu = -box + 2.0 * box * nu
+            points["mid"], points["nu"] = 0.5 * (mu + nu), nu
+        w = evaluate(np.stack(list(points.values()), axis=1).reshape(-1, n))
+        w = dict(zip(points, w.reshape(size, len(points)).T))
 
-        if mono.passed:
-            delta = rng.uniform(0.0, box / 2, n)
-            if model.value(mu + delta) < w_mu - slack:
-                mono = AxiomCheck(False, {"mu": mu, "delta": delta,
-                                          "gap": float(w_mu - model.value(mu + delta))})
+        # per live axiom: its violations and the witness at sample i
+        tests = {}
+        if live["mono"]:
+            tests["mono"] = (w["up"] < w["mu"] - slack, lambda i: {
+                "mu": mu[i].copy(), "delta": delta[i].copy(),
+                "gap": float(w["mu"][i] - w["up"][i])})
+        if live["trans"]:
+            err = np.abs(w["shift"] - w["mu"] - t)
+            tests["trans"] = (err > 1e-8, lambda i: {
+                "mu": mu[i].copy(), "t": float(t[i]), "error": float(err[i])})
+        if live["conv"]:
+            chord = 0.5 * (w["mu"] + w["nu"])
+            tests["conv"] = (chord < w["mid"] - slack, lambda i: {
+                "mu": mu[i].copy(), "nu": nu[i].copy(),
+                "gap": float(w["mid"][i] - chord[i])})
 
-        if trans.passed:
-            t = shifts[k % len(shifts)] if k < 3 * len(shifts) else float(
-                rng.uniform(-box, box))
-            err = abs(model.value(mu + t * np.ones(n)) - w_mu - t)
-            if err > 1e-8:
-                trans = AxiomCheck(False, {"mu": mu, "t": t, "error": float(err)})
+        first = {name: int(np.argmax(bad)) for name, (bad, _) in tests.items() if bad.any()}
+        if not first:
+            k += size
+            continue
+        k0 = min(first.values())
+        for name, i in first.items():
+            if i == k0:
+                live[name], witness[name] = False, tests[name][1](k0)
+        k += k0 + 1
+        if k0 + 1 < size:
+            # later samples drop the failed axioms' draws: rewind to sample k0's end
+            rng.bit_generator.state = state
+            rng.random((k0 + 1, u.shape[1]))
 
-        if conv.passed:
-            nu = rng.uniform(-box, box, n)
-            mid = model.value(0.5 * (mu + nu))
-            if 0.5 * (w_mu + model.value(nu)) < mid - slack:
-                conv = AxiomCheck(False, {
-                    "mu": mu, "nu": nu,
-                    "gap": float(mid - 0.5 * (w_mu + model.value(nu)))})
-
-        if not (mono.passed or trans.passed or conv.passed):
-            break
-
-    return AxiomReport(monotonic=mono, translation_invariant=trans,
-                       convex=conv, samples_used=k + 1)
+    return AxiomReport(*(AxiomCheck(live[name], witness.get(name)) for name in live),
+                       samples_used=k)
 
 
 @dataclass(frozen=True)
@@ -422,8 +483,7 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     Points are drawn and evaluated in blocks, one `batch_value` call each;
     the witness is the first violating draw, and a NaN margin is none.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_draws(samples, box)
     b = np.asarray(b, dtype=float)
     rng = stream_rng(seed)
     worst = np.inf

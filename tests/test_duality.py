@@ -181,6 +181,19 @@ class TestSemiparametricSup:
         with pytest.raises(ValueError):
             semiparametric_sup(mnl_welfare(1.0, 3), [], np.zeros(3))
 
+    @pytest.mark.parametrize("anchor, mu", [
+        (np.zeros(2), np.zeros(2)), (np.zeros(4), np.zeros(3)),
+        (np.zeros(3), np.zeros(2)), (np.zeros(3), np.zeros(4))],
+        ids=["both_short", "long_anchor", "short_mu", "long_mu"])
+    def test_wrong_length_anchor_or_point_rejected(self, anchor, mu):
+        # a 2-vector once returned log 2, the answer of a 2-alternative model
+        model = mnl_welfare(1.0, 3)
+        with pytest.raises(ValueError, match="not one for each of 3 alternatives"):
+            semiparametric_sup(model, [anchor], mu)
+        if anchor.size != 3:
+            with pytest.raises(ValueError, match="not one for each of 3 alternatives"):
+                anchor_family(model, [anchor])
+
 
 class TestTabulatedRoundTrip:
     def test_grid_nodes_are_interior_simplex_points(self):

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from welfarechoice import core
+from welfarechoice import core, welfare
 from welfarechoice.cli import main
 from welfarechoice.duality import conjugate_V
 from welfarechoice.modelspec import build_model
-from welfarechoice.welfare import (GEVGenerator, GeneratorInvalidError,
-                                   WelfareModel, check_axioms,
+from welfarechoice.ram import quadratic_regularizer, ram_welfare
+from welfarechoice.transforms import MixtureComponent, cross, mix
+from welfarechoice.welfare import (AxiomCheck, AxiomReport, GEVGenerator,
+                                   GeneratorInvalidError, WelfareModel, check_axioms,
                                    check_generator_signs, check_superlinear,
                                    estimate_superlinear_bounds, gev_welfare,
                                    log_sum_welfare, mnl_welfare, model_bounds,
@@ -338,6 +340,173 @@ class TestAxiomChecker:
                     or report.convex.passed)
         assert report.samples_used == 1
 
+    @pytest.mark.parametrize("box", [np.nan, np.inf, 0.0, -1.0, 1e308])
+    def test_box_must_be_positive_and_finite(self, box):
+        # a NaN box would draw NaN points, whose comparisons find no violation
+        with pytest.raises(ValueError, match="box"):
+            check_axioms(mnl_welfare(1.0, 3), samples=10, box=box)
+
+
+def per_sample_check_axioms(model, samples=1000, box=10.0, seed=0):
+    """The one-sample-at-a-time loop that `check_axioms` evaluates in
+    blocks: the reference for its draws, witnesses and `samples_used`."""
+    rng = core.stream_rng(seed)
+    n = model.n
+    slack = 1e-9
+
+    mono = AxiomCheck(True)
+    trans = AxiomCheck(True)
+    conv = AxiomCheck(True)
+    shifts = [-3.0, 0.7, 10.0]
+
+    for k in range(samples):
+        mu = rng.uniform(-box, box, n)
+        w_mu = model.value(mu)
+
+        if mono.passed:
+            delta = rng.uniform(0.0, box / 2, n)
+            if model.value(mu + delta) < w_mu - slack:
+                mono = AxiomCheck(False, {"mu": mu, "delta": delta,
+                                          "gap": float(w_mu - model.value(mu + delta))})
+
+        if trans.passed:
+            t = shifts[k % len(shifts)] if k < 3 * len(shifts) else float(
+                rng.uniform(-box, box))
+            err = abs(model.value(mu + t * np.ones(n)) - w_mu - t)
+            if err > 1e-8:
+                trans = AxiomCheck(False, {"mu": mu, "t": t, "error": float(err)})
+
+        if conv.passed:
+            nu = rng.uniform(-box, box, n)
+            mid = model.value(0.5 * (mu + nu))
+            if 0.5 * (w_mu + model.value(nu)) < mid - slack:
+                conv = AxiomCheck(False, {
+                    "mu": mu, "nu": nu,
+                    "gap": float(mid - 0.5 * (w_mu + model.value(nu)))})
+
+        if not (mono.passed or trans.passed or conv.passed):
+            break
+
+    return AxiomReport(monotonic=mono, translation_invariant=trans,
+                       convex=conv, samples_used=k + 1)
+
+
+def assert_same_report(got: AxiomReport, want: AxiomReport):
+    assert type(got.samples_used) is int and got.samples_used == want.samples_used
+    for field in ("monotonic", "translation_invariant", "convex"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.passed == b.passed, field
+        assert (a.witness is None) == (b.witness is None), field
+        if a.witness is None:
+            continue
+        assert list(a.witness) == list(b.witness), field
+        for key, value in b.witness.items():
+            mine = a.witness[key]
+            assert type(mine) is type(value), (field, key)
+            if isinstance(value, np.ndarray):
+                assert mine.shape == value.shape and mine.tobytes() == value.tobytes()
+            else:
+                assert float(mine).hex() == float(value).hex(), (field, key)
+
+
+MNL3 = mnl_welfare(1.0, 3)
+
+
+def patchy(mu):
+    """Translation invariant but for a thin slab, and neither monotone nor
+    convex where mu_1 - mu_2 is near 8: its axioms fail at different
+    samples, some of them past the first 9."""
+    mu = np.asarray(mu, dtype=float)
+    return (MNL3.value(mu) - 3.0 * np.tanh(mu[..., 0] - mu[..., 1] - 8.0)
+            + 1e-6 * np.maximum(mu[..., 2] - 9.0, 0.0) * (mu[..., 0] > 6.0))
+
+
+def axiom_models():
+    m2 = mnl_welfare(1.0, 2)
+    return {
+        "mnl": MNL3,
+        "nested_logit": nested_logit_welfare([[0, 1], [2]], [0.5, 1.0], 3),
+        "mix": mix([MixtureComponent(m2, (0, 1), 0.5), MixtureComponent(m2, (1, 2), 0.5)], n=3),
+        "cross": cross(mnl_welfare(1.0, 4), BRAND_WEIGHTS),
+        "ram_quadratic": ram_welfare(quadratic_regularizer(
+            np.array([[3.0, 2.0, 0.0], [2.0, 3.0, 2.0], [0.0, 2.0, 3.0]]))),
+        # per-point controls, evaluated through the fallback
+        "double_shift": WelfareModel(n=2, value=lambda mu: float(np.max(mu) + mu[0]),
+                                     gradient=None, name="double_shift"),
+        "all_wrong": WelfareModel(n=2, value=lambda mu: float(-np.sum(mu) - 0.01 * mu @ mu),
+                                  gradient=None, name="all_wrong"),
+        # broadcasting controls
+        "negated": WelfareModel(n=3, value=lambda mu: -MNL3.value(mu), gradient=None,
+                                name="negated"),
+        "patchy": WelfareModel(n=3, value=patchy, gradient=None, name="patchy"),
+    }
+
+
+class TestAxiomBlocks:
+    """`check_axioms` draws and evaluates in blocks, with the stream, the
+    witnesses and `samples_used` of one sample at a time."""
+
+    @pytest.mark.parametrize("block", [4, welfare._DRAW_BLOCK])
+    @pytest.mark.parametrize("label", list(axiom_models()))
+    def test_reports_match_the_per_sample_loop(self, monkeypatch, label, block):
+        # blocks of 4 put the failures and early stops inside later blocks
+        model = axiom_models()[label]
+        monkeypatch.setattr(welfare, "_DRAW_BLOCK", block)
+        for samples, seed in [(150, 3), (400, 0), (20, 9), (5, 1)]:
+            assert_same_report(check_axioms(model, samples=samples, seed=seed),
+                               per_sample_check_axioms(model, samples=samples, seed=seed))
+
+    @pytest.mark.parametrize("samples, seed, used", [
+        (400, 0, 20), (150, 3, 16), (20, 9, 20), (1000, 2, 87)])
+    def test_failures_land_in_later_blocks(self, monkeypatch, samples, seed, used):
+        monkeypatch.setattr(welfare, "_DRAW_BLOCK", 4)
+        report = check_axioms(axiom_models()["patchy"], samples=samples, seed=seed)
+        assert report.samples_used == used
+        assert not (report.translation_invariant.passed or report.convex.passed)
+
+    @pytest.mark.parametrize("label, extra", [("mnl", 0), ("patchy", 2)])
+    def test_one_call_per_block(self, label, extra):
+        model = axiom_models()[label]
+        calls = []
+
+        def counted(mu):
+            calls.append(np.shape(mu))
+            return model.value(mu)
+
+        report = check_axioms(replace(model, value=counted), samples=1000, seed=0)
+        assert_same_report(report, per_sample_check_axioms(model, samples=1000, seed=0))
+        # the first 9 samples, the blocks after them and one rewind per
+        # failed axiom but the last
+        assert len(calls) <= math.ceil(1000 / welfare._DRAW_BLOCK) + 1 + 2
+        assert len(calls) == 2 + extra
+
+    def test_per_point_model_keeps_its_verdict(self):
+        model = axiom_models()["double_shift"]
+        report = check_axioms(model, samples=1000, seed=0)
+        assert not report.translation_invariant.passed
+        assert report.monotonic.passed and report.convex.passed
+        assert_same_report(report, per_sample_check_axioms(model, samples=1000, seed=0))
+
+    def test_golden_double_shift_witness(self):
+        # criterion 3's negative control, recorded from the per-sample loop
+        report = check_axioms(axiom_models()["double_shift"], samples=1000, box=10.0, seed=0)
+        witness = report.translation_invariant.witness
+        assert witness["mu"].tobytes().hex() == "ea16f837aeb721406e1f7f8ad4620dc0"
+        assert witness["t"].hex() == "-0x1.8000000000000p+1"
+        assert witness["error"].hex() == "0x1.8000000000000p+1"
+        assert report.samples_used == 1000
+
+    def test_golden_verify_axioms_stdout(self, tmp_path, capsys):
+        path = tmp_path / "mnl.json"
+        path.write_text(json.dumps({"kind": "mnl", "n": 3, "eta": 1.0}))
+        assert main(["verify", "--spec", str(path), "--suite", "axioms",
+                     "--samples", "200", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "axiom suite for mnl(eta=1) (200 samples, box 10):\n"
+            "  monotonicity: pass (no violation found)\n"
+            "  translation invariance: pass (no violation found)\n"
+            "  convexity: pass (no violation found)\n")
+
 
 class TestSuperlinear:
     def test_mnl_bound_zero_passes(self):
@@ -366,6 +535,11 @@ class TestSuperlinear:
     def test_nonpositive_samples_refused(self, samples):
         with pytest.raises(ValueError, match="samples"):
             check_superlinear(mnl_welfare(1.0, 3), np.zeros(3), samples=samples)
+
+    @pytest.mark.parametrize("box", [np.nan, np.inf, 0.0, -1.0, 1e308])
+    def test_box_must_be_positive_and_finite(self, box):
+        with pytest.raises(ValueError, match="box"):
+            check_superlinear(mnl_welfare(1.0, 3), np.zeros(3), samples=10, box=box)
 
 
 class TestGEVCustomSpec:
