@@ -39,8 +39,8 @@ from .substitution import (COMPLEMENTARY, INDETERMINATE, SUBSTITUTABLE,
 from .transforms import MixtureComponent, cross, mix, scale
 from .welfare import (AxiomReport, GEVGenerator, GeneratorInvalidError,
                       WelfareModel, check_axioms, check_generator_signs,
-                      check_superlinear, estimate_superlinear_bounds,
-                      gev_welfare, log_sum_welfare, logsumexp, mnl_welfare,
-                      model_bounds, nested_logit_welfare, pointwise, softmax)
+                      check_superlinear, gev_welfare, log_sum_welfare,
+                      logsumexp, mnl_welfare, model_bounds,
+                      nested_logit_welfare, pointwise, softmax)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

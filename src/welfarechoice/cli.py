@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import NumericError, as_probability, stream_rng
+from .core import NumericError, stream_rng
 from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
@@ -34,7 +34,8 @@ from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
                   logistic_sampler, mc_choice_probs, mc_welfare,
                   normal_sampler, rum_sign_test)
 from .substitution import scan_line, substitutable_model_check
-from .welfare import batch_gradient, batch_value, check_axioms, check_superlinear
+from .welfare import (batch_gradient, batch_value, check_axioms, check_superlinear,
+                      model_bounds)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -201,10 +202,7 @@ def cmd_verify(args) -> int:
             else EXIT_VIOLATION
 
     if args.suite == "superlinear":
-        # estimated constants are no bound, which draws inside their grid cannot show
-        if model.superlinear_bounds is None:
-            raise SpecError("--suite", f"{model.name} has no analytic superlinear bounds")
-        bounds = np.asarray(model.superlinear_bounds, dtype=float)
+        bounds, _ = model_bounds(model)
         report = check_superlinear(model, bounds, samples=samples, seed=seed)
         lines = [f"superlinear bound check for {model.name} (analytic bounds "
                  f"{np.round(bounds, 6)}):"]
@@ -234,15 +232,8 @@ def cmd_convert(args) -> int:
         if not points:
             raise SpecError("--x", "provide --x points or --grid-step")
         header = [f"x_{i+1}" for i in range(model.n)] + ["V"]
-        rows = []
-        for x in points:
-            if x.size != model.n:
-                raise SpecError("--x", f"expected {model.n} entries")
-            try:
-                as_probability(x)
-            except ValueError as exc:
-                raise SpecError("--x", f"not a simplex point: {exc}") from exc
-            rows.append(list(x) + [conjugate_V(model, x)])
+        # conjugate_V refuses an x off the model's simplex (exit 2)
+        rows = [list(x) + [conjugate_V(model, x)] for x in points]
         _csv("convert", {"direction": "w-to-v", "spec": bundle.spec},
              header, rows, args.out)
         return EXIT_OK

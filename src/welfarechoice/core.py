@@ -76,7 +76,7 @@ def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
     if np.min(x) < -SIMPLEX_TOL:
         raise ValueError(f"entry {np.min(x):.3e} below -{SIMPLEX_TOL:.0e}")
     if abs(float(np.sum(x)) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"entries sum to {np.sum(x)!r}, not 1")
+        raise ValueError(f"entries sum to {float(np.sum(x))!r}, not 1")
     return x
 
 
@@ -125,13 +125,13 @@ def newton_step(hess: np.ndarray, g: np.ndarray, gap=0.0) -> np.ndarray:
     hess, g = np.asarray(hess, dtype=float), np.asarray(g, dtype=float)
     system = bordered(0.5 * (hess + np.swapaxes(hess, -1, -2)))
     rhs = np.concatenate([g, np.broadcast_to(gap, g.shape[:-1])[..., None]], axis=-1)
-    # an exact zero pivot, where the solve would fail, gives sign 0; such a
-    # system is swapped for the identity and its row discarded
-    with np.errstate(invalid="ignore"):
+    # an exact zero pivot gives sign 0 (log|det| = -inf), and such a system is
+    # swapped for the identity; it and a non-finite step are discarded silently
+    with np.errstate(all="ignore"):
         usable = np.linalg.slogdet(system)[0] != 0.0
-    system = np.where(usable[..., None, None], system, np.eye(system.shape[-1]))
-    d = np.linalg.solve(system, rhs[..., None])[..., :-1, 0]
-    usable &= np.all(np.isfinite(d), axis=-1) & (rowdot(g, d) > 0.0)
+        system = np.where(usable[..., None, None], system, np.eye(system.shape[-1]))
+        d = np.linalg.solve(system, rhs[..., None])[..., :-1, 0]
+        usable &= np.all(np.isfinite(d), axis=-1) & (rowdot(g, d) > 0.0)
     return np.where(usable[..., None], d, np.nan)
 
 

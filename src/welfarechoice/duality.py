@@ -1,13 +1,14 @@
 """Numerical conversions among the three equivalent model representations.
 
 welfare -> regularizer: the convex conjugate V(x) = sup_y { y.x - w(y) },
-computed by concave maximization over the zero-sum hyperplane (translation
-invariance collapses one dimension, and the superlinear constants bound the
-search radius). One damped Newton ascent does it, with the centred gradient
-standing in only where a Newton step is unusable.
+read from the V a RAM model carries (`WelfareModel.regularizer`), since
+V = w*. Any other model is maximized over the zero-sum hyperplane by one
+damped Newton ascent of at most ASCENT_MAX_ITER steps, with the centred
+gradient standing in only where a Newton step is unusable.
 
 welfare -> choice inversion: the same maximizer y* satisfies q(y*) = x, so
-the ascent doubles as the inverse choice map on the simplex interior.
+the ascent doubles as the inverse choice map on the simplex interior; from
+V it is q^{-1}(x) = grad V(x) + c 1, with c making the sum zero.
 
 welfare -> discrete distribution family: for a model with analytic
 superlinear constants, each anchor point z yields an n-point noise
@@ -24,15 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_utility_of, finite_diff_jacobian, newton_step
-from .welfare import WelfareModel, model_bounds
+from .core import as_probability, as_utility_of, finite_diff_jacobian, newton_step
+from .welfare import WelfareModel, _checked, model_bounds
 
 INTERIOR_MIN = 1e-6
 # Ascent stops at this gradient residual; conjugate values and inversions
 # are accepted up to RESIDUAL_TOL.
 GRAD_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-ASCENT_MAX_ITER = 20000
+ASCENT_MAX_ITER = 50
 MAX_GRID_NODES = 10 ** 5
 
 
@@ -45,19 +46,6 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _search_radius(model: WelfareModel, x: np.ndarray) -> float:
-    """Bound on coordinates of the conjugate maximizer, with 2x safety.
-
-    Derived from w(0) and the superlinear constants: any optimal zero-sum y
-    satisfies y_i <= (w(0) - min_k b_k) / min_i x_i. Estimated constants may
-    be loose, hence the safety factor.
-    """
-    b, _ = model_bounds(model)
-    w0 = model.value(np.zeros(model.n))
-    k = (w0 - float(np.min(b))) / float(np.min(x))
-    return 2.0 * max(k, 1.0)
-
-
 def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Maximize y.x - w(y) over the zero-sum hyperplane by damped Newton from y = 0.
 
@@ -66,10 +54,10 @@ def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]
     unusable there or longer than 1e6 gives way to the centred gradient,
     whose trial length doubles after each accepted gradient step.
     Backtracking accepts a step when the residual max|x - q| at least
-    halves, or else by the Armijo test on y.x - w(y); the ascent stops once
-    it leaves the search radius. Returns (y, residual, iters).
+    halves, or else by the Armijo test on y.x - w(y); the ascent stops when
+    no trial length is accepted or after ASCENT_MAX_ITER steps. Returns
+    (y, residual, iters).
     """
-    radius = _search_radius(model, x)
     y = np.zeros(model.n)
     grad = x - np.asarray(model.gradient(y), dtype=float)
     res = float(np.max(np.abs(grad)))
@@ -103,19 +91,27 @@ def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]
         if not newton:
             step = min(a * 2.0, 1e6)
         y, grad, res, val = y_new, grad_new, res_new, val_new
-        if float(np.max(np.abs(y))) > radius + 10.0:
-            return y, res, it + 1
     return y, res, ASCENT_MAX_ITER
 
 
-def _interior_ascent(model: WelfareModel, x: np.ndarray, what: str) -> np.ndarray:
-    """`_ascend` at an x of the model's dimension with entries >= INTERIOR_MIN,
-    held to RESIDUAL_TOL; `what` names x in the errors."""
+def _interior(model: WelfareModel, x, what: str):
+    """(x, V): x refused with a ValueError naming it `what` unless a simplex
+    point of the model's length with entries >= INTERIOR_MIN, and the
+    model's regularizer when strictly convex, else None. The ascent's first
+    solve refuses any other V (`ram.DegenerateRegularizerError`)."""
+    x = as_probability(x)
     if x.size != model.n:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"{what} has {x.size} entries, "
+                         f"not one for each of {model.n} alternatives")
     if np.min(x) < INTERIOR_MIN:
         raise ValueError(
             f"{what} must be strictly interior (min entry >= {INTERIOR_MIN:g})")
+    reg = model.regularizer
+    return x, reg if reg is not None and reg.strictly_convex else None
+
+
+def _interior_ascent(model: WelfareModel, x: np.ndarray, what: str) -> np.ndarray:
+    """`_ascend` at a validated x, held to RESIDUAL_TOL."""
     y, res, _ = _ascend(model, x)
     if res > RESIDUAL_TOL:
         raise ConvergenceError(
@@ -126,7 +122,9 @@ def _interior_ascent(model: WelfareModel, x: np.ndarray, what: str) -> np.ndarra
 
 def conjugate_V(model: WelfareModel, x) -> float:
     """Convex conjugate V(x) = sup_y { y.x - w(y) } at an interior point."""
-    x = np.asarray(x, dtype=float)
+    x, reg = _interior(model, x, "x")
+    if reg is not None:
+        return float(_checked(reg, "value", x, ()))
     y = _interior_ascent(model, x, "x")
     return float(y @ x - model.value(y))
 
@@ -134,10 +132,14 @@ def conjugate_V(model: WelfareModel, x) -> float:
 def invert_choice(model: WelfareModel, x_target) -> np.ndarray:
     """Zero-sum utility vector mu with q(mu) = x_target on the interior.
 
-    Raises ConvergenceError carrying the best iterate when the gradient
-    residual cannot be brought below RESIDUAL_TOL.
+    Raises ConvergenceError carrying the best iterate when the ascent
+    cannot bring the gradient residual below RESIDUAL_TOL.
     """
-    return _interior_ascent(model, np.asarray(x_target, dtype=float), "target")
+    x, reg = _interior(model, x_target, "target")
+    if reg is not None:
+        g = _checked(reg, "gradient", x, x.shape)
+        return g - np.mean(g)
+    return _interior_ascent(model, x, "target")
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,7 @@ def anchor_family(model: WelfareModel,
     t*(z) the smallest positive weight. Estimated constants certify no
     bound, so a model without analytic `superlinear_bounds` is refused.
     """
-    if model.superlinear_bounds is None:
-        raise ValueError(f"{model.name} has no analytic superlinear bounds, "
-                         "which anchor distributions need")
-    b = np.asarray(model.superlinear_bounds, dtype=float)
+    b, _ = model_bounds(model)
     out = []
     for z in anchors:
         z = as_utility_of(z, model.n)

@@ -39,11 +39,15 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A built welfare model plus its regularizer when one defines it."""
+    """A built welfare model and the spec it was built from."""
 
     model: WelfareModel
-    regularizer: Optional[ram.Regularizer]
     spec: dict
+
+    @property
+    def regularizer(self) -> Optional[ram.Regularizer]:
+        """The regularizer that defines the model (ram_* kinds), else None."""
+        return self.model.regularizer
 
 
 def _require(spec: dict, field: str, path: str):
@@ -116,14 +120,14 @@ def _build(kind: str, spec: dict, path: str) -> ModelBundle:
     if kind == "mnl":
         n = _int(spec, "n", path, 2)
         eta = _number(spec, "eta", path, positive=True)
-        return ModelBundle(mnl_welfare(eta, n), None, spec)
+        return ModelBundle(mnl_welfare(eta, n), spec)
 
     if kind == "nested_logit":
         n = _int(spec, "n", path, 2)
         nests_raw = _require(spec, "nests", path)
         lambdas = _require(spec, "lambdas", path)
         nests = [[i - 1 for i in block] for block in nests_raw]
-        return ModelBundle(nested_logit_welfare(nests, lambdas, n), None, spec)
+        return ModelBundle(nested_logit_welfare(nests, lambdas, n), spec)
 
     if kind == "gev_custom":
         eta = _number(spec, "eta", path, positive=True)
@@ -139,23 +143,20 @@ def _build(kind: str, spec: dict, path: str) -> ModelBundle:
         alone = np.count_nonzero(expo[np.count_nonzero(expo, axis=1) == 1], axis=0)
         bounds = eta * np.log(alone) if np.all(alone) else None
         return ModelBundle(replace(model, superlinear_bounds=bounds,
-                                   name=f"gev(eta={eta:g})"), None, spec)
+                                   name=f"gev(eta={eta:g})"), spec)
 
     if kind == "ram_entropy":
         n = _int(spec, "n", path, 2)
         eta = _number(spec, "eta", path, positive=True)
-        reg = ram.entropy_regularizer(eta, n)
-        return ModelBundle(ram.ram_welfare(reg), reg, spec)
+        return ModelBundle(ram.ram_welfare(ram.entropy_regularizer(eta, n)), spec)
 
     if kind == "ram_quadratic":
         matrix = _matrix(spec, "matrix", path)
-        reg = ram.quadratic_regularizer(matrix)
-        return ModelBundle(ram.ram_welfare(reg), reg, spec)
+        return ModelBundle(ram.ram_welfare(ram.quadratic_regularizer(matrix)), spec)
 
     if kind == "ram_logbarrier":
         n = _int(spec, "n", path, 2)
-        reg = ram.log_barrier_regularizer(n)
-        return ModelBundle(ram.ram_welfare(reg), reg, spec)
+        return ModelBundle(ram.ram_welfare(ram.log_barrier_regularizer(n)), spec)
 
     if kind == "ram_mdm":
         entries = _require(spec, "marginals", path)
@@ -163,23 +164,20 @@ def _build(kind: str, spec: dict, path: str) -> ModelBundle:
             raise SpecError(f"{path}marginals", "expected a list of >= 2 marginals")
         marginals = [_marginal(e, f"{path}marginals[{k}].")
                      for k, e in enumerate(entries)]
-        reg = ram.mdm_regularizer(marginals)
-        return ModelBundle(ram.ram_welfare(reg), reg, spec)
+        return ModelBundle(ram.ram_welfare(ram.mdm_regularizer(marginals)), spec)
 
     if kind == "ram_mmm":
         sigma = _require(spec, "sigma", path)
-        reg = ram.mmm_regularizer(sigma)
-        return ModelBundle(ram.ram_welfare(reg), reg, spec)
+        return ModelBundle(ram.ram_welfare(ram.mmm_regularizer(sigma)), spec)
 
     if kind == "ram_cmm":
         cov = _matrix(spec, "covariance", path)
-        reg = ram.cmm_regularizer(cov)
-        return ModelBundle(ram.ram_welfare(reg), reg, spec)
+        return ModelBundle(ram.ram_welfare(ram.cmm_regularizer(cov)), spec)
 
     if kind == "transform_scale":
         eta = _number(spec, "eta", path, positive=True)
         inner = build_model(_require(spec, "inner", path), f"{path}inner.")
-        return ModelBundle(transforms.scale(inner.model, eta), None, spec)
+        return ModelBundle(transforms.scale(inner.model, eta), spec)
 
     if kind == "transform_mix":
         n = _int(spec, "n", path, 2)
@@ -197,12 +195,12 @@ def _build(kind: str, spec: dict, path: str) -> ModelBundle:
                 model=inner.model,
                 indices=tuple(i - 1 for i in indices),
                 weight=weight))
-        return ModelBundle(transforms.mix(comps, n), None, spec)
+        return ModelBundle(transforms.mix(comps, n), spec)
 
     if kind == "transform_cross":
         matrix = _matrix(spec, "matrix", path)
         inner = build_model(_require(spec, "inner", path), f"{path}inner.")
-        return ModelBundle(transforms.cross(inner.model, matrix), None, spec)
+        return ModelBundle(transforms.cross(inner.model, matrix), spec)
 
     raise SpecError(f"{path}kind", f"unhandled kind {kind!r}")
 
@@ -240,7 +238,7 @@ def demo_quadratic_model() -> ModelBundle:
     """Quadratic RAM demo; the solver sees half the coupling matrix so the
     choice probabilities match the published trajectories on [-2, 2]."""
     reg = ram.quadratic_regularizer(0.5 * DEMO_QUADRATIC_COUPLING)
-    return ModelBundle(ram.ram_welfare(reg), reg,
+    return ModelBundle(ram.ram_welfare(reg),
                        {"kind": "ram_quadratic",
                         "matrix": (0.5 * DEMO_QUADRATIC_COUPLING).tolist()})
 
@@ -248,7 +246,7 @@ def demo_quadratic_model() -> ModelBundle:
 def demo_brand_model() -> ModelBundle:
     """Log-sum demo with a shared-brand term over alternatives 1 and 2."""
     model = log_sum_welfare(DEMO_BRAND_WEIGHTS, name="brand_overlap")
-    return ModelBundle(model, None,
+    return ModelBundle(model,
                        {"kind": "transform_cross",
                         "matrix": DEMO_BRAND_WEIGHTS.tolist(),
                         "inner": {"kind": "mnl", "n": 4, "eta": 1.0}})

@@ -705,7 +705,8 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
     it: the last point set solved is kept, so asking for w and q at the same
     points solves once. x = e_i gives w(mu) >= mu_i - V(e_i), so the
     superlinear bounds are -V(e_i) when V is finite at every vertex, and
-    None otherwise (a barrier such as the log-barrier).
+    None otherwise (a barrier such as the log-barrier). The model keeps
+    `reg` as its `regularizer`, whose V and grad V `duality` reads.
     """
     last = [None]  # (key, x) of the last point set, replaced whole
 
@@ -733,4 +734,5 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
     vertices = _checked(reg, "value", np.eye(reg.n), (reg.n,))
     bounds = -vertices if np.all(np.isfinite(vertices)) else None
     return WelfareModel(n=reg.n, value=value, gradient=gradient,
-                        superlinear_bounds=bounds, name=f"ram[{reg.name}]")
+                        superlinear_bounds=bounds, name=f"ram[{reg.name}]",
+                        regularizer=reg)

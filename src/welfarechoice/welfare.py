@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import _evaluate, finite_diff_gradient, mixed_partial, stream_rng
+from .core import NumericError, _evaluate, finite_diff_gradient, mixed_partial, stream_rng
+
+if TYPE_CHECKING:
+    from .ram import Regularizer
 
 SIGN_REL_TOL = 1e-4
 GEV_VALIDATION_SAMPLES = 64
 GEV_VALIDATION_SEED = 7
-# Grid of the superlinear-bound estimate: GRID_POINTS per axis on
-# [-GRID_BOX, GRID_BOX]^n, refused above MAX_GRID_SIZE points.
-GRID_BOX = 20.0
-GRID_POINTS = 5
-MAX_GRID_SIZE = GRID_POINTS ** 7
 _DRAW_BLOCK = 2 ** 16  # rows per block of `check_superlinear`, bounding its memory
 
 
@@ -39,6 +37,9 @@ class WelfareModel:
     functions meet this contract through `pointwise`.
     `superlinear_bounds` holds per-alternative constants b with
     w(mu) >= mu_i + b_i when such bounds are known analytically.
+    `regularizer` is the V a RAM model was built from (`ram_welfare`), so
+    that its conjugate and inverse choice map are read from V and grad V;
+    it is None for closed forms and transforms.
     """
 
     n: int
@@ -46,6 +47,7 @@ class WelfareModel:
     gradient: Callable[[np.ndarray], np.ndarray]
     superlinear_bounds: Optional[np.ndarray] = None
     name: str = "welfare"
+    regularizer: Optional[Regularizer] = None
 
     def __call__(self, mu) -> float:
         return float(self.value(np.asarray(mu, dtype=float)))
@@ -361,6 +363,14 @@ class AxiomReport:
                 and self.convex.passed)
 
 
+def _refuse_non_finite(model: WelfareModel, w: np.ndarray, points: np.ndarray) -> None:
+    """Raise NumericError at the first non-finite entry of `w`, the values
+    at the leading rows of `points`, naming its point."""
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise NumericError(f"{model.name} has value {w[bad[0]]} at mu={points[bad[0]]}")
+
+
 def _check_draws(samples: int, box: float) -> None:
     """Refuse fewer than one sample, and a box whose draws, -box + 2 box u,
     would not all be finite: a NaN point makes no comparison fail."""
@@ -385,9 +395,12 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
     each one `rng.random` array in that per-sample layout and one call of
     `model.value` for its points. At a block's first violation the stream
     is rewound and redrawn up to that sample, so the draws, witnesses and
-    `samples_used` are those of one sample at a time. A model that fails
-    the broadcasting contract is evaluated through `pointwise` instead;
-    that path goes once the benchmark's per-point control broadcasts.
+    `samples_used` are those of one sample at a time. A non-finite value
+    at a sample up to that violation (any sample of a block without one)
+    raises NumericError, as it would one sample at a time; a NaN breaks
+    no comparison, so it would pass every axiom. A model that fails the
+    broadcasting contract is evaluated through `pointwise` instead; that
+    path goes once the benchmark's per-point control broadcasts.
     """
     _check_draws(samples, box)
     rng = stream_rng(seed)
@@ -431,8 +444,9 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
         if live["conv"]:
             nu = -box + 2.0 * box * nu
             points["mid"], points["nu"] = 0.5 * (mu + nu), nu
-        w = evaluate(np.stack(list(points.values()), axis=1).reshape(-1, n))
-        w = dict(zip(points, w.reshape(size, len(points)).T))
+        stacked = np.stack(list(points.values()), axis=1).reshape(-1, n)
+        flat = evaluate(stacked)
+        w = dict(zip(points, flat.reshape(size, len(points)).T))
 
         # per live axiom: its violations and the witness at sample i
         tests = {}
@@ -451,10 +465,11 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
                 "gap": float(w["mid"][i] - chord[i])})
 
         first = {name: int(np.argmax(bad)) for name, (bad, _) in tests.items() if bad.any()}
+        k0 = min(first.values(), default=size - 1)
+        _refuse_non_finite(model, flat[:(k0 + 1) * len(points)], stacked)
         if not first:
             k += size
             continue
-        k0 = min(first.values())
         for name, i in first.items():
             if i == k0:
                 live[name], witness[name] = False, tests[name][1](k0)
@@ -481,7 +496,9 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     """Test w(mu) >= mu_i + b_i at random points; failures carry (mu, i).
 
     Points are drawn and evaluated in blocks, one `batch_value` call each;
-    the witness is the first violating draw, and a NaN margin is none.
+    the witness is the first violating draw. A non-finite value at a draw
+    up to it (any draw when none violates) raises NumericError: a NaN
+    margin breaks no bound.
     """
     _check_draws(samples, box)
     b = np.asarray(b, dtype=float)
@@ -489,9 +506,11 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     worst = np.inf
     for start in range(0, samples, _DRAW_BLOCK):
         mu = rng.uniform(-box, box, (min(_DRAW_BLOCK, samples - start), model.n))
-        margins = batch_value(model, mu)[:, None] - mu - b
+        w = batch_value(model, mu)
+        margins = w[:, None] - mu - b
         lowest = np.min(margins, axis=1)
         bad = np.flatnonzero(lowest < -1e-9)
+        _refuse_non_finite(model, w[:bad[0] + 1] if bad.size else w, mu)
         if bad.size:
             k, m = bad[0], float(lowest[bad[0]])
             witness = {"mu": mu[k].copy(), "i": int(np.argmin(margins[k])), "margin": m}
@@ -500,30 +519,9 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     return SuperlinearReport(True, None, worst)
 
 
-def estimate_superlinear_bounds(model: WelfareModel) -> np.ndarray:
-    """Coarse-grid estimate of the largest valid superlinear constants.
-
-    Returns elementwise minima of w(mu) - mu_i over a uniform grid on
-    [-GRID_BOX, GRID_BOX]^n; the result may overestimate the true infimum
-    and is only used as a search-radius heuristic. The grid has
-    GRID_POINTS^n points, so a model with more than MAX_GRID_SIZE of them
-    is refused before any is evaluated.
-    """
-    n = model.n
-    if GRID_POINTS ** n > MAX_GRID_SIZE:
-        raise ValueError(
-            f"{model.name} has no analytic superlinear bounds, and estimating "
-            f"them takes {GRID_POINTS}^{n} evaluations (cap {MAX_GRID_SIZE})")
-    axes = [np.linspace(-GRID_BOX, GRID_BOX, GRID_POINTS)] * n
-    points = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
-    return np.min(batch_value(model, points)[:, None] - points, axis=0)
-
-
 def model_bounds(model: WelfareModel) -> tuple[np.ndarray, bool]:
-    """Superlinear constants for a model: analytic if present, else estimated.
-
-    Returns (bounds, estimated_flag).
-    """
-    if model.superlinear_bounds is not None:
-        return np.asarray(model.superlinear_bounds, dtype=float), False
-    return estimate_superlinear_bounds(model), True
+    """(analytic superlinear constants, False); without them a ValueError,
+    since estimated constants certify no bound. The flag is always False."""
+    if model.superlinear_bounds is None:
+        raise ValueError(f"{model.name} has no analytic superlinear bounds")
+    return np.asarray(model.superlinear_bounds, dtype=float), False

@@ -17,8 +17,7 @@ from welfarechoice.rum import (binary_rum_from_welfare, gumbel_sampler,
 from welfarechoice.substitution import scan_line
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
 from welfarechoice.welfare import (GEVGenerator, WelfareModel, check_superlinear,
-                                   estimate_superlinear_bounds, gev_welfare,
-                                   log_sum_welfare, mnl_welfare,
+                                   gev_welfare, log_sum_welfare, mnl_welfare,
                                    nested_logit_welfare, pointwise)
 
 BRAND = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
@@ -90,12 +89,11 @@ PER_POINT_V = Regularizer(n=2, value=lambda x: float(np.sum(x * x)),
 @pytest.mark.parametrize("call", [
     lambda: binary_rum_from_welfare(PER_POINT),
     lambda: scan_line(PER_POINT, np.zeros(2), i=0, j=1, lo=-1.0, hi=1.0, steps=5),
-    lambda: estimate_superlinear_bounds(PER_POINT),
     lambda: check_superlinear(PER_POINT, np.zeros(2)),
     lambda: solve_ram(PER_POINT_V, np.array([0.5, -0.5])),
     lambda: ram_welfare(PER_POINT_V),
-], ids=["binary_rum_from_welfare", "scan_line", "estimate_superlinear_bounds",
-        "check_superlinear", "solve_ram", "ram_welfare"])
+], ids=["binary_rum_from_welfare", "scan_line", "check_superlinear", "solve_ram",
+        "ram_welfare"])
 def test_non_broadcasting_model_gets_the_contract_error(call):
     with pytest.raises(ValueError, match="pointwise"):
         call()

@@ -1,18 +1,24 @@
 """Conversions among welfare, regularizer, and distribution-set forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from welfarechoice.duality import (anchor_family, conjugate_V,
-                                   invert_choice, semiparametric_sup,
-                                   simplex_grid, tabulated_welfare)
-from welfarechoice.ram import (entropy_regularizer, log_barrier_regularizer,
+from welfarechoice import duality
+from welfarechoice.duality import (ASCENT_MAX_ITER, RESIDUAL_TOL, ConvergenceError,
+                                   anchor_family, conjugate_V, invert_choice,
+                                   semiparametric_sup, simplex_grid,
+                                   tabulated_welfare)
+from welfarechoice.modelspec import DEMO_QUADRATIC_COUPLING, build_model
+from welfarechoice.ram import (DegenerateRegularizerError, entropy_regularizer,
+                               log_barrier_regularizer, mmm_regularizer,
                                quadratic_regularizer, ram_welfare)
+from welfarechoice.rum import gumbel_sampler, mc_welfare_model
+from welfarechoice.substitution import substitutable_model_check
 from welfarechoice.transforms import MixtureComponent, mix
-from welfarechoice.welfare import (estimate_superlinear_bounds, log_sum_welfare,
-                                   mnl_welfare)
+from welfarechoice.welfare import log_sum_welfare, mnl_welfare
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -26,6 +32,24 @@ BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
 
 def brand_model():
     return log_sum_welfare(BRAND_WEIGHTS, name="brand_overlap")
+
+
+def partial_mix():
+    """Logit over {1, 2} and over {2, 3}, half each: x_1 and x_3 stay below 1/2."""
+    return mix([MixtureComponent(mnl_welfare(1.0, 2), (0, 1), 0.5),
+                MixtureComponent(mnl_welfare(1.0, 2), (1, 2), 0.5)], 3)
+
+
+RAM_SPECS = {
+    "entropy": {"kind": "ram_entropy", "n": 3, "eta": 0.7},
+    "quadratic": {"kind": "ram_quadratic", "matrix": COUPLING.tolist()},
+    "logbarrier": {"kind": "ram_logbarrier", "n": 3},
+    "mdm": {"kind": "ram_mdm", "marginals": [
+        {"family": "logistic", "scale": 1.0}, {"family": "exponential", "rate": 1.0},
+        {"family": "normal", "sd": 0.5}, {"family": "uniform"}]},
+    "mmm": {"kind": "ram_mmm", "sigma": [2.0, 2.5, 2.0]},
+    "cmm": {"kind": "ram_cmm", "covariance": (9.0 * np.eye(3) + 0.9).tolist()},
+}
 
 
 class TestConjugate:
@@ -100,6 +124,110 @@ class TestInvertChoice:
             assert np.max(np.abs(q - x)) <= 1e-6
 
 
+class TestInputValidation:
+    """x is checked before any work: a simplex point of the model's length."""
+
+    @pytest.mark.parametrize("fn", [conjugate_V, invert_choice])
+    @pytest.mark.parametrize("model", [
+        mnl_welfare(1.0, 3), build_model(RAM_SPECS["entropy"]).model],
+        ids=["mnl", "ram_entropy"])
+    @pytest.mark.parametrize("x, match", [
+        ([0.5, 0.5, 0.5], "sum to"),
+        ([[0.2, 0.3, 0.5]], "one-dimensional"),
+        ([0.5, 0.5], "not one for each of 3 alternatives"),
+        ([0.25, 0.25, 0.25, 0.25], "not one for each of 3 alternatives"),
+        ([0.5, float("nan"), 0.5], "finite"),
+        ([1.0, 0.0, 0.0], "strictly interior"),
+    ], ids=["off_simplex", "row", "short", "long", "nan", "boundary"])
+    def test_bad_x_is_a_value_error(self, fn, model, x, match):
+        with pytest.raises(ValueError, match=match):
+            fn(model, x)
+
+
+def no_runtime_warning(call):
+    """call(), asserting that it emits no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return call()
+        finally:
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestAscentFailures:
+    @pytest.mark.parametrize("model, x", [
+        # q_1 <= 1/2 for the partial mix, so 0.6 is out of reach
+        (partial_mix(), [0.6, 0.2, 0.2]),
+        # no target near e_2 is reached by these pairwise rows, and on the
+        # way the Newton systems turn singular
+        (build_model({"kind": "gev_custom", "eta": 1.0, "exponents": [
+            [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]}).model,
+         np.array([0.02420171, 0.94290587, 0.03289243]) / 1.00000001),
+    ], ids=["partial_mix", "partial_rows"])
+    def test_unreachable_target_raises_with_the_best_iterate(self, model, x):
+        with pytest.raises(ConvergenceError) as info:
+            no_runtime_warning(lambda: invert_choice(model, x))
+        err = info.value
+        assert err.best.shape == (3,) and np.all(np.isfinite(err.best))
+        assert err.residual > RESIDUAL_TOL
+        assert abs(float(np.sum(err.best))) <= 1e-12 * (1.0 + np.max(np.abs(err.best)))
+
+    def test_monte_carlo_panel_ends_on_the_step_budget(self):
+        # a panel's choice frequencies step by 1/4000, so the target is never met
+        model = mc_welfare_model(gumbel_sampler(1.0, 3), 4000, seed=3)
+        x = np.array([0.41234567, 0.33333333, 0.254321])
+        _, res, iters = no_runtime_warning(lambda: duality._ascend(model, x))
+        assert iters <= ASCENT_MAX_ITER
+        assert res > RESIDUAL_TOL
+        with pytest.raises(ConvergenceError):
+            no_runtime_warning(lambda: invert_choice(model, x))
+
+
+class TestReadFromV:
+    """A RAM model's conjugate is its V, and its inverse choice map grad V."""
+
+    @pytest.mark.parametrize("family", list(RAM_SPECS))
+    def test_choice_of_the_inverse_is_the_target(self, family):
+        model = build_model(RAM_SPECS[family]).model
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = rng.dirichlet(np.ones(model.n)) * 0.98 + 0.02 / model.n
+            mu = invert_choice(model, x)
+            assert abs(float(np.sum(mu))) <= 1e-9
+            assert np.max(np.abs(model.gradient(mu) - x)) <= 1e-9
+            assert conjugate_V(model, x) == float(model.regularizer.value(x))
+
+    def test_log_barrier_conjugate_near_the_boundary(self):
+        # once 82 s of ascent, then a ConvergenceError
+        x = np.array([1e-5, 0.5, 0.5 - 1e-5])
+        model = ram_welfare(log_barrier_regularizer(3))
+        assert conjugate_V(model, x) == -float(np.sum(np.log(x)))
+
+    @pytest.mark.parametrize("x", [[0.999797, 1e-4, 1.03e-4], [0.865353, 0.131537, 0.00311]])
+    def test_ill_conditioned_quadratic_near_a_vertex(self, x):
+        # once 10-18 s of ascent, then a ConvergenceError
+        x = np.asarray(x) / np.sum(x)
+        A = 0.01 * DEMO_QUADRATIC_COUPLING + 0.001 * np.eye(3)
+        model = ram_welfare(quadratic_regularizer(A))
+        mu = invert_choice(model, x)
+        assert np.max(np.abs(model.gradient(mu) - x)) <= 1e-9
+
+    def test_eight_alternatives(self):
+        model = ram_welfare(log_barrier_regularizer(8))
+        x = np.arange(1.0, 9.0) / 36.0
+        assert conjugate_V(model, x) == -float(np.sum(np.log(x)))
+        # 1 box point and 10 span probes, each with all 28 pairs tested
+        report = substitutable_model_check(model, samples=40, seed=0)
+        assert report.verdict == "substitutable-consistent"
+        assert report.points_tested == 11 * 28
+
+    @pytest.mark.parametrize("fn", [conjugate_V, invert_choice])
+    def test_degenerate_regularizer_is_refused(self, fn):
+        model = ram_welfare(mmm_regularizer([0.0, 1.0, 1.0]))
+        with pytest.raises(DegenerateRegularizerError):
+            fn(model, np.ones(3) / 3)
+
+
 class TestAnchorFamily:
     def test_anchor_at_origin(self):
         m = mnl_welfare(1.0, 3)
@@ -140,10 +268,8 @@ class TestAnchorFamily:
              MixtureComponent(mnl_welfare(1.0, 2), (1, 2), 0.5)], 3),
     ], ids=["log_barrier", "partial_rows", "partial_mix"])
     def test_models_without_analytic_bounds_are_refused(self, model):
-        # no finite b_i exists for these, and the grid estimate is no bound
+        # no finite b_i exists for these
         assert model.superlinear_bounds is None
-        estimate = estimate_superlinear_bounds(model)
-        assert model.value(np.array([200.0, 0.0, 0.0])) - 200.0 < estimate[0] - 1.0
         with pytest.raises(ValueError, match="no analytic superlinear bounds"):
             anchor_family(model, [np.zeros(3)])
         with pytest.raises(ValueError, match="no analytic superlinear bounds"):

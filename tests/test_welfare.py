@@ -16,9 +16,8 @@ from welfarechoice.transforms import MixtureComponent, cross, mix
 from welfarechoice.welfare import (AxiomCheck, AxiomReport, GEVGenerator,
                                    GeneratorInvalidError, WelfareModel, check_axioms,
                                    check_generator_signs, check_superlinear,
-                                   estimate_superlinear_bounds, gev_welfare,
-                                   log_sum_welfare, mnl_welfare, model_bounds,
-                                   nested_logit_welfare)
+                                   gev_welfare, log_sum_welfare, mnl_welfare,
+                                   model_bounds, nested_logit_welfare)
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
@@ -212,7 +211,8 @@ class TestGEV:
                 "exponents": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]}
         model = build_model(spec).model
         assert model.superlinear_bounds is None
-        assert model_bounds(model)[1]
+        with pytest.raises(ValueError, match="no analytic superlinear bounds"):
+            model_bounds(model)
 
     def test_conjugate_on_seven_alternatives_skips_the_grid(self):
         calls = []
@@ -224,15 +224,15 @@ class TestGEV:
         assert len(calls) < 5 ** 7
 
     def test_bound_grid_refused_above_the_cap(self):
+        # no bound is estimated, so eight alternatives without analytic
+        # bounds get their conjugate, from a handful of evaluations
         calls = []
         inner = mnl_welfare(1.0, 8)
         model = WelfareModel(n=8, gradient=inner.gradient,
                              value=lambda mu: calls.append(1) or inner.value(mu))
-        with pytest.raises(ValueError, match="5\\^8"):
-            estimate_superlinear_bounds(model)
-        with pytest.raises(ValueError):
-            conjugate_V(model, np.ones(8) / 8)
-        assert calls == []
+        x = np.arange(1.0, 9.0) / 36.0
+        assert abs(conjugate_V(model, x) - float(np.sum(x * np.log(x)))) <= 1e-6
+        assert len(calls) < 100
 
     def test_gradient_without_partials_is_fd_of_value(self):
         gen = GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2)))
@@ -487,6 +487,35 @@ class TestAxiomBlocks:
         assert report.monotonic.passed and report.convex.passed
         assert_same_report(report, per_sample_check_axioms(model, samples=1000, seed=0))
 
+    @pytest.mark.parametrize("block", [4, welfare._DRAW_BLOCK])
+    def test_non_finite_value_is_a_numeric_error(self, monkeypatch, block):
+        # a NaN breaks no comparison, so this model once passed every axiom
+        monkeypatch.setattr(welfare, "_DRAW_BLOCK", block)
+        nan = WelfareModel(n=3, value=lambda mu: np.full(np.shape(mu)[:-1], np.nan),
+                           gradient=None, name="nan")
+        with pytest.raises(core.NumericError, match=r"nan has value nan at mu=\["):
+            check_axioms(nan, samples=1000, seed=0)
+        # NaN only where |mu_1| >= 9, at a point some sample reaches
+        patchy_nan = WelfareModel(n=3, value=lambda mu: np.where(
+            np.abs(mu[..., 0]) < 9.0, patchy(mu), np.nan), gradient=None, name="patchy_nan")
+        with pytest.raises(core.NumericError, match="patchy_nan has value nan"):
+            check_axioms(patchy_nan, samples=1000, seed=0)
+
+    def test_values_past_the_first_violation_are_not_read(self):
+        # every axiom fails at sample 0; the rest of the first block (samples
+        # 1-8) is NaN, and the per-sample loop never draws it
+        def value(mu):
+            w = -np.sum(mu, axis=-1) - 0.01 * np.sum(mu * mu, axis=-1)
+            if np.ndim(mu) == 2:
+                w[5:] = np.nan
+            return w
+
+        model = WelfareModel(n=3, value=value, gradient=None, name="first_rows")
+        report = check_axioms(model, samples=100, seed=0)
+        assert not (report.monotonic.passed or report.translation_invariant.passed
+                    or report.convex.passed)
+        assert_same_report(report, per_sample_check_axioms(model, samples=100, seed=0))
+
     def test_golden_double_shift_witness(self):
         # criterion 3's negative control, recorded from the per-sample loop
         report = check_axioms(axiom_models()["double_shift"], samples=1000, box=10.0, seed=0)
@@ -530,6 +559,31 @@ class TestSuperlinear:
         assert not report.passed
         assert report.witness is not None
         assert abs(avg.value(np.array([3.0, 0.0, 0.0])) - 1.0) <= 1e-12
+
+    def test_non_finite_value_is_a_numeric_error(self):
+        # a NaN margin breaks no bound, so this model once passed with margin inf
+        nan = WelfareModel(n=3, value=lambda mu: np.full(np.shape(mu)[:-1], np.nan),
+                           gradient=None, name="nan")
+        with pytest.raises(core.NumericError, match=r"nan has value nan at mu=\["):
+            check_superlinear(nan, np.zeros(3), samples=100, seed=0)
+        inf = WelfareModel(n=3, value=lambda mu: np.where(mu[..., 0] > 9.0, np.inf,
+                                                           MNL3.value(mu)),
+                           gradient=None, name="inf")
+        with pytest.raises(core.NumericError, match="inf has value inf"):
+            check_superlinear(inf, np.zeros(3), samples=1000, seed=0)
+
+    def test_values_past_the_witness_are_not_read(self):
+        # the average falls below max(mu) at the first draw; later ones are NaN
+        def value(mu):
+            w = np.mean(mu, axis=-1)
+            w[1:] = np.nan
+            return w
+
+        model = WelfareModel(n=3, value=value, gradient=None, name="first_row")
+        report = check_superlinear(model, np.zeros(3), samples=100, seed=0)
+        assert not report.passed
+        np.testing.assert_array_equal(report.witness["mu"],
+                                      core.stream_rng(0).uniform(-10.0, 10.0, (100, 3))[0])
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_nonpositive_samples_refused(self, samples):
