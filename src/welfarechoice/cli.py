@@ -31,8 +31,7 @@ from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
 from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
-                  logistic_sampler, mc_choice_probs, mc_welfare,
-                  normal_sampler, rum_sign_test)
+                  logistic_sampler, mc_estimates, normal_sampler, rum_sign_test)
 from .substitution import scan_line, substitutable_model_check
 from .welfare import (batch_gradient, batch_value, check_axioms, check_superlinear,
                       model_bounds)
@@ -277,13 +276,10 @@ def cmd_rum(args) -> int:
         construction = binary_rum_from_welfare(bundle.model)
         sampler = construction.sampler()
         header = ["mu_1", "mu_2", "mc_welfare", "std_error", "w_closed_form"]
-        rows = []
-        for mu in mus:
-            if mu.size != 2:
-                raise SpecError("--mu", "binary construction needs 2 entries")
-            est = mc_welfare(sampler, mu, samples, seed)
-            rows.append(list(mu) + [est.value, est.std_error,
-                                    bundle.model.value(mu)])
+        if any(mu.size != 2 for mu in mus):
+            raise SpecError("--mu", "binary construction needs 2 entries")
+        rows = [list(mu) + [est.value, est.std_error, bundle.model.value(mu)]
+                for mu, (_, est) in zip(mus, mc_estimates(sampler, mus, samples, seed))]
         _csv("rum", {"mode": "binary-from-welfare", "spec": bundle.spec,
                      "samples": samples, "seed": seed,
                      "bracket": construction.bracket,
@@ -310,12 +306,9 @@ def cmd_rum(args) -> int:
               + [f"p_{i+1}" for i in range(n)]
               + [f"se_{i+1}" for i in range(n)]
               + ["mc_welfare", "welfare_se"])
-    rows = []
-    for mu in mus:
-        probs = mc_choice_probs(sampler, mu, samples, seed)
-        welf = mc_welfare(sampler, mu, samples, seed)
-        rows.append(list(mu) + list(probs.probs) + list(probs.std_errors)
-                    + [welf.value, welf.std_error])
+    rows = [list(mu) + list(probs.probs) + list(probs.std_errors)
+            + [welf.value, welf.std_error]
+            for mu, (probs, welf) in zip(mus, mc_estimates(sampler, mus, samples, seed))]
     _csv("rum", {"family": sampler.family, "samples": samples, "seed": seed},
          header, rows, args.out)
     return EXIT_OK

@@ -47,6 +47,12 @@ class BracketError(ValueError):
     """Root-finding target lies outside the supplied bracket."""
 
 
+def positive_scale(value: float, name: str) -> None:
+    """Refuse a scale parameter unless it is positive and finite."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def as_utility(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return a deterministic-utility vector (n >= 2, finite)."""
     mu = np.asarray(values, dtype=float)

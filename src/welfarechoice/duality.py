@@ -160,15 +160,15 @@ class AnchorDistribution:
     t_star: float
 
     def expected_max(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float)
-        total = 0.0
-        for i in range(mu.size):
-            if self.weights[i] <= 0.0:
-                continue
-            others = np.delete(mu, i)
-            best = max(float(mu[i]), float(np.max(others)) - self.penalty)
-            total += self.weights[i] * (self.offset + best)
-        return total
+        mu = as_utility_of(mu, self.z.size)
+        # the best rival of i is the largest entry, or the second largest
+        # where i holds the largest
+        ranked = np.sort(mu)
+        rival = np.where(np.arange(mu.size) == np.argmax(mu), ranked[-2], ranked[-1])
+        best = np.maximum(mu, rival - self.penalty)
+        terms = (self.weights * (self.offset + best))[self.weights > 0.0]
+        # summed from 0 in index order, which np.sum does not keep for long arrays
+        return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
 def anchor_family(model: WelfareModel,
@@ -241,7 +241,7 @@ def tabulated_welfare(model: WelfareModel, spacing: float = 0.02):
     values = np.array([conjugate_V(model, x) for x in nodes])
 
     def w_tab(mu):
-        mu = np.asarray(mu, dtype=float)
+        mu = as_utility_of(mu, model.n)
         return float(np.max(nodes @ mu - values))
 
     return w_tab, nodes, values

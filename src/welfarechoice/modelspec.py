@@ -16,6 +16,7 @@ of E crossed with eta * E): w = eta * log H(e^mu) = eta * logsumexp(E mu).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -60,6 +61,8 @@ def _number(spec: dict, field: str, path: str, positive: bool = False) -> float:
     val = _require(spec, field, path)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise SpecError(f"{path}{field}", f"expected a number, got {val!r}")
+    if not abs(val) <= sys.float_info.max:  # NaN, an infinity or an integer past float
+        raise SpecError(f"{path}{field}", f"must be finite, got {val!r}")
     if positive and not val > 0:
         raise SpecError(f"{path}{field}", "must be positive")
     return float(val)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import (NumericError, as_symmetric, as_utility, bisect_increasing,
                    bordered, finite_diff_jacobian, integrate_1d, newton_step,
-                   normal_cdf, normal_pdf, normal_quantile, rowdot)
+                   normal_cdf, normal_pdf, normal_quantile, positive_scale, rowdot)
 from .welfare import WelfareModel, _checked, logsumexp
 
 ACTIVE_TOL = 1e-9
@@ -82,8 +82,7 @@ class Regularizer:
 
 def entropy_regularizer(eta: float, n: int) -> Regularizer:
     """V(x) = eta * sum_i x_i log x_i with the 0 log 0 = 0 convention."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    positive_scale(eta, "eta")
 
     def value(x):
         x = np.asarray(x, float)
@@ -172,8 +171,7 @@ def uniform_marginal() -> Marginal:
 
 
 def exponential_marginal(rate: float = 1.0) -> Marginal:
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    positive_scale(rate, "rate")
 
     def tail(x):
         if x <= 0.0:
@@ -187,8 +185,7 @@ def exponential_marginal(rate: float = 1.0) -> Marginal:
 
 
 def logistic_marginal(scale: float = 1.0) -> Marginal:
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    positive_scale(scale, "scale")
 
     def tail(x):
         x = min(max(x, 0.0), 1.0)
@@ -209,8 +206,7 @@ def logistic_marginal(scale: float = 1.0) -> Marginal:
 
 
 def normal_marginal(sd: float = 1.0) -> Marginal:
-    if sd <= 0:
-        raise ValueError("sd must be positive")
+    positive_scale(sd, "sd")
 
     def tail(x):
         x = min(max(x, 0.0), 1.0)

@@ -6,25 +6,24 @@ welfare function from a single scalar random variable, and the
 alternating-sign test on mixed partial derivatives that separates
 welfare models with a random-utility representation from those without.
 
-The Monte Carlo reductions read draws laid out (n, size), one row per
-alternative (a sampler's draws through the view `eps.T`; the frozen panel
-is stored that way), and find the row maximum and the winners in one
-elementwise pass per alternative, since numpy reduces a short last axis one
-element at a time. The passes add and compare the same numbers as
-`np.max` and `np.argmax`, so the results are the same.
+One tally gives both: `_tally` reduces draws laid out (n, size), one
+contiguous row per alternative, against a point to winner counts and the
+sums of the row maximum and its square, in elementwise passes that add and
+compare the same numbers as `np.max` and `np.argmax`. `mc_estimates` draws
+each partition once for a stack of points.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (NumericError, as_utility_of, mc_partitions, normal_quantile,
-                   stream_rng)
+                   positive_scale, stream_rng)
 from .welfare import (SignTestReport, WelfareModel, _sign_test, batch_gradient,
                       pointwise)
 
@@ -39,10 +38,10 @@ class NoiseSampler:
     """Noise distribution for random-utility simulation.
 
     `draw(rng, size)` returns a (size, n) array, which the Monte Carlo code
-    reads column by column, as `eps.T`. All built-in families are
-    generated by inverse-CDF transforms of uniforms, applied in place to the
-    uniforms' array, so a stream's draws are fully determined by its
-    generator state.
+    reads column by column, from a contiguous copy of `eps.T`. All built-in
+    families are generated by inverse-CDF transforms of uniforms, applied in
+    place to the uniforms' array, so a stream's draws are fully determined by
+    its generator state.
     """
 
     n: int
@@ -52,8 +51,7 @@ class NoiseSampler:
 
 def gumbel_sampler(eta: float, n: int) -> NoiseSampler:
     """iid Gumbel(scale eta, location 0): eps = -eta log(-log U)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    positive_scale(eta, "eta")
 
     def draw(rng, size):
         u = rng.random((size, n))
@@ -68,8 +66,7 @@ def gumbel_sampler(eta: float, n: int) -> NoiseSampler:
 
 def normal_sampler(sd: float, n: int) -> NoiseSampler:
     """iid centered normal noise."""
-    if sd <= 0:
-        raise ValueError("sd must be positive")
+    positive_scale(sd, "sd")
 
     def draw(rng, size):
         z = normal_quantile(rng.random((size, n)))
@@ -81,8 +78,7 @@ def normal_sampler(sd: float, n: int) -> NoiseSampler:
 
 def logistic_sampler(scale: float, n: int) -> NoiseSampler:
     """iid centered logistic noise."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    positive_scale(scale, "scale")
 
     def draw(rng, size):
         u = rng.random((size, n))
@@ -103,9 +99,8 @@ def degenerate_sampler(n: int) -> NoiseSampler:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
     try:
-        val = int(raw)
+        val = int(os.environ.get(THREADS_ENV, "1"))
     except ValueError:
         val = 1
     if val == 0:
@@ -132,18 +127,12 @@ def _run_partitions(worker, seed: int, samples: int) -> list:
         return list(pool.map(run_one, parts))
 
 
-def _row_max(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """max_i(mu_i + cols[i]) for each draw, from draws `cols` of shape (n, size)."""
+def _tally(mu: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Winner counts of mu + eps (ties to the lowest index, as `np.argmax`) and
+    the sums of the row maximum m and of m^2, from draws `cols` of shape (n, size)."""
     m = cols[0] + mu[0]
     for i in range(1, mu.size):
         np.maximum(m, cols[i] + mu[i], out=m)
-    return m
-
-
-def _winner_counts(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """How often each alternative attains the row maximum, ties to the lowest
-    index (as `np.argmax`), from draws `cols` of shape (n, size)."""
-    m = _row_max(mu, cols)
     undecided = np.ones(m.shape, dtype=bool)
     counts = np.zeros(mu.size, dtype=np.int64)
     for i in range(mu.size):
@@ -152,7 +141,8 @@ def _winner_counts(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
         undecided ^= won
     if undecided.any():
         raise NumericError("noise draws contain NaN: a draw has no largest alternative")
-    return counts
+    with np.errstate(over="ignore", invalid="ignore"):  # read only via `_finite`'s caller
+        return counts, float(np.sum(m)), float(np.sum(m * m))
 
 
 @dataclass(frozen=True)
@@ -171,41 +161,54 @@ class MCWelfare:
     seed: int
 
 
+def _estimates(tallies, samples: int, seed: int) -> tuple[MCProbabilities, MCWelfare]:
+    """A point's estimates from its tallies, summed in partition order."""
+    counts, total, total_sq = 0, 0.0, 0.0
+    for c, s, sq in tallies:
+        counts, total, total_sq = counts + c, total + s, total_sq + sq
+    p = counts / samples
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return (MCProbabilities(probs=p, std_errors=np.sqrt(p * (1.0 - p) / samples),
+                            samples=samples, seed=seed),
+            MCWelfare(value=mean, std_error=np.sqrt(var / samples),
+                      samples=samples, seed=seed))
+
+
+def _finite(mean_max: float) -> float:
+    if not np.isfinite(mean_max):
+        raise NumericError("noise draws are infinite: the mean maximum is undefined")
+    return mean_max
+
+
+def mc_estimates(sampler: NoiseSampler, points, samples: int,
+                 seed: int) -> list[tuple[MCProbabilities, MCWelfare]]:
+    """Choice probabilities and welfare at each of a stack of points.
+
+    Each partition is drawn once and tallied against every point, so a
+    point's estimates are the ones a run at that point alone gives.
+    """
+    mus = [as_utility_of(mu, sampler.n) for mu in points]
+
+    def worker(rng, size):
+        # one copy, then every point's passes read each row in order
+        cols = np.ascontiguousarray(sampler.draw(rng, size).T)
+        return [_tally(mu, cols) for mu in mus]
+
+    return [_estimates(tallies, samples, seed)
+            for tallies in zip(*_run_partitions(worker, seed, samples))]
+
+
 def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
                     seed: int) -> MCProbabilities:
     """Empirical argmax frequencies of mu + eps (ties to the lowest index)."""
-    mu = as_utility_of(mu, sampler.n)
-
-    def worker(rng, size):
-        return _winner_counts(mu, sampler.draw(rng, size).T)
-
-    counts = np.zeros(sampler.n, dtype=np.int64)
-    for c in _run_partitions(worker, seed, samples):
-        counts += c
-    p = counts / samples
-    se = np.sqrt(p * (1.0 - p) / samples)
-    return MCProbabilities(probs=p, std_errors=se, samples=samples, seed=seed)
+    return mc_estimates(sampler, [mu], samples, seed)[0][0]
 
 
 def mc_welfare(sampler: NoiseSampler, mu, samples: int, seed: int) -> MCWelfare:
     """Sample mean of max_i(mu_i + eps_i) with its standard error."""
-    mu = as_utility_of(mu, sampler.n)
-
-    def worker(rng, size):
-        m = _row_max(mu, sampler.draw(rng, size).T)
-        return float(np.sum(m)), float(np.sum(m * m))
-
-    total = 0.0
-    total_sq = 0.0
-    for s, sq in _run_partitions(worker, seed, samples):
-        total += s
-        total_sq += sq
-    mean = total / samples
-    if np.isnan(mean):
-        raise NumericError("noise draws contain NaN: the mean maximum is undefined")
-    var = max(total_sq / samples - mean * mean, 0.0)
-    se = np.sqrt(var / samples)
-    return MCWelfare(value=mean, std_error=se, samples=samples, seed=seed)
+    welfare = mc_estimates(sampler, [mu], samples, seed)[0][1]
+    return replace(welfare, value=_finite(welfare.value))
 
 
 class InvalidBinaryWelfareError(ValueError):
@@ -309,17 +312,16 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
     for idx, start, stop in mc_partitions(samples):
         panel[:, start:stop] = sampler.draw(stream_rng(seed, idx), stop - start).T
 
-    # one point at a time: each pass is already one elementwise operation over
-    # the whole panel, and broadcasting would build a (points, samples) array
-    # per pass
-    def value(mu):
-        w = float(np.mean(_row_max(as_utility_of(mu, sampler.n), panel)))
-        if np.isnan(w):
-            raise NumericError("noise draws contain NaN: the mean maximum is undefined")
-        return w
+    # one point at a time, as broadcasting would build a (points, samples)
+    # array per pass; value and gradient share the last point's key and tally
+    last = [None, None]
 
-    def gradient(mu):
-        return _winner_counts(as_utility_of(mu, sampler.n), panel) / samples
+    def tally(mu):
+        mu = as_utility_of(mu, sampler.n)
+        if last[0] != mu.tobytes():
+            last[:] = mu.tobytes(), _tally(mu, panel)
+        return last[1]
 
-    return WelfareModel(n=sampler.n, value=pointwise(value),
-                        gradient=pointwise(gradient), name=f"mc[{sampler.family}]")
+    return WelfareModel(n=sampler.n, name=f"mc[{sampler.family}]",
+                        value=pointwise(lambda mu: _finite(tally(mu)[1] / samples)),
+                        gradient=pointwise(lambda mu: tally(mu)[0] / samples))

@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import positive_scale
 from .welfare import WelfareModel
 
 
 def scale(model: WelfareModel, eta: float) -> WelfareModel:
     """w(mu) = eta * w_inner(mu / eta); the gradient is q_inner(mu / eta)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    positive_scale(eta, "eta")
 
     def value(mu):
         return eta * model.value(np.asarray(mu, float) / eta)
@@ -57,8 +57,8 @@ def mix(components: Sequence[MixtureComponent], n: int) -> WelfareModel:
         raise ValueError("at least one component required")
     covered = set()
     for c in comps:
-        if c.weight < 0:
-            raise ValueError("weights must be nonnegative")
+        if not c.weight >= 0:
+            raise ValueError(f"weights must be nonnegative, got {c.weight!r}")
         if len(c.indices) != c.model.n:
             raise ValueError("component model size must match its index set")
         if any(not 0 <= i < n for i in c.indices):
@@ -112,7 +112,7 @@ def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareMode
     if A.shape[0] != model.n:
         raise ValueError(
             f"matrix has {A.shape[0]} rows, inner model expects {model.n}")
-    if np.any(A < 0):
+    if not np.all(A >= 0):  # refuses NaN too
         raise ValueError("crossing matrix entries must be nonnegative")
     if np.max(np.abs(A.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("crossing matrix rows must sum to 1")

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import NumericError, _evaluate, finite_diff_gradient, mixed_partial, stream_rng
+from .core import (NumericError, _evaluate, finite_diff_gradient, mixed_partial,
+                   positive_scale, stream_rng)
 
 if TYPE_CHECKING:
     from .ram import Regularizer
@@ -108,8 +109,7 @@ def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def mnl_welfare(eta: float, n: int) -> WelfareModel:
     """Multinomial logit: w(mu) = eta * log(sum_i exp(mu_i / eta))."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    positive_scale(eta, "eta")
     if n < 1:
         raise ValueError("need at least one alternative")
 
@@ -141,7 +141,7 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
     flat = np.concatenate(blocks) if blocks else np.array([], dtype=int)
     if sorted(flat.tolist()) != list(range(n)):
         raise ValueError("nests must partition the alternatives")
-    if np.any(lam <= 0) or np.any(lam > 1):
+    if not np.all((lam > 0) & (lam <= 1)):
         raise ValueError("nest parameters must lie in (0, 1]")
 
     nest_of = np.empty(n, dtype=int)
@@ -292,8 +292,7 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
     bound w(mu) >= mu_i + eta * log H(e_i). It is recorded when every
     H(e_i) is positive.
     """
-    if gen.eta <= 0:
-        raise ValueError("eta must be positive")
+    positive_scale(gen.eta, "eta")
     rng = stream_rng(GEV_VALIDATION_SEED)
     for _ in range(GEV_VALIDATION_SAMPLES):
         y = rng.uniform(0.05, 3.0, size=n)

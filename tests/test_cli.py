@@ -7,12 +7,15 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from welfarechoice import cli
 from welfarechoice.cli import main
+from welfarechoice.core import MC_CHUNK
 from welfarechoice.modelspec import KINDS, build_model
 from welfarechoice.rum import THREADS_ENV
 
@@ -25,6 +28,13 @@ BRAND_CROSS = {"kind": "transform_cross",
                "inner": {"kind": "mnl", "n": 4, "eta": 1.0}}
 MMM3 = {"kind": "ram_mmm", "sigma": [2.0, 2.0, 2.0]}
 ENTROPY3 = {"kind": "ram_entropy", "n": 3, "eta": 1.0}
+# rum CSVs recorded when every --mu point drew its own noise, at 150,000
+# samples (three partitions) and seed 4, from the first 1, 2 or 4 points
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_POINTS = ["0.5,0,-0.5", "1,0,0", "-0.25,0.75,0.25", "0,0,0"]
+GOLDEN_FAMILIES = {"gumbel": ["--eta", "1.5"], "normal": ["--sd", "0.8"],
+                   "logistic": ["--scale", "1.2"], "degenerate": []}
+MNL2 = {"kind": "mnl", "n": 2, "eta": 1.0}
 RAM_SPECS = [ENTROPY3,
              {"kind": "ram_quadratic", "matrix": [[3, 2, 0], [2, 3, 2], [0, 2, 3]]},
              {"kind": "ram_logbarrier", "n": 3},
@@ -373,6 +383,81 @@ class TestRum:
         est, se, w = (float(rows[0][2]), float(rows[0][3]), float(rows[0][4]))
         assert abs(est - w) <= 4 * se
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("points", [1, 2, 4])
+    @pytest.mark.parametrize("family", sorted(GOLDEN_FAMILIES))
+    def test_csv_bytes_match_the_goldens(self, tmp_path, monkeypatch, family, points,
+                                         threads):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        out = tmp_path / "rum.csv"
+        assert main(["rum", "--family", family, *GOLDEN_FAMILIES[family],
+                     "--samples", "150000", "--seed", "4", "--out", str(out)]
+                    + [f"--mu={mu}" for mu in GOLDEN_POINTS[:points]]) == 0
+        assert out.read_bytes() == (GOLDEN / f"rum_{family}_{points}.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_binary_csv_bytes_match_the_golden(self, spec_file, tmp_path, monkeypatch,
+                                               threads):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        out = tmp_path / "bin.csv"
+        assert main(["rum", "--binary-from-spec", spec_file(MNL2), "--mu=0.5,-0.5",
+                     "--mu=-1,0.25", "--samples", "150000", "--seed", "4",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "rum_binary_mnl_2.csv").read_bytes()
+
+    def test_four_points_draw_each_partition_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "1")
+        sizes = []
+
+        gumbel_sampler = cli.gumbel_sampler
+
+        def counted(eta, n):
+            sampler = gumbel_sampler(eta, n)
+
+            def draw(rng, size):
+                sizes.append(size)
+                return sampler.draw(rng, size)
+
+            return replace(sampler, draw=draw)
+
+        monkeypatch.setattr(cli, "gumbel_sampler", counted)
+        assert main(["rum", "--samples", str(2 * MC_CHUNK + 17),
+                     "--out", str(tmp_path / "rum.csv")]
+                    + [f"--mu={mu}" for mu in GOLDEN_POINTS]) == 0
+        assert sizes == [MC_CHUNK, MC_CHUNK, 17]
+
+    def test_binary_cdf_calls_do_not_grow_with_points(self, spec_file, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        binary_rum_from_welfare = cli.binary_rum_from_welfare
+
+        def counted(model):
+            construction = binary_rum_from_welfare(model)
+
+            def xi_cdf(x):
+                calls.append(np.size(x))
+                return construction.xi_cdf(x)
+
+            return replace(construction, xi_cdf=xi_cdf)
+
+        monkeypatch.setattr(cli, "binary_rum_from_welfare", counted)
+        spec = spec_file(MNL2)
+        made = []
+        for points in (1, 4):
+            calls.clear()
+            assert main(["rum", "--binary-from-spec", spec, "--samples", "5000",
+                         "--out", str(tmp_path / "bin.csv")]
+                        + ["--mu=0.5,-0.5"] * points) == 0
+            made.append(len(calls))
+        assert 0 < made[1] <= made[0]
+
+    @pytest.mark.parametrize("option", [["--family", "gumbel", "--eta", "nan"],
+                                        ["--family", "normal", "--sd", "inf"],
+                                        ["--family", "logistic", "--scale", "-1"]])
+    def test_non_finite_or_nonpositive_scale_exits_2(self, option, capsys):
+        assert main(["rum", *option, "--mu", "0,0", "--samples", "100"]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_nonpositive_samples_exit_2(self, samples):
         assert main(["rum", "--family", "gumbel", "--mu", "0,0",
@@ -392,6 +477,27 @@ class TestRum:
 class TestValidate:
     def test_valid_spec(self, spec_file):
         assert main(["validate", "--spec", spec_file(MNL3)]) == 0
+
+    @pytest.mark.parametrize("spec, mu", [
+        ({"kind": "nested_logit", "n": 3, "nests": [[1, 2], [3]],
+          "lambdas": [math.nan, 1.0]}, "1,0,0"),
+        ({"kind": "mnl", "n": 3, "eta": math.inf}, "1,0,0"),
+        ({"kind": "mnl", "n": 3, "eta": 10 ** 400}, "1,0,0"),
+        ({"kind": "transform_scale", "eta": -math.inf, "inner": MNL3}, "1,0,0"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "logistic", "scale": math.nan}] * 2},
+         "1,0"),
+        ({"kind": "transform_mix", "n": 2, "components": [
+            {"weight": math.nan, "indices": [1, 2], "inner": MNL2}]}, "1,0"),
+        ({**BRAND_CROSS, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [math.nan, 0.5, 0]]},
+         "1,0,0")],
+        ids=["nan_lambda", "inf_eta", "huge_int_eta", "minus_inf_scale", "nan_marginal",
+             "nan_weight", "nan_cross_entry"])
+    def test_non_finite_parameters_exit_2(self, spec_file, capsys, spec, mu):
+        # json reads NaN, Infinity and integers past float; these printed nan
+        # or inf with exit 0, or failed with exit 3
+        assert main(["eval", "--spec", spec_file(spec), "--mu", mu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input error" in captured.err
 
     def test_unknown_kind(self, spec_file):
         assert main(["validate", "--spec", spec_file({"kind": "mystery"})]) == 2

@@ -205,3 +205,55 @@ class TestRandomStreams:
         for (i1, _, stop), (i2, start, _) in zip(parts, parts[1:]):
             assert stop == start and i2 == i1 + 1
 
+
+
+def _scale_constructors():
+    from welfarechoice import ram, rum, transforms, welfare
+    return {
+        "mnl_welfare": lambda v: welfare.mnl_welfare(v, 3),
+        "gev_welfare": lambda v: welfare.gev_welfare(
+            welfare.GEVGenerator(eta=v, H=lambda y: float(np.sum(y ** (1.0 / v)))), 3),
+        "transforms.scale": lambda v: transforms.scale(welfare.mnl_welfare(1.0, 3), v),
+        "entropy_regularizer": lambda v: ram.entropy_regularizer(v, 3),
+        "exponential_marginal": ram.exponential_marginal,
+        "logistic_marginal": ram.logistic_marginal,
+        "normal_marginal": ram.normal_marginal,
+        "gumbel_sampler": lambda v: rum.gumbel_sampler(v, 3),
+        "normal_sampler": lambda v: rum.normal_sampler(v, 3),
+        "logistic_sampler": lambda v: rum.logistic_sampler(v, 3),
+    }
+
+
+class TestModelParameters:
+    """Parameters are checked when a model is built: a NaN or infinite one once
+    built a model that printed nan or inf, or drew noise that did."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(_scale_constructors()))
+    def test_refused(self, name, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            _scale_constructors()[name](value)
+
+    @pytest.mark.parametrize("name", sorted(_scale_constructors()))
+    def test_a_positive_finite_scale_builds(self, name):
+        _scale_constructors()[name](0.5)
+
+    @pytest.mark.parametrize("lam", [float("nan"), 0.0, 1.5])
+    def test_nest_parameters_lie_in_the_unit_interval(self, lam):
+        from welfarechoice.welfare import nested_logit_welfare
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            nested_logit_welfare([[0, 1], [2]], [lam, 1.0], 3)
+
+    @pytest.mark.parametrize("weight", [float("nan"), -0.5])
+    def test_mixture_weights_are_nonnegative(self, weight):
+        from welfarechoice.transforms import MixtureComponent, mix
+        comps = [MixtureComponent(mnl_welfare(1.0, 2), (0, 1), weight),
+                 MixtureComponent(mnl_welfare(1.0, 2), (0, 1), 1.0)]
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            mix(comps, 2)
+
+    @pytest.mark.parametrize("entry", [float("nan"), -0.5])
+    def test_crossing_entries_are_nonnegative(self, entry):
+        from welfarechoice.transforms import cross
+        with pytest.raises(ValueError, match="entries must be nonnegative"):
+            cross(mnl_welfare(1.0, 2), [[1.0, 0.0], [entry, 1.0 - entry]])

@@ -276,6 +276,34 @@ class TestAnchorFamily:
             semiparametric_sup(model, [np.zeros(3)], np.zeros(3))
 
 
+    def test_expected_max_is_the_per_alternative_sum(self):
+        # each atom i puts mu_i against its best rival, the largest other entry
+        def per_alternative(dist, mu):
+            total = 0.0
+            for i in range(mu.size):
+                if dist.weights[i] > 0.0:
+                    best = max(mu[i], np.max(np.delete(mu, i)) - dist.penalty)
+                    total += dist.weights[i] * (dist.offset + best)
+            return total
+
+        rng = np.random.default_rng(7)
+        for model in (mnl_welfare(1.0, 3), mnl_welfare(0.5, 6), brand_model()):
+            family = anchor_family(model, [rng.uniform(-2, 2, model.n) for _ in range(3)])
+            points = np.round(rng.uniform(-3, 3, (40, model.n)))  # ties included
+            points[::10] = 1.0
+            for dist in family:
+                for mu in points:
+                    assert dist.expected_max(mu) == per_alternative(dist, mu)
+
+    @pytest.mark.parametrize("mu", [np.zeros(2), np.zeros(4), [np.nan, 0.0, 0.0],
+                                    [0.0, np.inf, 0.0]])
+    def test_expected_max_refuses_a_bad_point(self, mu):
+        # a 2-vector read 0.732 and a NaN entry read nan
+        dist = anchor_family(mnl_welfare(1.0, 3), [np.zeros(3)])[0]
+        with pytest.raises(ValueError, match="utility vector"):
+            dist.expected_max(mu)
+
+
 class TestSemiparametricSup:
     def test_exact_at_anchor(self):
         m = mnl_welfare(1.0, 3)
@@ -337,6 +365,12 @@ class TestTabulatedRoundTrip:
     def test_grid_size_cap_is_inclusive(self):
         # s = 99999 gives s + 1 = 10^5 nodes on the 1-simplex, two on its boundary
         assert len(simplex_grid(2, 1.0 / 99999)) == 99998
+
+    @pytest.mark.parametrize("mu", [np.zeros(3), [np.nan, 0.0], [np.inf, 0.0]])
+    def test_tabulated_welfare_refuses_a_bad_point(self, mu):
+        w_tab, _, _ = tabulated_welfare(mnl_welfare(1.0, 2), 0.1)
+        with pytest.raises(ValueError, match="utility vector"):
+            w_tab(mu)
 
     def test_mnl_round_trip_through_tabulated_conjugate(self):
         # conjugate values on an interior grid, then a node-max solve;

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from welfarechoice.core import MC_CHUNK, NumericError, mc_partitions, stream_rng
 from welfarechoice.ram import (entropy_regularizer, exponential_marginal,
                                mdm_regularizer, mmm_regularizer, ram_welfare)
+from welfarechoice import rum
 from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV,
                                NoiseSampler, binary_rum_from_welfare, degenerate_sampler,
                                gumbel_sampler, logistic_sampler,
-                               mc_choice_probs, mc_welfare, mc_welfare_model,
-                               normal_sampler, rum_sign_test)
+                               mc_choice_probs, mc_estimates, mc_welfare,
+                               mc_welfare_model, normal_sampler, rum_sign_test)
 from welfarechoice.welfare import WelfareModel, log_sum_welfare, mnl_welfare
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
@@ -107,6 +109,48 @@ class TestColumnKernels:
         assert welfare.std_error == np.sqrt(max(total_sq / samples - mean * mean, 0.0)
                                             / samples)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
+    def test_a_stack_of_points_matches_each_point_alone(self, monkeypatch, family, threads):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        sampler, samples = SAMPLERS[family](3), 2 * MC_CHUNK + 17
+        points = np.array([[0.25, 0.0, 0.25], [0.0, -1.0, 0.5], [1.0, 1.0, 1.0]])
+        for mu, (probs, welfare) in zip(points, mc_estimates(sampler, points, samples, 5)):
+            alone = mc_choice_probs(sampler, mu, samples, 5)
+            np.testing.assert_array_equal(probs.probs, alone.probs)
+            np.testing.assert_array_equal(probs.std_errors, alone.std_errors)
+            assert welfare == mc_welfare(sampler, mu, samples, 5)
+
+    def test_a_stack_draws_each_partition_once(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "1")
+        sizes = []
+
+        def draw(rng, size):
+            sizes.append(size)
+            return gumbel_sampler(1.0, 3).draw(rng, size)
+
+        sampler = NoiseSampler(n=3, family="counted", draw=draw)
+        mc_estimates(sampler, np.zeros((4, 3)), 2 * MC_CHUNK + 17, seed=1)
+        assert sizes == [MC_CHUNK, MC_CHUNK, 17]
+
+    def test_panel_value_and_gradient_share_one_tally(self, monkeypatch):
+        model = mc_welfare_model(gumbel_sampler(1.0, 3), 1000, seed=2)
+        calls = []
+        tally = rum._tally
+
+        def counted(mu, cols):
+            calls.append(mu)
+            return tally(mu, cols)
+
+        monkeypatch.setattr(rum, "_tally", counted)
+        mu = np.array([0.5, 0.0, -0.5])
+        w, q = model.value(mu), model.gradient(mu)
+        q[0] = -1.0  # a caller's edit does not reach the kept tally
+        assert len(calls) == 1
+        assert model.gradient(mu)[0] != -1.0
+        model.value(np.zeros(3))
+        assert model.value(mu) == w and len(calls) == 3
+
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
     def test_panel_matches_a_concatenated_panel(self, family):
         sampler, samples = SAMPLERS[family](3), MC_CHUNK + 5
@@ -157,13 +201,62 @@ class TestMCValidation:
         sampler = NoiseSampler(n=3, family="nan", draw=draw)
         with pytest.raises(NumericError):
             mc_choice_probs(sampler, np.zeros(3), 1000, seed=1)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="a draw has no largest alternative"):
             mc_welfare(sampler, np.zeros(3), 1000, seed=1)
         model = mc_welfare_model(sampler, 1000, seed=1)
         with pytest.raises(NumericError):
             model.value(np.zeros(3))
         with pytest.raises(NumericError):
             model.gradient(np.zeros(3))
+
+    def test_infinite_draws_are_refused_by_the_welfare_only(self):
+        # an alternative drawn at +inf every time read welfare inf with a nan
+        # error; its winner counts are well defined
+        def draw(rng, size):
+            eps = rng.standard_normal((size, 2))
+            eps[:, 0] = np.inf
+            return eps
+
+        sampler = NoiseSampler(n=2, family="inf", draw=draw)
+        with pytest.raises(NumericError, match="the mean maximum is undefined"):
+            mc_welfare(sampler, np.zeros(2), 1000, seed=1)
+        model = mc_welfare_model(sampler, 1000, seed=1)
+        with pytest.raises(NumericError, match="the mean maximum is undefined"):
+            model.value(np.zeros(2))
+        np.testing.assert_array_equal(model.gradient(np.zeros(2)), [1.0, 0.0])
+        res = mc_choice_probs(sampler, np.zeros(2), 1000, seed=1)
+        np.testing.assert_array_equal(res.probs, [1.0, 0.0])
+        np.testing.assert_array_equal(res.std_errors, [0.0, 0.0])
+
+    def test_infinite_maxima_of_both_signs_do_not_warn(self):
+        # +inf in the first draw and -inf in the rest: the sum of the maxima
+        # is inf - inf, which warned before the NumericError
+        def draw(rng, size):
+            eps = np.full((size, 2), -np.inf)
+            eps[0] = np.inf
+            return eps
+
+        sampler = NoiseSampler(n=2, family="inf-both", draw=draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="the mean maximum is undefined"):
+                mc_welfare(sampler, np.zeros(2), 1000, seed=1)
+            res = mc_choice_probs(sampler, np.zeros(2), 1000, seed=1)
+        np.testing.assert_array_equal(res.probs, [1.0, 0.0])
+
+    def test_draws_whose_squares_overflow_do_not_warn(self):
+        # the sum of squared maxima overflows; it feeds only the welfare's
+        # standard error, which reads nan, and every number is as before
+        def draw(rng, size):
+            return 1e160 * (1.0 + rng.random((size, 3)))
+
+        sampler = NoiseSampler(n=3, family="huge", draw=draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mc_choice_probs(sampler, np.zeros(3), 1000, seed=1)
+            est = mc_welfare(sampler, np.zeros(3), 1000, seed=1)
+        np.testing.assert_array_equal(res.probs, [0.369, 0.306, 0.325])
+        assert est.value == 1.7481164096000934e+160 and math.isnan(est.std_error)
 
 
 class TestMCChoiceProbs:
