@@ -223,16 +223,16 @@ def cmd_convert(args) -> int:
         points = [_parse_vector(t, "--x") for t in args.x]
         if not points and args.grid_step is not None:
             try:
-                points = list(simplex_grid(model.n, args.grid_step, margin=1e-3))
+                points = simplex_grid(model.n, args.grid_step, margin=1e-3)
             except ValueError as exc:
                 raise SpecError("--grid-step", str(exc)) from exc
-            if not points:
+            if not len(points):
                 raise SpecError("--grid-step", "no grid node lies inside the simplex")
-        if not points:
+        if not len(points):
             raise SpecError("--x", "provide --x points or --grid-step")
         header = [f"x_{i+1}" for i in range(model.n)] + ["V"]
         # conjugate_V refuses an x off the model's simplex (exit 2)
-        rows = [list(x) + [conjugate_V(model, x)] for x in points]
+        rows = [list(x) + [v] for x, v in zip(points, conjugate_V(model, np.array(points)))]
         _csv("convert", {"direction": "w-to-v", "spec": bundle.spec},
              header, rows, args.out)
         return EXIT_OK

@@ -13,7 +13,8 @@ solvers, cross effects, sign tests) goes through `finite_diff_gradient`,
 or 2^k points are stacked into one (points, n) array, so the function
 differenced must broadcast over (..., n), as a `WelfareModel` does. A
 per-point function is lifted with `welfarechoice.pointwise`; one that is
-not gets a ValueError naming it, never a result of the wrong shape.
+not gets a ValueError saying so, never a result of the wrong shape. The
+same check (`_evaluate`) guards every batch call of a model or regularizer.
 
 Steps and tolerances are fixed numbers: the primitives here take them as
 literal defaults, and each tolerance used elsewhere is a constant of the
@@ -73,16 +74,18 @@ def as_utility_of(values: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
 
 
 def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate and return a point on the probability simplex (to SIMPLEX_TOL)."""
+    """Validate and return points (..., n), n >= 2, on the simplex (to SIMPLEX_TOL)."""
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("probability vector must be one-dimensional with n >= 2")
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise ValueError("probability vector must have n >= 2 entries")
     if not np.all(np.isfinite(x)):
         raise ValueError("probability vector must be finite")
-    if np.min(x) < -SIMPLEX_TOL:
+    if np.min(x, initial=0.0) < -SIMPLEX_TOL:
         raise ValueError(f"entry {np.min(x):.3e} below -{SIMPLEX_TOL:.0e}")
-    if abs(float(np.sum(x)) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"entries sum to {float(np.sum(x))!r}, not 1")
+    sums = np.sum(x, axis=-1, keepdims=True)
+    off = sums[np.abs(sums - 1.0) > SIMPLEX_TOL]
+    if off.size:
+        raise ValueError(f"entries sum to {float(off[0])!r}, not 1")
     return x
 
 
@@ -141,23 +144,23 @@ def newton_step(hess: np.ndarray, g: np.ndarray, gap=0.0) -> np.ndarray:
     return np.where(usable[..., None], d, np.nan)
 
 
-def _evaluate(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
-              scalar: bool) -> np.ndarray:
-    """f at every row of a stencil `points` (P, n) in one call, checked
-    against the broadcasting contract: P values, or P rows of values. A
-    stencil of P = n points gets a copy of its first, whose value is dropped,
-    so that a per-point function (leading axis n) cannot pass the check."""
-    pad = points.shape[0] == points.shape[1]
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], points, value_shape=()) -> np.ndarray:
+    """f at `points` (..., n), flattened to (P, n), in one call: the one check
+    of the broadcasting contract, P values of `value_shape` (any shape for
+    None), returned as shape (...) + value_shape. P = n points get a copy of
+    the first, whose value is dropped, so a per-point function cannot pass."""
+    points = np.asarray(points, dtype=float)
+    flat = points.reshape(-1, points.shape[-1])
+    pad = flat.shape[0] == flat.shape[1]
     if pad:
-        points = np.concatenate([points, points[:1]])
-    out = np.asarray(f(points), dtype=float)
-    if out.shape[:1] != points.shape[:1] or (scalar and out.ndim != 1):
+        flat = np.concatenate([flat, flat[:1]])
+    out = np.asarray(f(flat), dtype=float)
+    if out.shape[:1] != flat.shape[:1] or value_shape not in (None, out.shape[1:]):
         raise ValueError(
-            f"function returned shape {out.shape} for a stencil of {points.shape[0]} "
-            "points: a stencil is evaluated in one call, so the function must "
-            "broadcast over (..., n); wrap per-point functions in "
-            "welfarechoice.pointwise")
-    return out[:-1] if pad else out
+            f"function returned shape {out.shape} for {flat.shape[0]} points: a batch "
+            "of points is evaluated in one call, so the function must broadcast over "
+            "(..., n); wrap per-point functions in welfarechoice.pointwise")
+    return (out[:-1] if pad else out).reshape(points.shape[:-1] + out.shape[1:])
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray],
@@ -168,7 +171,7 @@ def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray],
     mu = np.asarray(mu, dtype=float)
 
     def finite(points):
-        values = _evaluate(f, points, scalar=True)
+        values = _evaluate(f, points)
         bad = ~np.isfinite(values)
         if np.any(bad):
             # the first coordinate whose pair of points holds one
@@ -199,8 +202,7 @@ def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
     shift = np.zeros(step.shape + (n,))
     shift[..., np.arange(cols.size), cols] = step
     points = np.stack([x[..., None, :] + shift, x[..., None, :] - shift])
-    values = _evaluate(F, points.reshape(-1, n), scalar=False)
-    hi, lo = values.reshape(points.shape[:-1] + values.shape[1:])
+    hi, lo = _evaluate(F, points, None)  # F gives scalars or vectors
     if hi.ndim > step.ndim:  # a vector F: one column per perturbed coordinate
         return np.swapaxes(hi - lo, -1, -2) / (2.0 * step[..., None, :])
     return (hi - lo) / (2.0 * step)
@@ -225,11 +227,11 @@ def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(idx))))
     points = np.repeat(mu[..., None, :], len(signs), axis=-2)
     points[..., idx] += signs * h
-    values = _evaluate(f, points.reshape(-1, mu.shape[-1]), scalar=True)
+    values = _evaluate(f, points)
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite function value in difference stencil")
     # summed in stencil order, as one point at a time would be
-    values = np.moveaxis(values.reshape(points.shape[:-1]), -1, 0)
+    values = np.moveaxis(values, -1, 0)
     total = sum(float(np.prod(s)) * v for s, v in zip(signs, values))
     return total / (2.0 * h) ** len(idx)
 

@@ -1,4 +1,5 @@
-"""Numerical conversions among the three equivalent model representations.
+"""Numerical conversions among the three equivalent model representations,
+at one point (n,) or a stack of points (..., n) in one batch of model calls.
 
 welfare -> regularizer: the convex conjugate V(x) = sup_y { y.x - w(y) },
 read from the V a RAM model carries (`WelfareModel.regularizer`), since
@@ -25,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_probability, as_utility_of, finite_diff_jacobian, newton_step
-from .welfare import WelfareModel, _checked, model_bounds
+from .core import as_probability, as_utility_of, finite_diff_jacobian, newton_step, rowdot
+from .welfare import WelfareModel, batch_gradient, batch_value, model_bounds
 
 INTERIOR_MIN = 1e-6
 # Ascent stops at this gradient residual; conjugate values and inversions
@@ -38,119 +39,138 @@ MAX_GRID_NODES = 10 ** 5
 
 
 class ConvergenceError(RuntimeError):
-    """Ascent failed to reach tolerance; carries the best iterate found."""
+    """Ascent failed to reach tolerance; carries the best iterates found,
+    `best` (..., n), and their residuals, `residual` (...)."""
 
-    def __init__(self, message: str, best: np.ndarray, residual: float):
+    def __init__(self, message: str, best: np.ndarray, residual):
         super().__init__(message)
         self.best = best
         self.residual = residual
 
 
-def _ascend(model: WelfareModel, x: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Maximize y.x - w(y) over the zero-sum hyperplane by damped Newton from y = 0.
+def _ascend(model: WelfareModel, x: np.ndarray):
+    """Maximize y.x - w(y) over the zero-sum hyperplane by damped Newton from
+    y = 0, for targets x (m, n): y (m, n), residuals (m,) and iterations (m,).
 
     The Hessian of w, the central-difference Jacobian of q, annihilates the
     all-ones vector, so `core.newton_step` borders it. A step that is
     unusable there or longer than 1e6 gives way to the centred gradient,
     whose trial length doubles after each accepted gradient step.
     Backtracking accepts a step when the residual max|x - q| at least
-    halves, or else by the Armijo test on y.x - w(y); the ascent stops when
-    no trial length is accepted or after ASCENT_MAX_ITER steps. Returns
-    (y, residual, iters).
-    """
-    y = np.zeros(model.n)
-    grad = x - np.asarray(model.gradient(y), dtype=float)
-    res = float(np.max(np.abs(grad)))
-    val = None  # y.x - w(y), evaluated when a step needs the Armijo test
-    step = 1.0
+    halves, or else by the Armijo test on y.x - w(y); a target stops when
+    no trial length is accepted or after ASCENT_MAX_ITER steps. Each target
+    steps and stops as alone (as in `ram._iterative_solve`); the pending ones
+    share one stencil call per step and one call of q (and w) per trial."""
+    m = len(x)
+    y_out, res_out, iters = np.zeros_like(x), np.zeros(m), np.zeros(m, dtype=int)
+    idx, y = np.arange(m), np.zeros_like(x)  # row k of the pending state is target idx[k]
+    grad = x - batch_gradient(model, y)
+    res = np.maximum.reduce(np.abs(grad), axis=1)
+    val = np.full(m, np.nan)  # y.x - w(y), evaluated when a step needs the Armijo test
+    step, stuck = np.ones(m), np.zeros(m, dtype=bool)  # stuck: no trial length accepted
 
-    for it in range(ASCENT_MAX_ITER):
-        if res <= GRAD_TOL:
-            return y, res, it
+    for it in range(ASCENT_MAX_ITER + 1):
+        done = (res <= GRAD_TOL) | stuck | (it == ASCENT_MAX_ITER)
+        if done.any():
+            rows = idx[done]
+            y_out[rows], res_out[rows], iters[rows] = y[done], res[done], it - stuck[done]
+            if done.all():
+                break
+            idx, x, y, grad, res, val, step, stuck = (
+                v[~done] for v in (idx, x, y, grad, res, val, step, stuck))
         d = newton_step(finite_diff_jacobian(model.gradient, y, 1e-6), grad)
-        newton = bool(np.max(np.abs(d)) <= 1e6)  # False for an unusable (NaN) step
-        if newton:
-            d, a = d - d.mean(), 1.0
-        else:
-            d, a = grad - grad.mean(), step
+        newton = np.maximum.reduce(np.abs(d), axis=1) <= 1e6  # False for an unusable (NaN) step
+        fallback = not newton.all()
+        if fallback:
+            d[~newton] = grad[~newton]
+        d -= np.add.reduce(d, axis=1, keepdims=True) / d.shape[1]  # as d.mean() rounds
+        a = np.where(newton, 1.0, step)
+        trial = slice(None)  # the targets still backtracking: all, then an index array
         for _ in range(70):
-            y_new = y + a * d
-            grad_new = x - np.asarray(model.gradient(y_new), dtype=float)
-            res_new = float(np.max(np.abs(grad_new)))
-            if res_new <= 0.5 * res:
-                val_new = None
+            y_new = y[trial] + a[trial, None] * d[trial]
+            grad_new = x[trial] - model.gradient(y_new)
+            res_new = np.maximum.reduce(np.abs(grad_new), axis=1)
+            ok = res_new <= 0.5 * res[trial]
+            val_new = np.full(len(ok), np.nan)
+            accepted = ok.all()
+            if not accepted:
+                trial = np.arange(len(y))[trial]
+                armijo = np.flatnonzero(~ok)
+                t = trial[armijo]
+                unknown = t[np.isnan(val[t])]
+                if unknown.size:
+                    val[unknown] = rowdot(y[unknown], x[unknown]) - batch_value(model, y[unknown])
+                val_new[armijo] = rowdot(y_new[armijo], x[t]) - batch_value(model, y_new[armijo])
+                ok[armijo] = np.isfinite(val_new[armijo]) & (
+                    val_new[armijo] >= val[t] + 1e-4 * a[t] * rowdot(grad[t], d[t]))
+                accepted = ok.all()
+            # when every trial is accepted, the common case, no gather is needed
+            t, acc = (trial, slice(None)) if accepted else (trial[ok], ok)
+            y[t], grad[t], res[t], val[t] = y_new[acc], grad_new[acc], res_new[acc], val_new[acc]
+            if accepted:
                 break
-            if val is None:
-                val = float(y @ x - model.value(y))
-            val_new = float(y_new @ x - model.value(y_new))
-            if np.isfinite(val_new) and val_new >= val + 1e-4 * a * float(grad @ d):
-                break
-            a *= 0.5
+            trial = trial[~ok]
+            a[trial] *= 0.5
         else:
-            return y, res, it
-        if not newton:
-            step = min(a * 2.0, 1e6)
-        y, grad, res, val = y_new, grad_new, res_new, val_new
-    return y, res, ASCENT_MAX_ITER
+            stuck[trial] = True
+        if fallback:
+            step = np.where(newton | stuck, step, np.minimum(a * 2.0, 1e6))
+    return y_out, res_out, iters
 
 
 def _interior(model: WelfareModel, x, what: str):
-    """(x, V): x refused with a ValueError naming it `what` unless a simplex
-    point of the model's length with entries >= INTERIOR_MIN, and the
-    model's regularizer when strictly convex, else None. The ascent's first
-    solve refuses any other V (`ram.DegenerateRegularizerError`)."""
+    """(x, V, y): x, refused with a ValueError naming it `what` unless simplex
+    points (..., n) of the model's length with entries >= INTERIOR_MIN; the
+    model's V if strictly convex (the ascent's first solve refuses any other
+    V), else None and the maximizers y, each held to RESIDUAL_TOL."""
     x = as_probability(x)
-    if x.size != model.n:
-        raise ValueError(f"{what} has {x.size} entries, "
+    if x.shape[-1] != model.n:
+        raise ValueError(f"{what} has {x.shape[-1]} entries, "
                          f"not one for each of {model.n} alternatives")
-    if np.min(x) < INTERIOR_MIN:
-        raise ValueError(
-            f"{what} must be strictly interior (min entry >= {INTERIOR_MIN:g})")
+    if np.min(x, initial=1.0) < INTERIOR_MIN:
+        raise ValueError(f"{what} must be strictly interior (min entry >= {INTERIOR_MIN:g})")
     reg = model.regularizer
-    return x, reg if reg is not None and reg.strictly_convex else None
+    if reg is not None and reg.strictly_convex:
+        return x, reg, None
+    # an empty stack makes no model call
+    y, res, _ = _ascend(model, x.reshape(-1, model.n)) if x.size else (x * 0.0, x[..., 0], 0)
+    y, res = y.reshape(x.shape), res.reshape(x.shape[:-1])[()]
+    stalled = np.count_nonzero(res > RESIDUAL_TOL)
+    if stalled:
+        raise ConvergenceError(f"ascent for {what} stalled at {stalled} of {res.size} targets "
+                               f"(residual up to {np.max(res):.2e} > {RESIDUAL_TOL:.0e})", y, res)
+    return x, None, y
 
 
-def _interior_ascent(model: WelfareModel, x: np.ndarray, what: str) -> np.ndarray:
-    """`_ascend` at a validated x, held to RESIDUAL_TOL."""
-    y, res, _ = _ascend(model, x)
-    if res > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"ascent for {what} stalled at gradient residual {res:.2e} "
-            f"(tolerance {RESIDUAL_TOL:.0e})", y, res)
-    return y
-
-
-def conjugate_V(model: WelfareModel, x) -> float:
-    """Convex conjugate V(x) = sup_y { y.x - w(y) } at an interior point."""
-    x, reg = _interior(model, x, "x")
-    if reg is not None:
-        return float(_checked(reg, "value", x, ()))
-    y = _interior_ascent(model, x, "x")
-    return float(y @ x - model.value(y))
+def conjugate_V(model: WelfareModel, x):
+    """Convex conjugate V(x) = sup_y { y.x - w(y) } at interior points x of
+    shape (..., n): a float for one point, shape (...) for a stack."""
+    x, reg, y = _interior(model, x, "x")
+    v = batch_value(reg, x) if y is None else rowdot(y, x) - batch_value(model, y)
+    return float(v) if x.ndim == 1 else v
 
 
 def invert_choice(model: WelfareModel, x_target) -> np.ndarray:
-    """Zero-sum utility vector mu with q(mu) = x_target on the interior.
-
-    Raises ConvergenceError carrying the best iterate when the ascent
-    cannot bring the gradient residual below RESIDUAL_TOL.
-    """
-    x, reg = _interior(model, x_target, "target")
-    if reg is not None:
-        g = _checked(reg, "gradient", x, x.shape)
-        return g - np.mean(g)
-    return _interior_ascent(model, x, "target")
+    """Zero-sum utilities mu with q(mu) = x_target at interior targets of
+    shape (..., n), in the same shape. Raises ConvergenceError carrying the
+    best iterates when some target's residual stays above RESIDUAL_TOL."""
+    x, reg, y = _interior(model, x_target, "target")
+    if y is None:
+        g = batch_gradient(reg, x)
+        y = g - np.mean(g, axis=-1, keepdims=True)
+    return y
 
 
 @dataclass(frozen=True)
 class AnchorDistribution:
-    """n-point noise distribution anchored at z.
+    """n-point noise distribution anchored at z, or a stack of K of them.
 
     Atom i (probability weights[i]) places `offset` on coordinate i and
     `offset - penalty` elsewhere; t_star is the smallest positive weight.
     The expected maximum of mu + noise equals w(z) at mu = z and is bounded
     above by w everywhere, since the penalty is computed from the model's
-    analytic superlinear constants.
+    analytic superlinear constants. A stack holds z and weights (K, n) and
+    the other fields (K,), and its expected maximum has shape (K,).
     """
 
     z: np.ndarray
@@ -160,15 +180,28 @@ class AnchorDistribution:
     t_star: float
 
     def expected_max(self, mu) -> float:
-        mu = as_utility_of(mu, self.z.size)
-        # the best rival of i is the largest entry, or the second largest
-        # where i holds the largest
+        mu = as_utility_of(mu, self.z.shape[-1])
+        # the best rival of i is the largest entry, or the second largest where i holds it
         ranked = np.sort(mu)
         rival = np.where(np.arange(mu.size) == np.argmax(mu), ranked[-2], ranked[-1])
-        best = np.maximum(mu, rival - self.penalty)
-        terms = (self.weights * (self.offset + best))[self.weights > 0.0]
-        # summed from 0 in index order, which np.sum does not keep for long arrays
-        return float(np.add.accumulate(np.append(0.0, terms))[-1])
+        best = np.maximum(mu, rival - np.expand_dims(self.penalty, -1))
+        terms = self.weights * (np.expand_dims(self.offset, -1) + best)
+        # summed in index order, which np.sum does not keep for long arrays
+        return np.add.accumulate(np.where(self.weights > 0.0, terms, 0.0), axis=-1)[..., -1][()]
+
+
+def _anchor_stack(model: WelfareModel, anchors: Sequence) -> AnchorDistribution:
+    """The distributions of `anchor_family` as one stack, from one gradient
+    and one value call."""
+    b, _ = model_bounds(model)
+    z = np.reshape([as_utility_of(a, model.n) for a in anchors], (-1, model.n))
+    q = batch_gradient(model, z)
+    t_star = np.min(np.where(q > 0.0, q, np.inf), axis=1)
+    if np.any(np.isinf(t_star)):
+        raise AssertionError("gradient has no positive entry on the simplex")
+    offset = batch_value(model, z) - rowdot(z, q)
+    penalty = np.fmax(1.0 + np.ptp(z, axis=1), (offset - np.min(b)) / t_star)
+    return AnchorDistribution(z, q, offset, penalty, t_star)
 
 
 def anchor_family(model: WelfareModel,
@@ -179,33 +212,17 @@ def anchor_family(model: WelfareModel,
     t*(z) the smallest positive weight. Estimated constants certify no
     bound, so a model without analytic `superlinear_bounds` is refused.
     """
-    b, _ = model_bounds(model)
-    out = []
-    for z in anchors:
-        z = as_utility_of(z, model.n)
-        q = np.asarray(model.gradient(z), dtype=float)
-        positive = q[q > 0.0]
-        if positive.size == 0:
-            raise AssertionError("gradient has no positive entry on the simplex")
-        t_star = float(np.min(positive))
-        offset = float(model.value(z) - z @ q)
-        spread = float(np.max(z) - np.min(z))
-        penalty = max(1.0 + spread, (offset - float(np.min(b))) / t_star)
-        out.append(AnchorDistribution(z=z, weights=q, offset=offset,
-                                      penalty=penalty, t_star=t_star))
-    return out
+    s = _anchor_stack(model, anchors)
+    return [AnchorDistribution(*fields) for fields in zip(
+        s.z, s.weights, s.offset.tolist(), s.penalty.tolist(), s.t_star.tolist())]
 
 
 def semiparametric_sup(model: WelfareModel, anchors: Sequence, mu) -> float:
-    """Max over the anchor family of the expected maximum at mu.
-
-    A lower bound on w(mu), exact when mu is one of the anchors.
-    """
+    """Max over the anchor family of the expected maximum at mu, a lower
+    bound on w(mu) that is exact when mu is one of the anchors."""
     if not len(anchors):
         raise ValueError("anchors must be nonempty")
-    family = anchor_family(model, anchors)
-    mu = as_utility_of(mu, model.n)
-    return max(dist.expected_max(mu) for dist in family)
+    return float(np.max(_anchor_stack(model, anchors).expected_max(mu)))
 
 
 def simplex_grid(n: int, spacing: float, margin: float = INTERIOR_MIN) -> np.ndarray:
@@ -224,9 +241,9 @@ def simplex_grid(n: int, spacing: float, margin: float = INTERIOR_MIN) -> np.nda
     if size > MAX_GRID_NODES:
         raise ValueError(f"grid spacing {spacing!r} gives {size} nodes, "
                          f"more than {MAX_GRID_NODES}")
-    nodes = [np.array([*c, steps - sum(c)], dtype=float) / steps
-             for c in itertools.product(range(steps + 1), repeat=n - 1) if sum(c) <= steps]
-    return np.asarray([x for x in nodes if np.min(x) >= margin])
+    c = np.array(list(itertools.product(range(steps + 1), repeat=n - 1)))
+    nodes = np.column_stack([c, steps - c.sum(axis=1)]) / steps
+    return nodes[(c.sum(axis=1) <= steps) & (np.min(nodes, axis=1) >= margin)]
 
 
 def tabulated_welfare(model: WelfareModel, spacing: float = 0.02):
@@ -238,7 +255,7 @@ def tabulated_welfare(model: WelfareModel, spacing: float = 0.02):
     Returns (w_tab, nodes, values).
     """
     nodes = simplex_grid(model.n, spacing)
-    values = np.array([conjugate_V(model, x) for x in nodes])
+    values = conjugate_V(model, nodes)
 
     def w_tab(mu):
         mu = as_utility_of(mu, model.n)

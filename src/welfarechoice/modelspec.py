@@ -83,6 +83,8 @@ def _matrix(spec: dict, field: str, path: str) -> np.ndarray:
         raise SpecError(f"{path}{field}", f"not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
         raise SpecError(f"{path}{field}", "expected a matrix (list of rows)")
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(f"{path}{field}", "entries must be finite")
     return arr
 
 

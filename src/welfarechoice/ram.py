@@ -38,7 +38,7 @@ import numpy as np
 from .core import (NumericError, as_symmetric, as_utility, bisect_increasing,
                    bordered, finite_diff_jacobian, integrate_1d, newton_step,
                    normal_cdf, normal_pdf, normal_quantile, positive_scale, rowdot)
-from .welfare import WelfareModel, _checked, logsumexp
+from .welfare import WelfareModel, batch_gradient, batch_value, logsumexp
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
@@ -385,7 +385,7 @@ def verify_kkt(reg: Regularizer, mu: np.ndarray, x: np.ndarray):
     """
     mu = np.asarray(mu, float)
     x = np.asarray(x, float)
-    g = mu - _checked(reg, "gradient", np.maximum(x, 0.0), x.shape)
+    g = mu - batch_gradient(reg, np.maximum(x, 0.0))
     res = _kkt_residual(g.reshape(-1, reg.n), x.reshape(-1, reg.n))
     return float(res[0]) if x.ndim == 1 else res.reshape(x.shape[:-1])
 
@@ -458,7 +458,7 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray):
     barrier = reg.boundary_barrier
     x = np.full((m, n), 1.0 / n)
     support = np.ones((m, n), dtype=bool)
-    g = mu - _checked(reg, "gradient", x, x.shape)
+    g = mu - batch_gradient(reg, x)
     if not np.all(np.isfinite(g)):
         raise NumericError("regularizer gradient is not finite at the barycentre")
     f = np.full(m, np.nan)  # objective at x, evaluated when a step needs the Armijo test
@@ -661,7 +661,7 @@ def _utilities(reg: Regularizer, mu) -> np.ndarray:
 
 def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """mu.x - V(x) for each row, in one call of V."""
-    return rowdot(mu, x) - _checked(reg, "value", x, x.shape[:-1])
+    return rowdot(mu, x) - batch_value(reg, x)
 
 
 def solve_ram(reg: Regularizer, mu) -> SolveResult:
@@ -727,7 +727,7 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
         _, x = solve(mu)
         return x.reshape(np.shape(mu)).copy()
 
-    vertices = _checked(reg, "value", np.eye(reg.n), (reg.n,))
+    vertices = batch_value(reg, np.eye(reg.n))
     bounds = -vertices if np.all(np.isfinite(vertices)) else None
     return WelfareModel(n=reg.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds, name=f"ram[{reg.name}]",

@@ -250,7 +250,7 @@ def check_modularity(f: Callable[[np.ndarray], np.ndarray],
     def draw(size):
         pairs = np.asarray(domain_sampler(rng, 2 * size), dtype=float)
         pairs = pairs.reshape(size, 2, pairs.shape[-1])
-        return pairs, _evaluate(f, pairs.reshape(2 * size, -1), scalar=True).reshape(size, 2)
+        return pairs, _evaluate(f, pairs)
 
     viol, wit = [0.0, 0.0], [None, None]  # supermodular, submodular
     used = 0
@@ -267,8 +267,7 @@ def check_modularity(f: Callable[[np.ndarray], np.ndarray],
         if not len(pairs):
             continue
         lattice = np.stack([pairs.max(axis=1), pairs.min(axis=1)], axis=1)
-        lattice = _evaluate(f, lattice.reshape(2 * len(pairs), -1), scalar=True)
-        lattice = lattice.reshape(-1, 2).sum(axis=1)
+        lattice = _evaluate(f, lattice).sum(axis=1)
         for side, gap in enumerate((plain - lattice, lattice - plain)):
             # a NaN lattice sum tests nothing
             k = np.argmax(np.where(np.isnan(lattice), -np.inf, gap))
@@ -327,23 +326,24 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
 
     "substitutable-consistent" means no violation was found.
     """
-    from .duality import ConvergenceError, invert_choice
+    from .duality import RESIDUAL_TOL, ConvergenceError, invert_choice
 
     sub_report = check_modularity(model.value, utility_box_sampler(model.n, box),
                                   samples=samples, seed=seed)
     rows, cols = np.triu_indices(model.n, 1)  # the pairs i < j in lexicographic order
     points = max(1, samples // max(1, rows.size))
-    candidates = [stream_rng(seed, key=1).uniform(-box, box, (points, model.n))]
+    box_points = stream_rng(seed, key=1).uniform(-box, box, (points, model.n))
     if span_probes is None:
         span_probes = max(10, min(50, samples // 20))
-    rng_span = stream_rng(seed, key=2)
-    for _ in range(span_probes):
-        target = rng_span.dirichlet(np.ones(model.n)) * 0.9 + 0.1 / model.n
-        try:
-            candidates.append(invert_choice(model, target)[None])
-        except (ConvergenceError, ValueError, ArithmeticError):
-            continue
-    candidates = np.concatenate(candidates)
+    targets = stream_rng(seed, key=2).dirichlet(np.ones(model.n), span_probes)
+    # the targets the ascent reaches; a model error skips them all
+    try:
+        probes = invert_choice(model, targets * 0.9 + 0.1 / model.n)
+    except ConvergenceError as exc:
+        probes = exc.best[exc.residual <= RESIDUAL_TOL]
+    except (ValueError, ArithmeticError):
+        probes = targets[:0]
+    candidates = np.concatenate([box_points, probes])
 
     witness = witness_mu = None
     tested = len(candidates) * rows.size

@@ -71,25 +71,14 @@ def pointwise(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.nd
     return lifted
 
 
-def _checked(model, what: str, points, shape: tuple) -> np.ndarray:
-    """model.value or model.gradient at points, checked to have `shape`; the
-    model is a `WelfareModel` or a `ram.Regularizer`, which broadcast alike."""
-    out = np.asarray(getattr(model, what)(np.asarray(points, dtype=float)), dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{model.name}.{what} returned shape {out.shape}, not {shape}: "
-                         f"a {type(model).__name__} broadcasts over points of shape "
-                         "(..., n); wrap per-point functions in welfarechoice.pointwise")
-    return out
-
-
 def batch_value(model: WelfareModel, points) -> np.ndarray:
-    """w at utilities of shape (..., n) in one call, checked against the contract."""
-    return _checked(model, "value", points, np.shape(points)[:-1])
+    """w (or V of a `ram.Regularizer`) at (..., n) in one call, checked by `core._evaluate`."""
+    return _evaluate(model.value, points)
 
 
 def batch_gradient(model: WelfareModel, points) -> np.ndarray:
-    """q at utilities of shape (..., n) in one call, checked against the contract."""
-    return _checked(model, "gradient", points, np.shape(points))
+    """q at utilities of shape (..., n) in one call, checked as `batch_value` is."""
+    return _evaluate(model.gradient, points, np.shape(points)[-1:])
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
@@ -250,7 +239,7 @@ def _sign_test(f: Callable[[np.ndarray], np.ndarray], points,
     points = np.asarray(points, dtype=float)
     if points.shape[0] == 0:
         raise ValueError("a sign test needs at least one point")
-    tol = SIGN_REL_TOL * np.fmax(1.0, np.abs(_evaluate(f, points, scalar=True)))
+    tol = SIGN_REL_TOL * np.fmax(1.0, np.abs(_evaluate(f, points)))
     verdicts = []
     for order in orders:
         combos = list(itertools.combinations(range(points.shape[1]), order))
@@ -414,13 +403,13 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
     def evaluate(points):
         nonlocal value
         try:
-            return _evaluate(value, points, scalar=True)
+            return _evaluate(value, points)
         except (TypeError, ValueError, IndexError):
             if value is not model.value:
                 raise
             # a per-point model, lifted (ROADMAP item 1 retires this path)
             value = pointwise(model.value)
-            return _evaluate(value, points, scalar=True)
+            return _evaluate(value, points)
 
     k = 0
     while k < samples and any(live.values()):

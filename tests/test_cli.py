@@ -46,6 +46,21 @@ RAM_SPECS = [ENTROPY3,
                                                 [0.9, 0.9, 9]]}]
 
 
+# convert CSVs recorded when conjugate_V and anchor_family took one point at a time
+CONVERT_X = ["--x=0.2,0.3,0.5", "--x=0.6,0.3,0.1", "--x=0.05,0.05,0.9",
+             "--x=0.01,0.98,0.01", "--x=0.45,0.1,0.45"]
+CONVERT_ANCHORS = ["--anchor=0,0,0", "--anchor=1,-0.5,0.25", "--anchor=-2,1,0.5"]
+CONVERT_GOLDENS = {
+    "w_to_v_mnl_x": (MNL3, ["--direction", "w-to-v", *CONVERT_X]),
+    "w_to_v_mnl_grid": (MNL3, ["--direction", "w-to-v", "--grid-step", "0.05"]),
+    "w_to_v_brand": (BRAND_CROSS, ["--direction", "w-to-v", *CONVERT_X]),
+    **{f"w_to_v_{spec['kind']}": (spec, ["--direction", "w-to-v", *CONVERT_X])
+       for spec in RAM_SPECS},
+    "w_to_theta_mnl": (MNL3, ["--direction", "w-to-theta", *CONVERT_ANCHORS]),
+    "w_to_theta_brand": (BRAND_CROSS, ["--direction", "w-to-theta", *CONVERT_ANCHORS]),
+}
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     def write(payload, name="spec.json"):
@@ -138,7 +153,9 @@ class TestEval:
         out = str(tmp_path / "eval.csv")
         assert main(["eval", "--spec", spec_file(MMM3), "--mu", "0.5,0,-0.5",
                      "--mu", "1,2,0", "--mu", "0,0,0", "--out", out]) == 0
-        assert sum(solved) == 3
+        # one solve for w and q, of 4 rows: 3 points at n = 3 carry the
+        # contract check's copy of the first
+        assert solved == [4]
         assert len(read_csv(out)[2]) == 3
 
     def test_dimension_mismatch_exits_2(self, spec_file):
@@ -326,6 +343,14 @@ class TestConvert:
             assert abs(float(row[3]) - float(np.sum(x * np.log(x)))) <= 1e-5
 
 
+    @pytest.mark.parametrize("name", sorted(CONVERT_GOLDENS))
+    def test_csv_bytes_match_the_goldens(self, spec_file, tmp_path, name):
+        spec, args = CONVERT_GOLDENS[name]
+        out = tmp_path / "convert.csv"
+        assert main(["convert", "--spec", spec_file(spec), *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"convert_{name}.csv").read_bytes()
+
+
 class TestRum:
     def test_seeded_runs_are_byte_identical_across_thread_counts(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -498,6 +523,25 @@ class TestValidate:
         assert main(["eval", "--spec", spec_file(spec), "--mu", mu]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "input error" in captured.err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "gev_custom", "eta": 1.0, "exponents": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "exponents"),
+        (BRAND_CROSS, "matrix"),
+        ({"kind": "ram_quadratic", "matrix": [[3, 2, 0], [2, 3, 2], [0, 2, 3]]}, "matrix"),
+        ({"kind": "ram_cmm", "covariance": [[9, 0.9, 0.9], [0.9, 9, 0.9], [0.9, 0.9, 9]]},
+         "covariance")], ids=["gev_custom", "transform_cross", "ram_quadratic", "ram_cmm"])
+    def test_non_finite_matrix_entries_exit_2(self, spec_file, capsys, spec, field, bad):
+        # each kind once found out on its own: "row sums must equal 1/eta",
+        # "entries must be nonnegative", "Eigenvalues did not converge" (the
+        # last after a numpy RuntimeWarning)
+        matrix = [list(row) for row in spec[field]]
+        matrix[1][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--spec", spec_file({**spec, field: matrix})]) == 2
+        assert f"input error: {field}: entries must be finite" in capsys.readouterr().err
 
     def test_unknown_kind(self, spec_file):
         assert main(["validate", "--spec", spec_file({"kind": "mystery"})]) == 2

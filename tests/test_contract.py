@@ -80,6 +80,17 @@ PER_POINT = WelfareModel(n=2, value=lambda mu: float(np.max(mu)),
                          name="per_point")
 
 
+# written for one point, indexing coordinates: on two points at n = 2,
+# mu[0] and mu[1] are the points, and both results have the batch's length
+def _indexing_value(mu):
+    return np.log(np.exp(mu[0]) + np.exp(mu[1]))
+
+
+INDEXING = WelfareModel(n=2, value=_indexing_value,
+                        gradient=lambda mu: np.exp(np.array([mu[0], mu[1]]) - _indexing_value(mu)),
+                        name="indexing")
+
+
 # a regularizer whose value was written for one point
 PER_POINT_V = Regularizer(n=2, value=lambda x: float(np.sum(x * x)),
                           gradient=lambda x: 2.0 * x, boundary_barrier=False,
@@ -92,11 +103,24 @@ PER_POINT_V = Regularizer(n=2, value=lambda x: float(np.sum(x * x)),
     lambda: check_superlinear(PER_POINT, np.zeros(2)),
     lambda: solve_ram(PER_POINT_V, np.array([0.5, -0.5])),
     lambda: ram_welfare(PER_POINT_V),
+    # once a false FAIL with margin -8.10
+    lambda: check_superlinear(INDEXING, np.zeros(2), samples=2),
+    # once q_2 = 0.5 at both ends, where the model gives 0.731 and 0.269
+    lambda: scan_line(INDEXING, [0, 0], 0, 1, -1, 1, steps=2),
 ], ids=["binary_rum_from_welfare", "scan_line", "check_superlinear", "solve_ram",
-        "ram_welfare"])
+        "ram_welfare", "check_superlinear_on_n_points", "scan_line_on_n_points"])
 def test_non_broadcasting_model_gets_the_contract_error(call):
     with pytest.raises(ValueError, match="pointwise"):
         call()
+
+
+def test_gradient_rows_of_the_wrong_width_are_refused():
+    # the checker compares the whole shape of a batch gradient, not only its
+    # leading axis
+    narrow = WelfareModel(n=3, value=MODELS["mnl"]().value,
+                          gradient=lambda mu: np.zeros(np.shape(mu)[:-1] + (2,)))
+    with pytest.raises(ValueError, match="pointwise"):
+        scan_line(narrow, np.zeros(3), i=0, j=1, lo=-1.0, hi=1.0, steps=5)
 
 
 # every Regularizer broadcasts over (..., n) as well

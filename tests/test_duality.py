@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from welfarechoice import duality
-from welfarechoice.duality import (ASCENT_MAX_ITER, RESIDUAL_TOL, ConvergenceError,
+from welfarechoice.core import finite_diff_jacobian, newton_step
+from welfarechoice.duality import (ASCENT_MAX_ITER, GRAD_TOL, RESIDUAL_TOL, ConvergenceError,
                                    anchor_family, conjugate_V, invert_choice,
                                    semiparametric_sup, simplex_grid,
                                    tabulated_welfare)
@@ -18,7 +19,8 @@ from welfarechoice.ram import (DegenerateRegularizerError, entropy_regularizer,
 from welfarechoice.rum import gumbel_sampler, mc_welfare_model
 from welfarechoice.substitution import substitutable_model_check
 from welfarechoice.transforms import MixtureComponent, mix
-from welfarechoice.welfare import log_sum_welfare, mnl_welfare
+from welfarechoice.welfare import (GEVGenerator, WelfareModel, gev_welfare, log_sum_welfare,
+                                   mnl_welfare, nested_logit_welfare)
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -133,7 +135,7 @@ class TestInputValidation:
         ids=["mnl", "ram_entropy"])
     @pytest.mark.parametrize("x, match", [
         ([0.5, 0.5, 0.5], "sum to"),
-        ([[0.2, 0.3, 0.5]], "one-dimensional"),
+        ([[0.2, 0.3, 0.5], [0.5, 0.5, 0.5]], "sum to"),
         ([0.5, 0.5], "not one for each of 3 alternatives"),
         ([0.25, 0.25, 0.25, 0.25], "not one for each of 3 alternatives"),
         ([0.5, float("nan"), 0.5], "finite"),
@@ -176,11 +178,169 @@ class TestAscentFailures:
         # a panel's choice frequencies step by 1/4000, so the target is never met
         model = mc_welfare_model(gumbel_sampler(1.0, 3), 4000, seed=3)
         x = np.array([0.41234567, 0.33333333, 0.254321])
-        _, res, iters = no_runtime_warning(lambda: duality._ascend(model, x))
+        _, res, iters = no_runtime_warning(lambda: duality._ascend(model, x[None]))
         assert iters <= ASCENT_MAX_ITER
         assert res > RESIDUAL_TOL
         with pytest.raises(ConvergenceError):
             no_runtime_warning(lambda: invert_choice(model, x))
+
+
+def per_point_ascend(model, x):
+    """The one-target ascent that `duality._ascend` steps in stacks: the
+    reference for its iterates, residuals and iteration counts. It also
+    counts the centred-gradient (fallback) steps it accepts."""
+    y = np.zeros(model.n)
+    grad = x - np.asarray(model.gradient(y), dtype=float)
+    res = float(np.max(np.abs(grad)))
+    val = None  # y.x - w(y), evaluated when a step needs the Armijo test
+    step = 1.0
+    fallbacks = 0
+
+    for it in range(ASCENT_MAX_ITER):
+        if res <= GRAD_TOL:
+            return y, res, it, fallbacks
+        d = newton_step(finite_diff_jacobian(model.gradient, y, 1e-6), grad)
+        newton = bool(np.max(np.abs(d)) <= 1e6)  # False for an unusable (NaN) step
+        if newton:
+            d, a = d - d.mean(), 1.0
+        else:
+            d, a = grad - grad.mean(), step
+        for _ in range(70):
+            y_new = y + a * d
+            grad_new = x - np.asarray(model.gradient(y_new), dtype=float)
+            res_new = float(np.max(np.abs(grad_new)))
+            if res_new <= 0.5 * res:
+                val_new = None
+                break
+            if val is None:
+                val = float(y @ x - model.value(y))
+            val_new = float(y_new @ x - model.value(y_new))
+            if np.isfinite(val_new) and val_new >= val + 1e-4 * a * float(grad @ d):
+                break
+            a *= 0.5
+        else:
+            return y, res, it, fallbacks
+        if not newton:
+            step = min(a * 2.0, 1e6)
+            fallbacks += 1
+        y, grad, res, val = y_new, grad_new, res_new, val_new
+    return y, res, ASCENT_MAX_ITER, fallbacks
+
+
+def interior_targets(n, size, seed):
+    """`size` simplex points, many near the boundary, none below 1e-4."""
+    x = np.random.default_rng(seed).dirichlet(np.full(n, 0.5), size)
+    return x * (1.0 - n * 1e-4) + 1e-4
+
+
+PARTIAL_ROWS = {"kind": "gev_custom", "eta": 1.0,
+                "exponents": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]}
+# the FD-gradient GEV converges here through centred-gradient (fallback) steps
+FALLBACK_TARGET = np.array([0.626576392, 1.74518780e-5, 0.373406156]) / 0.999999999878
+
+
+def fd_gev():
+    return gev_welfare(GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2))), 3)
+
+
+STACKS = {
+    "mnl3": lambda: (mnl_welfare(1.0, 3), interior_targets(3, 60, 1)),
+    "mnl6": lambda: (mnl_welfare(0.5, 6), interior_targets(6, 60, 2)),
+    "brand": lambda: (brand_model(), interior_targets(3, 60, 3)),
+    "nested": lambda: (nested_logit_welfare([[0, 1], [2, 3]], [0.5, 0.8], 4),
+                       interior_targets(4, 60, 4)),
+    "partial_mix": lambda: (partial_mix(), interior_targets(3, 40, 5)),
+    "partial_rows": lambda: (build_model(PARTIAL_ROWS).model, interior_targets(3, 40, 6)),
+    "fd_gev": lambda: (fd_gev(), np.vstack([FALLBACK_TARGET, interior_targets(3, 14, 7)])),
+    "mc_panel": lambda: (mc_welfare_model(gumbel_sampler(1.0, 3), 4000, seed=3),
+                         interior_targets(3, 3, 8)),
+}
+
+
+class TestStackedAscent:
+    """A stack of targets steps together, each target exactly as alone."""
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_stack_equals_the_per_point_ascent_bit_for_bit(self, name):
+        model, x = STACKS[name]()
+        y, res, iters = duality._ascend(model, x)
+        assert y.shape == x.shape and res.shape == iters.shape == x.shape[:1]
+        for k in range(len(x)):
+            want_y, want_res, want_iters, _ = per_point_ascend(model, x[k])
+            assert y[k].tobytes() == want_y.tobytes(), k
+            assert res[k].hex() == want_res.hex(), k
+            assert iters[k] == want_iters, k
+
+    def test_stacks_reach_both_ways(self):
+        # the partial mix leaves some targets unreachable, the FD GEV reaches
+        # one only through the gradient fallback: both paths are exercised
+        _, x = STACKS["partial_mix"]()
+        _, res, _ = duality._ascend(partial_mix(), x)
+        assert 0 < np.count_nonzero(res > RESIDUAL_TOL) < len(x)
+        _, want_res, _, fallbacks = per_point_ascend(fd_gev(), FALLBACK_TARGET)
+        assert fallbacks > 0 and want_res <= GRAD_TOL
+
+    def test_convergence_error_flags_exactly_the_unreachable_rows(self):
+        model = partial_mix()
+        x = np.array([[0.3, 0.4, 0.3], [0.6, 0.2, 0.2], [0.25, 0.5, 0.25], [0.2, 0.2, 0.6]])
+        with pytest.raises(ConvergenceError, match="2 of 4 targets") as info:
+            no_runtime_warning(lambda: invert_choice(model, x))
+        err = info.value
+        assert err.best.shape == (4, 3) and err.residual.shape == (4,)
+        np.testing.assert_array_equal(np.flatnonzero(err.residual > RESIDUAL_TOL), [1, 3])
+        for k in (0, 2):
+            assert err.best[k].tobytes() == invert_choice(model, x[k]).tobytes()
+
+    @pytest.mark.parametrize("model", [mnl_welfare(1.0, 3), brand_model(),
+                                       build_model(RAM_SPECS["entropy"]).model],
+                             ids=["mnl", "brand", "ram_entropy"])
+    def test_shapes_follow_the_input(self, model):
+        x = interior_targets(3, 6, 9)
+        assert isinstance(conjugate_V(model, x[0]), float)
+        assert invert_choice(model, x[0]).shape == (3,)
+        values = conjugate_V(model, x.reshape(2, 3, 3))
+        mus = invert_choice(model, x.reshape(2, 3, 3))
+        assert values.shape == (2, 3) and mus.shape == (2, 3, 3)
+        for k, (i, j) in enumerate(np.ndindex(2, 3)):
+            assert values[i, j] == conjugate_V(model, x[k])
+            assert mus[i, j].tobytes() == invert_choice(model, x[k]).tobytes()
+        assert conjugate_V(model, np.empty((0, 3))).shape == (0,)
+        assert invert_choice(model, np.empty((0, 3))).shape == (0, 3)
+
+
+class TestOneCallPerCaller:
+    """Each caller hands its whole point set to one duality call."""
+
+    def test_tabulated_welfare_is_one_ascent(self, monkeypatch):
+        calls = []
+        ascend = duality._ascend
+        monkeypatch.setattr(duality, "_ascend",
+                            lambda model, x: calls.append(len(x)) or ascend(model, x))
+        _, nodes, _ = tabulated_welfare(mnl_welfare(1.0, 3), 0.05)
+        assert calls == [len(nodes)]
+
+    def test_span_probes_are_one_inversion(self, monkeypatch):
+        calls = []
+        invert = duality.invert_choice
+        monkeypatch.setattr(duality, "invert_choice",
+                            lambda model, x: calls.append(np.shape(x)) or invert(model, x))
+        substitutable_model_check(brand_model(), samples=40, seed=0)
+        assert calls == [(10, 3)]
+
+    def test_anchor_family_is_one_value_and_one_gradient_call(self):
+        m = mnl_welfare(1.0, 3)
+        calls = []
+        counted = WelfareModel(
+            n=3, value=lambda mu: calls.append("value") or m.value(mu),
+            gradient=lambda mu: calls.append("gradient") or m.gradient(mu),
+            superlinear_bounds=np.zeros(3))
+        anchors = np.random.default_rng(10).uniform(-2, 2, (5, 3))
+        family = anchor_family(counted, anchors)
+        assert sorted(calls) == ["gradient", "value"]
+        calls.clear()
+        sup = semiparametric_sup(counted, anchors, np.zeros(3))
+        assert sorted(calls) == ["gradient", "value"]
+        assert sup == max(dist.expected_max(np.zeros(3)) for dist in family)
 
 
 class TestReadFromV:
