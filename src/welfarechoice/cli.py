@@ -47,14 +47,24 @@ def _fmt(x: float) -> str:
     return "0" if out == "-0" else out
 
 
-def _parse_vector(text: str, field: str = "--mu") -> np.ndarray:
-    try:
-        vec = np.array([float(p) for p in text.replace(" ", "").split(",") if p])
-    except ValueError as exc:
-        raise SpecError(field, f"cannot parse vector {text!r}") from exc
-    if not np.all(np.isfinite(vec)):
-        raise SpecError(field, f"entries must be finite, got {text!r}")
-    return vec
+def _parse_points(texts: Sequence[str], field: str, n: Optional[int] = None) -> np.ndarray:
+    """The vectors of a repeated option as an (m, n) array, refused unless there is
+    one or more, each finite with n entries (the first one's count when n is None)."""
+    if not texts:
+        raise SpecError(field, "at least one point is required")
+    points = []
+    for text in texts:
+        try:
+            vec = np.array([float(p) for p in text.replace(" ", "").split(",") if p])
+        except ValueError as exc:
+            raise SpecError(field, f"cannot parse vector {text!r}") from exc
+        if not np.all(np.isfinite(vec)):
+            raise SpecError(field, f"entries must be finite, got {text!r}")
+        n = vec.size if n is None else n
+        if vec.size != n:
+            raise SpecError(field, f"expected {n} entries, got {vec.size}")
+        points.append(vec)
+    return np.stack(points)
 
 
 def _positive_int(text: str) -> int:
@@ -103,18 +113,12 @@ def _csv(command: str, config: dict, header: Sequence[str],
 def _welfare_table(model, texts: Sequence[str]):
     """The --mu points, and the header and rows (mu, w, q) at them, from one
     batch_value and one batch_gradient call."""
-    mus = [_parse_vector(t) for t in texts]
-    if not mus:
-        raise SpecError("--mu", "at least one utility vector is required")
-    for mu in mus:
-        if mu.size != model.n:
-            raise SpecError("--mu", f"expected {model.n} entries, got {mu.size}")
+    points = _parse_points(texts, "--mu", model.n)
     header = [f"mu_{i+1}" for i in range(model.n)] + ["w"] + \
         [f"q_{i+1}" for i in range(model.n)]
-    points = np.stack(mus)
     rows = [list(mu) + [w] + list(q) for mu, w, q in
             zip(points, batch_value(model, points), batch_gradient(model, points))]
-    return mus, header, rows
+    return points, header, rows
 
 
 def cmd_eval(args) -> int:
@@ -220,19 +224,18 @@ def cmd_convert(args) -> int:
     model = bundle.model
 
     if args.direction == "w-to-v":
-        points = [_parse_vector(t, "--x") for t in args.x]
-        if not points and args.grid_step is not None:
+        if args.x or args.grid_step is None:
+            points = _parse_points(args.x, "--x", model.n)
+        else:
             try:
                 points = simplex_grid(model.n, args.grid_step, margin=1e-3)
             except ValueError as exc:
                 raise SpecError("--grid-step", str(exc)) from exc
             if not len(points):
                 raise SpecError("--grid-step", "no grid node lies inside the simplex")
-        if not len(points):
-            raise SpecError("--x", "provide --x points or --grid-step")
         header = [f"x_{i+1}" for i in range(model.n)] + ["V"]
         # conjugate_V refuses an x off the model's simplex (exit 2)
-        rows = [list(x) + [v] for x, v in zip(points, conjugate_V(model, np.array(points)))]
+        rows = [list(x) + [v] for x, v in zip(points, conjugate_V(model, points))]
         _csv("convert", {"direction": "w-to-v", "spec": bundle.spec},
              header, rows, args.out)
         return EXIT_OK
@@ -247,10 +250,7 @@ def cmd_convert(args) -> int:
         return EXIT_OK
 
     if args.direction == "w-to-theta":
-        anchors = [_parse_vector(t, "--anchor") for t in args.anchor]
-        if not anchors:
-            raise SpecError("--anchor", "at least one anchor is required")
-        family = anchor_family(model, anchors)
+        family = anchor_family(model, _parse_points(args.anchor, "--anchor", model.n))
         n = model.n
         header = ([f"z_{i+1}" for i in range(n)]
                   + [f"weight_{i+1}" for i in range(n)]
@@ -267,17 +267,13 @@ def cmd_convert(args) -> int:
 def cmd_rum(args) -> int:
     seed = args.seed if args.seed is not None else 0
     samples = args.samples
-    mus = [_parse_vector(t) for t in args.mu]
-    if not mus:
-        raise SpecError("--mu", "at least one utility vector is required")
+    mus = _parse_points(args.mu, "--mu", 2 if args.binary_from_spec else None)
 
     if args.binary_from_spec:
         bundle = load_model(args.binary_from_spec)
         construction = binary_rum_from_welfare(bundle.model)
         sampler = construction.sampler()
         header = ["mu_1", "mu_2", "mc_welfare", "std_error", "w_closed_form"]
-        if any(mu.size != 2 for mu in mus):
-            raise SpecError("--mu", "binary construction needs 2 entries")
         rows = [list(mu) + [est.value, est.std_error, bundle.model.value(mu)]
                 for mu, (_, est) in zip(mus, mc_estimates(sampler, mus, samples, seed))]
         _csv("rum", {"mode": "binary-from-welfare", "spec": bundle.spec,
@@ -287,20 +283,11 @@ def cmd_rum(args) -> int:
              header, rows, args.out)
         return EXIT_OK
 
-    n = mus[0].size
-    for mu in mus:
-        if mu.size != n:
-            raise SpecError("--mu", "all utility vectors must share a dimension")
-    if args.family == "gumbel":
-        sampler = gumbel_sampler(args.eta, n)
-    elif args.family == "normal":
-        sampler = normal_sampler(args.sd, n)
-    elif args.family == "logistic":
-        sampler = logistic_sampler(args.scale, n)
-    elif args.family == "degenerate":
-        sampler = degenerate_sampler(n)
-    else:
-        raise SpecError("--family", f"unknown family {args.family!r}")
+    n = mus.shape[1]
+    sampler = {"gumbel": lambda: gumbel_sampler(args.eta, n),
+               "normal": lambda: normal_sampler(args.sd, n),
+               "logistic": lambda: logistic_sampler(args.scale, n),
+               "degenerate": lambda: degenerate_sampler(n)}[args.family]()
 
     header = ([f"mu_{i+1}" for i in range(n)]
               + [f"p_{i+1}" for i in range(n)]

@@ -73,6 +73,14 @@ def as_utility_of(values: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
     return mu
 
 
+def as_utilities(values, n: int) -> np.ndarray:
+    """Validate and return utility vectors (..., n), finite; an empty stack passes."""
+    mu = np.asarray(values, dtype=float)
+    if mu.ndim == 0 or mu.shape[-1] != n or not np.all(np.isfinite(mu)):
+        raise ValueError(f"utilities must be finite with shape (..., {n}), got shape {mu.shape}")
+    return mu
+
+
 def as_probability(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return points (..., n), n >= 2, on the simplex (to SIMPLEX_TOL)."""
     x = np.asarray(values, dtype=float)
@@ -148,9 +156,12 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], points, value_shape=()) -> 
     """f at `points` (..., n), flattened to (P, n), in one call: the one check
     of the broadcasting contract, P values of `value_shape` (any shape for
     None), returned as shape (...) + value_shape. P = n points get a copy of
-    the first, whose value is dropped, so a per-point function cannot pass."""
+    the first, whose value is dropped, so a per-point function cannot pass;
+    P = 0 points of a known value shape make no call."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, points.shape[-1])
+    if not len(flat) and value_shape is not None:
+        return np.empty(points.shape[:-1] + value_shape)
     pad = flat.shape[0] == flat.shape[1]
     if pad:
         flat = np.concatenate([flat, flat[:1]])

@@ -118,19 +118,29 @@ def _ascend(model: WelfareModel, x: np.ndarray):
     return y_out, res_out, iters
 
 
+def strict_V(model: WelfareModel):
+    """The model's V if strictly convex (then V = w* and q^{-1} = grad V + c 1), else None."""
+    return model.regularizer if getattr(model.regularizer, "strictly_convex", False) else None
+
+
+def inverse_from_V(reg, x) -> np.ndarray:
+    """q^{-1}(x) = grad V(x) + c 1 at simplex points x (..., n), c making each sum zero."""
+    g = batch_gradient(reg, x)
+    return g - np.mean(g, axis=-1, keepdims=True)
+
+
 def _interior(model: WelfareModel, x, what: str):
     """(x, V, y): x, refused with a ValueError naming it `what` unless simplex
-    points (..., n) of the model's length with entries >= INTERIOR_MIN; the
-    model's V if strictly convex (the ascent's first solve refuses any other
-    V), else None and the maximizers y, each held to RESIDUAL_TOL."""
+    points (..., n) of the model's length with entries >= INTERIOR_MIN; its
+    `strict_V`, and if that is None the maximizers y, held to RESIDUAL_TOL."""
     x = as_probability(x)
     if x.shape[-1] != model.n:
         raise ValueError(f"{what} has {x.shape[-1]} entries, "
                          f"not one for each of {model.n} alternatives")
     if np.min(x, initial=1.0) < INTERIOR_MIN:
         raise ValueError(f"{what} must be strictly interior (min entry >= {INTERIOR_MIN:g})")
-    reg = model.regularizer
-    if reg is not None and reg.strictly_convex:
+    reg = strict_V(model)
+    if reg is not None:
         return x, reg, None
     # an empty stack makes no model call
     y, res, _ = _ascend(model, x.reshape(-1, model.n)) if x.size else (x * 0.0, x[..., 0], 0)
@@ -155,10 +165,7 @@ def invert_choice(model: WelfareModel, x_target) -> np.ndarray:
     shape (..., n), in the same shape. Raises ConvergenceError carrying the
     best iterates when some target's residual stays above RESIDUAL_TOL."""
     x, reg, y = _interior(model, x_target, "target")
-    if y is None:
-        g = batch_gradient(reg, x)
-        y = g - np.mean(g, axis=-1, keepdims=True)
-    return y
+    return inverse_from_V(reg, x) if y is None else y
 
 
 @dataclass(frozen=True)

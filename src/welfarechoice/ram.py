@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_symmetric, as_utility, bisect_increasing,
+from .core import (NumericError, as_symmetric, as_utilities, bisect_increasing,
                    bordered, finite_diff_jacobian, integrate_1d, newton_step,
                    normal_cdf, normal_pdf, normal_quantile, positive_scale, rowdot)
 from .welfare import WelfareModel, batch_gradient, batch_value, logsumexp
@@ -650,15 +650,6 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
     return _iterative_solve(reg, mu)
 
 
-def _utilities(reg: Regularizer, mu) -> np.ndarray:
-    """Validated utilities of shape (..., n), flattened to (m, n)."""
-    mu = np.asarray(mu, dtype=float)
-    as_utility(mu.ravel())  # finite entries, at least two
-    if mu.shape[-1] != reg.n:
-        raise ValueError(f"mu has {mu.shape[-1]} entries, regularizer expects {reg.n}")
-    return mu.reshape(-1, reg.n)
-
-
 def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """mu.x - V(x) for each row, in one call of V."""
     return rowdot(mu, x) - batch_value(reg, x)
@@ -682,7 +673,7 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     shape (...), each entry equal to the solve of its own point; for a
     separable V, `iterations` counts the bisection steps of the batch.
     """
-    flat = _utilities(reg, mu)
+    flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
     x, iterations, converged = _argmax(reg, flat)
     w = _objective(reg, flat, x)
     kkt = verify_kkt(reg, flat, x)
@@ -707,7 +698,7 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
     last = [None]  # (key, x) of the last point set, replaced whole
 
     def solve(mu):
-        flat = _utilities(reg, mu)
+        flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
         key = (flat.shape, flat.tobytes())
         entry = last[0]
         if entry is None or entry[0] != key:

@@ -6,11 +6,11 @@ welfare function from a single scalar random variable, and the
 alternating-sign test on mixed partial derivatives that separates
 welfare models with a random-utility representation from those without.
 
-One tally gives both: `_tally` reduces draws laid out (n, size), one
-contiguous row per alternative, against a point to winner counts and the
-sums of the row maximum and its square, in elementwise passes that add and
-compare the same numbers as `np.max` and `np.argmax`. `mc_estimates` draws
-each partition once for a stack of points.
+One estimator: `_tally` reduces a partition's draws, laid out (n, size), to
+winner counts and the sums of the row maximum and its square at a point,
+comparing and adding as `np.max` and `np.argmax` do; `_means` adds a point's
+tallies in partition order. `mc_estimates` draws each partition once for a
+stack of points, and `mc_welfare_model` tallies the slices of its frozen panel.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_utility_of, mc_partitions, normal_quantile,
-                   positive_scale, stream_rng)
-from .welfare import (SignTestReport, WelfareModel, _sign_test, batch_gradient,
-                      pointwise)
+from .core import (NumericError, as_utilities, as_utility_of, mc_partitions,
+                   normal_quantile, positive_scale, stream_rng)
+from .duality import inverse_from_V, strict_V
+from .welfare import SignTestReport, WelfareModel, _sign_test, batch_gradient
 
 THREADS_ENV = "WELFARECHOICE_THREADS"
 XI_TOL = 1e-12
@@ -161,22 +161,26 @@ class MCWelfare:
     seed: int
 
 
-def _estimates(tallies, samples: int, seed: int) -> tuple[MCProbabilities, MCWelfare]:
-    """A point's estimates from its tallies, summed in partition order."""
+def _means(tallies, samples: int) -> tuple[np.ndarray, float, float]:
+    """A point's tallies summed in partition order, over `samples`: (probs, E max, E max^2)."""
     counts, total, total_sq = 0, 0.0, 0.0
     for c, s, sq in tallies:
         counts, total, total_sq = counts + c, total + s, total_sq + sq
-    p = counts / samples
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+    return counts / samples, total / samples, total_sq / samples
+
+
+def _estimates(tallies, samples: int, seed: int) -> tuple[MCProbabilities, MCWelfare]:
+    """A point's estimates from its tallies, summed in partition order."""
+    p, mean, mean_sq = _means(tallies, samples)
+    var = max(mean_sq - mean * mean, 0.0)
     return (MCProbabilities(probs=p, std_errors=np.sqrt(p * (1.0 - p) / samples),
                             samples=samples, seed=seed),
             MCWelfare(value=mean, std_error=np.sqrt(var / samples),
                       samples=samples, seed=seed))
 
 
-def _finite(mean_max: float) -> float:
-    if not np.isfinite(mean_max):
+def _finite(mean_max):
+    if not np.all(np.isfinite(mean_max)):
         raise NumericError("noise draws are infinite: the mean maximum is undefined")
     return mean_max
 
@@ -222,18 +226,23 @@ class BinaryRUMConstruction:
     The slice v(x) = w(x, 0) has derivative v'(x) in [0, 1], nondecreasing;
     it is used as the CDF of a scalar variable xi, and the noise pair is
     eps = (v0 - max(xi, 0), v0 - max(-xi, 0)) with v0 = w(0, 0). The
-    expected maximum of mu + eps then reproduces w(mu) exactly.
+    expected maximum of mu + eps then reproduces w(mu) exactly. `bracket`
+    (T of the bisection) is None for a model whose xi is read from its V.
     """
 
     model: WelfareModel
     v0: float
     xi_cdf: Callable[[np.ndarray], np.ndarray]
-    bracket: float
+    bracket: float | None
     truncated: bool
 
     def sample_xi(self, uniforms: np.ndarray) -> np.ndarray:
-        """Invert the CDF at each uniform by bisection on [-T, T]."""
+        """Invert the CDF at each uniform u: xi = V_1 - V_2 at (u, 1 - u), as
+        q(xi, 0) = (u, 1 - u), when `bracket` is None, else bisection on [-T, T]."""
         u = np.asarray(uniforms, dtype=float)
+        if self.bracket is None:
+            y = inverse_from_V(self.model.regularizer, np.stack([u, 1.0 - u], axis=-1))
+            return y[..., 0] - y[..., 1]
         lo = np.full(u.shape, -self.bracket)
         hi = np.full(u.shape, self.bracket)
         # fixed iteration count: halves the bracket below XI_TOL for any T
@@ -262,9 +271,9 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
     """Build the exact two-alternative noise representation of a welfare model.
 
     Validates that x -> dw/dmu_1 (x, 0) is nondecreasing with range inside
-    [0, 1]; grows the inversion bracket geometrically until the CDF is
-    within 1e-9 of {0, 1} at the ends, capping at BRACKET_CAP with the
-    truncation flagged.
+    [0, 1]. A model with a strictly convex V needs no bracket; for any other
+    the inversion bracket grows geometrically until the CDF is within 1e-9
+    of {0, 1} at the ends, capping at BRACKET_CAP with the truncation flagged.
     """
     if model.n != 2:
         raise ValueError("the construction applies to two-alternative models")
@@ -279,6 +288,8 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
         raise InvalidBinaryWelfareError("v'(x) is decreasing on the grid")
     if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
         raise InvalidBinaryWelfareError("v'(x) leaves [0, 1] on the grid")
+    if strict_V(model) is not None:
+        return BinaryRUMConstruction(model, v0, xi_cdf, bracket=None, truncated=False)
 
     bracket = 1.0
     while True:
@@ -306,22 +317,28 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
 
     The same draws serve every evaluation (common random numbers), so
     finite-difference stencils of the choice probabilities difference out
-    the sampling noise instead of being swamped by it.
+    the sampling noise instead of being swamped by it. A stack of points
+    (..., n) is tallied on each partition's slice of the panel and summed in
+    partition order, so `value` and `gradient` equal `mc_welfare(...).value`
+    and `mc_choice_probs(...).probs` bit for bit.
     """
     panel = np.empty((sampler.n, samples))  # one row of draws per alternative
-    for idx, start, stop in mc_partitions(samples):
-        panel[:, start:stop] = sampler.draw(stream_rng(seed, idx), stop - start).T
+    blocks = [panel[:, start:stop] for _, start, stop in mc_partitions(samples)]
+    for idx, block in enumerate(blocks):
+        block[...] = sampler.draw(stream_rng(seed, idx), block.shape[1]).T
 
-    # one point at a time, as broadcasting would build a (points, samples)
-    # array per pass; value and gradient share the last point's key and tally
-    last = [None, None]
+    last = [(None, None)]  # (key, (probs, means)) of the last stack, replaced whole
 
-    def tally(mu):
-        mu = as_utility_of(mu, sampler.n)
-        if last[0] != mu.tobytes():
-            last[:] = mu.tobytes(), _tally(mu, panel)
-        return last[1]
+    def estimates(points):
+        mu = as_utilities(points, sampler.n)
+        key = (mu.shape, mu.tobytes())
+        if last[0][0] != key:
+            probs, means = np.empty(mu.shape), np.empty(mu.shape[:-1])
+            for k in np.ndindex(means.shape):
+                probs[k], means[k], _ = _means((_tally(mu[k], b) for b in blocks), samples)
+            last[0] = key, (probs, means)
+        return last[0][1]
 
     return WelfareModel(n=sampler.n, name=f"mc[{sampler.family}]",
-                        value=pointwise(lambda mu: _finite(tally(mu)[1] / samples)),
-                        gradient=pointwise(lambda mu: tally(mu)[0] / samples))
+                        value=lambda mu: _finite(estimates(mu)[1]).copy()[()],
+                        gradient=lambda mu: estimates(mu)[0].copy())

@@ -94,7 +94,6 @@ def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     the choice map serves every pair.
     """
     mu = as_utility_of(mu, model.n)
-    n = model.n
     estimates = _cross_effects(model, mu)
     labels = np.array([[COMPLEMENTARY if i == j else _label(e, DEAD_ZONE)
                         for j, e in enumerate(row)] for i, row in enumerate(estimates)],

@@ -499,6 +499,49 @@ class TestRum:
         assert abs(est - w) <= 4 * se
 
 
+    def test_binary_construction_of_a_two_alternative_cmm(self, spec_file, tmp_path):
+        # the bracket search failed to solve at mu = (16384, 0); xi is read from V
+        spec = spec_file({"kind": "ram_cmm", "covariance": [[2.0, 0.3], [0.3, 1.0]]})
+        out = str(tmp_path / "bin.csv")
+        assert main(["rum", "--binary-from-spec", spec, "--mu", "0.5,-0.5",
+                     "--seed", "7", "--out", out]) == 0
+        comments, _, rows = read_csv(out)
+        config = json.loads(comments[2].removeprefix("# config="))
+        assert config["bracket"] is None and config["truncated"] is False
+        est, se, w = (float(rows[0][2]), float(rows[0][3]), float(rows[0][4]))
+        assert abs(est - w) <= 4 * se
+
+
+MNL2_SPEC = {"kind": "mnl", "n": 2, "eta": 1.0}
+W_TO_V, W_TO_THETA = ["--direction", "w-to-v"], ["--direction", "w-to-theta"]
+
+
+class TestPointLists:
+    """--mu, --x and --anchor are parsed by one helper, whose messages name the field."""
+
+    @pytest.mark.parametrize("spec, argv, message", [
+        (MNL3, ["convert", *W_TO_V, "--x", "0.2,0.3,0.5", "--x", "0.5,0.5"],
+         "--x: expected 3 entries, got 2"),
+        (MNL3, ["convert", *W_TO_V], "--x: at least one point is required"),
+        (MNL3, ["convert", *W_TO_THETA, "--anchor", "0,0"],
+         "--anchor: expected 3 entries, got 2"),
+        (MNL3, ["convert", *W_TO_THETA], "--anchor: at least one point is required"),
+        (MNL3, ["eval", "--mu", "0,0,0", "--mu", "0,0"], "--mu: expected 3 entries, got 2"),
+        (ENTROPY3, ["convert", "--direction", "v-to-w", "--mu", "1,2"],
+         "--mu: expected 3 entries, got 2"),
+        (None, ["rum", "--mu", "0,0", "--mu", "0,0,0"], "--mu: expected 2 entries, got 3"),
+        (None, ["rum"], "--mu: at least one point is required"),
+        (MNL2_SPEC, ["rum", "--mu", "0,0,0"], "--mu: expected 2 entries, got 3"),
+    ])
+    def test_bad_point_lists_exit_2_naming_the_field(self, spec_file, capsys, spec, argv,
+                                                     message):
+        if spec is not None:
+            option = "--binary-from-spec" if argv[0] == "rum" else "--spec"
+            argv = [argv[0], option, spec_file(spec), *argv[1:]]
+        assert main(argv) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_valid_spec(self, spec_file):
         assert main(["validate", "--spec", spec_file(MNL3)]) == 0

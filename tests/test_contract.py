@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from welfarechoice.core import finite_diff_gradient, finite_diff_jacobian, mixed_partial
+from welfarechoice.core import MC_CHUNK, finite_diff_gradient, finite_diff_jacobian, mixed_partial
 from welfarechoice.modelspec import build_model
 from welfarechoice.ram import (Regularizer, cmm_regularizer, custom_marginal,
                                entropy_regularizer, exponential_marginal,
@@ -16,9 +16,9 @@ from welfarechoice.rum import (binary_rum_from_welfare, gumbel_sampler,
                                mc_welfare_model)
 from welfarechoice.substitution import scan_line
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
-from welfarechoice.welfare import (GEVGenerator, WelfareModel, check_superlinear,
-                                   gev_welfare, log_sum_welfare, mnl_welfare,
-                                   nested_logit_welfare, pointwise)
+from welfarechoice.welfare import (GEVGenerator, WelfareModel, batch_gradient, batch_value,
+                                   check_superlinear, gev_welfare, log_sum_welfare,
+                                   mnl_welfare, nested_logit_welfare, pointwise)
 
 BRAND = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
 COUPLING = [[3.0, 2.0, 0.0], [2.0, 3.0, 2.0], [0.0, 2.0, 3.0]]
@@ -44,6 +44,8 @@ MODELS = {
     "ram_mmm": lambda: ram_welfare(mmm_regularizer([2.0, 2.5, 2.0])),
     "ram_cmm": lambda: ram_welfare(cmm_regularizer(np.eye(3) + 0.2)),
     "mc_panel": lambda: mc_welfare_model(gumbel_sampler(1.0, 3), 4000, seed=3),
+    "mc_panel_3_partitions": lambda: mc_welfare_model(gumbel_sampler(1.0, 3),
+                                                      2 * MC_CHUNK + 17, seed=3),
 }
 
 
@@ -58,6 +60,23 @@ def test_batch_matches_per_point_calls_bit_for_bit(kind):
     for idx in np.ndindex(2, 3):
         assert values[idx] == model.value(points[idx])
         np.testing.assert_array_equal(grads[idx], model.gradient(points[idx]))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_an_empty_stack_gives_empty_results_without_a_call(kind):
+    # a per-point model (gev_welfare without partials) raised the contract error
+    model = MODELS[kind]()
+    calls = []
+
+    def counted(f):
+        return lambda mu: calls.append(mu) or f(mu)
+
+    model = WelfareModel(n=model.n, value=counted(model.value),
+                         gradient=counted(model.gradient))
+    for shape in [(0, model.n), (2, 0, model.n)]:
+        assert batch_value(model, np.empty(shape)).shape == shape[:-1]
+        assert batch_gradient(model, np.empty(shape)).shape == shape
+    assert calls == []
 
 
 def test_pointwise_calls_once_per_row_and_directly_on_a_vector():

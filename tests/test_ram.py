@@ -406,6 +406,15 @@ class TestSolverPaths:
         np.testing.assert_array_equal(model.gradient(points), batch.x_star)
         np.testing.assert_array_equal(model.value(points), batch.w_value)
 
+    @pytest.mark.parametrize("family", sorted(REGULARIZERS))
+    def test_an_empty_stack_solves_to_empty_results(self, family):
+        # the utilities are checked by core.as_utilities, as the Monte Carlo panel's are
+        reg = self.REGULARIZERS[family]()
+        assert solve_ram(reg, np.empty((0, 3))).x_star.shape == (0, 3)
+        model = ram_welfare(reg)
+        assert model.value(np.empty((0, 3))).shape == (0,)
+        assert model.gradient(np.empty((0, 3))).shape == (0, 3)
+
     def test_structure_picks_the_path(self):
         for family in ("entropy", "logbarrier", "mdm", "mmm"):
             assert self.REGULARIZERS[family]().choice is not None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from welfarechoice.core import MC_CHUNK, NumericError, mc_partitions, stream_rng
+from welfarechoice.modelspec import build_model
 from welfarechoice.ram import (entropy_regularizer, exponential_marginal,
                                mdm_regularizer, mmm_regularizer, ram_welfare)
 from welfarechoice import rum
@@ -17,7 +18,7 @@ from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV,
                                gumbel_sampler, logistic_sampler,
                                mc_choice_probs, mc_estimates, mc_welfare,
                                mc_welfare_model, normal_sampler, rum_sign_test)
-from welfarechoice.welfare import WelfareModel, log_sum_welfare, mnl_welfare
+from welfarechoice.welfare import WelfareModel, batch_value, log_sum_welfare, mnl_welfare
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
@@ -151,6 +152,36 @@ class TestColumnKernels:
         model.value(np.zeros(3))
         assert model.value(mu) == w and len(calls) == 3
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("family", sorted(SAMPLERS))
+    def test_panel_equals_a_run_bit_for_bit(self, monkeypatch, family, threads):
+        # three partitions: a run adds its partitions' tallies in order, and
+        # a panel that summed all its draws at once differed in the last bits
+        monkeypatch.setenv(THREADS_ENV, threads)
+        sampler, samples = SAMPLERS[family](3), 2 * MC_CHUNK + 17
+        model = mc_welfare_model(sampler, samples, seed=5)
+        points = np.random.default_rng(6).uniform(-1.0, 1.0, (20, 3))
+        for mu, (probs, welfare) in zip(points, mc_estimates(sampler, points, samples, 5)):
+            assert model.value(mu) == welfare.value
+            np.testing.assert_array_equal(model.gradient(mu), probs.probs)
+
+    def test_panel_stack_tallies_each_point_on_each_partition_once(self, monkeypatch):
+        model = mc_welfare_model(gumbel_sampler(1.0, 3), 2 * MC_CHUNK + 17, seed=2)
+        sizes = []
+        tally = rum._tally
+
+        def counted(mu, cols):
+            sizes.append(cols.shape[1])
+            return tally(mu, cols)
+
+        monkeypatch.setattr(rum, "_tally", counted)
+        points = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 3))
+        values, grads = model.value(points), model.gradient(points)
+        assert sizes == [MC_CHUNK, MC_CHUNK, 17] * 4
+        values[0], grads[0, 0] = np.nan, -1.0  # an edit does not reach the kept estimates
+        assert np.isfinite(model.value(points)[0]) and model.gradient(points)[0, 0] != -1.0
+        assert len(sizes) == 12
+
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
     def test_panel_matches_a_concatenated_panel(self, family):
         sampler, samples = SAMPLERS[family](3), MC_CHUNK + 5
@@ -166,7 +197,7 @@ class TestColumnKernels:
                 np.bincount(np.argmax(rows, axis=1), minlength=3) / samples)
 
 
-BAD_POINTS = [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]]
+BAD_POINTS = [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], 0.5]
 
 
 class TestMCValidation:
@@ -189,6 +220,12 @@ class TestMCValidation:
             model.value(np.asarray(mu))
         with pytest.raises(ValueError):
             model.gradient(np.asarray(mu))
+
+    def test_panel_empty_stack_gives_empty_results(self):
+        model = mc_welfare_model(gumbel_sampler(1.0, 3), 1000, seed=1)
+        assert model.value(np.empty((0, 3))).shape == (0,)
+        assert model.gradient(np.empty((0, 3))).shape == (0, 3)
+        assert batch_value(model, np.empty((0, 3))).shape == (0,)
 
     def test_nan_draws_are_refused(self):
         # a NaN draw has no largest alternative; np.argmax credited the first
@@ -349,6 +386,15 @@ class TestMCWelfare:
             assert abs(constructed.value - w) <= 4 * constructed.std_error
 
 
+RAM2 = [{"kind": "ram_entropy", "n": 2, "eta": 1.0},
+        {"kind": "ram_quadratic", "matrix": [[2.0, 0.5], [0.5, 1.0]]},
+        {"kind": "ram_logbarrier", "n": 2},
+        {"kind": "ram_mdm", "marginals": [{"family": "logistic", "scale": 1.0},
+                                          {"family": "normal", "sd": 1.5}]},
+        {"kind": "ram_mmm", "sigma": [1.0, 2.0]},
+        {"kind": "ram_cmm", "covariance": [[9.0, 0.9], [0.9, 9.0]]}]
+
+
 class TestBinaryConstruction:
     def test_mnl_slice_derivative_is_logistic_cdf(self):
         construction = binary_rum_from_welfare(mnl_welfare(1.0, 2))
@@ -393,6 +439,31 @@ class TestBinaryConstruction:
         construction = binary_rum_from_welfare(mnl_welfare(4.0, 2))
         assert construction.bracket > 32.0
         assert not construction.truncated
+
+    @pytest.mark.parametrize("spec", RAM2, ids=[s["kind"] for s in RAM2])
+    def test_ram_xi_read_from_V_matches_the_bisection(self, spec):
+        model = build_model(spec).model
+        construction = binary_rum_from_welfare(model)
+        assert construction.bracket is None and not construction.truncated
+        bisection = binary_rum_from_welfare(replace(model, regularizer=None))
+        assert bisection.bracket is not None
+        u = np.random.default_rng(15).uniform(1e-3, 1.0 - 1e-3, 200)
+        xi = construction.sample_xi(u)
+        assert np.all(np.abs(xi - bisection.sample_xi(u)) <= 1e-8 * np.maximum(1.0, np.abs(xi)))
+
+    def test_sampling_a_ram_construction_makes_no_gradient_call(self):
+        model = ram_welfare(mmm_regularizer([1.0, 2.0]))
+        calls = []
+
+        def gradient(mu):
+            calls.append(np.shape(mu))
+            return model.gradient(mu)
+
+        construction = binary_rum_from_welfare(replace(model, gradient=gradient))
+        calls.clear()
+        est = mc_welfare(construction.sampler(), np.array([0.5, -0.5]), 20000, seed=1)
+        assert calls == []
+        assert abs(est.value - model.value(np.array([0.5, -0.5]))) <= 4 * est.std_error
 
     def test_requires_two_alternatives(self):
         with pytest.raises(ValueError):
