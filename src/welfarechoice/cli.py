@@ -140,19 +140,17 @@ def cmd_figure(args) -> int:
         _csv("figure", {"example": 2, "grid": [-2.0, 2.0, 0.01]},
              ["mu1", "q1", "q2", "q3"], rows, args.out)
         return EXIT_OK
-    if args.example == 3:
-        bundle = demo_brand_model()
-        model = bundle.model
-        lo, hi, step = -10.0, 5.0, 0.01
-        steps = int(round((hi - lo) / step)) + 1
-        table = scan_line(model, np.array([0.0, 0.0, 3.0]), i=0, j=1,
-                          lo=lo, hi=hi, steps=steps)
-        rows = [[r.mu_i, r.q_j, r.label] for r in table]
-        _csv("figure", {"example": 3, "grid": [lo, hi, step],
-                        "mu2": 0.0, "mu3": 3.0},
-             ["mu1", "q2", "classification"], rows, args.out)
-        return EXIT_OK
-    raise SpecError("--example", "supported examples are 2 and 3")
+    # example 3, the one other that argparse lets through
+    model = demo_brand_model().model
+    lo, hi, step = -10.0, 5.0, 0.01
+    steps = int(round((hi - lo) / step)) + 1
+    table = scan_line(model, np.array([0.0, 0.0, 3.0]), i=0, j=1,
+                      lo=lo, hi=hi, steps=steps)
+    rows = [[r.mu_i, r.q_j, r.label] for r in table]
+    _csv("figure", {"example": 3, "grid": [lo, hi, step],
+                    "mu2": 0.0, "mu3": 3.0},
+         ["mu1", "q2", "classification"], rows, args.out)
+    return EXIT_OK
 
 
 def _report(lines: list[str]) -> None:
@@ -204,19 +202,17 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.verdict == "substitutable-consistent" \
             else EXIT_VIOLATION
 
-    if args.suite == "superlinear":
-        bounds, _ = model_bounds(model)
-        report = check_superlinear(model, bounds, samples=samples, seed=seed)
-        lines = [f"superlinear bound check for {model.name} (analytic bounds "
-                 f"{np.round(bounds, 6)}):"]
-        if report.passed:
-            lines.append(f"  pass, worst margin {report.worst_margin:.3e}")
-        else:
-            lines.append(f"  FAIL witness={report.witness}")
-        _report(lines)
-        return EXIT_OK if report.passed else EXIT_VIOLATION
-
-    raise SpecError("--suite", f"unknown suite {args.suite!r}")
+    # superlinear, the last suite argparse lets through
+    bounds, _ = model_bounds(model)
+    report = check_superlinear(model, bounds, samples=samples, seed=seed)
+    lines = [f"superlinear bound check for {model.name} (analytic bounds "
+             f"{np.round(bounds, 6)}):"]
+    if report.passed:
+        lines.append(f"  pass, worst margin {report.worst_margin:.3e}")
+    else:
+        lines.append(f"  FAIL witness={report.witness}")
+    _report(lines)
+    return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
 def cmd_convert(args) -> int:
@@ -249,19 +245,17 @@ def cmd_convert(args) -> int:
              header, rows, args.out)
         return EXIT_OK
 
-    if args.direction == "w-to-theta":
-        family = anchor_family(model, _parse_points(args.anchor, "--anchor", model.n))
-        n = model.n
-        header = ([f"z_{i+1}" for i in range(n)]
-                  + [f"weight_{i+1}" for i in range(n)]
-                  + ["offset", "penalty", "t_star"])
-        rows = [list(d.z) + list(d.weights) + [d.offset, d.penalty, d.t_star]
-                for d in family]
-        _csv("convert", {"direction": "w-to-theta", "spec": bundle.spec},
-             header, rows, args.out)
-        return EXIT_OK
-
-    raise SpecError("--direction", f"unknown direction {args.direction!r}")
+    # w-to-theta, the last direction argparse lets through
+    family = anchor_family(model, _parse_points(args.anchor, "--anchor", model.n))
+    n = model.n
+    header = ([f"z_{i+1}" for i in range(n)]
+              + [f"weight_{i+1}" for i in range(n)]
+              + ["offset", "penalty", "t_star"])
+    rows = [list(d.z) + list(d.weights) + [d.offset, d.penalty, d.t_star]
+            for d in family]
+    _csv("convert", {"direction": "w-to-theta", "spec": bundle.spec},
+         header, rows, args.out)
+    return EXIT_OK
 
 
 def cmd_rum(args) -> int:

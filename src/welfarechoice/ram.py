@@ -8,16 +8,15 @@ deviations, and full covariance matrices), the solver, and KKT residual
 verification.
 
 Solver layout: the path follows the regularizer's fields, and each path
-takes a batch of points. A quadratic V (n <= 15) has linear KKT systems:
-active sets are enumerated largest first, each support's bordered KKT
-matrix is built when a solve first reaches it and kept on the regularizer,
-and all points pending at a support are solved in one stacked call. A
-separable V (`choice` set: entropy, log-barrier, MMM and every MDM) needs
-one multiplier lam, with maximizer choice(lam - mu) at the lam of unit
-sum: in closed form where the regularizer has one (entropy), else by the
-batched bisection of `core.bisect_increasing`. The rest (CMM, quadratics
-with n > 15, user regularizers) goes through one damped active-set Newton
-ascent that steps all pending points together, whose Hessian of V is the
+takes a batch of points. A quadratic V, at any n, has linear KKT systems:
+a primal active-set walk moves each point from the barycentre between
+supports, and all points pending on one support are solved in one stacked
+call. A separable V (`choice` set: entropy, log-barrier, MMM and every
+MDM) needs one multiplier lam, with maximizer choice(lam - mu) at the lam
+of unit sum: in closed form where the regularizer has one (entropy), else
+by the batched bisection of `core.bisect_increasing`. The rest (CMM and
+user regularizers) goes through one damped active-set Newton ascent that
+steps all pending points together, whose Hessian of V is the
 central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
 the package's one finite-difference layer: one stencil call of grad V
 for the whole batch.
@@ -29,8 +28,7 @@ point is lifted with `welfarechoice.pointwise`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -76,8 +74,6 @@ class Regularizer:
     quadratic_matrix: Optional[np.ndarray] = None
     choice: Optional[Callable[[np.ndarray], np.ndarray]] = None
     multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # bordered KKT systems of the supports a quadratic solve has reached
-    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def entropy_regularizer(eta: float, n: int) -> Regularizer:
@@ -437,6 +433,8 @@ def _support_steps(jac: np.ndarray, centred: np.ndarray, support: np.ndarray,
 def _iterative_solve(reg: Regularizer, mu: np.ndarray):
     """Damped active-set Newton ascent of mu.x - V(x) from the barycentre,
     for a batch mu of shape (m, n): x (m, n), iterations and converged.
+    It solves CMM and user regularizers, and the points a quadratic walk
+    leaves over.
 
     Each step is `core.newton_step` on the support, with the Hessian of V
     taken as the central-difference Jacobian of grad V, or the centred
@@ -531,64 +529,63 @@ def _iterative_solve(reg: Regularizer, mu: np.ndarray):
     return x, iterations, _kkt_residual(g, x) <= SOLVER_TOL
 
 
-def _support_system(reg: Regularizer, support: tuple):
-    """Indices of the support and n (the unit-sum row), the outside indices
-    and the bordered KKT matrix of one support, cached on `reg`."""
-    entry = reg._supports.get(support)
-    if entry is None:
-        s = np.asarray(support)
-        system = bordered(2.0 * reg.quadratic_matrix[np.ix_(s, s)])
-        entry = reg._supports[support] = (np.append(s, reg.n),
-                                          np.setdiff1d(np.arange(reg.n), s), system)
-    return entry
-
-
 def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
-    """Enumerate active sets of the simplex QP for a batch; exact for strictly convex V.
+    """Primal active-set walk of the simplex QP for a batch; exact for strictly convex V.
 
-    Supports are tried largest first, in `itertools.combinations` order, and
-    each point keeps the first whose KKT solution is nonnegative (to 1e-12)
-    with no outside coordinate above the multiplier (by more than 1e-10).
-    All points still pending at a support are solved in one stacked call.
+    From the barycentre on the full support, each step solves the KKT
+    system of a point's support. A solution nonnegative to 1e-12 is taken,
+    clipped at 0, and the outside coordinate whose gradient exceeds the
+    multiplier most (by over 1e-10) joins; with none, the point is done.
+    Toward an infeasible one, x moves until the first support coordinate
+    reaches 0, which leaves (the ratio test). `iterations` counts steps.
     """
     a_mat = reg.quadratic_matrix
     m, n = mu.shape
-    x = np.zeros((m, n))
-    iterations = np.zeros(m, dtype=int)
-    pending = np.arange(m)
+    kkt = bordered(2.0 * a_mat)  # each support's system is a slice of it
+    x = np.full((m, n), 1.0 / n)
+    support = np.ones((m, n + 1), dtype=bool)  # column n, the unit-sum row, stays set
+    iterations = np.zeros(m, dtype=int)  # 0 while a point is pending
     # x depends only on utility differences: taking utilities relative to
     # each point's largest keeps huge ones from cancelling in the solves (a
     # support without the largest is optimal only within 4 max|A| of it);
     # column n holds the right-hand side of the unit-sum row
     shifted = np.ones((m, n + 1))
     shifted[:, :n] = mu - mu.max(axis=1, keepdims=True)
-    supports = itertools.chain.from_iterable(
-        itertools.combinations(range(n), size) for size in range(n, 0, -1))
-    for tried, support in enumerate(supports, start=1):
+    # each step adds or drops one coordinate, and no walk measured took more
+    # than n steps; 4n steps leave room for rounding
+    for step in range(1, 4 * n + 1):
+        pending = np.flatnonzero(iterations == 0)
         if pending.size == 0:
             break
-        rows, outside, system = _support_system(reg, support)
-        s, k = rows[:-1], rows.size - 1
-        mu_p = shifted[pending]
-        try:
-            sol = np.linalg.solve(system, mu_p[:, rows, None])[..., 0]
-        except np.linalg.LinAlgError:
-            continue
-        x_s, lam = sol[:, :k], sol[:, k]
-        ok = ~(x_s.min(axis=1) < -1e-12)
-        x_p = np.zeros((pending.size, n))
-        x_p[:, s] = np.maximum(x_s, 0.0)
-        if outside.size:
-            grad = mu_p[:, :n] - 2.0 * np.matmul(a_mat, x_p[..., None])[..., 0]
-            ok &= ~((grad[:, outside] - lam[:, None]).max(axis=1) > 1e-10)
-        done = pending[ok]
-        x[done], iterations[done] = x_p[ok], tried
-        pending = pending[~ok]
+        # the pending points sorted by support, cut where the support changes
+        packed = np.packbits(support[pending], axis=1)
+        order = np.lexsort(packed.T)
+        packed = packed[order]
+        cuts = np.flatnonzero(np.any(packed[1:] != packed[:-1], axis=1)) + 1
+        for rows in np.split(pending[order], cuts):
+            idx = np.flatnonzero(support[rows[0]])
+            mu_p = shifted[rows]
+            sol = np.linalg.solve(kkt[idx[:, None], idx], mu_p[:, idx, None])[..., 0]
+            y = np.zeros((rows.size, n))
+            y[:, idx[:-1]] = sol[:, :-1]
+            walk = y.min(axis=1) < -1e-12
+            if walk.any():
+                at, rows = rows[walk], rows[~walk]
+                d = y[walk] - x[at]
+                reach = np.where(d < 0.0, x[at] / np.maximum(-d, 1e-300), np.inf)
+                first = np.argmin(reach, axis=1)
+                x[at] = np.maximum(x[at] + np.min(reach, axis=1)[:, None] * d, 0.0)
+                x[at, first], support[at, first] = 0.0, False
+                mu_p, sol, y = mu_p[~walk], sol[~walk], y[~walk]
+            x[rows] = y = np.maximum(y, 0.0)
+            gap = mu_p[:, :n] - 2.0 * np.matmul(a_mat, y[..., None])[..., 0] - sol[:, -1:]
+            gap[:, idx[:-1]] = -np.inf
+            join = gap.max(axis=1) > 1e-10
+            support[rows[join], np.argmax(gap[join], axis=1)] = True
+            iterations[rows[~join]] = step
     converged = np.ones(m, dtype=bool)
-    # strictly convex problems always terminate above, with a unit sum; the
-    # Newton ascent takes any point left without a support (x = 0) or whose
-    # solve lost the sum's digits
-    left = np.flatnonzero(abs(x.sum(axis=1) - 1.0) > SOLVER_TOL)
+    # the Newton ascent takes a point still pending or whose sum lost its digits
+    left = np.flatnonzero((iterations == 0) | (abs(x.sum(axis=1) - 1.0) > SOLVER_TOL))
     if left.size:
         x[left], iterations[left], converged[left] = _iterative_solve(reg, mu[left])
     return x, iterations, converged
@@ -638,15 +635,16 @@ def _separable_argmax(reg: Regularizer, mu: np.ndarray):
 
 
 def _argmax(reg: Regularizer, mu: np.ndarray):
-    """Maximizers of a batch mu of shape (m, n): x (m, n), iterations, converged."""
+    """Maximizers of a batch mu of shape (m, n): x (m, n), iterations, converged,
+    by the path the regularizer's fields pick, a quadratic V's at any n."""
     if not reg.strictly_convex:
         raise DegenerateRegularizerError(
             f"{reg.name} is not strictly convex; the argmax may be non-unique")
-    if reg.quadratic_matrix is not None and reg.n <= 15:
+    if reg.quadratic_matrix is not None:
         return _quadratic_argmax(reg, mu)
     if reg.choice is not None:
         return _separable_argmax(reg, mu)
-    # the rest: CMM, quadratics with n > 15 and user regularizers
+    # the rest: CMM and user regularizers
     return _iterative_solve(reg, mu)
 
 
@@ -658,15 +656,14 @@ def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
 def solve_ram(reg: Regularizer, mu) -> SolveResult:
     """Maximize mu.x - V(x) over the simplex, at one point or a batch.
 
-    The path follows the regularizer's structure: for a quadratic V with
-    n <= 15, active-set enumeration with each support's KKT matrix cached
-    on the regularizer; for a separable V (`choice` set: entropy,
-    log-barrier, MMM and every MDM), the one multiplier, in closed form or
-    by bisection; otherwise (CMM, quadratics with n > 15, user
-    regularizers) a damped active-set Newton ascent that steps the whole
-    batch together. V's `value` and `gradient` must broadcast over points
-    of shape (..., n); a user regularizer written for one point is lifted
-    with `welfarechoice.pointwise`.
+    The path follows the regularizer's structure: for a quadratic V, at any
+    n, a primal active-set walk whose `iterations` count its steps; for a
+    separable V (`choice` set: entropy, log-barrier, MMM and every MDM),
+    the one multiplier, in closed form or by bisection; otherwise (CMM and
+    user regularizers) a damped active-set Newton ascent that steps the
+    whole batch together. V's `value` and `gradient` must broadcast over
+    points of shape (..., n); a user regularizer written for one point is
+    lifted with `welfarechoice.pointwise`.
 
     A 1-D `mu` gives scalar fields. A batch of shape (..., n) is solved in
     one call and gives `x_star` of shape (..., n) and the other fields of

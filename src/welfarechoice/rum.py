@@ -133,16 +133,19 @@ def _tally(mu: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, float]:
     m = cols[0] + mu[0]
     for i in range(1, mu.size):
         np.maximum(m, cols[i] + mu[i], out=m)
+    with np.errstate(over="ignore", invalid="ignore"):  # read only via `_finite`'s caller
+        total, total_sq = float(np.sum(m)), float(np.sum(m * m))
+    # a NaN draw makes its maximum NaN, and so the sum; inf - inf does too
+    if np.isnan(total) and np.isnan(m).any():
+        raise NumericError("noise draws contain NaN: a draw has no largest alternative")
     undecided = np.ones(m.shape, dtype=bool)
     counts = np.zeros(mu.size, dtype=np.int64)
-    for i in range(mu.size):
+    for i in range(mu.size - 1):
         won = (cols[i] + mu[i] == m) & undecided
         counts[i] = np.count_nonzero(won)
         undecided ^= won
-    if undecided.any():
-        raise NumericError("noise draws contain NaN: a draw has no largest alternative")
-    with np.errstate(over="ignore", invalid="ignore"):  # read only via `_finite`'s caller
-        return counts, float(np.sum(m)), float(np.sum(m * m))
+    counts[-1] = m.size - counts.sum()  # the last wins the draws the others leave
+    return counts, total, total_sq
 
 
 @dataclass(frozen=True)

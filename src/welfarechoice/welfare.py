@@ -58,7 +58,10 @@ def pointwise(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.nd
     """Lift a function of one utility vector to the broadcasting contract.
 
     The lifted function calls `f` directly on a 1-D input and once per row
-    of the leading axes otherwise, stacking the results in row order.
+    of the leading axes otherwise, stacking the results in row order. An
+    empty stack makes no call and gives shape (...), whatever `f` returns;
+    `batch_value` and `batch_gradient` never reach that case, since
+    `core._evaluate` makes no call on an empty stack.
     """
 
     def lifted(mu):
@@ -316,13 +319,14 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
         def gradient_at(mu):
             return finite_diff_gradient(pointwise(value_at), mu)
 
+    lifted = pointwise(gradient_at)  # reshaped to its point's shape, an empty stack's too
     with np.errstate(divide="ignore", invalid="ignore"):
         corners = np.array([gen.H(e) for e in np.eye(n)], dtype=float)
     bounds = None
     if np.all(np.isfinite(corners) & (corners > 0.0)):
         bounds = eta * np.log(corners)
     return WelfareModel(n=n, value=pointwise(value_at),
-                        gradient=pointwise(gradient_at),
+                        gradient=lambda mu: np.reshape(lifted(mu), np.shape(mu)),
                         superlinear_bounds=bounds, name=f"gev(eta={eta:g})")
 
 

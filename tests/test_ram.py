@@ -1,12 +1,13 @@
 """Regularizer library and simplex solver tests."""
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from welfarechoice import core, ram
+from welfarechoice import core, modelspec, ram
 from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError,
                                cmm_regularizer, custom_marginal,
                                entropy_regularizer,
@@ -427,18 +428,16 @@ class TestSolverPaths:
         result = solve_ram(reg, np.array([0.5, -0.2]))
         assert result.converged and result.kkt_residual <= SOLVER_TOL
 
-    def test_support_table_is_built_lazily_and_reused(self):
+    def test_walk_counts_its_steps_and_repeats_bit_for_bit(self):
         reg = quadratic_regularizer(np.eye(3))
-        assert reg._supports == {}
-        # an interior optimum stops at the first support, the full one
-        solve_ram(reg, np.zeros(3))
-        assert list(reg._supports) == [(0, 1, 2)]
+        # an interior optimum is the first step's solve, on the full support
+        assert solve_ram(reg, np.zeros(3)).iterations == 1
+        # the full support's solution is negative in x_2, which the walk
+        # drops; the second step's solve is the optimum
         first = solve_ram(reg, np.array([2.0, -2.0, 0.0]))
         assert first.x_star[1] == 0.0
-        cached = dict(reg._supports)
+        assert first.iterations == 2
         again = solve_ram(reg, np.array([2.0, -2.0, 0.0]))
-        assert len(cached) == first.iterations
-        assert all(reg._supports[k] is v for k, v in cached.items())
         np.testing.assert_array_equal(first.x_star, again.x_star)
 
     def test_value_and_gradient_share_one_solve(self, monkeypatch):
@@ -512,12 +511,94 @@ class TestKnownFailurePoints:
         assert result.x_star[2] <= 1e-12
 
 
+def enumerated_quadratic_argmax(reg, mu):
+    """Every support tried largest first, in `itertools.combinations` order,
+    each point keeping the first whose KKT solution is nonnegative (to
+    1e-12) with no outside coordinate above the multiplier (by more than
+    1e-10): the 2^n - 1 solves the active-set walk replaces, kept as the
+    reference for its x."""
+    a_mat = reg.quadratic_matrix
+    m, n = mu.shape
+    x = np.zeros((m, n))
+    pending = np.arange(m)
+    shifted = np.ones((m, n + 1))
+    shifted[:, :n] = mu - mu.max(axis=1, keepdims=True)
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(n, 0, -1))
+    for support in supports:
+        if pending.size == 0:
+            break
+        s = np.asarray(support)
+        rows, outside = np.append(s, n), np.setdiff1d(np.arange(n), s)
+        system = core.bordered(2.0 * a_mat[np.ix_(s, s)])
+        mu_p = shifted[pending]
+        sol = np.linalg.solve(system, mu_p[:, rows, None])[..., 0]
+        x_s, lam = sol[:, :s.size], sol[:, s.size]
+        ok = ~(x_s.min(axis=1) < -1e-12)
+        x_p = np.zeros((pending.size, n))
+        x_p[:, s] = np.maximum(x_s, 0.0)
+        if outside.size:
+            grad = mu_p[:, :n] - 2.0 * np.matmul(a_mat, x_p[..., None])[..., 0]
+            ok &= ~((grad[:, outside] - lam[:, None]).max(axis=1) > 1e-10)
+        x[pending[ok]] = x_p[ok]
+        pending = pending[~ok]
+    return x
+
+
+def random_positive_definite(rng, n):
+    b = rng.normal(size=(n, n))
+    return b @ b.T / n + 0.1 * np.eye(n)
+
+
+class TestActiveSetWalk:
+    """The walk against the support enumeration it replaced."""
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 1e8, 1e12])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    def test_random_matrices_match_the_enumeration_bit_for_bit(self, n, scale):
+        rng = np.random.default_rng([n, int(np.log10(scale))])
+        for _ in range(4):
+            reg = quadratic_regularizer(random_positive_definite(rng, n))
+            points = rng.uniform(-scale, scale, (250, n))
+            result = solve_ram(reg, points)
+            assert np.all(result.converged)
+            np.testing.assert_array_equal(result.x_star,
+                                          enumerated_quadratic_argmax(reg, points))
+            assert np.max(result.iterations) <= 2 * n
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_exact_ties_match_the_enumeration_bit_for_bit(self, n):
+        # A = I with utilities on a 0.1 grid puts many optima exactly on a face
+        reg = quadratic_regularizer(np.eye(n))
+        points = np.round(np.random.default_rng(n).uniform(-2.0, 2.0, (1000, n)), 1)
+        np.testing.assert_array_equal(solve_ram(reg, points).x_star,
+                                      enumerated_quadratic_argmax(reg, points))
+
+    def test_figure_two_matches_the_enumeration_bit_for_bit(self):
+        reg = modelspec.demo_quadratic_model().regularizer
+        points = np.zeros((401, 3))
+        points[:, 0] = np.round(np.arange(-200, 201) * 0.01, 10)
+        np.testing.assert_array_equal(solve_ram(reg, points).x_star,
+                                      enumerated_quadratic_argmax(reg, points))
+
+    def test_a_vertex_at_fifteen_takes_at_most_2n_steps(self):
+        # the enumeration tried every support of two or more first: 32,753 solves
+        n = 15
+        mu = np.zeros(n)
+        mu[0] = 10.0
+        result = solve_ram(quadratic_regularizer(np.eye(n)), mu)
+        assert result.converged
+        assert result.iterations <= 2 * n
+        assert result.kkt_residual <= SOLVER_TOL
+        np.testing.assert_array_equal(result.x_star, np.eye(n)[0])
+
+
 class TestQuadraticPaths:
-    """The support table at huge utilities, and the Newton ascent past n = 15."""
+    """The walk at huge utilities and past n = 15."""
 
     @pytest.mark.parametrize("scale", [1e8, 1e9, 1e12])
     def test_huge_utilities_meet_kkt(self, scale):
-        # the support systems see utilities relative to the largest, so
+        # the walk's systems see utilities relative to the largest, so
         # nothing cancels; before that, hundreds of these points came back
         # marked converged with KKT residuals up to 2e-5
         reg = quadratic_regularizer(COUPLING)

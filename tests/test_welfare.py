@@ -243,6 +243,18 @@ class TestGEV:
             np.testing.assert_array_equal(
                 gm.gradient(mu), core.finite_diff_gradient(gm.value, mu))
 
+    @pytest.mark.parametrize("partials", [None, lambda y: 4.0 * y], ids=["fd", "partials"])
+    def test_gradient_of_an_empty_stack_has_the_stack_shape(self, partials):
+        # a per-point function lifted by pointwise returns shape (...) on an
+        # empty stack; a gradient keeps its point's shape
+        gm = gev_welfare(GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2)),
+                                      partials=partials), 3)
+        assert gm.gradient(np.empty((0, 3))).shape == (0, 3)
+        assert gm.gradient(np.empty((2, 0, 3))).shape == (2, 0, 3)
+        assert gm.value(np.empty((2, 0, 3))).shape == (2, 0)
+        points = np.random.default_rng(12).uniform(-3, 3, (2, 4, 3))
+        assert gm.gradient(points).shape == (2, 4, 3)
+
 
 class TestLogSumModel:
     def test_brand_value(self):
