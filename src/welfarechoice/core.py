@@ -1,6 +1,7 @@
 """Shared numeric foundations.
 
 Input validation, sum-constrained Newton steps and their bordered matrix,
+the damped Newton ascent that the RAM solver and the conjugate share,
 finite differences, 1-D quadrature, monotone root finding, and the seeded
 random-stream contract used by the Monte Carlo code. Everything here is
 pure given its inputs; random state is always created locally from an
@@ -30,6 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 SIMPLEX_TOL = 1e-10
+ASCENT_MAX_ITER = 50
 
 # Fixed Monte Carlo partition size. Sample index -> stream mapping depends
 # only on (seed, partition index), never on worker count.
@@ -130,26 +132,116 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
 
 
-def newton_step(hess: np.ndarray, g: np.ndarray, gap=0.0) -> np.ndarray:
+def newton_step(hess: np.ndarray, g: np.ndarray, gap=0.0, free=True) -> np.ndarray:
     """Ascent step d of [[H, 1], [1', 0]] (d, nu) = (g, gap) with H symmetrized.
 
     H is a finite-difference Hessian of the convex part of the objective, g
-    its gradient and gap what d must add to the sum. Broadcasts over leading
-    axes: H (..., k, k), g (..., k) and gap (...) give d (..., k), all
-    systems in one stacked solve. A row of d is NaN where its system is
-    singular or non-finite, or d is no ascent (g.d <= 0).
+    its gradient and gap what d must add to the sum. Only the coordinates
+    that the mask `free` marks (True: all) move; the others' rows and
+    columns are the identity's. Broadcasts over leading axes: H (..., k, k),
+    g (..., k), gap (...) and free (..., k) give d (..., k), all in one
+    stacked solve. A row of d is NaN where its system is singular or
+    non-finite, or d is no ascent (g.d <= 0).
     """
     hess, g = np.asarray(hess, dtype=float), np.asarray(g, dtype=float)
+    k = g.shape[-1]
     system = bordered(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    if free is not True:
+        pairs = free[..., :, None] & free[..., None, :]
+        system[..., :k, :k] = np.where(pairs, system[..., :k, :k], np.eye(k))
+        system[..., :k, k] = system[..., k, :k] = free
+        g = np.where(free, g, 0.0)
     rhs = np.concatenate([g, np.broadcast_to(gap, g.shape[:-1])[..., None]], axis=-1)
     # an exact zero pivot gives sign 0 (log|det| = -inf), and such a system is
     # swapped for the identity; it and a non-finite step are discarded silently
     with np.errstate(all="ignore"):
         usable = np.linalg.slogdet(system)[0] != 0.0
-        system = np.where(usable[..., None, None], system, np.eye(system.shape[-1]))
+        system = np.where(usable[..., None, None], system, np.eye(k + 1))
         d = np.linalg.solve(system, rhs[..., None])[..., :-1, 0]
         usable &= np.all(np.isfinite(d), axis=-1) & (rowdot(g, d) > 0.0)
     return np.where(usable[..., None], d, np.nan)
+
+
+def newton_ascent(F, target: np.ndarray, z: np.ndarray, h: Callable, residual: Callable,
+                  tol: float, tangent: Callable, project: Callable, land: Callable):
+    """Maximize target.z - F(z) under one sum constraint by damped Newton
+    steps from rows z (m, n): z (m, n), residuals (m,) and iterations (m,).
+
+    F is convex with broadcasting `value` and `gradient` (a `WelfareModel`
+    or a `ram.Regularizer`), and g = target - grad F(z). The caller gives
+    the feasible set: `tangent(z, g)` returns the free coordinates (True:
+    all), the gradient p along them and the gap the step must add to the
+    sum, `project(d)` finishes a step, and `land(z, d, a)` gives the trial
+    points at lengths a, which it may shorten, and those lengths. A step is
+    `newton_step` of p with H the central-difference Jacobian of grad F at
+    steps h(z), or p where that is unusable or longer than 1e6, at a trial
+    length that starts at 1 and doubles after each accepted gradient step.
+    A trial is accepted when `residual(z, g)` at least halves, or by the
+    Armijo test where it is finite and a > 0. A row stops at residual <= tol,
+    when 70 halvings find no length, or after ASCENT_MAX_ITER steps, and
+    reports the steps it took. Rows step and stop as alone, sharing one
+    stencil call per step and one call of grad F (and F, for Armijo tests)
+    per trial round. A start where g is not finite raises NumericError.
+    """
+    m, n = z.shape
+    z_out, res_out, iters = np.zeros_like(z), np.zeros(m), np.zeros(m, dtype=int)
+    idx, z = np.arange(m), z.copy()  # row k of the pending state is row idx[k]
+    g = target - _evaluate(F.gradient, z, (n,))
+    if not np.all(np.isfinite(g)):
+        raise NumericError("gradient is not finite at the starting point")
+    res = residual(z, g)
+    val = np.full(m, np.nan)  # target.z - F(z), evaluated when a step needs the Armijo test
+    step, stuck = np.ones(m), np.zeros(m, dtype=bool)  # stuck: no trial length accepted
+
+    for it in range(ASCENT_MAX_ITER + 1):
+        done = (res <= tol) | stuck | (it == ASCENT_MAX_ITER)
+        if done.any():
+            rows = idx[done]
+            z_out[rows], res_out[rows], iters[rows] = z[done], res[done], it - stuck[done]
+            if done.all():
+                break
+            idx, target, z, g, res, val, step, stuck = (
+                v[~done] for v in (idx, target, z, g, res, val, step, stuck))
+        free, p, gap = tangent(z, g)
+        d = newton_step(finite_diff_jacobian(F.gradient, z, h(z)), p, gap, free)
+        newton = np.maximum.reduce(np.abs(d), axis=1) <= 1e6  # False for an unusable (NaN) step
+        fallback = not newton.all()
+        if fallback:
+            d[~newton] = p[~newton]
+        d = project(d)
+        a = np.where(newton, 1.0, step)
+        trial = slice(None)  # the rows still backtracking: all, then an index array
+        for _ in range(70):
+            z_new, a[trial] = land(z[trial], d[trial], a[trial])
+            g_new = target[trial] - F.gradient(z_new)
+            res_new = residual(z_new, g_new)
+            ok = res_new <= 0.5 * res[trial]
+            val_new = np.full(len(ok), np.nan)
+            accepted = ok.all()
+            if not accepted:
+                trial = np.arange(len(z))[trial]
+                armijo = np.flatnonzero(~ok & np.isfinite(res_new))
+                t = trial[armijo]
+                unknown = t[np.isnan(val[t])]  # an empty set makes no call of F
+                val[unknown] = (rowdot(z[unknown], target[unknown])
+                                - _evaluate(F.value, z[unknown]))
+                val_new[armijo] = (rowdot(z_new[armijo], target[t])
+                                   - _evaluate(F.value, z_new[armijo]))
+                ok[armijo] = np.isfinite(val_new[armijo]) & (a[t] > 0.0) & (
+                    val_new[armijo] >= val[t] + 1e-4 * a[t] * rowdot(p[t], d[t]))
+                accepted = ok.all()
+            # when every trial is accepted, the common case, no gather is needed
+            t, acc = (trial, slice(None)) if accepted else (trial[ok], ok)
+            z[t], g[t], res[t], val[t] = z_new[acc], g_new[acc], res_new[acc], val_new[acc]
+            if accepted:
+                break
+            trial = trial[~ok]
+            a[trial] *= 0.5
+        else:
+            stuck[trial] = True
+        if fallback:
+            step = np.where(newton | stuck, step, np.minimum(a * 2.0, 1e6))
+    return z_out, res_out, iters
 
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray], points, value_shape=()) -> np.ndarray:

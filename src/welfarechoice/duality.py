@@ -3,9 +3,9 @@ at one point (n,) or a stack of points (..., n) in one batch of model calls.
 
 welfare -> regularizer: the convex conjugate V(x) = sup_y { y.x - w(y) },
 read from the V a RAM model carries (`WelfareModel.regularizer`), since
-V = w*. Any other model is maximized over the zero-sum hyperplane by one
-damped Newton ascent of at most ASCENT_MAX_ITER steps, with the centred
-gradient standing in only where a Newton step is unusable.
+V = w*. Any other model is maximized over the zero-sum hyperplane by
+`core.newton_ascent`, the damped Newton method that RAM's solver shares, of
+at most ASCENT_MAX_ITER steps.
 
 welfare -> choice inversion: the same maximizer y* satisfies q(y*) = x, so
 the ascent doubles as the inverse choice map on the simplex interior; from
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_probability, as_utility_of, finite_diff_jacobian, newton_step, rowdot
+from .core import ASCENT_MAX_ITER, as_probability, as_utility_of, newton_ascent, rowdot
 from .welfare import WelfareModel, batch_gradient, batch_value, model_bounds
 
 INTERIOR_MIN = 1e-6
@@ -34,7 +34,6 @@ INTERIOR_MIN = 1e-6
 # are accepted up to RESIDUAL_TOL.
 GRAD_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-ASCENT_MAX_ITER = 50
 MAX_GRID_NODES = 10 ** 5
 
 
@@ -49,73 +48,16 @@ class ConvergenceError(RuntimeError):
 
 
 def _ascend(model: WelfareModel, x: np.ndarray):
-    """Maximize y.x - w(y) over the zero-sum hyperplane by damped Newton from
-    y = 0, for targets x (m, n): y (m, n), residuals (m,) and iterations (m,).
-
-    The Hessian of w, the central-difference Jacobian of q, annihilates the
-    all-ones vector, so `core.newton_step` borders it. A step that is
-    unusable there or longer than 1e6 gives way to the centred gradient,
-    whose trial length doubles after each accepted gradient step.
-    Backtracking accepts a step when the residual max|x - q| at least
-    halves, or else by the Armijo test on y.x - w(y); a target stops when
-    no trial length is accepted or after ASCENT_MAX_ITER steps. Each target
-    steps and stops as alone (as in `ram._iterative_solve`); the pending ones
-    share one stencil call per step and one call of q (and w) per trial."""
-    m = len(x)
-    y_out, res_out, iters = np.zeros_like(x), np.zeros(m), np.zeros(m, dtype=int)
-    idx, y = np.arange(m), np.zeros_like(x)  # row k of the pending state is target idx[k]
-    grad = x - batch_gradient(model, y)
-    res = np.maximum.reduce(np.abs(grad), axis=1)
-    val = np.full(m, np.nan)  # y.x - w(y), evaluated when a step needs the Armijo test
-    step, stuck = np.ones(m), np.zeros(m, dtype=bool)  # stuck: no trial length accepted
-
-    for it in range(ASCENT_MAX_ITER + 1):
-        done = (res <= GRAD_TOL) | stuck | (it == ASCENT_MAX_ITER)
-        if done.any():
-            rows = idx[done]
-            y_out[rows], res_out[rows], iters[rows] = y[done], res[done], it - stuck[done]
-            if done.all():
-                break
-            idx, x, y, grad, res, val, step, stuck = (
-                v[~done] for v in (idx, x, y, grad, res, val, step, stuck))
-        d = newton_step(finite_diff_jacobian(model.gradient, y, 1e-6), grad)
-        newton = np.maximum.reduce(np.abs(d), axis=1) <= 1e6  # False for an unusable (NaN) step
-        fallback = not newton.all()
-        if fallback:
-            d[~newton] = grad[~newton]
-        d -= np.add.reduce(d, axis=1, keepdims=True) / d.shape[1]  # as d.mean() rounds
-        a = np.where(newton, 1.0, step)
-        trial = slice(None)  # the targets still backtracking: all, then an index array
-        for _ in range(70):
-            y_new = y[trial] + a[trial, None] * d[trial]
-            grad_new = x[trial] - model.gradient(y_new)
-            res_new = np.maximum.reduce(np.abs(grad_new), axis=1)
-            ok = res_new <= 0.5 * res[trial]
-            val_new = np.full(len(ok), np.nan)
-            accepted = ok.all()
-            if not accepted:
-                trial = np.arange(len(y))[trial]
-                armijo = np.flatnonzero(~ok)
-                t = trial[armijo]
-                unknown = t[np.isnan(val[t])]
-                if unknown.size:
-                    val[unknown] = rowdot(y[unknown], x[unknown]) - batch_value(model, y[unknown])
-                val_new[armijo] = rowdot(y_new[armijo], x[t]) - batch_value(model, y_new[armijo])
-                ok[armijo] = np.isfinite(val_new[armijo]) & (
-                    val_new[armijo] >= val[t] + 1e-4 * a[t] * rowdot(grad[t], d[t]))
-                accepted = ok.all()
-            # when every trial is accepted, the common case, no gather is needed
-            t, acc = (trial, slice(None)) if accepted else (trial[ok], ok)
-            y[t], grad[t], res[t], val[t] = y_new[acc], grad_new[acc], res_new[acc], val_new[acc]
-            if accepted:
-                break
-            trial = trial[~ok]
-            a[trial] *= 0.5
-        else:
-            stuck[trial] = True
-        if fallback:
-            step = np.where(newton | stuck, step, np.minimum(a * 2.0, 1e6))
-    return y_out, res_out, iters
+    """Maximize y.x - w(y) over the zero-sum hyperplane from y = 0 by
+    `core.newton_ascent` with FD step 1e-6, for targets x (m, n): y (m, n),
+    residuals max|x - q| (stopping at GRAD_TOL) and iterations (m,). Every
+    coordinate is free, and each step is less its mean (as d.mean() rounds)."""
+    return newton_ascent(
+        model, x, np.zeros_like(x), lambda y: 1e-6,
+        lambda y, grad: np.maximum.reduce(np.abs(grad), axis=1), GRAD_TOL,
+        lambda y, grad: (True, grad, 0.0),
+        lambda d: d - np.add.reduce(d, axis=1, keepdims=True) / d.shape[1],
+        lambda y, d, a: (y + a[:, None] * d, a))
 
 
 def strict_V(model: WelfareModel):

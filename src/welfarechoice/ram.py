@@ -8,18 +8,16 @@ deviations, and full covariance matrices), the solver, and KKT residual
 verification.
 
 Solver layout: the path follows the regularizer's fields, and each path
-takes a batch of points. A quadratic V, at any n, has linear KKT systems:
-a primal active-set walk moves each point from the barycentre between
-supports, and all points pending on one support are solved in one stacked
-call. A separable V (`choice` set: entropy, log-barrier, MMM and every
-MDM) needs one multiplier lam, with maximizer choice(lam - mu) at the lam
-of unit sum: in closed form where the regularizer has one (entropy), else
-by the batched bisection of `core.bisect_increasing`. The rest (CMM and
-user regularizers) goes through one damped active-set Newton ascent that
-steps all pending points together, whose Hessian of V is the
-central-difference Jacobian of grad V from `core.finite_diff_jacobian`,
-the package's one finite-difference layer: one stencil call of grad V
-for the whole batch.
+takes a batch of points, read as utilities relative to each point's
+largest. A quadratic V, at any n, has linear KKT systems: a primal
+active-set walk moves each point from the barycentre between supports, and
+all points pending on one support are solved in one stacked call. A
+separable V (`choice` set: entropy, log-barrier, MMM and every MDM) needs
+one multiplier lam, with maximizer choice(lam - mu) at the lam of unit
+sum: in closed form where the regularizer has one (entropy), else by the
+batched bisection of `core.bisect_increasing`. The rest (CMM and user
+regularizers) goes through `core.newton_ascent`, the damped Newton method
+of at most ASCENT_MAX_ITER steps that `duality`'s conjugate ascent shares.
 
 Every regularizer's `value` and `gradient` broadcast over points of shape
 (..., n), as a `WelfareModel` does; a user regularizer written for one
@@ -34,13 +32,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (NumericError, as_symmetric, as_utilities, bisect_increasing,
-                   bordered, finite_diff_jacobian, integrate_1d, newton_step,
-                   normal_cdf, normal_pdf, normal_quantile, positive_scale, rowdot)
+                   bordered, integrate_1d, newton_ascent, normal_cdf, normal_pdf,
+                   normal_quantile, positive_scale, rowdot)
 from .welfare import WelfareModel, batch_gradient, batch_value, logsumexp
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
-SOLVER_MAX_ITER = 100_000
 _QUANTILE_CLIP = 1e-12
 _EIG_FLOOR = 1e-12
 
@@ -404,129 +401,42 @@ def _kkt_residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(np.any(active, axis=1) & ~np.isnan(res), res, np.inf)
 
 
-def _support_residual(g: np.ndarray, x: np.ndarray, support: np.ndarray):
-    """Stationarity of g = mu - grad V(x) on each row's support and the
-    unit-sum gap, with lam (m, 1), the mean of g on the support."""
-    lam = _masked_mean(g, support)[:, None]
-    return np.maximum(np.max(np.where(support, np.abs(g - lam), 0.0), axis=1),
-                      np.abs(np.sum(x, axis=1) - 1.0)), lam
-
-
-def _support_steps(jac: np.ndarray, centred: np.ndarray, support: np.ndarray,
-                   gap: np.ndarray) -> np.ndarray:
-    """Each row's `core.newton_step` on its support, from the FD Hessian
-    `jac` (m, n, n) restricted there, or the centred gradient where that
-    step is unusable; zero outside the support. Rows with supports of one
-    size are solved in one stacked call."""
-    d = np.zeros_like(centred)
-    sizes = support.sum(axis=1)
-    for k in set(sizes.tolist()):
-        rows = np.flatnonzero(sizes == k)
-        idx = np.nonzero(support[rows])[1].reshape(-1, k)
-        hess = jac[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
-        c = centred[rows[:, None], idx]
-        step = newton_step(hess, c, gap[rows])
-        d[rows[:, None], idx] = np.where(np.isnan(step), c, step)
-    return d
-
-
 def _iterative_solve(reg: Regularizer, mu: np.ndarray):
-    """Damped active-set Newton ascent of mu.x - V(x) from the barycentre,
-    for a batch mu of shape (m, n): x (m, n), iterations and converged.
-    It solves CMM and user regularizers, and the points a quadratic walk
-    leaves over.
+    """Damped active-set Newton ascent of mu.x - V(x) from the barycentre by
+    `core.newton_ascent`, for a batch mu (m, n) of CMM or user regularizers
+    or of points a quadratic walk leaves over: x (m, n), iterations and
+    converged (KKT residual <= SOLVER_TOL).
 
-    Each step is `core.newton_step` on the support, with the Hessian of V
-    taken as the central-difference Jacobian of grad V, or the centred
-    gradient where that step is unusable. A barrier V keeps every
-    coordinate, and a step goes at most 0.9 of the way to the boundary; any
-    other V may step onto the boundary, and a coordinate that reaches 0
-    leaves the support. Backtracking accepts a step when the support
-    residual at least halves, or else by the Armijo test on the objective.
-    When a non-barrier V is stationary on its support, the outside
-    coordinate that most violates the KKT conditions joins it.
-
-    Each point keeps its own support, step length and acceptance, and
-    stops as it would alone. The points still pending take each iteration
-    together: one stencil call of grad V gives all their Hessians, and each
-    backtracking round is one call of grad V (and of V for the points
-    that reach the Armijo test).
+    The Newton step on the support closes the unit-sum gap. A barrier V
+    keeps every coordinate, going at most 0.9 of the way to the boundary
+    (FD steps min(1e-7, 0.4 x_i) stay inside); with any other V a coordinate
+    that reaches 0 is set to exactly 0 and leaves the support, and once a
+    point is stationary on its support, the worst KKT violator joins it.
     """
     m, n = mu.shape
-    barrier = reg.boundary_barrier
-    x = np.full((m, n), 1.0 / n)
-    support = np.ones((m, n), dtype=bool)
-    g = mu - batch_gradient(reg, x)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("regularizer gradient is not finite at the barycentre")
-    f = np.full(m, np.nan)  # objective at x, evaluated when a step needs the Armijo test
-    iterations = np.full(m, SOLVER_MAX_ITER)
-    todo = np.arange(m)
+    fraction = 0.9 if reg.boundary_barrier else 1.0
 
-    for it in range(SOLVER_MAX_ITER):
-        done = _kkt_residual(g[todo], x[todo]) <= SOLVER_TOL
-        iterations[todo[done]] = it
-        todo = todo[~done]
-        if todo.size == 0:
-            break
-        s = support[todo]
-        res, lam = _support_residual(g[todo], x[todo], s)
-        step = np.ones(todo.size, dtype=bool)  # the points that take a step now
-        if not barrier:
-            gap = np.where(s, -np.inf, g[todo] - lam)
-            join = (res <= SOLVER_TOL) & (np.max(gap, axis=1) > SOLVER_TOL)
-            support[todo[join], np.argmax(gap[join], axis=1)] = True
-            step = ~join
-            s, lam, res = s[step], lam[step], res[step]
-        rows = todo[step]
-        xs = x[rows]
-        centred = np.where(s, g[rows] - lam, 0.0)
-        # x_i +- h stays strictly inside (0, 1) for a barrier V
-        h = np.minimum(1e-7, 0.4 * xs) if barrier else 1e-7
-        d = _support_steps(finite_diff_jacobian(reg.gradient, xs, h), centred, s,
-                           1.0 - np.sum(xs, axis=1))
-        slope = rowdot(centred, d)
-        # distance to the boundary along d, per coordinate that d shrinks
-        reach = np.where(d < 0.0, xs / np.maximum(-d, 1e-300), np.inf)
-        t = np.minimum(1.0, np.min(reach, axis=1) * (0.9 if barrier else 1.0))
-        moved = np.zeros(rows.size, dtype=bool)
-        trial = np.flatnonzero(t > 0.0)  # positions in rows still backtracking
-        for _ in range(60):
-            if trial.size == 0:
-                break
-            at = rows[trial]
-            y = xs[trial] + t[trial, None] * d[trial]
-            y_support = s[trial]
-            if not barrier:
-                y[reach[trial] <= t[trial, None]] = 0.0
-                y = np.maximum(y, 0.0)
-                y_support = y_support & (y > 0.0)
-            gy = mu[at] - reg.gradient(y)
-            finite = np.all(np.isfinite(gy), axis=1)
-            ok = finite & (_support_residual(gy, y, y_support)[0] <= 0.5 * res[trial])
-            fy = np.full(trial.size, np.nan)
-            armijo = finite & ~ok
-            if np.any(armijo):
-                ra, pa = at[armijo], trial[armijo]
-                unknown = ra[np.isnan(f[ra])]
-                f[unknown] = _objective(reg, mu[unknown], x[unknown])
-                fa, fya = f[ra], _objective(reg, mu[ra], y[armijo])
-                fy[armijo] = fya
-                ok[armijo] = np.isfinite(fya) & (
-                    (fya >= fa + 1e-4 * t[pa] * slope[pa])
-                    | (fya >= fa - 1e-14 * np.maximum(1.0, np.abs(fa))))
-            acc = at[ok]
-            x[acc], g[acc], f[acc], support[acc] = y[ok], gy[ok], fy[ok], y_support[ok]
-            moved[trial[ok]] = True
-            trial = trial[~ok]
-            t[trial] *= 0.5
-        # a point whose step found no acceptable length stops here
-        stopped = np.zeros(todo.size, dtype=bool)
-        stopped[np.flatnonzero(step)[~moved]] = True
-        iterations[todo[stopped]] = it
-        todo = todo[~stopped]
+    def tangent(x, g):  # the support, g centred on it, and the unit-sum gap
+        s = x > 0.0
+        dev = g - _masked_mean(g, s)[:, None]
+        gap = np.where(s, -np.inf, dev)
+        join = ((np.max(np.where(s, np.abs(dev), 0.0), axis=1) <= SOLVER_TOL)
+                & (np.max(gap, axis=1) > SOLVER_TOL))
+        s[join, np.argmax(gap[join], axis=1)] = True
+        dev = g - _masked_mean(g, s)[:, None]
+        return s, np.where(s, dev, 0.0), 1.0 - np.sum(x, axis=1)
 
-    return x, iterations, _kkt_residual(g, x) <= SOLVER_TOL
+    def land(x, d, a):
+        # the length along d at which each coordinate that d shrinks reaches 0
+        reach = np.where(d < 0.0, x / np.maximum(-d, 1e-300), np.inf)
+        a = np.minimum(a, fraction * np.min(reach, axis=1))
+        return np.where(reach <= a[:, None], 0.0, np.maximum(x + a[:, None] * d, 0.0)), a
+
+    x, res, iterations = newton_ascent(
+        reg, mu, np.full((m, n), 1.0 / n),
+        (lambda x: np.minimum(1e-7, 0.4 * x)) if reg.boundary_barrier else (lambda x: 1e-7),
+        lambda x, g: _kkt_residual(g, x), SOLVER_TOL, tangent, lambda d: d, land)
+    return x, iterations, res <= SOLVER_TOL
 
 
 def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
@@ -545,12 +455,7 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
     x = np.full((m, n), 1.0 / n)
     support = np.ones((m, n + 1), dtype=bool)  # column n, the unit-sum row, stays set
     iterations = np.zeros(m, dtype=int)  # 0 while a point is pending
-    # x depends only on utility differences: taking utilities relative to
-    # each point's largest keeps huge ones from cancelling in the solves (a
-    # support without the largest is optimal only within 4 max|A| of it);
-    # column n holds the right-hand side of the unit-sum row
-    shifted = np.ones((m, n + 1))
-    shifted[:, :n] = mu - mu.max(axis=1, keepdims=True)
+    rhs = np.concatenate([mu, np.ones((m, 1))], axis=1)  # column n: the unit sum
     # each step adds or drops one coordinate, and no walk measured took more
     # than n steps; 4n steps leave room for rounding
     for step in range(1, 4 * n + 1):
@@ -564,7 +469,7 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
         cuts = np.flatnonzero(np.any(packed[1:] != packed[:-1], axis=1)) + 1
         for rows in np.split(pending[order], cuts):
             idx = np.flatnonzero(support[rows[0]])
-            mu_p = shifted[rows]
+            mu_p = rhs[rows]
             sol = np.linalg.solve(kkt[idx[:, None], idx], mu_p[:, idx, None])[..., 0]
             y = np.zeros((rows.size, n))
             y[:, idx[:-1]] = sol[:, :-1]
@@ -606,10 +511,6 @@ def _separable_argmax(reg: Regularizer, mu: np.ndarray):
     """
     m = mu.shape[0]
     steps = 0
-    # x depends only on utility differences: far from the origin, lam ~ |mu|
-    # would keep too few digits for the unit-sum test, so utilities are taken
-    # relative to each point's largest
-    mu = mu - mu.max(axis=-1, keepdims=True)
 
     def minus_total(lam):
         nonlocal steps
@@ -636,16 +537,25 @@ def _separable_argmax(reg: Regularizer, mu: np.ndarray):
 
 def _argmax(reg: Regularizer, mu: np.ndarray):
     """Maximizers of a batch mu of shape (m, n): x (m, n), iterations, converged,
-    by the path the regularizer's fields pick, a quadratic V's at any n."""
+    by the path the regularizer's fields pick, a quadratic V's at any n.
+
+    x depends only on utility differences, so every path sees utilities
+    relative to each point's largest, where huge ones do not cancel; a point
+    whose differences overflow is a ValueError. Converged x are finite.
+    """
     if not reg.strictly_convex:
         raise DegenerateRegularizerError(
             f"{reg.name} is not strictly convex; the argmax may be non-unique")
-    if reg.quadratic_matrix is not None:
-        return _quadratic_argmax(reg, mu)
-    if reg.choice is not None:
-        return _separable_argmax(reg, mu)
-    # the rest: CMM and user regularizers
-    return _iterative_solve(reg, mu)
+    with np.errstate(over="ignore"):
+        shifted = mu - mu.max(axis=1, keepdims=True)
+    finite = np.all(np.isfinite(shifted), axis=1)
+    if not finite.all():
+        raise ValueError(f"utility differences overflow at mu={mu[np.argmin(finite)]}")
+    solve = (_quadratic_argmax if reg.quadratic_matrix is not None
+             else _separable_argmax if reg.choice is not None
+             else _iterative_solve)  # the rest: CMM and user regularizers
+    x, iterations, converged = solve(reg, shifted)
+    return x, iterations, converged & np.all(np.isfinite(x), axis=1)
 
 
 def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -661,7 +571,10 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     separable V (`choice` set: entropy, log-barrier, MMM and every MDM),
     the one multiplier, in closed form or by bisection; otherwise (CMM and
     user regularizers) a damped active-set Newton ascent that steps the
-    whole batch together. V's `value` and `gradient` must broadcast over
+    whole batch together, at most ASCENT_MAX_ITER (50) steps a point: one
+    that stalls reports the steps it took (50 when the budget ran out),
+    unconverged. Differences of mu that overflow are a ValueError.
+    V's `value` and `gradient` must broadcast over
     points of shape (..., n); a user regularizer written for one point is
     lifted with `welfarechoice.pointwise`.
 

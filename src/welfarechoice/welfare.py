@@ -149,12 +149,12 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
         return logsumexp(lam * nest_logsums(mu))
 
     def gradient(mu):
+        # q = P(i | nest) P(nest) depends only on utility differences, so
+        # both are read from utilities relative to the largest
         mu = np.asarray(mu, float)
+        mu = mu - np.max(mu, axis=-1, keepdims=True)
         ls = nest_logsums(mu)
-        w = logsumexp(lam * ls)
-        k = nest_of
-        logq = mu / lam[k] + (lam[k] - 1.0) * ls[..., k] - np.expand_dims(w, -1)
-        return np.exp(logq)
+        return np.exp(mu / lam[nest_of] - ls[..., nest_of]) * softmax(lam * ls)[..., nest_of]
 
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=np.zeros(n),

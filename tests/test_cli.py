@@ -131,6 +131,35 @@ class TestEval:
         assert np.all(q > 0.0) and abs(q.sum() - 1.0) <= 1e-8
         assert q[0] > 0.99
 
+    def test_overflowing_utility_differences_exit_2(self, spec_file, capsys):
+        # 1e308 - (-1e308) overflowed to a NaN x, printed with exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--spec", spec_file(RAM_SPECS[1]),
+                         "--mu", "1e308,-1e308,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "utility differences overflow" in captured.err
+
+    def test_nested_logit_at_a_huge_level_splits_the_nest(self, spec_file, tmp_path):
+        # printed q = (1, 1, 0) with exit 0
+        spec = spec_file({"kind": "nested_logit", "n": 3, "nests": [[1, 2], [3]],
+                          "lambdas": [0.5, 1.0]})
+        out = str(tmp_path / "nested.csv")
+        assert main(["eval", "--spec", spec, "--mu", "1e307,1e307,0", "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert [float(v) for v in rows[0][4:]] == [0.5, 0.5, 0.0]
+
+    def test_near_singular_covariance_stops_within_a_second(self, spec_file, capsys):
+        # the Newton ascent ran 339 iterations to KKT 34.7 before its step budget
+        spec = spec_file({"kind": "ram_cmm",
+                          "covariance": (0.00124 * np.eye(3) + 0.1).tolist()})
+        start = time.perf_counter()
+        code = main(["eval", "--spec", spec, "--mu", "507.96,-349.58,-140.94"])
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 3)
+        if code == 3:
+            assert "solver did not converge" in capsys.readouterr().err
+
     def test_malformed_spec_exits_2_and_writes_nothing(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "mnl", "n": 3')

@@ -36,6 +36,13 @@ class TestNewtonStep:
             np.testing.assert_array_equal(d[k], core.newton_step(hess[k], g[k], gap[k]))
         assert np.all(np.isfinite(d[[0, 3]])) and np.all(np.isnan(d[[1, 2]]))
 
+    def test_a_coordinate_that_is_not_free_stays(self):
+        # the step on coordinates 0 and 2 is the two-coordinate step; 1 keeps d = 0
+        hess = np.array([[2.0, 7.0, 0.0], [7.0, 9.0, 7.0], [0.0, 7.0, 4.0]])
+        d = core.newton_step(hess, np.array([1.0, 5.0, -1.0]), 0.0, np.array([True, False, True]))
+        np.testing.assert_allclose(d, [1.0 / 3.0, 0.0, -1.0 / 3.0], atol=1e-15)
+        assert d[1] == 0.0
+
 
 class TestFiniteDiffGradient:
     def test_linear_function(self):

@@ -511,6 +511,56 @@ class TestKnownFailurePoints:
         assert result.x_star[2] <= 1e-12
 
 
+def cmm_stress_set():
+    """Three covariances, each at 200 points in the boxes 1, 5 and 20."""
+    rng = np.random.default_rng(2101)
+    b = rng.normal(size=(4, 4))
+    for cov in (9.0 * np.eye(3) + 0.9, np.eye(3) + 0.2, b @ b.T / 4.0 + 0.1 * np.eye(4)):
+        for box in (1.0, 5.0, 20.0):
+            yield cmm_regularizer(cov), rng.uniform(-box, box, (200, len(cov)))
+
+
+class TestStepBudget:
+    """The Newton ascent stops within its budget, with x on the simplex."""
+
+    def test_a_far_level_converges_in_a_few_steps(self):
+        # on the raw level the KKT residual could not fall below the rounding
+        # of |mu|, and the solve ran 100,000 iterations (73 s) unconverged
+        reg = cmm_regularizer(9.0 * np.eye(3) + 0.9)
+        mu = np.array([0.3, -0.2, 0.1])
+        result = solve_ram(reg, mu + 1e7)
+        assert result.converged and result.iterations <= 10
+        # 1e7 + mu rounds mu by up to 1e-9
+        np.testing.assert_allclose(result.x_star, solve_ram(reg, mu).x_star, atol=1e-9)
+
+    @pytest.mark.parametrize("shift", [False, True])
+    def test_a_near_singular_covariance_stops_within_the_budget(self, shift):
+        # this point ran 339 iterations to KKT 34.7; shifted by hand, a barrier
+        # step left x_2 = -7.9e-322
+        reg = cmm_regularizer(0.00124 * np.eye(3) + 0.1)
+        mu = np.array([507.96, -349.58, -140.94])
+        start = time.perf_counter()
+        result = solve_ram(reg, mu - np.max(mu) if shift else mu)
+        assert time.perf_counter() - start < 1.0
+        assert result.iterations <= core.ASCENT_MAX_ITER
+        assert np.all(result.x_star >= 0.0)
+        assert result.converged == (result.kkt_residual <= SOLVER_TOL)
+
+    def test_stress_set_converges_within_the_budget(self):
+        for reg, points in cmm_stress_set():
+            result = solve_ram(reg, points)
+            assert np.all(result.converged)
+            assert np.max(result.iterations) <= core.ASCENT_MAX_ITER
+            assert np.all(result.x_star >= 0.0)
+            assert np.max(result.kkt_residual) <= SOLVER_TOL
+
+    @pytest.mark.parametrize("family", sorted(TestSolverPaths.REGULARIZERS))
+    def test_overflowing_differences_are_refused(self, family):
+        reg = TestSolverPaths.REGULARIZERS[family]()
+        with pytest.raises(ValueError, match="utility differences overflow"):
+            solve_ram(reg, np.array([[0.0, 1.0, 2.0], [1e308, -1e308, 0.0]]))
+
+
 def enumerated_quadratic_argmax(reg, mu):
     """Every support tried largest first, in `itertools.combinations` order,
     each point keeping the first whose KKT solution is nonnegative (to

@@ -93,6 +93,16 @@ class TestNestedLogit:
         fd = core.finite_diff_gradient(nl.value, np.zeros(3))
         np.testing.assert_allclose(q, fd, atol=1e-8)
 
+    @pytest.mark.parametrize("level", [1.0, 1e4, 1e8, 1e12, 1e14, 1e15, 1e16])
+    def test_probabilities_read_utility_differences(self, level):
+        # from mu / lambda less the nest log-sums, the unit sum was off by
+        # 1.9e-3 at 1e14 and q was (1, 1, 0) at 1e16
+        nl = nested_logit_welfare([[0, 1], [2]], [0.5, 1.0], 3)
+        mu = np.array([level, level + 1.0, 0.0])
+        q = nl.gradient(mu)
+        np.testing.assert_allclose(q, nl.gradient(mu - np.max(mu)), rtol=0.0, atol=1e-12)
+        assert abs(float(np.sum(q)) - 1.0) <= 1e-12
+
     def test_empty_nest_rejected(self):
         with pytest.raises(ValueError):
             nested_logit_welfare([[0, 1, 2], []], [0.5, 0.5], 3)
