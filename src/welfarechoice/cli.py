@@ -112,12 +112,19 @@ def _csv(command: str, config: dict, header: Sequence[str],
 
 def _welfare_table(model, texts: Sequence[str]):
     """The --mu points, and the header and rows (mu, w, q) at them, from one
-    batch_value and one batch_gradient call."""
+    batch_value and one batch_gradient call. A row whose w or q is not finite,
+    or whose q is off the unit sum by more than 1e-9, is a NumericError."""
     points = _parse_points(texts, "--mu", model.n)
     header = [f"mu_{i+1}" for i in range(model.n)] + ["w"] + \
         [f"q_{i+1}" for i in range(model.n)]
-    rows = [list(mu) + [w] + list(q) for mu, w, q in
-            zip(points, batch_value(model, points), batch_gradient(model, points))]
+    w, q = batch_value(model, points), batch_gradient(model, points)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN sum, refused below
+        bad = ~np.isfinite(w) | ~(np.abs(q.sum(axis=-1) - 1.0) <= 1e-9)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericError(f"{model.name} gave w = {w[k]!r}, q = {q[k].tolist()} "
+                           f"at mu = {points[k].tolist()}")
+    rows = [list(mu) + [w_k] + list(q_k) for mu, w_k, q_k in zip(points, w, q)]
     return points, header, rows
 
 

@@ -229,33 +229,98 @@ class BinaryRUMConstruction:
     The slice v(x) = w(x, 0) has derivative v'(x) in [0, 1], nondecreasing;
     it is used as the CDF of a scalar variable xi, and the noise pair is
     eps = (v0 - max(xi, 0), v0 - max(-xi, 0)) with v0 = w(0, 0). The
-    expected maximum of mu + eps then reproduces w(mu) exactly. `bracket`
-    (T of the bisection) is None for a model whose xi is read from its V.
+    expected maximum of mu + eps then reproduces w(mu) exactly. `bracket`,
+    the T of the interval [-T, T] the CDF is inverted on, is None for a
+    model whose xi is read from its V.
     """
 
     model: WelfareModel
     v0: float
-    xi_cdf: Callable[[np.ndarray], np.ndarray]
     bracket: float | None
     truncated: bool
 
+    def xi_cdf(self, x) -> np.ndarray:
+        """v'(x) = q_1(x, 0), the CDF of xi."""
+        return self._q(x)[..., 0]
+
     def sample_xi(self, uniforms: np.ndarray) -> np.ndarray:
         """Invert the CDF at each uniform u: xi = V_1 - V_2 at (u, 1 - u), as
-        q(xi, 0) = (u, 1 - u), when `bracket` is None, else bisection on [-T, T]."""
+        q(xi, 0) = (u, 1 - u), when `bracket` is None, else `_invert_cdf`."""
         u = np.asarray(uniforms, dtype=float)
         if self.bracket is None:
             y = inverse_from_V(self.model.regularizer, np.stack([u, 1.0 - u], axis=-1))
             return y[..., 0] - y[..., 1]
-        lo = np.full(u.shape, -self.bracket)
-        hi = np.full(u.shape, self.bracket)
-        # fixed iteration count: halves the bracket below XI_TOL for any T
-        iters = int(np.ceil(np.log2(2.0 * self.bracket / XI_TOL))) + 1
-        for _ in range(iters):
+        return self._invert_cdf(u.ravel()).reshape(u.shape)
+
+    def _q(self, x) -> np.ndarray:
+        """q at (x, 0), both coordinates, in one call."""
+        x = np.asarray(x, dtype=float)
+        return batch_gradient(self.model, np.stack([x, np.zeros_like(x)], axis=-1))
+
+    def _bracket(self, u: np.ndarray):
+        """Each u's bracket and start from one call tabulating q at 0 and +-2^k.
+
+        Returns xi with -T for a u below the table's range and T above it,
+        the pending draws, and for each of them the start x, the bracket
+        [lo, hi], the coordinate read (q_1 below the median, q_2 above it),
+        the sign that makes the residual sign * (q - target) rise in x, and
+        the target u or 1 - u.
+        """
+        T = self.bracket
+        half = np.minimum(2.0 ** np.arange(-3.0, np.ceil(np.log2(T)) + 1.0), T)
+        nodes = np.concatenate([-half[::-1], [0.0], half])
+        table = self._q(nodes)
+        upper = u >= 0.5
+        target = np.where(upper, 1.0 - u, u)
+        sign = np.where(upper, -1.0, 1.0)
+        i = np.where(upper, np.searchsorted(-table[:, 1], -target),
+                     np.searchsorted(table[:, 0], target))
+        ends = np.stack([np.maximum(i - 1, 0), np.minimum(i, nodes.size - 1)])
+        lo, hi = nodes[ends]
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf: no start
+            # the start interpolates log q, linear on exponential tails
+            g_lo, g_hi = sign * np.log(table[ends, upper.astype(int)] / target)
+            x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+        pending = np.flatnonzero((i > 0) & (i < nodes.size))
+        return (np.where(i == 0, lo, hi), pending,
+                *(a[pending] for a in (x, lo, hi, upper, sign, target)))
+
+    def _invert_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The root in [-T, T] of q_1(x, 0) = u, within XI_TOL, by safeguarded Newton.
+
+        Below the median it solves q_1 = u, above it q_2 = 1 - u, so a tail
+        keeps its digits; `_bracket` gives each u its bracket and start. Each
+        step reads q at x -+ h, h = XI_TOL / 2, in one call: a residual <= 0
+        at x - h and >= 0 at x + h ends the draw at x, and otherwise the side
+        that missed tightens the bracket. The next x is the Newton step on
+        log q (exact on exponential tails), or the bracket's midpoint when
+        that step leaves the bracket or does not halve the one before (rtsafe,
+        Numerical Recipes section 9.4). A bracket no wider than XI_TOL, or
+        one that no midpoint splits, ends the draw at its midpoint.
+        """
+        h = 0.5 * XI_TOL
+        xi, pending, x, lo, hi, upper, sign, target = self._bracket(u)
+        step = hi - lo
+        while pending.size:
+            q = self._q(x[:, None] + np.array([-h, h]))
+            q = np.where(upper[:, None], q[..., 1], q[..., 0])
+            r = sign[:, None] * (q - target[:, None])
+            straddle = (r[:, 0] <= 0.0) & (r[:, 1] >= 0.0)
+            lo = np.where(r[:, 1] < 0.0, x + h, lo)
+            hi = np.where(r[:, 0] < 0.0, hi, x - h)  # a NaN q counts as above, so hi moves
+            with np.errstate(divide="ignore", invalid="ignore"):  # a flat or zero q: bisect
+                qm = 0.5 * (q[:, 0] + q[:, 1])
+                d = -np.log(qm / target) * 2.0 * h * qm / (q[:, 1] - q[:, 0])
             mid = 0.5 * (lo + hi)
-            below = self.xi_cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+            newton = (lo <= x + d) & (x + d <= hi) & (np.abs(d) <= 0.5 * np.abs(step))
+            done = straddle | (hi - lo <= XI_TOL) | (mid <= lo) | (mid >= hi)
+            xi[pending[done]] = np.where(straddle, x, mid)[done]
+            keep = ~done
+            pending, x, lo, hi, step, upper, sign, target = (
+                a[keep] for a in (pending, np.where(newton, x + d, mid), lo, hi,
+                                  np.where(newton, d, 0.5 * (hi - lo)), upper, sign, target))
+        return xi
 
     def noise_from_xi(self, xi: np.ndarray) -> np.ndarray:
         eps1 = self.v0 - np.maximum(xi, 0.0)
@@ -280,30 +345,25 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
     """
     if model.n != 2:
         raise ValueError("the construction applies to two-alternative models")
-    v0 = model.value(np.zeros(2))
-
-    def xi_cdf(x):
-        x = np.asarray(x, dtype=float)
-        return batch_gradient(model, np.stack([x, np.zeros_like(x)], axis=-1))[..., 0]
-
-    vals = xi_cdf(np.linspace(-30.0, 30.0, _VALIDATION_GRID))
+    construction = BinaryRUMConstruction(model, model.value(np.zeros(2)),
+                                         bracket=None, truncated=False)
+    vals = construction.xi_cdf(np.linspace(-30.0, 30.0, _VALIDATION_GRID))
     if np.any(np.diff(vals) < -1e-10):
         raise InvalidBinaryWelfareError("v'(x) is decreasing on the grid")
     if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
         raise InvalidBinaryWelfareError("v'(x) leaves [0, 1] on the grid")
     if strict_V(model) is not None:
-        return BinaryRUMConstruction(model, v0, xi_cdf, bracket=None, truncated=False)
+        return construction
 
     bracket = 1.0
     while True:
-        lo_val, hi_val = xi_cdf(np.array([-bracket, bracket]))
+        lo_val, hi_val = construction.xi_cdf(np.array([-bracket, bracket]))
         truncated = not (lo_val <= 1e-9 and hi_val >= 1.0 - 1e-9)
         if not truncated or bracket >= BRACKET_CAP:
             break
         bracket = min(bracket * 2.0, BRACKET_CAP)
 
-    return BinaryRUMConstruction(model=model, v0=v0, xi_cdf=xi_cdf,
-                                 bracket=bracket, truncated=truncated)
+    return replace(construction, bracket=bracket, truncated=truncated)
 
 
 def rum_sign_test(model: WelfareModel, max_order: int,

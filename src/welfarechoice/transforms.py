@@ -101,7 +101,8 @@ def mix(components: Sequence[MixtureComponent], n: int) -> WelfareModel:
 
 
 def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareModel:
-    """w(mu) = w_inner(A mu) with gradient A' q_inner(A mu).
+    """w(mu) = w_inner(A mu) with gradient A' q_inner(A mu), for a translation
+    invariant inner model.
 
     A must be nonnegative with unit row sums and have one row per inner
     alternative; the output model lives on A's column space.
@@ -120,14 +121,19 @@ def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareMode
     if n < 2:
         raise ValueError("need at least two alternatives")
 
-    def value(mu):
+    # A is row stochastic, so A(mu - m 1) = A mu - m 1: the inner model reads
+    # utilities relative to the largest, m, and the value adds m back
+    def shifted(mu):
         mu = np.asarray(mu, float)
-        return model.value(mu @ A.T)
+        top = mu.max(axis=-1, keepdims=True)
+        return top[..., 0], (mu - top) @ A.T
+
+    def value(mu):
+        top, y = shifted(mu)
+        return top + model.value(y)
 
     def gradient(mu):
-        mu = np.asarray(mu, float)
-        q_inner = np.asarray(model.gradient(mu @ A.T), dtype=float)
-        return q_inner @ A
+        return np.asarray(model.gradient(shifted(mu)[1]), dtype=float) @ A
 
     bounds = None
     if model.superlinear_bounds is not None:

@@ -87,16 +87,15 @@ def batch_gradient(model: WelfareModel, points) -> np.ndarray:
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Shift-stabilized log(sum(exp(a))); safe for entries up to +-700."""
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-stabilized exp(a)/sum(exp(a))."""
     a = np.asarray(a, dtype=float)
-    z = np.exp(a - np.max(a, axis=axis, keepdims=True))
-    return z / np.sum(z, axis=axis, keepdims=True)
+    z = np.exp(a - a.max(axis=axis, keepdims=True))
+    return z / z.sum(axis=axis, keepdims=True)
 
 
 def mnl_welfare(eta: float, n: int) -> WelfareModel:
@@ -140,21 +139,26 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
     for k, b in enumerate(blocks):
         nest_of[b] = k
 
-    def nest_logsums(mu):
-        return np.stack([logsumexp(mu[..., b] / lam[k])
-                         for k, b in enumerate(blocks)], axis=-1)
+    # w and q depend on utility differences only, so both read utilities
+    # relative to the largest, w adding it back: w(mu) = m + w(mu - m 1)
+    def shifted(mu):
+        mu = np.asarray(mu, float)
+        top = mu.max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # past the float range the intended term is -inf
+            return top[..., 0], (mu - top) / lam[nest_of]
+
+    def nest_logsums(z):
+        return np.stack([logsumexp(z[..., b]) for b in blocks], axis=-1)
 
     def value(mu):
-        mu = np.asarray(mu, float)
-        return logsumexp(lam * nest_logsums(mu))
+        top, z = shifted(mu)
+        return top + logsumexp(lam * nest_logsums(z))
 
     def gradient(mu):
-        # q = P(i | nest) P(nest) depends only on utility differences, so
-        # both are read from utilities relative to the largest
-        mu = np.asarray(mu, float)
-        mu = mu - np.max(mu, axis=-1, keepdims=True)
-        ls = nest_logsums(mu)
-        return np.exp(mu / lam[nest_of] - ls[..., nest_of]) * softmax(lam * ls)[..., nest_of]
+        # q = P(i | nest) P(nest)
+        z = shifted(mu)[1]
+        ls = nest_logsums(z)
+        return np.exp(z - ls[..., nest_of]) * softmax(lam * ls)[..., nest_of]
 
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=np.zeros(n),

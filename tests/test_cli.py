@@ -16,8 +16,9 @@ import pytest
 from welfarechoice import cli
 from welfarechoice.cli import main
 from welfarechoice.core import MC_CHUNK
-from welfarechoice.modelspec import KINDS, build_model
+from welfarechoice.modelspec import KINDS, ModelBundle, build_model
 from welfarechoice.rum import THREADS_ENV
+from welfarechoice.welfare import WelfareModel
 
 MNL3 = {"kind": "mnl", "n": 3, "eta": 1.0}
 BRAND_CROSS = {"kind": "transform_cross",
@@ -148,6 +149,33 @@ class TestEval:
         assert main(["eval", "--spec", spec, "--mu", "1e307,1e307,0", "--out", out]) == 0
         _, _, rows = read_csv(out)
         assert [float(v) for v in rows[0][4:]] == [0.5, 0.5, 0.0]
+
+    def test_nested_logit_value_at_the_float_limit_is_finite(self, spec_file, capsys):
+        # w printed nan with exit 0, after overflow warnings
+        spec = spec_file({"kind": "nested_logit", "n": 3, "nests": [[1, 2], [3]],
+                          "lambdas": [0.5, 1.0]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--spec", spec, "--mu", "1e308,0,0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1e+308,0,0,1e+308,1,0,0"
+
+    @pytest.mark.parametrize("w, q", [(np.nan, [0.5, 0.5]), (0.0, [np.inf, 0.0]),
+                                      (0.0, [np.inf, -np.inf]), (0.0, [0.6, 0.6]),
+                                      (0.0, [0.5, 0.5 + 2e-9])],
+                             ids=["nan-w", "inf-q", "nan-sum", "off-sum", "just-off-sum"])
+    def test_a_row_off_the_simplex_exits_3_and_writes_nothing(self, spec_file, tmp_path,
+                                                              monkeypatch, capsys, w, q):
+        bad = WelfareModel(n=2, name="bad",
+                           value=lambda mu: np.where(mu[..., 0] > 0, w, 0.0),
+                           gradient=lambda mu: np.where(mu[..., :1] > 0, q, 0.5))
+        monkeypatch.setattr(cli, "load_model", lambda path: ModelBundle(bad, MNL2))
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--spec", spec_file(MNL2), "--mu", "0,0", "--mu", "1,0",
+                         "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "bad gave" in capsys.readouterr().err
 
     def test_near_singular_covariance_stops_within_a_second(self, spec_file, capsys):
         # the Newton ascent ran 339 iterations to KKT 34.7 before its step budget
@@ -488,11 +516,11 @@ class TestRum:
         def counted(model):
             construction = binary_rum_from_welfare(model)
 
-            def xi_cdf(x):
-                calls.append(np.size(x))
-                return construction.xi_cdf(x)
+            def gradient(mu):
+                calls.append(np.shape(mu))
+                return model.gradient(mu)
 
-            return replace(construction, xi_cdf=xi_cdf)
+            return replace(construction, model=replace(model, gradient=gradient))
 
         monkeypatch.setattr(cli, "binary_rum_from_welfare", counted)
         spec = spec_file(MNL2)

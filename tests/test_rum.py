@@ -435,6 +435,43 @@ class TestBinaryConstruction:
             assert np.max(np.abs(m_a - m_b)) <= 0.02
         assert np.all(np.isfinite(means[-1]))
 
+    @pytest.mark.parametrize("eta", [1.0, 4.0])
+    def test_inverted_xi_is_the_scaled_logit_into_both_tails(self, eta):
+        construction = binary_rum_from_welfare(mnl_welfare(eta, 2))
+        u = np.concatenate([np.geomspace(1e-300, 0.5, 3000),
+                            1.0 - np.geomspace(2.0 ** -53, 0.5, 3000),
+                            np.random.default_rng(16).random(3000)])
+        xi = eta * (np.log(u) - np.log1p(-u))
+        inside = np.abs(xi) < construction.bracket
+        assert np.sum(inside & (u < 1e-9)) > 20 and np.sum(inside & (u > 1.0 - 1e-9)) > 20
+        assert np.max(np.abs(construction.sample_xi(u[inside]) - xi[inside])) <= 1e-12
+        # past the bracket a draw keeps its end, as the bisection did
+        assert np.all(np.abs(construction.sample_xi(u[~inside])) == construction.bracket)
+
+    def test_a_step_cdf_ends_within_the_tolerance_of_its_jump(self):
+        def gradient(mu):
+            first = mu[..., 0] >= mu[..., 1]
+            return np.stack([first, ~first], axis=-1).astype(float)
+
+        step = WelfareModel(n=2, name="max", value=lambda mu: np.max(mu, axis=-1),
+                            gradient=gradient)
+        construction = binary_rum_from_welfare(step)
+        u = np.concatenate([np.random.default_rng(17).random(500), [1e-300, 0.5, 1 - 1e-16]])
+        assert np.max(np.abs(construction.sample_xi(u))) <= rum.XI_TOL
+
+    def test_inverting_4096_logit_draws_takes_at_most_12_gradient_calls(self):
+        model = mnl_welfare(1.0, 2)
+        calls = []
+
+        def gradient(mu):
+            calls.append(np.shape(mu))
+            return model.gradient(mu)
+
+        construction = binary_rum_from_welfare(replace(model, gradient=gradient))
+        calls.clear()
+        construction.sample_xi(np.random.default_rng(18).random(4096))
+        assert 0 < len(calls) <= 12
+
     def test_on_scaled_model_brackets_grow(self):
         construction = binary_rum_from_welfare(mnl_welfare(4.0, 2))
         assert construction.bracket > 32.0

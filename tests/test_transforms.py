@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from welfarechoice.core import finite_diff_gradient
+from welfarechoice.modelspec import build_model
 from welfarechoice.rum import rum_sign_test
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
-from welfarechoice.welfare import check_axioms, log_sum_welfare, mnl_welfare
+from welfarechoice.welfare import (batch_gradient, batch_value, check_axioms,
+                                   log_sum_welfare, mnl_welfare)
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
@@ -138,6 +140,19 @@ class TestCross:
         crossed = cross(mnl_welfare(1.0, 4), BRAND_WEIGHTS)
         report = check_axioms(crossed, samples=500, seed=0)
         assert report.all_passed
+
+    @pytest.mark.parametrize("level", [0.0, 1e8, 1e12, 1e15])
+    def test_a_crossed_logit_reads_utility_differences(self, level):
+        # the inner logit read A mu: 1.2e-2 apart at 1e15
+        crossed = build_model({"kind": "gev_custom", "eta": 1.0,
+                               "exponents": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                                             [0.5, 0.0, 0.5]]}).model
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, (20, 3)) + level
+        shifted = x - np.max(x, axis=-1, keepdims=True)
+        np.testing.assert_allclose(batch_gradient(crossed, x),
+                                   batch_gradient(crossed, shifted), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(batch_value(crossed, x),
+                                      np.max(x, axis=-1) + batch_value(crossed, shifted))
 
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,14 @@ class TestNestedLogit:
         np.testing.assert_allclose(q, nl.gradient(mu - np.max(mu)), rtol=0.0, atol=1e-12)
         assert abs(float(np.sum(q)) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("level", [0.0, 1e8, 1e15, 1e307, 1e308])
+    def test_value_adds_the_largest_utility_back(self, level):
+        # mu / lambda overflowed at 1e308, and w was nan
+        nl = nested_logit_welfare([[0, 1], [2]], [0.5, 1.0], 3)
+        mu = np.array([level, 0.0, 0.0])
+        w = nl.value(mu)
+        assert np.isfinite(w) and w == level + nl.value(mu - level)
+
     def test_empty_nest_rejected(self):
         with pytest.raises(ValueError):
             nested_logit_welfare([[0, 1, 2], []], [0.5, 0.5], 3)
