@@ -11,7 +11,7 @@ composition operators, and a CLI.
 __version__ = "0.1.0"
 
 from .core import (BracketError, NumericError, QuadratureError,
-                   as_probability, as_utility, bisect_increasing,
+                   as_probability, bisect_increasing,
                    finite_diff_gradient, integrate_1d, mixed_partial,
                    normal_quantile)
 from .duality import (AnchorDistribution, ConvergenceError, anchor_family,

@@ -56,19 +56,14 @@ def positive_scale(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def as_utility(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate and return a deterministic-utility vector (n >= 2, finite)."""
+def as_utility_of(values: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """Validate and return a deterministic-utility vector: finite, with one
+    entry for each of the n >= 2 alternatives."""
     mu = np.asarray(values, dtype=float)
     if mu.ndim != 1 or mu.size < 2:
         raise ValueError("utility vector must be one-dimensional with n >= 2")
     if not np.all(np.isfinite(mu)):
         raise ValueError("utility vector must be finite")
-    return mu
-
-
-def as_utility_of(values: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
-    """`as_utility(values)`, refused unless it has one entry per alternative of n."""
-    mu = as_utility(values)
     if mu.size != n:
         raise ValueError(f"utility vector has {mu.size} entries, "
                          f"not one for each of {n} alternatives")

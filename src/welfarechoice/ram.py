@@ -10,14 +10,15 @@ verification.
 Solver layout: the path follows the regularizer's fields, and each path
 takes a batch of points, read as utilities relative to each point's
 largest. A quadratic V, at any n, has linear KKT systems: a primal
-active-set walk moves each point from the barycentre between supports, and
-all points pending on one support are solved in one stacked call. A
-separable V (`choice` set: entropy, log-barrier, MMM and every MDM) needs
-one multiplier lam, with maximizer choice(lam - mu) at the lam of unit
-sum: in closed form where the regularizer has one (entropy), else by the
-batched bisection of `core.bisect_increasing`. The rest (CMM and user
-regularizers) goes through `core.newton_ascent`, the damped Newton method
-of at most ASCENT_MAX_ITER steps that `duality`'s conjugate ascent shares.
+active-set walk, its only path, moves each point from the barycentre
+between supports, and all points pending on one support are solved in one
+stacked call. A separable V (`choice` set: entropy, log-barrier, MMM and
+every MDM) needs one multiplier lam, with maximizer choice(lam - mu) at
+the lam of unit sum: in closed form where the regularizer has one
+(entropy), else by the batched bisection of `core.bisect_increasing`. The
+rest (CMM and user regularizers) goes through `core.newton_ascent`, the
+damped Newton method of at most ASCENT_MAX_ITER steps that `duality`'s
+conjugate ascent shares.
 
 Every regularizer's `value` and `gradient` broadcast over points of shape
 (..., n), as a `WelfareModel` does; a user regularizer written for one
@@ -403,9 +404,8 @@ def _kkt_residual(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _iterative_solve(reg: Regularizer, mu: np.ndarray):
     """Damped active-set Newton ascent of mu.x - V(x) from the barycentre by
-    `core.newton_ascent`, for a batch mu (m, n) of CMM or user regularizers
-    or of points a quadratic walk leaves over: x (m, n), iterations and
-    converged (KKT residual <= SOLVER_TOL).
+    `core.newton_ascent`, for a batch mu (m, n) of CMM or user regularizers:
+    x (m, n), iterations and converged (KKT residual <= SOLVER_TOL).
 
     The Newton step on the support closes the unit-sum gap. A barrier V
     keeps every coordinate, going at most 0.9 of the way to the boundary
@@ -447,7 +447,9 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
     clipped at 0, and the outside coordinate whose gradient exceeds the
     multiplier most (by over 1e-10) joins; with none, the point is done.
     Toward an infeasible one, x moves until the first support coordinate
-    reaches 0, which leaves (the ratio test). `iterations` counts steps.
+    reaches 0, which leaves (the ratio test). `iterations` counts steps; a
+    point still pending after 4n steps, or off the unit sum by more than
+    SOLVER_TOL, is unconverged.
     """
     a_mat = reg.quadratic_matrix
     m, n = mu.shape
@@ -457,8 +459,9 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
     iterations = np.zeros(m, dtype=int)  # 0 while a point is pending
     rhs = np.concatenate([mu, np.ones((m, 1))], axis=1)  # column n: the unit sum
     # each step adds or drops one coordinate, and no walk measured took more
-    # than n steps; 4n steps leave room for rounding
-    for step in range(1, 4 * n + 1):
+    # than 2n steps; a point still pending after 4n reports unconverged
+    cap = 4 * n
+    for step in range(1, cap + 1):
         pending = np.flatnonzero(iterations == 0)
         if pending.size == 0:
             break
@@ -488,12 +491,8 @@ def _quadratic_argmax(reg: Regularizer, mu: np.ndarray):
             join = gap.max(axis=1) > 1e-10
             support[rows[join], np.argmax(gap[join], axis=1)] = True
             iterations[rows[~join]] = step
-    converged = np.ones(m, dtype=bool)
-    # the Newton ascent takes a point still pending or whose sum lost its digits
-    left = np.flatnonzero((iterations == 0) | (abs(x.sum(axis=1) - 1.0) > SOLVER_TOL))
-    if left.size:
-        x[left], iterations[left], converged[left] = _iterative_solve(reg, mu[left])
-    return x, iterations, converged
+    converged = (iterations > 0) & (abs(x.sum(axis=1) - 1.0) <= SOLVER_TOL)
+    return x, np.where(iterations > 0, iterations, cap), converged
 
 
 def _separable_argmax(reg: Regularizer, mu: np.ndarray):
@@ -567,7 +566,8 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     """Maximize mu.x - V(x) over the simplex, at one point or a batch.
 
     The path follows the regularizer's structure: for a quadratic V, at any
-    n, a primal active-set walk whose `iterations` count its steps; for a
+    n, a primal active-set walk whose `iterations` count its steps (a point
+    still pending after 4n steps reports 4n, unconverged); for a
     separable V (`choice` set: entropy, log-barrier, MMM and every MDM),
     the one multiplier, in closed form or by bisection; otherwise (CMM and
     user regularizers) a damped active-set Newton ascent that steps the

@@ -144,8 +144,10 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
     def shifted(mu):
         mu = np.asarray(mu, float)
         top = mu.max(axis=-1, keepdims=True)
-        with np.errstate(over="ignore"):  # past the float range the intended term is -inf
-            return top[..., 0], (mu - top) / lam[nest_of]
+        # past the float range the intended term is -inf; flooring it at the
+        # most negative float keeps a nest lying wholly there from -inf - -inf
+        with np.errstate(over="ignore"):
+            return top[..., 0], np.maximum((mu - top) / lam[nest_of], -np.finfo(float).max)
 
     def nest_logsums(z):
         return np.stack([logsumexp(z[..., b]) for b in blocks], axis=-1)

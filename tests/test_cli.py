@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from welfarechoice import cli
+from welfarechoice import cli, rum
 from welfarechoice.cli import main
 from welfarechoice.core import MC_CHUNK
 from welfarechoice.modelspec import KINDS, ModelBundle, build_model
@@ -476,6 +476,30 @@ class TestRum:
                      "--samples", "150000", "--seed", "4", "--out", str(out)]
                     + [f"--mu={mu}" for mu in GOLDEN_POINTS[:points]]) == 0
         assert out.read_bytes() == (GOLDEN / f"rum_{family}_{points}.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_zero_threads_means_one_per_cpu_with_the_same_bytes(self, tmp_path, monkeypatch,
+                                                                cpus):
+        # the count os.cpu_count reports, 1 when it reports none
+        pools = []
+        pool = rum.ThreadPoolExecutor
+
+        def counted(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(rum, "ThreadPoolExecutor", counted)
+        csv = {}
+        for threads in ("1", "0"):
+            monkeypatch.setenv(THREADS_ENV, threads)
+            out = tmp_path / f"rum_{threads}.csv"
+            assert main(["rum", "--family", "gumbel", *GOLDEN_FAMILIES["gumbel"],
+                         "--samples", "150000", "--seed", "4", "--out", str(out)]
+                        + [f"--mu={mu}" for mu in GOLDEN_POINTS[:2]]) == 0
+            csv[threads] = out.read_bytes()
+        assert csv["0"] == csv["1"]
+        assert pools == ([cpus] if cpus else [])
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_binary_csv_bytes_match_the_golden(self, spec_file, tmp_path, monkeypatch,

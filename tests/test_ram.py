@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from welfarechoice import core, modelspec, ram
+from welfarechoice.cli import main
 from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError,
                                cmm_regularizer, custom_marginal,
                                entropy_regularizer,
@@ -600,6 +601,24 @@ def random_positive_definite(rng, n):
     return b @ b.T / n + 0.1 * np.eye(n)
 
 
+def stress_matrix(rng, n, kind):
+    """A positive definite A of one of three hard kinds: a spectrum
+    log-uniform down to 2e-10 (kind 0), a rank-one coupling v v' over a
+    2e-10 floor (1), and an all-ones coupling, nearly constant on the
+    simplex, over a floor from 2e-10 to 1e-2 (2)."""
+    if kind == 1:
+        v = rng.normal(size=n)
+        return 2e-10 * np.eye(n) + np.outer(v, v)
+    if kind == 2:
+        floor = 10.0 ** rng.uniform(np.log10(2e-10), -2.0)
+        return floor * np.eye(n) + rng.uniform(0.1, 10.0) * np.ones((n, n))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    eig = 10.0 ** rng.uniform(np.log10(2e-10), 1.0, n)
+    eig[0] = 2e-10
+    a = (q * eig) @ q.T
+    return 0.5 * (a + a.T)
+
+
 class TestActiveSetWalk:
     """The walk against the support enumeration it replaced."""
 
@@ -657,6 +676,44 @@ class TestQuadraticPaths:
         assert np.all(result.converged)
         kkt = [verify_kkt(reg, mu, x) for mu, x in zip(points, result.x_star)]
         assert max(kkt) <= SOLVER_TOL
+
+    @pytest.mark.parametrize("n, matrices, points", [
+        (2, 6, 150), (3, 6, 150), (5, 6, 120), (8, 6, 100), (13, 6, 60), (21, 6, 30),
+        (34, 3, 30), (60, 3, 24)])
+    def test_stress_envelope_needs_no_second_path(self, n, matrices, points):
+        # the walk is the quadratic's only solver: at condition numbers to
+        # 5e10, near-singular rank-one couplings, utilities to 1e12 and exact
+        # ties, every point finishes within 2n steps and meets KKT to the
+        # rounding of its utilities
+        rng = np.random.default_rng([60, n])
+        for kind in range(matrices):
+            reg = quadratic_regularizer(stress_matrix(rng, n, kind % 3))
+            scale = 10.0 ** rng.choice([0, 4, 8, 12], size=(points, 1))
+            mu = rng.uniform(-1.0, 1.0, (points, n)) * scale
+            tied = rng.random(points) < 0.3
+            mu[tied] = np.round(rng.uniform(-2.0, 2.0, (tied.sum(), n))) * scale[tied]
+            result = solve_ram(reg, mu)
+            assert np.all(result.converged)
+            assert np.max(result.iterations) <= 2 * n
+            bound = np.maximum(SOLVER_TOL, 1e-14 * np.max(np.abs(mu), axis=1))
+            assert np.all(result.kkt_residual <= bound)
+
+    @pytest.mark.parametrize("fault, steps", [
+        # a sign-flipped system: the walk drops x_1 and takes it back for ever
+        (lambda m: core.bordered(-m), 12),
+        # a doubled unit-sum row: the walk ends on coordinates summing to 1/2
+        (lambda m: core.bordered(m) * np.array([1.0, 1.0, 1.0, 2.0])[:, None], 3)],
+        ids=["cycle", "off_sum"])
+    def test_an_unfinished_walk_is_unconverged(self, monkeypatch, tmp_path, fault, steps):
+        monkeypatch.setattr(ram, "bordered", fault)
+        mu = np.array([2.0, -2.0, 0.0])
+        result = solve_ram(quadratic_regularizer(np.eye(3)), mu)
+        assert not result.converged and result.iterations == steps
+        with pytest.raises(core.NumericError, match="did not converge"):
+            ram_welfare(quadratic_regularizer(np.eye(3))).gradient(mu)
+        spec = tmp_path / "quadratic.json"
+        spec.write_text('{"kind": "ram_quadratic", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+        assert main(["eval", "--spec", str(spec), "--mu=2,-2,0"]) == 3
 
     def test_diagonal_sixteen_matches_water_filling(self):
         rng = np.random.default_rng(32)

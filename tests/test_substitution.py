@@ -6,6 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from welfarechoice import duality, substitution
+from welfarechoice.core import stream_rng
+from welfarechoice.duality import invert_choice
 from welfarechoice.ram import (mmm_regularizer, quadratic_regularizer,
                                ram_welfare)
 from welfarechoice.rum import gumbel_sampler, mc_welfare_model
@@ -314,6 +317,47 @@ class TestSubstitutableModelCheck:
     def test_separable_ram_consistent(self):
         model = ram_welfare(mmm_regularizer([2.0, 2.0, 2.0]))
         report = substitutable_model_check(model, samples=200, box=2.0, seed=0)
+        assert report.verdict == "substitutable-consistent"
+
+    @staticmethod
+    def checked_points(monkeypatch, invert):
+        """The report and every candidate point whose cross effects were
+        read, with choice inversion replaced by `invert`."""
+        seen, cross_effects = [], substitution._cross_effects
+
+        def record(model, mu):
+            seen.append(mu.copy())
+            return cross_effects(model, mu)
+
+        monkeypatch.setattr(substitution, "_cross_effects", record)
+        monkeypatch.setattr(duality, "invert_choice", invert)
+        # 10 box points (30 samples over 3 pairs), then up to 10 probes
+        report = substitutable_model_check(mnl_welfare(1.0, 3), samples=30, seed=0,
+                                           span_probes=10)
+        return report, np.concatenate(seen)
+
+    def test_only_reached_targets_become_probes(self, monkeypatch):
+        reached = np.arange(10) % 3 != 0
+        best = []
+
+        def stalls(model, x):
+            best.append(invert_choice(model, x))
+            raise duality.ConvergenceError("stalled", best[0],
+                                           np.where(reached, 0.0, 1.0))
+
+        report, points = self.checked_points(monkeypatch, stalls)
+        np.testing.assert_array_equal(points[10:], best[0][reached])
+        assert report.points_tested == (10 + 6) * 3
+        assert report.verdict == "substitutable-consistent"
+
+    @pytest.mark.parametrize("error", [ValueError, FloatingPointError, ZeroDivisionError])
+    def test_a_model_error_leaves_only_the_box_points(self, monkeypatch, error):
+        def fails(model, x):
+            raise error("refused")
+
+        report, points = self.checked_points(monkeypatch, fails)
+        np.testing.assert_array_equal(points, stream_rng(0, key=1).uniform(-10, 10, (10, 3)))
+        assert report.points_tested == 10 * 3
         assert report.verdict == "substitutable-consistent"
 
     def test_brand_model_violation_found(self):

@@ -111,6 +111,21 @@ class TestNestedLogit:
         w = nl.value(mu)
         assert np.isfinite(w) and w == level + nl.value(mu - level)
 
+    @pytest.mark.parametrize("mu, q", [
+        ([-1e308, -1e308, 1e308], [0.0, 0.0, 1.0]),
+        ([1e308, 1e308, -1e308], [0.5, 0.5, 0.0])], ids=["low_pair", "low_single"])
+    def test_a_nest_wholly_past_the_float_range_below_the_top(self, tmp_path, capsys, mu, q):
+        # the nest's log-sum was -inf - -inf: w and q were nan, and eval exited 3
+        nl = nested_logit_welfare([[0, 1], [2]], [0.5, 1.0], 3)
+        assert nl.value(np.array(mu)) == 1e308
+        np.testing.assert_array_equal(nl.gradient(np.array(mu)), q)
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"kind": "nested_logit", "n": 3, "nests": [[1, 2], [3]],
+                                    "lambdas": [0.5, 1.0]}))
+        assert main(["eval", "--spec", str(path), "--mu=" + ",".join(map(str, mu))]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert [float(v) for v in row[3:]] == [1e308] + q
+
     def test_empty_nest_rejected(self):
         with pytest.raises(ValueError):
             nested_logit_welfare([[0, 1, 2], []], [0.5, 0.5], 3)
