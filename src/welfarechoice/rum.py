@@ -11,13 +11,17 @@ winner counts and the sums of the row maximum and its square at a point,
 comparing and adding as `np.max` and `np.argmax` do; `_means` adds a point's
 tallies in partition order. `mc_estimates` draws each partition once for a
 stack of points, and `mc_welfare_model` tallies the slices of its frozen panel.
+
+A sampler keeps its last run, as `ram.ram_welfare` keeps its last solve, so
+`mc_choice_probs` then `mc_welfare` at one point, samples and seed simulate
+once; this needs `NoiseSampler.draw` to be a function of `(rng, size)` alone.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,12 +45,15 @@ class NoiseSampler:
     reads column by column, from a contiguous copy of `eps.T`. All built-in
     families are generated by inverse-CDF transforms of uniforms, applied in
     place to the uniforms' array, so a stream's draws are fully determined by
-    its generator state.
+    its generator state. `draw` must be a function of `(rng, size)` alone, as
+    the built-ins are: `last_run` keeps the key and estimates of the
+    sampler's last `mc_estimates` call, replaced whole, for reuse.
     """
 
     n: int
     family: str
     draw: Callable[[np.random.Generator, int], np.ndarray]
+    last_run: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def gumbel_sampler(eta: float, n: int) -> NoiseSampler:
@@ -193,7 +200,10 @@ def mc_estimates(sampler: NoiseSampler, points, samples: int,
     """Choice probabilities and welfare at each of a stack of points.
 
     Each partition is drawn once and tallied against every point, so a
-    point's estimates are the ones a run at that point alone gives.
+    point's estimates are the ones a run at that point alone gives. The
+    sampler keeps the last run: the same points, samples and seed are not
+    drawn again, each call gets its own arrays, and a run that raises is
+    not kept.
     """
     mus = [as_utility_of(mu, sampler.n) for mu in points]
 
@@ -202,8 +212,15 @@ def mc_estimates(sampler: NoiseSampler, points, samples: int,
         cols = np.ascontiguousarray(sampler.draw(rng, size).T)
         return [_tally(mu, cols) for mu in mus]
 
-    return [_estimates(tallies, samples, seed)
-            for tallies in zip(*_run_partitions(worker, seed, samples))]
+    stack = np.array(mus)
+    key = (samples, seed, stack.shape, stack.tobytes())
+    last = sampler.last_run
+    if last is None or last[0] != key:
+        last = (key, [_estimates(tallies, samples, seed)
+                      for tallies in zip(*_run_partitions(worker, seed, samples))])
+        object.__setattr__(sampler, "last_run", last)  # frozen: the one kept field
+    return [(replace(p, probs=p.probs.copy(), std_errors=p.std_errors.copy()), w)
+            for p, w in last[1]]
 
 
 def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,

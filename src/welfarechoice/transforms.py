@@ -122,11 +122,14 @@ def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareMode
         raise ValueError("need at least two alternatives")
 
     # A is row stochastic, so A(mu - m 1) = A mu - m 1: the inner model reads
-    # utilities relative to the largest, m, and the value adds m back
+    # utilities relative to the largest, m, and the value adds m back; a
+    # difference past the float range is floored at the most negative float,
+    # so a zero weight on it gives 0, not 0 * -inf
     def shifted(mu):
         mu = np.asarray(mu, float)
         top = mu.max(axis=-1, keepdims=True)
-        return top[..., 0], (mu - top) @ A.T
+        with np.errstate(over="ignore"):
+            return top[..., 0], np.maximum(mu - top, -np.finfo(float).max) @ A.T
 
     def value(mu):
         top, y = shifted(mu)

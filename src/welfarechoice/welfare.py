@@ -88,13 +88,16 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Shift-stabilized log(sum(exp(a))); safe for entries up to +-700."""
     a = np.asarray(a, dtype=float)
     m = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis=axis)
+    with np.errstate(over="ignore"):  # a spread past the float range: exp(-inf) = 0
+        z = np.exp(a - m)
+    return np.log(z.sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-stabilized exp(a)/sum(exp(a))."""
     a = np.asarray(a, dtype=float)
-    z = np.exp(a - a.max(axis=axis, keepdims=True))
+    with np.errstate(over="ignore"):  # as in `logsumexp`
+        z = np.exp(a - a.max(axis=axis, keepdims=True))
     return z / z.sum(axis=axis, keepdims=True)
 
 

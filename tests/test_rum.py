@@ -2,7 +2,9 @@
 
 import math
 import os
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from welfarechoice.modelspec import build_model
 from welfarechoice.ram import (entropy_regularizer, exponential_marginal,
                                mdm_regularizer, mmm_regularizer, ram_welfare)
 from welfarechoice import rum
-from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV,
+from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV, MCWelfare,
                                NoiseSampler, binary_rum_from_welfare, degenerate_sampler,
                                gumbel_sampler, logistic_sampler,
                                mc_choice_probs, mc_estimates, mc_welfare,
@@ -197,6 +199,113 @@ class TestColumnKernels:
                 np.bincount(np.argmax(rows, axis=1), minlength=3) / samples)
 
 
+def counted_sampler(sizes, draw=None):
+    """A gumbel(1) sampler, or one over `draw`, that records each partition size it draws."""
+    inner = draw or gumbel_sampler(1.0, 3).draw
+
+    def counted(rng, size):
+        sizes.append(size)
+        return inner(rng, size)
+
+    return NoiseSampler(n=3, family="counted", draw=counted)
+
+
+class TestLastRun:
+    """A sampler keeps its last run: the probabilities and the welfare at one
+    point, samples and seed cost one simulation, and read as a fresh run does."""
+
+    SAMPLES = 2 * MC_CHUNK + 17
+    MU = np.array([0.5, 0.0, -0.5])
+
+    def test_probs_then_welfare_draw_each_partition_once(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "1")
+        sizes = []
+        sampler = counted_sampler(sizes)
+        probs = mc_choice_probs(sampler, self.MU, self.SAMPLES, seed=3)
+        welfare = mc_welfare(sampler, self.MU, self.SAMPLES, seed=3)
+        assert sizes == [MC_CHUNK, MC_CHUNK, 17]
+        fresh_probs = mc_choice_probs(gumbel_sampler(1.0, 3), self.MU, self.SAMPLES, 3)
+        fresh_welfare = mc_welfare(gumbel_sampler(1.0, 3), self.MU, self.SAMPLES, 3)
+        np.testing.assert_array_equal(probs.probs, fresh_probs.probs)
+        np.testing.assert_array_equal(probs.std_errors, fresh_probs.std_errors)
+        assert welfare == fresh_welfare
+        assert (probs.samples, probs.seed) == (fresh_probs.samples, fresh_probs.seed)
+
+    @pytest.mark.parametrize("change", ["mu", "seed", "samples", "sampler"])
+    def test_another_run_draws_again(self, monkeypatch, change):
+        monkeypatch.setenv(THREADS_ENV, "1")
+        sizes = []
+        sampler = counted_sampler(sizes)
+        args = dict(mu=self.MU, samples=self.SAMPLES, seed=3)
+        mc_choice_probs(sampler, **args)
+        first = len(sizes)
+        other = {"mu": dict(args, mu=self.MU + [0.0, 0.0, 1e-9]),
+                 "seed": dict(args, seed=4), "samples": dict(args, samples=self.SAMPLES + 1),
+                 "sampler": args}[change]
+        if change == "sampler":
+            sampler = counted_sampler(sizes)
+        mc_welfare(sampler, **other)
+        assert first == 3 and len(sizes) == 6
+
+    def test_an_edited_result_does_not_reach_the_kept_run(self):
+        sampler = gumbel_sampler(1.0, 3)
+        res = mc_choice_probs(sampler, self.MU, 1000, seed=3)
+        kept = res.probs.copy(), res.std_errors.copy()
+        res.probs[0], res.std_errors[0] = -1.0, -1.0
+        again = mc_choice_probs(sampler, self.MU, 1000, seed=3)
+        np.testing.assert_array_equal(again.probs, kept[0])
+        np.testing.assert_array_equal(again.std_errors, kept[1])
+
+    def test_threads_sharing_a_sampler_read_their_own_runs(self):
+        # callers on one sampler replace its last run under each other: each
+        # must still get the estimates of its own arguments
+        sampler = gumbel_sampler(1.0, 3)
+        calls = [(call, seed) for seed in (1, 2, 3) for call in (mc_choice_probs, mc_welfare)]
+        fresh = [call(gumbel_sampler(1.0, 3), self.MU, 1000, seed) for call, seed in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(call, sampler, self.MU, 1000, seed)
+                           for _ in range(20) for call, seed in calls]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, fresh * 20):
+            if isinstance(want, MCWelfare):
+                assert got == want
+            else:
+                np.testing.assert_array_equal(got.probs, want.probs)
+
+    def test_nan_draws_raise_on_every_call(self):
+        def draw(rng, size):
+            eps = rng.standard_normal((size, 3))
+            eps[::10, 1] = np.nan
+            return eps
+
+        sizes = []
+        sampler = counted_sampler(sizes, draw)
+        for call in (mc_choice_probs, mc_welfare, mc_choice_probs):
+            with pytest.raises(NumericError, match="a draw has no largest alternative"):
+                call(sampler, np.zeros(3), 1000, seed=1)
+        assert sizes == [1000] * 3 and sampler.last_run is None
+
+    def test_a_kept_infinite_mean_maximum_still_raises(self):
+        def draw(rng, size):
+            eps = rng.standard_normal((size, 3))
+            eps[:, 0] = np.inf
+            return eps
+
+        sizes = []
+        sampler = counted_sampler(sizes, draw)
+        np.testing.assert_array_equal(
+            mc_choice_probs(sampler, np.zeros(3), 1000, seed=1).probs, [1.0, 0.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(NumericError, match="the mean maximum is undefined"):
+                mc_welfare(sampler, np.zeros(3), 1000, seed=1)
+        assert sizes == [1000]
+
+
 BAD_POINTS = [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], 0.5]
 
 
@@ -315,9 +424,9 @@ class TestMCChoiceProbs:
         assert abs(res.probs[0] - 0.5) <= 3 * res.std_errors[0]
 
     def test_deterministic_given_seed(self):
-        sampler = gumbel_sampler(1.0, 3)
-        a = mc_choice_probs(sampler, np.array([1.0, 0.0, -1.0]), 150000, seed=3)
-        b = mc_choice_probs(sampler, np.array([1.0, 0.0, -1.0]), 150000, seed=3)
+        # a sampler each, so the second run draws instead of reading the first's
+        a = mc_choice_probs(gumbel_sampler(1.0, 3), np.array([1.0, 0.0, -1.0]), 150000, seed=3)
+        b = mc_choice_probs(gumbel_sampler(1.0, 3), np.array([1.0, 0.0, -1.0]), 150000, seed=3)
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_gumbel_matches_mnl_within_4se_at_1e6(self):
@@ -332,16 +441,19 @@ class TestMCChoiceProbs:
                 assert abs(p - q) <= 4 * max(se, 1e-9)
 
     def test_thread_count_does_not_change_results(self):
-        sampler = gumbel_sampler(1.0, 3)
+        # a sampler per call, so every call draws instead of reading a kept run
+        def sampler():
+            return gumbel_sampler(1.0, 3)
+
         mu = np.array([0.5, 0.0, -0.5])
         old = os.environ.get(THREADS_ENV)
         try:
             os.environ[THREADS_ENV] = "1"
-            seq = mc_choice_probs(sampler, mu, 300000, seed=4)
-            wseq = mc_welfare(sampler, mu, 300000, seed=4)
+            seq = mc_choice_probs(sampler(), mu, 300000, seed=4)
+            wseq = mc_welfare(sampler(), mu, 300000, seed=4)
             os.environ[THREADS_ENV] = "4"
-            par = mc_choice_probs(sampler, mu, 300000, seed=4)
-            wpar = mc_welfare(sampler, mu, 300000, seed=4)
+            par = mc_choice_probs(sampler(), mu, 300000, seed=4)
+            wpar = mc_welfare(sampler(), mu, 300000, seed=4)
         finally:
             if old is None:
                 os.environ.pop(THREADS_ENV, None)

@@ -1,8 +1,12 @@
 """Scaling, mixing, and crossing composition operators."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+from welfarechoice.cli import main
 from welfarechoice.core import finite_diff_gradient
 from welfarechoice.modelspec import build_model
 from welfarechoice.rum import rum_sign_test
@@ -153,6 +157,22 @@ class TestCross:
                                    batch_gradient(crossed, shifted), rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(batch_value(crossed, x),
                                       np.max(x, axis=-1) + batch_value(crossed, shifted))
+
+    def test_a_zero_weight_on_a_difference_past_the_float_range(self, tmp_path, capsys):
+        # (mu - top) @ A' met 0 * -inf: w and q were nan, and eval exited 3
+        spec = {"kind": "transform_cross", "inner": {"kind": "mnl", "n": 4, "eta": 1.0},
+                "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0]]}
+        crossed = build_model(spec).model
+        mu = np.array([1e308, -1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert crossed.value(mu) == 1e308
+            np.testing.assert_array_equal(crossed.gradient(mu), [1.0, 0.0, 0.0])
+            path = tmp_path / "cross.json"
+            path.write_text(json.dumps(spec))
+            assert main(["eval", "--spec", str(path), "--mu=1e308,-1e308,0"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert [float(v) for v in row[3:]] == [1e308, 1.0, 0.0, 0.0]
 
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):

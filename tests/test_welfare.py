@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,21 @@ class TestMNL:
         mu = np.array([700.0, -700.0, 0.0])
         assert np.isfinite(m(mu))
         assert np.all(np.isfinite(m.gradient(mu)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: mnl_welfare(1.0, 3),
+        lambda: mix([MixtureComponent(mnl_welfare(1.0, 3), (0, 1, 2), 0.5),
+                     MixtureComponent(mnl_welfare(2.0, 2), (0, 1), 0.5)], n=3)],
+        ids=["mnl", "mix"])
+    def test_a_spread_past_the_float_range_does_not_warn(self, build):
+        # the shift overflowed to -inf, right, but warned "overflow encountered in subtract"
+        mu = np.array([1e308, -1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build().value(mu) == 1e308
+            np.testing.assert_array_equal(build().gradient(mu), [1.0, 0.0, 0.0])
+            assert welfare.logsumexp(mu) == 1e308
+            np.testing.assert_array_equal(welfare.softmax(mu), [1.0, 0.0, 0.0])
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
