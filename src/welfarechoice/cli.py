@@ -16,6 +16,7 @@ seed and sample count regardless of WELFARECHOICE_THREADS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,11 +41,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-def _fmt(x: float) -> str:
-    out = format(float(x), ".10g")
-    return "0" if out == "-0" else out
 
 
 def _parse_points(texts: Sequence[str], field: str, n: Optional[int] = None) -> np.ndarray:
@@ -102,11 +98,15 @@ def _emit(out: Optional[str], lines: list[str]) -> None:
 
 def _csv(command: str, config: dict, header: Sequence[str],
          rows: Sequence[Sequence[float]], out: Optional[str]) -> None:
+    """Write the manifest, the header and the rows: a text column as it is, a
+    numeric one converted to float once, with + 0.0 turning -0.0 into 0."""
     lines = _manifest_lines(command, config)
     lines.append(",".join(header))
-    for row in rows:
-        cells = [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
-        lines.append(",".join(cells))
+    columns = list(zip(*rows))
+    fmt = ",".join("%s" if isinstance(col[0], str) else "%.10g" for col in columns)
+    columns = [col if isinstance(col[0], str) else (np.asarray(col, float) + 0.0).tolist()
+               for col in columns]
+    lines.extend(fmt % row for row in zip(*columns))
     _emit(out, lines)
 
 
@@ -160,10 +160,6 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
-def _report(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
 def cmd_verify(args) -> int:
     bundle = load_model(args.spec)
     model = bundle.model
@@ -179,7 +175,7 @@ def cmd_verify(args) -> int:
             status = "pass (no violation found)" if check.passed else \
                 f"FAIL witness={check.witness}"
             lines.append(f"  {label}: {status}")
-        _report(lines)
+        _emit(None, lines)
         return EXIT_OK if report.all_passed else EXIT_VIOLATION
 
     if args.suite == "rum-signs":
@@ -192,7 +188,7 @@ def cmd_verify(args) -> int:
                 f"FAIL worst violation {v.worst_violation:.3e} at "
                 f"mu={np.round(v.witness_point, 4)} indices={v.witness_indices}")
             lines.append(f"  order {v.order} ({v.tuples_tested} tuples): {status}")
-        _report(lines)
+        _emit(None, lines)
         return EXIT_OK if report.passed else EXIT_VIOLATION
 
     if args.suite == "substitutable":
@@ -205,7 +201,7 @@ def cmd_verify(args) -> int:
             lines.append(
                 f"  complementary pair ({c.i + 1},{c.j + 1}) at "
                 f"mu={np.round(report.witness_mu, 4)} estimate={c.estimate:.3e}")
-        _report(lines)
+        _emit(None, lines)
         return EXIT_OK if report.verdict == "substitutable-consistent" \
             else EXIT_VIOLATION
 
@@ -218,7 +214,7 @@ def cmd_verify(args) -> int:
         lines.append(f"  pass, worst margin {report.worst_margin:.3e}")
     else:
         lines.append(f"  FAIL witness={report.witness}")
-    _report(lines)
+    _emit(None, lines)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -309,6 +305,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="welfarechoice",
@@ -369,21 +366,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # a SpecError among them
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # exit codes are a contract: 0/1/2/3 only

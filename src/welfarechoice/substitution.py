@@ -126,9 +126,12 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     points[:, i] = grid
     q_vals = batch_gradient(model, points)[:, j]
     slopes = (q_vals[2:] - q_vals[:-2]) / (2.0 * (grid[1] - grid[0]))
-    labels = [INDETERMINATE, *(_label(s, DEAD_ZONE) for s in slopes), INDETERMINATE]
-    return [ScanRow(mu_i=float(t), q_j=q, label=label)
-            for t, q, label in zip(grid, q_vals, labels)]
+    # `_label` on every slope at once; a NaN slope passes neither test
+    labels = np.full(steps, INDETERMINATE, dtype=object)
+    labels[1:-1][slopes > DEAD_ZONE] = COMPLEMENTARY
+    labels[1:-1][slopes < -DEAD_ZONE] = SUBSTITUTABLE
+    return [ScanRow(mu_i=t, q_j=q, label=label)
+            for t, q, label in zip(grid.tolist(), q_vals.tolist(), labels.tolist())]
 
 
 @dataclass(frozen=True)

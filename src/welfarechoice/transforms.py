@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import positive_scale
+from .core import NumericError, positive_scale
 from .welfare import WelfareModel
 
 
@@ -22,11 +22,18 @@ def scale(model: WelfareModel, eta: float) -> WelfareModel:
     """w(mu) = eta * w_inner(mu / eta); the gradient is q_inner(mu / eta)."""
     positive_scale(eta, "eta")
 
+    def inner(mu):  # not shifted: the inner model need not be translation invariant
+        try:
+            with np.errstate(over="raise"):
+                return np.asarray(mu, float) / eta
+        except FloatingPointError:
+            raise NumericError(f"mu / eta overflows at eta = {eta:g}") from None
+
     def value(mu):
-        return eta * model.value(np.asarray(mu, float) / eta)
+        return eta * model.value(inner(mu))
 
     def gradient(mu):
-        return model.gradient(np.asarray(mu, float) / eta)
+        return model.gradient(inner(mu))
 
     bounds = None
     if model.superlinear_bounds is not None:

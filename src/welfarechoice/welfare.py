@@ -84,20 +84,25 @@ def batch_gradient(model: WelfareModel, points) -> np.ndarray:
     return _evaluate(model.gradient, points, np.shape(points)[-1:])
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """Shift-stabilized log(sum(exp(a))); safe for entries up to +-700."""
+def _shifted_exp(a, eta: float, axis: int):
+    """exp((a - m) / eta) and m = max a along axis (kept); no finite a overflows."""
     a = np.asarray(a, dtype=float)
     m = a.max(axis=axis, keepdims=True)
     with np.errstate(over="ignore"):  # a spread past the float range: exp(-inf) = 0
-        z = np.exp(a - m)
+        z = a - m
+        z /= eta
+    return np.exp(z, out=z), m
+
+
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
+    """Shift-stabilized log(sum(exp(a)))."""
+    z, m = _shifted_exp(a, 1.0, axis)
     return np.log(z.sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shift-stabilized exp(a)/sum(exp(a))."""
-    a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):  # as in `logsumexp`
-        z = np.exp(a - a.max(axis=axis, keepdims=True))
+    z, _ = _shifted_exp(a, 1.0, axis)
     return z / z.sum(axis=axis, keepdims=True)
 
 
@@ -108,10 +113,12 @@ def mnl_welfare(eta: float, n: int) -> WelfareModel:
         raise ValueError("need at least one alternative")
 
     def value(mu):
-        return eta * logsumexp(np.asarray(mu, float) / eta)
+        z, m = _shifted_exp(mu, eta, -1)
+        return eta * np.log(z.sum(axis=-1)) + m[..., 0]
 
     def gradient(mu):
-        return softmax(np.asarray(mu, float) / eta)
+        z, _ = _shifted_exp(mu, eta, -1)
+        return z / z.sum(axis=-1, keepdims=True)
 
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=np.zeros(n),

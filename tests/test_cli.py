@@ -159,6 +159,24 @@ class TestEval:
             assert main(["eval", "--spec", spec, "--mu", "1e308,0,0"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "1e+308,0,0,1e+308,1,0,0"
 
+    @pytest.mark.parametrize("mu", ["1e308,0,0", "1e308,-1e308,0"])
+    def test_logit_at_a_low_temperature_and_the_float_limit(self, spec_file, capsys, mu):
+        # mu / eta overflowed before the shift: w and q printed nan
+        spec = spec_file({"kind": "mnl", "n": 3, "eta": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--spec", spec, "--mu", mu]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[3:] == ["1e+308", "1", "0", "0"]
+
+    def test_scaled_logit_past_the_float_limit_exits_3(self, spec_file, capsys):
+        spec = spec_file({"kind": "transform_scale", "eta": 0.5, "inner": MNL3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--spec", spec, "--mu", "1e308,0,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "mu / eta overflows" in captured.err
+
     @pytest.mark.parametrize("w, q", [(np.nan, [0.5, 0.5]), (0.0, [np.inf, 0.0]),
                                       (0.0, [np.inf, -np.inf]), (0.0, [0.6, 0.6]),
                                       (0.0, [0.5, 0.5 + 2e-9])],
@@ -621,6 +639,75 @@ class TestPointLists:
             argv = [argv[0], option, spec_file(spec), *argv[1:]]
         assert main(argv) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+
+class TestInProcessCalls:
+    """`main` builds its parser once per process; a call leaves nothing behind."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_calls_print_the_same_bytes(self, spec_file, capsys):
+        spec = spec_file(MNL3)
+        calls = [["eval", "--spec", spec, "--mu", "0.5,0,-0.5", "--mu", "1,2,3"],
+                 ["figure", "--example", "2"],
+                 ["convert", "--spec", spec, "--direction", "w-to-v", *CONVERT_X[:2]]]
+        first = [self.run(capsys, argv) for argv in calls]
+        assert all(code == 0 and out for code, out in first)
+        assert [self.run(capsys, argv) for argv in calls] == first
+
+    def test_points_of_one_call_do_not_reach_the_next(self, spec_file, capsys):
+        spec = spec_file(MNL3)
+        code, one = self.run(capsys, ["eval", "--spec", spec, "--mu", "7,8,9"])
+        assert code == 0 and one.splitlines()[-1].startswith("7,8,9,")
+        code, other = self.run(capsys, ["eval", "--spec", spec, "--mu", "0,0,0"])
+        assert code == 0 and len(other.splitlines()) == 5
+        assert "7,8,9" not in other and '"mu":[[0.0,0.0,0.0]]' in other
+        # with no --mu at all the list is empty again, not the last call's
+        assert main(["eval", "--spec", spec]) == 2
+        assert "--mu: at least one point is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interrupt, exit_code", [
+        (["eval", "--no-such-option"], 2),
+        (["figure", "--example", "4"], 2),
+        (["--version"], 0)], ids=["unknown-option", "bad-choice", "version"])
+    def test_an_early_exit_leaves_the_next_call_unchanged(self, spec_file, capsys,
+                                                          interrupt, exit_code):
+        argv = ["eval", "--spec", spec_file(MNL3), "--mu", "0.25,-1,2"]
+        before = self.run(capsys, argv)
+        assert self.run(capsys, interrupt)[0] == exit_code
+        assert self.run(capsys, argv) == before
+
+
+class TestCsvCells:
+    # the rule `_csv` had per cell: format(float(x), ".10g"), with "-0" printed "0"
+    VALUES = [-0.0, 0.0, 5e-324, -1e-320, 1e16, 123456789012, np.inf, -np.inf, np.nan,
+              np.float32(0.1), 7, np.int64(-42), np.float64(-0.0), 1.0 / 3.0]
+
+    @staticmethod
+    def cell(x):
+        out = format(float(x), ".10g")
+        return "0" if out == "-0" else out
+
+    def test_cells_match_the_per_cell_rule(self, capsys):
+        rows = [[x, f"text {k}", -x if isinstance(x, float) else x]
+                for k, x in enumerate(self.VALUES)]
+        cli._csv("eval", {"k": 1}, ["x", "label", "y"], rows, None)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["# welfarechoice " + cli.__version__, "# command=eval",
+                             '# config={"k":1}', "x,label,y"]
+        assert lines[4:] == [f"{self.cell(a)},{b},{self.cell(c)}" for a, b, c in rows]
+        assert lines[4:7] == ["0,text 0,0", "0,text 1,0",
+                              "4.940656458e-324,text 2,-4.940656458e-324"]
+
+    def test_a_table_without_rows_is_its_header(self, capsys):
+        cli._csv("eval", {}, ["x", "y"], [], None)
+        assert capsys.readouterr().out.splitlines()[-1] == "x,y"
 
 
 class TestValidate:

@@ -1,6 +1,7 @@
 """Pairwise substitutability classification and structural criteria."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,32 @@ class TestScanLine:
                          lo=-3.0, hi=3.0, steps=101)
         for r in rows[1:-1]:
             assert r.label == SUBSTITUTABLE
+
+
+    def test_labels_are_the_pairwise_labels_of_the_grid_slopes(self):
+        # on a grid of step 0.5 a slope is q_j(k + 1) - q_j(k - 1), exactly
+        dz = substitution.DEAD_ZONE
+        table = np.array([0.0, 0.0, dz, 0.0, -dz, 0.0, np.nan, 0.0, 2 * dz, 0.0,
+                          0.0, 0.0, -dz, 0.0, 0.0])
+
+        def gradient(mu):
+            q_j = table[np.rint(2.0 * mu[:, 0]).astype(int)]
+            return np.stack([1.0 - q_j, q_j], axis=-1)
+
+        model = WelfareModel(n=2, value=lambda mu: mu.max(axis=-1), gradient=gradient)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = scan_line(model, np.zeros(2), i=0, j=1, lo=0.0, hi=7.0, steps=15)
+        assert all(type(r.mu_i) is float and type(r.q_j) is float for r in rows)
+        assert [r.mu_i for r in rows] == np.linspace(0.0, 7.0, 15).tolist()
+        np.testing.assert_array_equal([r.q_j for r in rows], table)
+        slopes = table[2:] - table[:-2]
+        assert {dz, -dz, 0.0} <= set(slopes.tolist()) and np.isnan(slopes).any()
+        assert [r.label for r in rows] == [substitution.INDETERMINATE,
+                                           *(substitution._label(s, dz) for s in slopes),
+                                           substitution.INDETERMINATE]
+        assert [r.label for r in rows][1:4] == ["indeterminate", "indeterminate",
+                                                SUBSTITUTABLE]
 
 
 @pytest.mark.parametrize("call", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from welfarechoice.cli import main
-from welfarechoice.core import finite_diff_gradient
+from welfarechoice.core import NumericError, finite_diff_gradient
 from welfarechoice.modelspec import build_model
 from welfarechoice.rum import rum_sign_test
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
@@ -52,6 +52,17 @@ class TestScale:
             assert abs(twice.value(mu) - direct.value(mu)) <= 1e-10
             np.testing.assert_allclose(twice.gradient(mu),
                                        direct.gradient(mu), atol=1e-10)
+
+    def test_an_overflowing_mu_over_eta_is_refused(self):
+        # the inner model need not read utility differences, so scale does not
+        # shift; mu / eta past the float range gave NaN after a RuntimeWarning
+        scaled = scale(mnl_welfare(1.0, 3), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (scaled.value, scaled.gradient):
+                with pytest.raises(NumericError, match="mu / eta overflows"):
+                    call(np.array([1e308, 0.0, 0.0]))
+            assert scaled.value(np.array([8e307, 0.0, 0.0])) == 8e307
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,24 @@ class TestMNL:
             assert welfare.logsumexp(mu) == 1e308
             np.testing.assert_array_equal(welfare.softmax(mu), [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("mu", [[1e308, 0.0, 0.0], [1e308, -1e308, 0.0]])
+    def test_a_low_temperature_at_the_float_limit(self, mu):
+        # mu / eta overflowed before the shift, so w and q were NaN
+        m = mnl_welfare(0.5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.value(np.array(mu)) == 1e308
+            np.testing.assert_array_equal(m.gradient(np.array(mu)), [1.0, 0.0, 0.0])
+
+    def test_unit_temperature_keeps_its_bits(self):
+        # the shift then the division by eta = 1 is the unscaled formula, bit for bit
+        m = mnl_welfare(1.0, 4)
+        mu = np.random.default_rng(3).uniform(-30.0, 30.0, (200, 4))
+        top = mu.max(axis=-1, keepdims=True)
+        z = np.exp(mu - top)
+        np.testing.assert_array_equal(m.value(mu), np.log(z.sum(axis=-1)) + top[:, 0])
+        np.testing.assert_array_equal(m.gradient(mu), z / z.sum(axis=-1, keepdims=True))
+
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             mnl_welfare(0.0, 3)
