@@ -45,13 +45,14 @@ EXIT_NUMERIC = 3
 
 def _parse_points(texts: Sequence[str], field: str, n: Optional[int] = None) -> np.ndarray:
     """The vectors of a repeated option as an (m, n) array, refused unless there is
-    one or more, each finite with n entries (the first one's count when n is None)."""
+    one or more, each of n finite entries (the first one's count when n is None)
+    with no empty field."""
     if not texts:
         raise SpecError(field, "at least one point is required")
     points = []
     for text in texts:
         try:
-            vec = np.array([float(p) for p in text.replace(" ", "").split(",") if p])
+            vec = np.array([float(p) for p in text.replace(" ", "").split(",")])
         except ValueError as exc:
             raise SpecError(field, f"cannot parse vector {text!r}") from exc
         if not np.all(np.isfinite(vec)):
@@ -83,15 +84,17 @@ def _emit(out: Optional[str], lines: list[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".welfarechoice-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".welfarechoice-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # a directory that is missing or unwritable, or --out one
+        raise SpecError("--out", f"cannot write {out}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # the write did not finish
             os.unlink(tmp)
-        raise
     # wall-clock provenance goes to stderr so files stay byte-reproducible
     print(f"wrote {out} at {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=sys.stderr)
 

@@ -2,10 +2,10 @@
 
 Input validation, sum-constrained Newton steps and their bordered matrix,
 the damped Newton ascent that the RAM solver and the conjugate share,
-finite differences, 1-D quadrature, monotone root finding, and the seeded
-random-stream contract used by the Monte Carlo code. Everything here is
-pure given its inputs; random state is always created locally from an
-explicit seed.
+finite differences, 1-D quadrature, monotone root finding, the seeded
+random-stream contract used by the Monte Carlo code, and `keep_last`, the
+one-entry memo by which a representation keeps its last evaluation. The
+rest is pure given its inputs; random state is created from an explicit seed.
 
 This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
@@ -430,7 +430,22 @@ def mc_partitions(samples: int) -> Iterator[tuple[int, int, int]]:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    idx = 0
-    for start in range(0, samples, MC_CHUNK):
+    for idx, start in enumerate(range(0, samples, MC_CHUNK)):
         yield idx, start, min(start + MC_CHUNK, samples)
-        idx += 1
+
+
+def keep_last(compute: Callable) -> Callable:
+    """`compute` with its last result kept and returned, shared, to a call with
+    equal arguments: arrays compare by dtype, shape and bytes, the rest by ==.
+    The one entry is replaced whole; a call that raises keeps nothing."""
+    last = [(None, None)]  # (key, result); no key equals None
+
+    def kept(*args):
+        key = tuple((a.dtype.str, a.shape, a.tobytes()) if isinstance(a, np.ndarray)
+                    else a for a in args)
+        entry = last[0]  # read once, so a thread replacing it cannot split key from result
+        if entry[0] != key:
+            entry = last[0] = key, compute(*args)
+        return entry[1]
+
+    return kept

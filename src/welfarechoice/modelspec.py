@@ -214,8 +214,8 @@ def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SpecError("spec", f"file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, or not readable
+        raise SpecError("spec", f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError("spec", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 

@@ -33,9 +33,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (NumericError, as_symmetric, as_utilities, bisect_increasing,
-                   bordered, integrate_1d, newton_ascent, normal_cdf, normal_pdf,
-                   normal_quantile, positive_scale, rowdot)
-from .welfare import WelfareModel, batch_gradient, batch_value, logsumexp
+                   bordered, integrate_1d, keep_last, newton_ascent, normal_cdf,
+                   normal_pdf, normal_quantile, positive_scale, rowdot)
+from .welfare import WelfareModel, _shifted_exp, batch_gradient, batch_value
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
@@ -87,10 +87,12 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
         return eta * (1.0 + np.log(np.maximum(np.asarray(x, float), 1e-300)))
 
     def choice(t):
-        return np.exp(np.minimum(-np.asarray(t, float) / eta - 1.0, 0.0))
+        with np.errstate(over="ignore"):  # a t / eta past the float range: exp(-inf) = 0
+            return np.exp(np.minimum(-np.asarray(t, float) / eta - 1.0, 0.0))
 
-    def multiplier(mu):
-        return eta * (logsumexp(mu / eta) - 1.0)
+    def multiplier(mu):  # divides after the shift, so no finite mu overflows
+        z, m = _shifted_exp(mu, eta, -1)
+        return eta * (np.log(z.sum(axis=-1)) - 1.0) + m[..., 0]
 
     return Regularizer(n=n, value=value, gradient=gradient,
                        boundary_barrier=True,
@@ -598,35 +600,27 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
 def ram_welfare(reg: Regularizer) -> WelfareModel:
     """Wrap a regularizer as a WelfareModel (w from the solve, q = argmax).
 
-    `value` and `gradient` solve their whole point set in one call, and share
-    it: the last point set solved is kept, so asking for w and q at the same
-    points solves once. x = e_i gives w(mu) >= mu_i - V(e_i), so the
-    superlinear bounds are -V(e_i) when V is finite at every vertex, and
-    None otherwise (a barrier such as the log-barrier). The model keeps
-    `reg` as its `regularizer`, whose V and grad V `duality` reads.
+    `value` and `gradient` solve their whole point set in one call, kept by
+    `core.keep_last`, so w and q at the same points cost one solve. As x = e_i
+    gives w(mu) >= mu_i - V(e_i), the superlinear bounds are -V(e_i) when V is
+    finite at every vertex, else None (a barrier such as the log-barrier). The
+    model keeps `reg` as its `regularizer`, whose V and grad V `duality` reads.
     """
-    last = [None]  # (key, x) of the last point set, replaced whole
-
-    def solve(mu):
-        flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
-        key = (flat.shape, flat.tobytes())
-        entry = last[0]
-        if entry is None or entry[0] != key:
-            x, _, converged = _argmax(reg, flat)
-            if not np.all(converged):
-                bad = flat[int(np.argmin(converged))]
-                raise NumericError(f"solver did not converge for {reg.name} at mu={bad}")
-            entry = last[0] = (key, x)
-        return flat, entry[1]
+    @keep_last
+    def solve(flat):
+        x, _, converged = _argmax(reg, flat)
+        if not np.all(converged):
+            bad = flat[int(np.argmin(converged))]
+            raise NumericError(f"solver did not converge for {reg.name} at mu={bad}")
+        return x
 
     def value(mu):
-        flat, x = solve(mu)
-        w = _objective(reg, flat, x)
+        flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
+        w = _objective(reg, flat, solve(flat))
         return float(w[0]) if np.ndim(mu) == 1 else w.reshape(np.shape(mu)[:-1])
 
     def gradient(mu):
-        _, x = solve(mu)
-        return x.reshape(np.shape(mu)).copy()
+        return solve(as_utilities(mu, reg.n).reshape(-1, reg.n)).reshape(np.shape(mu)).copy()
 
     vertices = batch_value(reg, np.eye(reg.n))
     bounds = -vertices if np.all(np.isfinite(vertices)) else None

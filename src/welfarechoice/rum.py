@@ -11,22 +11,21 @@ winner counts and the sums of the row maximum and its square at a point,
 comparing and adding as `np.max` and `np.argmax` do; `_means` adds a point's
 tallies in partition order. `mc_estimates` draws each partition once for a
 stack of points, and `mc_welfare_model` tallies the slices of its frozen panel.
-
-A sampler keeps its last run, as `ram.ram_welfare` keeps its last solve, so
-`mc_choice_probs` then `mc_welfare` at one point, samples and seed simulate
-once; this needs `NoiseSampler.draw` to be a function of `(rng, size)` alone.
+Each keeps its last run by `core.keep_last`, as `ram.ram_welfare` keeps its last
+solve: `mc_choice_probs` then `mc_welfare` with one sampler, point, samples and
+seed simulate once, since `NoiseSampler.draw` is a function of `(rng, size)` alone.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (NumericError, as_utilities, as_utility_of, mc_partitions,
+from .core import (NumericError, as_utilities, as_utility_of, keep_last, mc_partitions,
                    normal_quantile, positive_scale, stream_rng)
 from .duality import inverse_from_V, strict_V
 from .welfare import SignTestReport, WelfareModel, _sign_test, batch_gradient
@@ -46,14 +45,12 @@ class NoiseSampler:
     families are generated by inverse-CDF transforms of uniforms, applied in
     place to the uniforms' array, so a stream's draws are fully determined by
     its generator state. `draw` must be a function of `(rng, size)` alone, as
-    the built-ins are: `last_run` keeps the key and estimates of the
-    sampler's last `mc_estimates` call, replaced whole, for reuse.
+    the built-ins are, since equal samplers share the kept run of `mc_estimates`.
     """
 
     n: int
     family: str
     draw: Callable[[np.random.Generator, int], np.ndarray]
-    last_run: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def gumbel_sampler(eta: float, n: int) -> NoiseSampler:
@@ -109,10 +106,8 @@ def _thread_count() -> int:
     try:
         val = int(os.environ.get(THREADS_ENV, "1"))
     except ValueError:
-        val = 1
-    if val == 0:
-        return os.cpu_count() or 1
-    return max(1, val)
+        return 1
+    return (os.cpu_count() or 1) if val == 0 else max(1, val)
 
 
 def _run_partitions(worker, seed: int, samples: int) -> list:
@@ -195,32 +190,30 @@ def _finite(mean_max):
     return mean_max
 
 
+@keep_last
+def _run(sampler: NoiseSampler, samples: int, seed: int, stack: np.ndarray) -> list:
+    def worker(rng, size):
+        # one copy, then every point's passes read each row in order
+        cols = np.ascontiguousarray(sampler.draw(rng, size).T)
+        return [_tally(mu, cols) for mu in stack]
+
+    return [_estimates(tallies, samples, seed)
+            for tallies in zip(*_run_partitions(worker, seed, samples))]
+
+
 def mc_estimates(sampler: NoiseSampler, points, samples: int,
                  seed: int) -> list[tuple[MCProbabilities, MCWelfare]]:
     """Choice probabilities and welfare at each of a stack of points.
 
     Each partition is drawn once and tallied against every point, so a
     point's estimates are the ones a run at that point alone gives. The
-    sampler keeps the last run: the same points, samples and seed are not
-    drawn again, each call gets its own arrays, and a run that raises is
-    not kept.
+    last run is kept by `core.keep_last`: an equal sampler with the same
+    points, samples and seed is not drawn again, each call gets its own
+    arrays, and a run that raises is not kept.
     """
-    mus = [as_utility_of(mu, sampler.n) for mu in points]
-
-    def worker(rng, size):
-        # one copy, then every point's passes read each row in order
-        cols = np.ascontiguousarray(sampler.draw(rng, size).T)
-        return [_tally(mu, cols) for mu in mus]
-
-    stack = np.array(mus)
-    key = (samples, seed, stack.shape, stack.tobytes())
-    last = sampler.last_run
-    if last is None or last[0] != key:
-        last = (key, [_estimates(tallies, samples, seed)
-                      for tallies in zip(*_run_partitions(worker, seed, samples))])
-        object.__setattr__(sampler, "last_run", last)  # frozen: the one kept field
+    stack = np.array([as_utility_of(mu, sampler.n) for mu in points])
     return [(replace(p, probs=p.probs.copy(), std_errors=p.std_errors.copy()), w)
-            for p, w in last[1]]
+            for p, w in _run(sampler, samples, seed, stack)]
 
 
 def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
@@ -407,17 +400,15 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
     for idx, block in enumerate(blocks):
         block[...] = sampler.draw(stream_rng(seed, idx), block.shape[1]).T
 
-    last = [(None, None)]  # (key, (probs, means)) of the last stack, replaced whole
+    @keep_last  # the last stack's (probs, means)
+    def tally(mu):
+        probs, means = np.empty(mu.shape), np.empty(mu.shape[:-1])
+        for k in np.ndindex(means.shape):
+            probs[k], means[k], _ = _means((_tally(mu[k], b) for b in blocks), samples)
+        return probs, means
 
     def estimates(points):
-        mu = as_utilities(points, sampler.n)
-        key = (mu.shape, mu.tobytes())
-        if last[0][0] != key:
-            probs, means = np.empty(mu.shape), np.empty(mu.shape[:-1])
-            for k in np.ndindex(means.shape):
-                probs[k], means[k], _ = _means((_tally(mu[k], b) for b in blocks), samples)
-            last[0] = key, (probs, means)
-        return last[0][1]
+        return tally(as_utilities(points, sampler.n))
 
     return WelfareModel(n=sampler.n, name=f"mc[{sampler.family}]",
                         value=lambda mu: _finite(estimates(mu)[1]).copy()[()],

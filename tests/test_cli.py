@@ -169,6 +169,15 @@ class TestEval:
         row = capsys.readouterr().out.splitlines()[-1].split(",")
         assert row[3:] == ["1e+308", "1", "0", "0"]
 
+    def test_entropy_ram_at_a_low_temperature_and_the_float_limit(self, spec_file, capsys):
+        # the closed-form multiplier divided mu by eta before the shift: exit 3
+        # on "overflow encountered in divide"
+        spec = spec_file({"kind": "ram_entropy", "n": 3, "eta": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--spec", spec, "--mu", "1e308,0,0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1e+308,0,0,1e+308,1,0,0"
+
     def test_scaled_logit_past_the_float_limit_exits_3(self, spec_file, capsys):
         spec = spec_file({"kind": "transform_scale", "eta": 0.5, "inner": MNL3})
         with warnings.catch_warnings():
@@ -631,6 +640,10 @@ class TestPointLists:
         (None, ["rum", "--mu", "0,0", "--mu", "0,0,0"], "--mu: expected 2 entries, got 3"),
         (None, ["rum"], "--mu: at least one point is required"),
         (MNL2_SPEC, ["rum", "--mu", "0,0,0"], "--mu: expected 2 entries, got 3"),
+        # an empty field was dropped: 1,,2,3 read as (1, 2, 3)
+        (MNL3, ["eval", "--mu", "1,,2,3"], "--mu: cannot parse vector '1,,2,3'"),
+        (MNL3, ["eval", "--mu", "1,2,3,"], "--mu: cannot parse vector '1,2,3,'"),
+        (MNL3, ["convert", *W_TO_V, "--x", ",0.5,0.5"], "--x: cannot parse vector ',0.5,0.5'"),
     ])
     def test_bad_point_lists_exit_2_naming_the_field(self, spec_file, capsys, spec, argv,
                                                      message):
@@ -639,6 +652,26 @@ class TestPointLists:
             argv = [argv[0], option, spec_file(spec), *argv[1:]]
         assert main(argv) == 2
         assert f"input error: {message}" in capsys.readouterr().err
+
+
+class TestUnusablePaths:
+    """A spec that cannot be read or an --out that cannot be written is an input
+    error naming the option; a directory as --spec and an --out in a missing
+    directory exited 3, as numeric failures."""
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_an_out_that_cannot_be_written_exits_2(self, spec_file, tmp_path, capsys, where):
+        out = tmp_path / "no-such-dir" / "eval.csv" if where == "missing" else tmp_path
+        assert main(["eval", "--spec", spec_file(MNL3), "--mu", "0,0,0",
+                     "--out", str(out)]) == 2
+        assert f"input error: --out: cannot write {out}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]  # no temporary left
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_a_spec_that_cannot_be_read_exits_2(self, tmp_path, capsys, where):
+        spec = tmp_path / "missing.json" if where == "missing" else tmp_path
+        assert main(["eval", "--spec", str(spec), "--mu", "0,0,0"]) == 2
+        assert f"input error: spec: cannot read {spec}" in capsys.readouterr().err
 
 
 class TestInProcessCalls:

@@ -213,6 +213,48 @@ class TestRandomStreams:
             assert stop == start and i2 == i1 + 1
 
 
+class TestKeepLast:
+    """One kept entry: equal arguments return the kept object without a call."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def compute(*args):
+            calls.append(args)
+            return f(*args)
+
+        return core.keep_last(compute), calls
+
+    def test_equal_arguments_return_the_kept_object(self):
+        kept, calls = self.counted(lambda x, k: [x.sum() * k])
+        first = kept(np.arange(6.0), 2)
+        again = kept(np.arange(6.0), 2)  # another array, equal bytes
+        assert again is first and len(calls) == 1
+
+    @pytest.mark.parametrize("first, other", [
+        ((np.arange(6.0), 2), (np.arange(6.0).reshape(2, 3), 2)),  # the same bytes
+        ((np.zeros(3), 2), (np.zeros(3, dtype=np.int64), 2)),  # the same bytes
+        ((np.arange(6.0), 2), (np.arange(6.0), 3)),
+        ((np.zeros(3), 2), (-np.zeros(3), 2)),
+    ], ids=["shape", "dtype", "non-array", "signed-zero"])
+    def test_other_arguments_call_again(self, first, other):
+        kept, calls = self.counted(lambda x, k: [x.sum() * k])
+        kept_first = kept(*first)
+        assert kept(*other) is not kept_first and len(calls) == 2
+
+    def test_a_call_that_raises_keeps_the_previous_entry(self):
+        def compute(x):
+            if x[0] < 0:
+                raise ValueError("refused")
+            return [x.copy()]
+
+        kept, calls = self.counted(compute)
+        first = kept(np.ones(2))
+        with pytest.raises(ValueError, match="refused"):
+            kept(-np.ones(2))
+        assert kept(np.ones(2)) is first and len(calls) == 2
+
 
 def _scale_constructors():
     from welfarechoice import ram, rum, transforms, welfare
