@@ -154,9 +154,8 @@ def cmd_figure(args) -> int:
     model = demo_brand_model().model
     lo, hi, step = -10.0, 5.0, 0.01
     steps = int(round((hi - lo) / step)) + 1
-    table = scan_line(model, np.array([0.0, 0.0, 3.0]), i=0, j=1,
-                      lo=lo, hi=hi, steps=steps)
-    rows = [[r.mu_i, r.q_j, r.label] for r in table]
+    rows = scan_line(model, np.array([0.0, 0.0, 3.0]), i=0, j=1,
+                     lo=lo, hi=hi, steps=steps)
     _csv("figure", {"example": 3, "grid": [lo, hi, step],
                     "mu2": 0.0, "mu3": 3.0},
          ["mu1", "q2", "classification"], rows, args.out)

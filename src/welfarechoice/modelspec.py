@@ -216,6 +216,8 @@ def load_spec(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:  # missing, a directory, or not readable
         raise SpecError("spec", f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError("spec", f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise SpecError("spec", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,8 +104,7 @@ def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
                               symmetric=symmetric)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     mu_i: float
     q_j: float
     label: str
@@ -130,8 +129,7 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     labels = np.full(steps, INDETERMINATE, dtype=object)
     labels[1:-1][slopes > DEAD_ZONE] = COMPLEMENTARY
     labels[1:-1][slopes < -DEAD_ZONE] = SUBSTITUTABLE
-    return [ScanRow(mu_i=t, q_j=q, label=label)
-            for t, q, label in zip(grid.tolist(), q_vals.tolist(), labels.tolist())]
+    return list(map(ScanRow, grid.tolist(), q_vals.tolist(), labels.tolist()))
 
 
 @dataclass(frozen=True)

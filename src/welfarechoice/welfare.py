@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, _evaluate, finite_diff_gradient, mixed_partial,
+from .core import (NumericError, _evaluate, finite_diff_jacobian, mixed_partial,
                    positive_scale, stream_rng)
 
 if TYPE_CHECKING:
@@ -60,8 +60,7 @@ def pointwise(f: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], np.nd
     The lifted function calls `f` directly on a 1-D input and once per row
     of the leading axes otherwise, stacking the results in row order. An
     empty stack makes no call and gives shape (...), whatever `f` returns;
-    `batch_value` and `batch_gradient` never reach that case, since
-    `core._evaluate` makes no call on an empty stack.
+    `core._evaluate`, and so `batch_value` and `batch_gradient`, never pass one.
     """
 
     def lifted(mu):
@@ -195,16 +194,14 @@ def log_sum_welfare(weights: Sequence[Sequence[float]],
 
 @dataclass(frozen=True)
 class GEVGenerator:
-    """Generator function H for an extreme-value model.
-
-    H maps the positive orthant to nonnegative reals and must be homogeneous
-    of degree 1/eta. `partials` optionally supplies the first-order partial
-    derivatives H_i; without them the model gradient falls back to finite
-    differences of the welfare function.
-    """
+    """Generator function H for an extreme-value model, homogeneous of
+    degree 1/eta. H maps positive y of shape (..., n) to H(y) >= 0 of shape
+    (...), and the optional `partials` maps y to H_i of shape (..., n): both
+    broadcast as a `WelfareModel`'s functions do. Without `partials`, q is
+    read from central differences of H in log y."""
 
     eta: float
-    H: Callable[[np.ndarray], float]
+    H: Callable[[np.ndarray], np.ndarray]
     partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -281,69 +278,72 @@ def check_generator_signs(gen: GEVGenerator, n: int, samples: int = 30,
     [0.3, 2.5]^n. A generator that passes defines an extreme-value noise
     model; one that fails still defines a welfare function, just without
     the random-utility interpretation."""
+    if n < 1:
+        raise ValueError("need at least one alternative")
     if not 1 <= max_order <= 3:
         raise ValueError("max_order must be in {1, 2, 3}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     points = stream_rng(seed).uniform(0.3, 2.5, size=(samples, n))
-    return _sign_test(pointwise(gen.H), points, range(1, max_order + 1))
+    return _sign_test(gen.H, points, range(1, max_order + 1))
 
 
 def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
     """Welfare w(mu) = eta * log H(e^{mu_1}, ..., e^{mu_n}).
 
-    The generator is validated on random positive points: H >= 0 and
-    |H(alpha y) - alpha^{1/eta} H(y)| <= 1e-8 (1 + |H(y)|).
-
-    A generator is nondecreasing, so H(e^mu) >= H(e^{mu_i} e_i)
-    = e^{mu_i / eta} H(e_i) by homogeneity, which gives the superlinear
-    bound w(mu) >= mu_i + eta * log H(e_i). It is recorded when every
-    H(e_i) is positive.
+    H is validated at random positive points (y, then alpha, per sample;
+    the first failure named): H >= 0 and |H(alpha y) - alpha^{1/eta} H(y)|
+    <= 1e-8 (1 + |H(y)|). A stack is one H call at y = e^s, s = mu - max mu
+    (floored where it overflows), and w = eta log H(y) + max mu. With
+    `partials`, q = eta y H_i / H; without, d_i = y_i H_i is the central
+    difference of H(e^s) in s_i (step 1e-5), and q = d / sum d sums to 1,
+    as Euler's identity gives sum d = H / eta. A nondecreasing homogeneous
+    H has H(e^mu) >= e^{mu_i / eta} H(e_i), which gives the superlinear
+    bound w(mu) >= mu_i + eta log H(e_i), recorded when every H(e_i) > 0.
     """
     positive_scale(gen.eta, "eta")
-    rng = stream_rng(GEV_VALIDATION_SEED)
-    for _ in range(GEV_VALIDATION_SAMPLES):
-        y = rng.uniform(0.05, 3.0, size=n)
-        hy = gen.H(y)
-        if not np.isfinite(hy) or hy < 0:
-            raise GeneratorInvalidError(f"H({y}) = {hy!r} is not nonnegative")
-        alpha = rng.uniform(0.5, 2.0)
-        scaled = gen.H(alpha * y)
-        if abs(scaled - alpha ** (1.0 / gen.eta) * hy) > 1e-8 * (1.0 + abs(hy)):
-            raise GeneratorInvalidError(
-                f"H is not homogeneous of degree 1/eta at alpha={alpha:.4f}, y={y}")
-
+    if n < 1:
+        raise ValueError("need at least one alternative")
     eta = gen.eta
+    # a row per sample: its y, then its alpha, each scaled as rng.uniform scales it
+    u = stream_rng(GEV_VALIDATION_SEED).random((GEV_VALIDATION_SAMPLES, n + 1))
+    y, alpha = 0.05 + (3.0 - 0.05) * u[:, :n], 0.5 + (2.0 - 0.5) * u[:, n]
+    hy, scaled = _evaluate(gen.H, y), _evaluate(gen.H, alpha[:, None] * y)
+    with np.errstate(invalid="ignore"):  # a non-finite H is refused below
+        negative = ~np.isfinite(hy) | (hy < 0)
+        bad = negative | (np.abs(scaled - alpha ** (1.0 / eta) * hy) > 1e-8 * (1.0 + np.abs(hy)))
+    k = int(np.argmax(bad))  # the first failing sample, if any
+    if negative[k]:
+        raise GeneratorInvalidError(f"H({y[k]}) = {float(hy[k])!r} is not nonnegative")
+    if bad[k]:
+        raise GeneratorInvalidError(
+            f"H is not homogeneous of degree 1/eta at alpha={alpha[k]:.4f}, y={y[k]}")
 
-    def value_at(mu):
-        mu = np.asarray(mu, float)
-        shift = float(np.max(mu))
-        # homogeneity: H(e^mu) = e^{shift/eta} H(e^{mu - shift})
-        h = gen.H(np.exp(mu - shift))
-        if h <= 0:
+    def log_y(mu):  # (s, max mu)
+        m = np.max(mu, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):
+            return np.maximum(mu - m, -np.finfo(float).max), m[..., 0]
+
+    def value(mu):
+        s, m = log_y(mu)
+        h = _evaluate(gen.H, np.exp(s))
+        if np.any(h <= 0):
             raise GeneratorInvalidError("H vanished at an evaluation point")
-        return eta * np.log(h) + shift
+        return eta * np.log(h) + m
 
-    if gen.partials is not None:
-        def gradient_at(mu):
-            mu = np.asarray(mu, float)
-            shift = float(np.max(mu))
-            y = np.exp(mu - shift)
-            h = gen.H(y)
-            return eta * y * gen.partials(y) / h
-    else:
-        def gradient_at(mu):
-            return finite_diff_gradient(pointwise(value_at), mu)
+    def gradient(mu):
+        s = log_y(mu)[0]
+        if gen.partials is None:
+            d = finite_diff_jacobian(lambda t: _evaluate(gen.H, np.exp(t)), s, 1e-5)
+            return d / d.sum(axis=-1, keepdims=True)
+        y = np.exp(s)
+        return eta * y * _evaluate(gen.partials, y, (n,)) / _evaluate(gen.H, y)[..., None]
 
-    lifted = pointwise(gradient_at)  # reshaped to its point's shape, an empty stack's too
     with np.errstate(divide="ignore", invalid="ignore"):
-        corners = np.array([gen.H(e) for e in np.eye(n)], dtype=float)
-    bounds = None
-    if np.all(np.isfinite(corners) & (corners > 0.0)):
-        bounds = eta * np.log(corners)
-    return WelfareModel(n=n, value=pointwise(value_at),
-                        gradient=lambda mu: np.reshape(lifted(mu), np.shape(mu)),
-                        superlinear_bounds=bounds, name=f"gev(eta={eta:g})")
+        corners = _evaluate(gen.H, np.eye(n))
+    ok = np.all(np.isfinite(corners) & (corners > 0.0))
+    return WelfareModel(n=n, value=value, gradient=gradient, name=f"gev(eta={eta:g})",
+                        superlinear_bounds=eta * np.log(corners) if ok else None)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def test_criterion_01_entropy_ram_matches_mnl():
 def gradient_identity_cases():
     coupled_cov = 9.0 * np.eye(3) + 0.9 * (np.ones((3, 3)) - np.eye(3))
     power_sum = wc.GEVGenerator(
-        eta=1.0, H=lambda y: float(np.sum(y)),
+        eta=1.0, H=lambda y: np.sum(y, axis=-1),
         partials=lambda y: np.ones_like(y))
     return [
         ("mnl", wc.mnl_welfare(1.0, 4), 5.0, 1e-5),
@@ -106,7 +106,7 @@ def shipped_models():
     return [
         wc.mnl_welfare(1.0, 3),
         wc.nested_logit_welfare([[0, 1], [2]], [0.5, 1.0], 3),
-        wc.gev_welfare(wc.GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)),
+        wc.gev_welfare(wc.GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1),
                                        partials=lambda y: np.ones_like(y)), 3),
         brand_model(),
         wc.ram_welfare(wc.entropy_regularizer(1.0, 3)),

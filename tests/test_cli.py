@@ -673,6 +673,13 @@ class TestUnusablePaths:
         assert main(["eval", "--spec", str(spec), "--mu", "0,0,0"]) == 2
         assert f"input error: spec: cannot read {spec}" in capsys.readouterr().err
 
+    def test_a_spec_that_is_not_utf8_exits_2_naming_the_option(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b"\xff\xfe\x00")
+        assert main(["eval", "--spec", str(spec), "--mu", "0,0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: spec: cannot read {spec}: not UTF-8"), err
+
 
 class TestInProcessCalls:
     """`main` builds its parser once per process; a call leaves nothing behind."""

@@ -29,7 +29,7 @@ MODELS = {
     "gev_custom": lambda: build_model(
         {"kind": "gev_custom", "eta": 1.0, "exponents": BRAND}).model,
     "gev_without_partials": lambda: gev_welfare(
-        GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2))), 3),
+        GEVGenerator(eta=0.5, H=lambda y: np.sum(y ** 2, axis=-1)), 3),
     "scale": lambda: scale(mnl_welfare(1.0, 3), 2.0),
     "mix_repeated_index": lambda: mix(
         [MixtureComponent(mnl_welfare(1.0, 2), (0, 0), 0.5),
@@ -64,7 +64,6 @@ def test_batch_matches_per_point_calls_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_an_empty_stack_gives_empty_results_without_a_call(kind):
-    # a per-point model (gev_welfare without partials) raised the contract error
     model = MODELS[kind]()
     calls = []
 

@@ -261,7 +261,7 @@ def _scale_constructors():
     return {
         "mnl_welfare": lambda v: welfare.mnl_welfare(v, 3),
         "gev_welfare": lambda v: welfare.gev_welfare(
-            welfare.GEVGenerator(eta=v, H=lambda y: float(np.sum(y ** (1.0 / v)))), 3),
+            welfare.GEVGenerator(eta=v, H=lambda y: np.sum(y ** (1.0 / v), axis=-1)), 3),
         "transforms.scale": lambda v: transforms.scale(welfare.mnl_welfare(1.0, 3), v),
         "entropy_regularizer": lambda v: ram.entropy_regularizer(v, 3),
         "exponential_marginal": ram.exponential_marginal,

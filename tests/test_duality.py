@@ -2,12 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from welfarechoice import duality
-from welfarechoice.core import finite_diff_jacobian, newton_step
+from welfarechoice.core import finite_diff_gradient, finite_diff_jacobian, newton_step
 from welfarechoice.duality import (ASCENT_MAX_ITER, GRAD_TOL, RESIDUAL_TOL, ConvergenceError,
                                    anchor_family, conjugate_V, invert_choice,
                                    semiparametric_sup, simplex_grid,
@@ -20,7 +21,7 @@ from welfarechoice.rum import gumbel_sampler, mc_welfare_model
 from welfarechoice.substitution import substitutable_model_check
 from welfarechoice.transforms import MixtureComponent, mix
 from welfarechoice.welfare import (GEVGenerator, WelfareModel, gev_welfare, log_sum_welfare,
-                                   mnl_welfare, nested_logit_welfare)
+                                   mnl_welfare, nested_logit_welfare, pointwise)
 
 COUPLING = np.array([[3.0, 2.0, 0.0],
                      [2.0, 3.0, 2.0],
@@ -240,7 +241,11 @@ FALLBACK_TARGET = np.array([0.626576392, 1.74518780e-5, 0.373406156]) / 0.999999
 
 
 def fd_gev():
-    return gev_welfare(GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2))), 3)
+    """A GEV model whose q is the central difference of w, one point at a
+    time, so q need not sum to 1: the ascent reaches FALLBACK_TARGET
+    through fallback steps."""
+    model = gev_welfare(GEVGenerator(eta=0.5, H=lambda y: np.sum(y ** 2, axis=-1)), 3)
+    return replace(model, gradient=pointwise(lambda mu: finite_diff_gradient(model.value, mu)))
 
 
 STACKS = {
@@ -279,6 +284,12 @@ class TestStackedAscent:
         assert 0 < np.count_nonzero(res > RESIDUAL_TOL) < len(x)
         _, want_res, _, fallbacks = per_point_ascend(fd_gev(), FALLBACK_TARGET)
         assert fallbacks > 0 and want_res <= GRAD_TOL
+
+    def test_the_gev_reaches_the_fallback_target_by_newton_steps_alone(self):
+        # its own q sums to 1 by construction, so no step falls back
+        model = gev_welfare(GEVGenerator(eta=0.5, H=lambda y: np.sum(y ** 2, axis=-1)), 3)
+        _, res, _, fallbacks = per_point_ascend(model, FALLBACK_TARGET)
+        assert fallbacks == 0 and res <= GRAD_TOL
 
     def test_convergence_error_flags_exactly_the_unreachable_rows(self):
         model = partial_mix()

@@ -20,7 +20,8 @@ from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV, MCWelfare
                                gumbel_sampler, logistic_sampler,
                                mc_choice_probs, mc_estimates, mc_welfare,
                                mc_welfare_model, normal_sampler, rum_sign_test)
-from welfarechoice.welfare import WelfareModel, batch_value, log_sum_welfare, mnl_welfare
+from welfarechoice.welfare import (GEVGenerator, WelfareModel, batch_value, gev_welfare,
+                                   log_sum_welfare, mnl_welfare)
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
@@ -510,6 +511,15 @@ RAM2 = [{"kind": "ram_entropy", "n": 2, "eta": 1.0},
 class TestBinaryConstruction:
     def test_mnl_slice_derivative_is_logistic_cdf(self):
         construction = binary_rum_from_welfare(mnl_welfare(1.0, 2))
+        grid = np.linspace(-25.0, 25.0, 1001)
+        logistic = 1.0 / (1.0 + np.exp(-grid))
+        assert np.max(np.abs(construction.xi_cdf(grid) - logistic)) <= 1e-10
+
+    def test_a_gev_logit_without_partials_gives_the_logistic_cdf(self):
+        # its q sums to 1 by construction, so q_1 neither exceeds 1 nor drops
+        # along the grid by more than the construction's slack
+        gm = gev_welfare(GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1)), 2)
+        construction = binary_rum_from_welfare(gm)
         grid = np.linspace(-25.0, 25.0, 1001)
         logistic = 1.0 / (1.0 + np.exp(-grid))
         assert np.max(np.abs(construction.xi_cdf(grid) - logistic)) <= 1e-10

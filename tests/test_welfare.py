@@ -173,7 +173,7 @@ class TestGEV:
     def test_power_sum_generator_reproduces_mnl(self):
         for eta in (0.5, 1.0, 2.0):
             gen = GEVGenerator(eta=eta,
-                               H=lambda y, e=eta: float(np.sum(y ** (1.0 / e))),
+                               H=lambda y, e=eta: np.sum(y ** (1.0 / e), axis=-1),
                                partials=lambda y, e=eta: y ** (1.0 / e - 1.0) / e)
             gm = gev_welfare(gen, 3)
             m = mnl_welfare(eta, 3)
@@ -189,7 +189,7 @@ class TestGEV:
         blocks = [[0, 1], [2]]
 
         def H(y):
-            return sum(float(np.sum(y[b] ** (1.0 / l)) ** l)
+            return sum(np.sum(y[..., b] ** (1.0 / l), axis=-1) ** l
                        for b, l in zip(blocks, lam))
 
         gm = gev_welfare(GEVGenerator(eta=1.0, H=H), 3)
@@ -203,7 +203,7 @@ class TestGEV:
 
     def test_brand_generator_matches_log_sum_model(self):
         def H(y):
-            return float(y[0] + y[1] + y[2] + np.sqrt(y[0] * y[1]))
+            return y[..., 0] + y[..., 1] + y[..., 2] + np.sqrt(y[..., 0] * y[..., 1])
 
         gm = gev_welfare(GEVGenerator(eta=1.0, H=H), 3)
         direct = brand_model()
@@ -213,12 +213,12 @@ class TestGEV:
             assert abs(gm.value(mu) - direct.value(mu)) <= 1e-8
 
     def test_non_homogeneous_generator_rejected(self):
-        bad = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y) + 1.0))
+        bad = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1) + 1.0)
         with pytest.raises(GeneratorInvalidError):
             gev_welfare(bad, 3)
 
     def test_negative_generator_rejected(self):
-        bad = GEVGenerator(eta=1.0, H=lambda y: float(y[0] - y[1]))
+        bad = GEVGenerator(eta=1.0, H=lambda y: y[..., 0] - y[..., 1])
         with pytest.raises(GeneratorInvalidError):
             gev_welfare(bad, 2)
 
@@ -226,10 +226,10 @@ class TestGEV:
         # the power sum has alternating partials; the shared-brand term has
         # a positive second cross partial, so its model has no
         # random-utility interpretation even though it is a valid welfare
-        power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        power = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1))
         assert check_generator_signs(power, 3).passed
-        shared = GEVGenerator(
-            eta=1.0, H=lambda y: float(y[0] + y[1] + y[2] + np.sqrt(y[0] * y[1])))
+        shared = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1)
+                              + np.sqrt(y[..., 0] * y[..., 1]))
         rep = check_generator_signs(shared, 3)
         assert not rep.passed
         assert rep.verdict(1).passed and rep.verdict(3).passed
@@ -239,7 +239,7 @@ class TestGEV:
         gev_welfare(shared, 3)
 
     def test_sign_report_has_one_verdict_per_order(self):
-        power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        power = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1))
         rep = check_generator_signs(power, 3, samples=10, max_order=2)
         assert rep.max_order == 2
         assert [v.order for v in rep.verdicts] == [1, 2]
@@ -249,12 +249,12 @@ class TestGEV:
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_sign_report_refuses_no_samples(self, samples):
-        power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        power = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1))
         with pytest.raises(ValueError, match="samples"):
             check_generator_signs(power, 3, samples=samples)
 
     def test_sign_report_refuses_high_orders(self):
-        power = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        power = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1))
         with pytest.raises(ValueError):
             check_generator_signs(power, 3, max_order=4)
 
@@ -301,20 +301,46 @@ class TestGEV:
         assert abs(conjugate_V(model, x) - float(np.sum(x * np.log(x)))) <= 1e-6
         assert len(calls) < 100
 
-    def test_gradient_without_partials_is_fd_of_value(self):
-        gen = GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2)))
+    def test_gradient_without_partials_sums_to_one_and_is_fd_of_value(self):
+        # q = d / sum d, d the log-space differences of H, whose sum is H / eta
+        gen = GEVGenerator(eta=0.5, H=lambda y: np.sum(y ** 2, axis=-1))
         gm = gev_welfare(gen, 3)
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            mu = rng.uniform(-3, 3, 3)
-            np.testing.assert_array_equal(
-                gm.gradient(mu), core.finite_diff_gradient(gm.value, mu))
+        mu = np.random.default_rng(11).uniform(-3, 3, (10, 3))
+        q = gm.gradient(mu)
+        assert np.max(np.abs(q.sum(axis=-1) - 1.0)) <= 1e-15
+        np.testing.assert_allclose(q, core.finite_diff_gradient(gm.value, mu), rtol=0, atol=1e-9)
+
+    def test_a_spread_past_the_float_range_keeps_its_answer(self):
+        # mu - max mu overflows at -1e308 - 1e308: floored, so y = 0 there
+        for partials in (None, lambda y: 2.0 * y):
+            gm = gev_welfare(GEVGenerator(eta=0.5, H=lambda y: np.sum(y ** 2, axis=-1),
+                                          partials=partials), 3)
+            mu = np.array([1e308, -1e308, 0.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                w, q = gm.value(mu), gm.gradient(mu)
+            assert w == 1e308
+            assert q.tolist() == [1.0, 0.0, 0.0]
+
+    def test_a_per_point_generator_gets_the_contract_error(self):
+        gen = GEVGenerator(eta=1.0, H=lambda y: float(np.sum(y)))
+        with pytest.raises(ValueError, match="pointwise"):
+            gev_welfare(gen, 3)
+        gm = gev_welfare(replace(gen, H=welfare.pointwise(gen.H)), 3)
+        np.testing.assert_allclose(gm.gradient(np.zeros(3)), np.full(3, 1.0 / 3), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_alternatives_refused(self, n):
+        gen = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1))
+        with pytest.raises(ValueError, match="at least one alternative"):
+            gev_welfare(gen, n)
+        with pytest.raises(ValueError, match="at least one alternative"):
+            check_generator_signs(gen, n)
 
     @pytest.mark.parametrize("partials", [None, lambda y: 4.0 * y], ids=["fd", "partials"])
     def test_gradient_of_an_empty_stack_has_the_stack_shape(self, partials):
-        # a per-point function lifted by pointwise returns shape (...) on an
-        # empty stack; a gradient keeps its point's shape
-        gm = gev_welfare(GEVGenerator(eta=0.5, H=lambda y: float(np.sum(y ** 2)),
+        # a gradient keeps its point's shape, an empty stack's too
+        gm = gev_welfare(GEVGenerator(eta=0.5, H=lambda y: np.sum(y ** 2, axis=-1),
                                       partials=partials), 3)
         assert gm.gradient(np.empty((0, 3))).shape == (0, 3)
         assert gm.gradient(np.empty((2, 0, 3))).shape == (2, 0, 3)
