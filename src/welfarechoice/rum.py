@@ -8,12 +8,15 @@ welfare models with a random-utility representation from those without.
 
 One estimator: `_tally` reduces a partition's draws, laid out (n, size), to
 winner counts and the sums of the row maximum and its square at a point,
-comparing and adding as `np.max` and `np.argmax` do; `_means` adds a point's
-tallies in partition order. `mc_estimates` draws each partition once for a
-stack of points, and `mc_welfare_model` tallies the slices of its frozen panel.
-Each keeps its last run by `core.keep_last`, as `ram.ram_welfare` keeps its last
-solve: `mc_choice_probs` then `mc_welfare` with one sampler, point, samples and
-seed simulate once, since `NoiseSampler.draw` is a function of `(rng, size)` alone.
+comparing and adding as `np.max` and `np.argmax` do; `_run` draws each
+partition once for a stack of points and adds its tallies in partition order.
+`mc_estimates` and `mc_welfare_model` both read `_run`, which keeps its last
+run by `core.keep_last`, as `ram.ram_welfare` keeps its last solve. So
+`mc_choice_probs` then `mc_welfare` with one sampler, point, samples and seed
+simulate once, and a model's `value` and `gradient` at one stack share one
+run. A new stack draws every partition again from its fixed stream, so memory
+is bounded per running partition (O(MC_CHUNK n)), not by `samples`; both rest
+on `NoiseSampler.draw` being a function of `(rng, size)` alone.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class NoiseSampler:
     families are generated by inverse-CDF transforms of uniforms, applied in
     place to the uniforms' array, so a stream's draws are fully determined by
     its generator state. `draw` must be a function of `(rng, size)` alone, as
-    the built-ins are, since equal samplers share the kept run of `mc_estimates`.
+    the built-ins are: equal samplers share the kept run of `rum._run`, and a
+    `mc_welfare_model` draws its common random numbers again for each stack.
     """
 
     n: int
@@ -129,8 +133,8 @@ def _run_partitions(worker, seed: int, samples: int) -> list:
         return list(pool.map(run_one, parts))
 
 
-def _tally(mu: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Winner counts of mu + eps (ties to the lowest index, as `np.argmax`) and
+def _tally(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Winner counts of mu + eps (ties to the lowest index, as `np.argmax`), then
     the sums of the row maximum m and of m^2, from draws `cols` of shape (n, size)."""
     m = cols[0] + mu[0]
     for i in range(1, mu.size):
@@ -141,13 +145,14 @@ def _tally(mu: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, float]:
     if np.isnan(total) and np.isnan(m).any():
         raise NumericError("noise draws contain NaN: a draw has no largest alternative")
     undecided = np.ones(m.shape, dtype=bool)
-    counts = np.zeros(mu.size, dtype=np.int64)
+    row = np.empty(mu.size + 2)  # counts, exact as floats below 2^53, then the sums
     for i in range(mu.size - 1):
         won = (cols[i] + mu[i] == m) & undecided
-        counts[i] = np.count_nonzero(won)
+        row[i] = np.count_nonzero(won)
         undecided ^= won
-    counts[-1] = m.size - counts.sum()  # the last wins the draws the others leave
-    return counts, total, total_sq
+    row[-3] = m.size - row[:-3].sum()  # the last wins the draws the others leave
+    row[-2:] = total, total_sq
+    return row
 
 
 @dataclass(frozen=True)
@@ -166,24 +171,6 @@ class MCWelfare:
     seed: int
 
 
-def _means(tallies, samples: int) -> tuple[np.ndarray, float, float]:
-    """A point's tallies summed in partition order, over `samples`: (probs, E max, E max^2)."""
-    counts, total, total_sq = 0, 0.0, 0.0
-    for c, s, sq in tallies:
-        counts, total, total_sq = counts + c, total + s, total_sq + sq
-    return counts / samples, total / samples, total_sq / samples
-
-
-def _estimates(tallies, samples: int, seed: int) -> tuple[MCProbabilities, MCWelfare]:
-    """A point's estimates from its tallies, summed in partition order."""
-    p, mean, mean_sq = _means(tallies, samples)
-    var = max(mean_sq - mean * mean, 0.0)
-    return (MCProbabilities(probs=p, std_errors=np.sqrt(p * (1.0 - p) / samples),
-                            samples=samples, seed=seed),
-            MCWelfare(value=mean, std_error=np.sqrt(var / samples),
-                      samples=samples, seed=seed))
-
-
 def _finite(mean_max):
     if not np.all(np.isfinite(mean_max)):
         raise NumericError("noise draws are infinite: the mean maximum is undefined")
@@ -191,14 +178,19 @@ def _finite(mean_max):
 
 
 @keep_last
-def _run(sampler: NoiseSampler, samples: int, seed: int, stack: np.ndarray) -> list:
+def _run(sampler: NoiseSampler, samples: int, seed: int, stack: np.ndarray) -> tuple:
+    """(probs (m, n), E max (m,), E max^2 (m,)) at a stack of points (m, n): each
+    partition is drawn once, and its tallies are added in partition order."""
     def worker(rng, size):
         # one copy, then every point's passes read each row in order
         cols = np.ascontiguousarray(sampler.draw(rng, size).T)
         return [_tally(mu, cols) for mu in stack]
 
-    return [_estimates(tallies, samples, seed)
-            for tallies in zip(*_run_partitions(worker, seed, samples))]
+    sums = np.zeros((len(stack), sampler.n + 2))
+    for tallies in _run_partitions(worker, seed, samples) if len(stack) else ():
+        sums += tallies
+    sums /= samples
+    return sums[:, :-2], sums[:, -2], sums[:, -1]
 
 
 def mc_estimates(sampler: NoiseSampler, points, samples: int,
@@ -212,8 +204,12 @@ def mc_estimates(sampler: NoiseSampler, points, samples: int,
     arrays, and a run that raises is not kept.
     """
     stack = np.array([as_utility_of(mu, sampler.n) for mu in points])
-    return [(replace(p, probs=p.probs.copy(), std_errors=p.std_errors.copy()), w)
-            for p, w in _run(sampler, samples, seed, stack)]
+    probs, means, mean_sqs = _run(sampler, samples, seed, stack)
+    return [(MCProbabilities(probs=p, std_errors=np.sqrt(p * (1.0 - p) / samples),
+                             samples=samples, seed=seed),
+             MCWelfare(value=mean, std_error=np.sqrt(max(sq - mean * mean, 0.0) / samples),
+                       samples=samples, seed=seed))
+            for p, mean, sq in zip(probs.copy(), means.tolist(), mean_sqs.tolist())]
 
 
 def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
@@ -386,29 +382,22 @@ def rum_sign_test(model: WelfareModel, max_order: int,
 
 
 def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareModel:
-    """Welfare model backed by a frozen Monte Carlo noise panel.
+    """Welfare model of a Monte Carlo run, on common random numbers.
 
-    The same draws serve every evaluation (common random numbers), so
+    Every evaluation reads the same draws: a stack of points (..., n) is one
+    `_run`, which draws each partition again from its fixed stream, so
     finite-difference stencils of the choice probabilities difference out
-    the sampling noise instead of being swamped by it. A stack of points
-    (..., n) is tallied on each partition's slice of the panel and summed in
-    partition order, so `value` and `gradient` equal `mc_welfare(...).value`
-    and `mc_choice_probs(...).probs` bit for bit.
+    the sampling noise instead of being swamped by it. `value` and
+    `gradient` equal `mc_welfare(...).value` and `mc_choice_probs(...).probs`
+    bit for bit, and at one stack share one run. Memory is bounded per
+    running partition, whatever `samples` is; each new stack pays for its draws.
     """
-    panel = np.empty((sampler.n, samples))  # one row of draws per alternative
-    blocks = [panel[:, start:stop] for _, start, stop in mc_partitions(samples)]
-    for idx, block in enumerate(blocks):
-        block[...] = sampler.draw(stream_rng(seed, idx), block.shape[1]).T
-
-    @keep_last  # the last stack's (probs, means)
-    def tally(mu):
-        probs, means = np.empty(mu.shape), np.empty(mu.shape[:-1])
-        for k in np.ndindex(means.shape):
-            probs[k], means[k], _ = _means((_tally(mu[k], b) for b in blocks), samples)
-        return probs, means
+    next(mc_partitions(samples))  # refuses samples < 1 now, not at the first call
 
     def estimates(points):
-        return tally(as_utilities(points, sampler.n))
+        mu = as_utilities(points, sampler.n)
+        probs, means, _ = _run(sampler, samples, seed, mu.reshape(-1, sampler.n))
+        return probs.reshape(mu.shape), means.reshape(mu.shape[:-1])
 
     return WelfareModel(n=sampler.n, name=f"mc[{sampler.family}]",
                         value=lambda mu: _finite(estimates(mu)[1]).copy()[()],

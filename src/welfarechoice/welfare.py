@@ -324,20 +324,23 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
         with np.errstate(over="ignore"):
             return np.maximum(mu - m, -np.finfo(float).max), m[..., 0]
 
-    def value(mu):
-        s, m = log_y(mu)
-        h = _evaluate(gen.H, np.exp(s))
+    def positive(h):  # H, or sum d = H / eta, checked before anything divides by it
         if np.any(h <= 0):
             raise GeneratorInvalidError("H vanished at an evaluation point")
-        return eta * np.log(h) + m
+        return h
+
+    def value(mu):
+        s, m = log_y(mu)
+        return eta * np.log(positive(_evaluate(gen.H, np.exp(s)))) + m
 
     def gradient(mu):
         s = log_y(mu)[0]
         if gen.partials is None:
             d = finite_diff_jacobian(lambda t: _evaluate(gen.H, np.exp(t)), s, 1e-5)
-            return d / d.sum(axis=-1, keepdims=True)
+            return d / positive(d.sum(axis=-1, keepdims=True))
         y = np.exp(s)
-        return eta * y * _evaluate(gen.partials, y, (n,)) / _evaluate(gen.H, y)[..., None]
+        h = positive(_evaluate(gen.H, y))[..., None]
+        return eta * y * _evaluate(gen.partials, y, (n,)) / h
 
     with np.errstate(divide="ignore", invalid="ignore"):
         corners = _evaluate(gen.H, np.eye(n))

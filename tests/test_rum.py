@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -15,7 +16,7 @@ from welfarechoice.modelspec import build_model
 from welfarechoice.ram import (entropy_regularizer, exponential_marginal,
                                mdm_regularizer, mmm_regularizer, ram_welfare)
 from welfarechoice import rum
-from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV, MCWelfare,
+from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV,
                                NoiseSampler, binary_rum_from_welfare, degenerate_sampler,
                                gumbel_sampler, logistic_sampler,
                                mc_choice_probs, mc_estimates, mc_welfare,
@@ -170,20 +171,21 @@ class TestColumnKernels:
 
     def test_panel_stack_tallies_each_point_on_each_partition_once(self, monkeypatch):
         model = mc_welfare_model(gumbel_sampler(1.0, 3), 2 * MC_CHUNK + 17, seed=2)
-        sizes = []
+        pairs = []  # (point, partition), the partition named by its first draw
         tally = rum._tally
 
         def counted(mu, cols):
-            sizes.append(cols.shape[1])
+            pairs.append((mu.tobytes(), cols.shape[1], cols[:, 0].tobytes()))
             return tally(mu, cols)
 
         monkeypatch.setattr(rum, "_tally", counted)
         points = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 3))
         values, grads = model.value(points), model.gradient(points)
-        assert sizes == [MC_CHUNK, MC_CHUNK, 17] * 4
+        assert len(set(pairs)) == len(pairs) == 12  # the order is free
+        assert sorted(size for _, size, _ in pairs) == [17] * 4 + [MC_CHUNK] * 8
         values[0], grads[0, 0] = np.nan, -1.0  # an edit does not reach the kept estimates
         assert np.isfinite(model.value(points)[0]) and model.gradient(points)[0, 0] != -1.0
-        assert len(sizes) == 12
+        assert len(pairs) == 12
 
     @pytest.mark.parametrize("family", sorted(SAMPLERS))
     def test_panel_matches_a_concatenated_panel(self, family):
@@ -260,8 +262,12 @@ class TestLastRun:
     def test_threads_sharing_a_sampler_read_their_own_runs(self):
         # callers on one sampler replace its last run under each other: each
         # must still get the estimates of its own arguments
+        def model_value(sampler, mu, samples, seed):  # a model reads the same kept run
+            return mc_welfare_model(sampler, samples, seed).value(mu)
+
         sampler = gumbel_sampler(1.0, 3)
-        calls = [(call, seed) for seed in (1, 2, 3) for call in (mc_choice_probs, mc_welfare)]
+        calls = [(call, seed) for seed in (1, 2, 3)
+                 for call in (mc_choice_probs, mc_welfare, model_value)]
         fresh = [call(gumbel_sampler(1.0, 3), self.MU, 1000, seed) for call, seed in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -273,10 +279,10 @@ class TestLastRun:
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(results, fresh * 20):
-            if isinstance(want, MCWelfare):
-                assert got == want
-            else:
+            if hasattr(want, "probs"):
                 np.testing.assert_array_equal(got.probs, want.probs)
+            else:
+                assert got == want
 
     def test_nan_draws_raise_on_every_call(self):
         def draw(rng, size):
@@ -700,11 +706,36 @@ class TestSignTests:
 
 
 class TestMCWelfareModel:
-    def test_frozen_panel_is_deterministic_and_smooth(self):
+    def test_model_is_deterministic_and_smooth(self):
         model = mc_welfare_model(gumbel_sampler(1.0, 3), samples=100000, seed=13)
         mu = np.array([0.5, 0.0, -0.5])
         q1 = model.gradient(mu)
+        model.gradient(np.zeros(3))  # another stack: mu's draws are made again
         q2 = model.gradient(mu)
         np.testing.assert_array_equal(q1, q2)
         target = mnl_welfare(1.0, 3).gradient(mu)
         assert np.max(np.abs(q1 - target)) <= 0.01
+
+    def test_memory_is_bounded_per_partition(self, monkeypatch):
+        # the model holds no draws, so building it allocates next to nothing
+        # whatever `samples` is, and an evaluation draws one partition at a
+        # time, so its peak does not grow with the samples
+        monkeypatch.setenv(THREADS_ENV, "1")
+        sampler, mu = gumbel_sampler(1.0, 3), np.array([0.5, 0.0, -0.5])
+        peaks = []
+        for samples in (2 ** 18, 2 ** 22):
+            tracemalloc.start()
+            try:
+                model = mc_welfare_model(sampler, samples, seed=4)
+                assert tracemalloc.get_traced_memory()[0] < 2 ** 20
+                tracemalloc.reset_peak()
+                model.value(mu)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_too_few_samples_are_refused_when_built(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            mc_welfare_model(gumbel_sampler(1.0, 3), samples, seed=1)

@@ -222,6 +222,26 @@ class TestGEV:
         with pytest.raises(GeneratorInvalidError):
             gev_welfare(bad, 2)
 
+    @pytest.mark.parametrize("with_partials", [False, True])
+    def test_a_vanishing_generator_is_refused_by_value_and_gradient(self, with_partials):
+        # H = sqrt(y1 y2) + 0 y3 vanishes where e^{mu_2} underflows, and q
+        # would be 0 / 0 there: the gradient raises the value's error instead
+        def partials(y):
+            root = np.sqrt(y[..., 0] * y[..., 1])
+            return np.stack([0.5 * root / y[..., 0], 0.5 * root / y[..., 1],
+                             np.zeros_like(root)], axis=-1)
+
+        gen = GEVGenerator(eta=1.0, H=lambda y: np.sqrt(y[..., 0] * y[..., 1]) + 0.0 * y[..., 2],
+                           partials=partials if with_partials else None)
+        model = gev_welfare(gen, 3)
+        mu = np.array([0.0, -800.0, 0.0])
+        for call in (model.value, model.gradient):
+            with pytest.raises(GeneratorInvalidError, match="H vanished"):
+                call(mu)
+            with pytest.raises(GeneratorInvalidError, match="H vanished"):
+                call(np.stack([np.zeros(3), mu]))
+        np.testing.assert_allclose(model.gradient(np.zeros(3)), [0.5, 0.5, 0.0], atol=1e-9)
+
     def test_sign_report_separates_extreme_value_generators(self):
         # the power sum has alternating partials; the shared-brand term has
         # a positive second cross partial, so its model has no
