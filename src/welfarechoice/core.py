@@ -17,9 +17,9 @@ per-point function is lifted with `welfarechoice.pointwise`; one that is
 not gets a ValueError saying so, never a result of the wrong shape. The
 same check (`_evaluate`) guards every batch call of a model or regularizer.
 
-Steps and tolerances are fixed numbers: the primitives here take them as
-literal defaults, and each tolerance used elsewhere is a constant of the
-module that reads it.
+Steps and tolerances are fixed numbers, never parameters with defaults:
+GRADIENT_STEP, MIXED_PARTIAL_STEP and BISECT_TOL here, and each tolerance
+used elsewhere is a constant of the module that reads it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ import numpy as np
 
 SIMPLEX_TOL = 1e-10
 ASCENT_MAX_ITER = 50
+GRADIENT_STEP = 1e-6
+MIXED_PARTIAL_STEP = 1e-2
+BISECT_TOL = 1e-12
 
 # Fixed Monte Carlo partition size. Sample index -> stream mapping depends
 # only on (seed, partition index), never on worker count.
@@ -261,11 +264,9 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], points, value_shape=()) -> 
     return (out[:-1] if pad else out).reshape(points.shape[:-1] + out.shape[1:])
 
 
-def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray],
-                         mu: np.ndarray,
-                         h: float = 1e-6) -> np.ndarray:
+def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray], mu: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function at `mu`, its
-    `finite_diff_jacobian`; a non-finite value of f raises NumericError."""
+    `finite_diff_jacobian` at GRADIENT_STEP; a non-finite f raises NumericError."""
     mu = np.asarray(mu, dtype=float)
 
     def finite(points):
@@ -277,28 +278,24 @@ def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray],
                                f"{int(np.argmax(bad.reshape(2, -1).any(axis=0)))}")
         return values
 
-    return finite_diff_jacobian(finite, mu, h)
+    return finite_diff_jacobian(finite, mu, GRADIENT_STEP)
 
 
 def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
                          x: np.ndarray,
-                         h: float | Sequence[float] | np.ndarray,
-                         columns: Sequence[int] | None = None) -> np.ndarray:
+                         h: float | Sequence[float] | np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a function at one point or a batch.
 
-    Column k is (F(x + h_k e_i) - F(x - h_k e_i)) / (2 h_k) with
-    i = columns[k] (every coordinate when `columns` is None). `h` is one
-    step for all columns or steps of shape (..., k). For x of shape (..., n)
-    the 2k points of every stencil go to F in one call of shape (points, n);
-    F maps them to scalars (the result has shape (..., k)) or to vectors of
-    length p (shape (..., p, k)).
+    Column i is (F(x + h_i e_i) - F(x - h_i e_i)) / (2 h_i). `h` is one step
+    for all columns or steps of shape (..., n). For x of shape (..., n) the
+    2n points of every stencil go to F in one call of shape (points, n); F
+    maps them to scalars (the result has shape (..., n)) or to vectors of
+    length p (shape (..., p, n)).
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    cols = np.arange(n) if columns is None else np.asarray(columns, dtype=int)
-    step = np.broadcast_to(np.asarray(h, dtype=float), x.shape[:-1] + cols.shape)
-    shift = np.zeros(step.shape + (n,))
-    shift[..., np.arange(cols.size), cols] = step
+    step = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
+    shift = step[..., None] * np.eye(n)  # row i is h_i e_i
     points = np.stack([x[..., None, :] + shift, x[..., None, :] - shift])
     hi, lo = _evaluate(F, points, None)  # F gives scalars or vectors
     if hi.ndim > step.ndim:  # a vector F: one column per perturbed coordinate
@@ -308,9 +305,8 @@ def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
 
 def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
                   mu: np.ndarray,
-                  indices: Sequence[int],
-                  h: float = 1e-2) -> float | np.ndarray:
-    """Nested central difference estimating a k-th order mixed partial.
+                  indices: Sequence[int]) -> float | np.ndarray:
+    """Nested central difference at MIXED_PARTIAL_STEP: a k-th order mixed partial.
 
     `indices` lists the coordinates differentiated once each; they must be
     distinct. For mu of shape (..., n) the 2^k points of every stencil are
@@ -324,14 +320,14 @@ def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("need between 1 and n distinct indices")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(idx))))
     points = np.repeat(mu[..., None, :], len(signs), axis=-2)
-    points[..., idx] += signs * h
+    points[..., idx] += signs * MIXED_PARTIAL_STEP
     values = _evaluate(f, points)
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite function value in difference stencil")
     # summed in stencil order, as one point at a time would be
     values = np.moveaxis(values, -1, 0)
     total = sum(float(np.prod(s)) * v for s, v in zip(signs, values))
-    return total / (2.0 * h) ** len(idx)
+    return total / (2.0 * MIXED_PARTIAL_STEP) ** len(idx)
 
 
 def _quad_panel(g, a: float, b: float, abs_tol: float, depth: int) -> float:
@@ -365,14 +361,13 @@ def integrate_1d(g: Callable[[float], float], a: float, b: float) -> float:
     return _quad_panel(g, a, b, 1e-10, depth=0)
 
 
-def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi,
-                      tol: float = 1e-12):
+def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi):
     """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection.
 
     Each step makes four halvings in one call of g: it evaluates g at the
     15 interior points that split the bracket into 16 equal parts and keeps
-    the part where g crosses the target. After ceil(log2(width / tol) / 4)
-    steps the bracket is no wider than `tol`, and its midpoint is returned.
+    the part where g crosses the target. After ceil(log2(width / BISECT_TOL) / 4)
+    steps the bracket is at most BISECT_TOL wide, and its midpoint is returned.
 
     Broadcasts elementwise: `target`, `lo` and `hi` may be arrays, and g
     maps an array of any shape ending in theirs to values of that shape,
@@ -389,7 +384,7 @@ def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi,
             f"[{np.ravel(flo)[k]!r}, {np.ravel(fhi)[k]!r}]")
     width = hi - lo
     with np.errstate(divide="ignore"):
-        steps = np.maximum(np.ceil(np.log2(width / tol) / 4.0), 0.0)
+        steps = np.maximum(np.ceil(np.log2(width / BISECT_TOL) / 4.0), 0.0)
     final = np.ldexp(width, -4 * steps.astype(int))  # dividing by 16 is exact
     split = (np.arange(1.0, 16.0) / 16.0).reshape((15,) + (1,) * lo.ndim)
     for step in range(int(np.max(steps, initial=0.0))):

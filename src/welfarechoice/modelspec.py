@@ -52,6 +52,8 @@ class ModelBundle:
 
 
 def _require(spec: dict, field: str, path: str):
+    if not isinstance(spec, dict):
+        raise SpecError(path.rstrip(".") or "spec", "expected an object")
     if field not in spec:
         raise SpecError(f"{path}{field}", "missing required field")
     return spec[field]
@@ -108,8 +110,6 @@ def _marginal(entry: dict, path: str) -> ram.Marginal:
 
 def build_model(spec: dict, path: str = "") -> ModelBundle:
     """Construct the model a spec describes, validating as we go."""
-    if not isinstance(spec, dict):
-        raise SpecError(path or "spec", "expected an object")
     kind = _require(spec, "kind", path)
     if kind not in KINDS:
         raise SpecError(f"{path}kind", f"unknown kind {kind!r}")
@@ -117,7 +117,7 @@ def build_model(spec: dict, path: str = "") -> ModelBundle:
         return _build(kind, spec, path)
     except SpecError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
         raise SpecError(f"{path}{kind}", str(exc)) from exc
 
 

@@ -91,7 +91,7 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
             return np.exp(np.minimum(-np.asarray(t, float) / eta - 1.0, 0.0))
 
     def multiplier(mu):  # divides after the shift, so no finite mu overflows
-        z, m = _shifted_exp(mu, eta, -1)
+        z, m = _shifted_exp(mu, eta)
         return eta * (np.log(z.sum(axis=-1)) - 1.0) + m[..., 0]
 
     return Regularizer(n=n, value=value, gradient=gradient,

@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import _evaluate, as_symmetric, as_utility_of, finite_diff_jacobian, stream_rng
+from .core import (NumericError, _evaluate, as_symmetric, as_utility_of, finite_diff_jacobian,
+                   stream_rng)
 from .ram import Regularizer
 from .welfare import _DRAW_BLOCK, WelfareModel, batch_gradient, batch_value
 
@@ -39,12 +40,19 @@ MAX_RESAMPLES = 50
 CORNER_MARGIN = 1e-6
 
 
-def _label(estimate: float, dead_zone: float) -> str:
-    if estimate > dead_zone:
-        return COMPLEMENTARY
-    if estimate < -dead_zone:
-        return SUBSTITUTABLE
-    return INDETERMINATE
+def _labels(estimates, dead_zone: float) -> np.ndarray:
+    """The label of each cross-effect estimate, an object array of its shape:
+    complementary above the dead zone, substitutable below its negative,
+    indeterminate inside it or at NaN."""
+    return np.where(estimates > dead_zone, COMPLEMENTARY,
+                    np.where(estimates < -dead_zone, SUBSTITUTABLE, INDETERMINATE)).astype(object)
+
+
+def _cross_effects(model: WelfareModel, mu: np.ndarray) -> np.ndarray:
+    """dq_j/dmu_i at entry (..., i, j) for mu of shape (..., n): one Jacobian
+    of the choice map at STEP, from one gradient call on 2n points per row
+    of mu."""
+    return np.swapaxes(finite_diff_jacobian(model.gradient, mu, STEP), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -59,14 +67,13 @@ def classify_pair(model: WelfareModel, mu, i: int, j: int,
                   dead_zone: float = DEAD_ZONE) -> PairClassification:
     """Classify the (i, j) relation at mu from the sign of dq_j/dmu_i.
 
-    A central difference at STEP estimates the cross effect; estimates
-    inside the dead zone are reported indeterminate rather than forced to a
-    sign. The diagonal is complementary for every welfare-derived model, so
+    The cross effect is entry (i, j) of `_cross_effects`; estimates inside
+    the dead zone are reported indeterminate rather than forced to a sign.
+    The diagonal is complementary for every welfare-derived model, so
     i == j returns that label directly (with the estimate attached).
     """
-    mu = as_utility_of(mu, model.n)
-    est = float(finite_diff_jacobian(model.gradient, mu, STEP, columns=[i])[j, 0])
-    label = COMPLEMENTARY if i == j else _label(est, dead_zone)
+    est = float(_cross_effects(model, as_utility_of(mu, model.n))[i, j])
+    label = COMPLEMENTARY if i == j else _labels(est, dead_zone)[()]
     return PairClassification(i=i, j=j, estimate=est, label=label)
 
 
@@ -80,13 +87,6 @@ class SubstitutionReport:
     symmetric: bool
 
 
-def _cross_effects(model: WelfareModel, mu: np.ndarray) -> np.ndarray:
-    """dq_j/dmu_i at entry (..., i, j) for mu of shape (..., n): one Jacobian
-    of the choice map, from one gradient call on 2n points per row of mu,
-    whose column i is computed exactly as `classify_pair` computes it."""
-    return np.swapaxes(finite_diff_jacobian(model.gradient, mu, STEP), -1, -2)
-
-
 def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     """All-pairs classification; flags whether estimates are symmetric.
 
@@ -95,9 +95,8 @@ def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     """
     mu = as_utility_of(mu, model.n)
     estimates = _cross_effects(model, mu)
-    labels = np.array([[COMPLEMENTARY if i == j else _label(e, DEAD_ZONE)
-                        for j, e in enumerate(row)] for i, row in enumerate(estimates)],
-                      dtype=object)
+    labels = _labels(estimates, DEAD_ZONE)
+    np.fill_diagonal(labels, COMPLEMENTARY)
     tol = SYMMETRY_REL_TOL * max(1.0, abs(model.value(mu)))
     symmetric = bool(np.max(np.abs(estimates - estimates.T)) <= tol)
     return SubstitutionReport(mu=mu, labels=labels, estimates=estimates,
@@ -125,11 +124,8 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     points[:, i] = grid
     q_vals = batch_gradient(model, points)[:, j]
     slopes = (q_vals[2:] - q_vals[:-2]) / (2.0 * (grid[1] - grid[0]))
-    # `_label` on every slope at once; a NaN slope passes neither test
-    labels = np.full(steps, INDETERMINATE, dtype=object)
-    labels[1:-1][slopes > DEAD_ZONE] = COMPLEMENTARY
-    labels[1:-1][slopes < -DEAD_ZONE] = SUBSTITUTABLE
-    return list(map(ScanRow, grid.tolist(), q_vals.tolist(), labels.tolist()))
+    labels = [INDETERMINATE, *_labels(slopes, DEAD_ZONE).tolist(), INDETERMINATE]
+    return list(map(ScanRow, grid.tolist(), q_vals.tolist(), labels))
 
 
 @dataclass(frozen=True)
@@ -324,7 +320,9 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
     miss almost entirely for badly conditioned models and which is where
     the quadratic family hides its complementary pairs.
 
-    "substitutable-consistent" means no violation was found.
+    "substitutable-consistent" means no violation was found. A non-finite
+    cross effect up to the first complementary pair (any, when none is)
+    raises NumericError: a NaN would read as no complementary pair.
     """
     from .duality import RESIDUAL_TOL, ConvergenceError, invert_choice
 
@@ -351,12 +349,14 @@ def substitutable_model_check(model: WelfareModel, samples: int = 1000,
         block = candidates[start:start + _DRAW_BLOCK]
         # entry (c, t) is `classify_pair(model, block[c], rows[t], cols[t]).estimate`
         estimates = _cross_effects(model, block)[:, rows, cols]
-        found = np.argwhere(estimates > DEAD_ZONE)
+        found = np.argwhere((estimates > DEAD_ZONE) | ~np.isfinite(estimates))
         if found.size:
             c, t = found[0]
+            est = float(estimates[c, t])
+            if not np.isfinite(est):
+                raise NumericError(f"{model.name} has cross effect {est} at mu={block[c]}")
             tested = int((start + c) * rows.size + t + 1)
-            witness = PairClassification(int(rows[t]), int(cols[t]), float(estimates[c, t]),
-                                         COMPLEMENTARY)
+            witness = PairClassification(int(rows[t]), int(cols[t]), est, COMPLEMENTARY)
             witness_mu = block[c]
             break
     consistent = witness is None and sub_report.submodular_violation <= LATTICE_TOL

@@ -83,26 +83,26 @@ def batch_gradient(model: WelfareModel, points) -> np.ndarray:
     return _evaluate(model.gradient, points, np.shape(points)[-1:])
 
 
-def _shifted_exp(a, eta: float, axis: int):
-    """exp((a - m) / eta) and m = max a along axis (kept); no finite a overflows."""
+def _shifted_exp(a, eta: float):
+    """exp((a - m) / eta) and m = max a over the last axis (kept); no finite a overflows."""
     a = np.asarray(a, dtype=float)
-    m = a.max(axis=axis, keepdims=True)
+    m = a.max(axis=-1, keepdims=True)
     with np.errstate(over="ignore"):  # a spread past the float range: exp(-inf) = 0
         z = a - m
         z /= eta
     return np.exp(z, out=z), m
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """Shift-stabilized log(sum(exp(a)))."""
-    z, m = _shifted_exp(a, 1.0, axis)
-    return np.log(z.sum(axis=axis)) + m.squeeze(axis=axis)
+def logsumexp(a: np.ndarray) -> np.ndarray | float:
+    """Shift-stabilized log(sum(exp(a))) over the last axis."""
+    z, m = _shifted_exp(a, 1.0)
+    return np.log(z.sum(axis=-1)) + m[..., 0]
 
 
-def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stabilized exp(a)/sum(exp(a))."""
-    z, _ = _shifted_exp(a, 1.0, axis)
-    return z / z.sum(axis=axis, keepdims=True)
+def softmax(a: np.ndarray) -> np.ndarray:
+    """Shift-stabilized exp(a)/sum(exp(a)) over the last axis."""
+    z, _ = _shifted_exp(a, 1.0)
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def mnl_welfare(eta: float, n: int) -> WelfareModel:
@@ -112,11 +112,11 @@ def mnl_welfare(eta: float, n: int) -> WelfareModel:
         raise ValueError("need at least one alternative")
 
     def value(mu):
-        z, m = _shifted_exp(mu, eta, -1)
+        z, m = _shifted_exp(mu, eta)
         return eta * np.log(z.sum(axis=-1)) + m[..., 0]
 
     def gradient(mu):
-        z, _ = _shifted_exp(mu, eta, -1)
+        z, _ = _shifted_exp(mu, eta)
         return z / z.sum(axis=-1, keepdims=True)
 
     return WelfareModel(n=n, value=value, gradient=gradient,

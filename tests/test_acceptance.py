@@ -204,7 +204,7 @@ def test_criterion_05_brand_cross_partial_sign_and_switch_point():
         if abs(truth) < 1e-6:
             excluded += 1
             continue
-        est = wc.mixed_partial(model.value, mu, (0, 1), h=1e-2)
+        est = wc.mixed_partial(model.value, mu, (0, 1))
         assert np.sign(est) == np.sign(truth), (mu, truth, est)
         checked += 1
 

@@ -1,14 +1,15 @@
 """The package surface that the benchmark harness (perfbench/workloads.py)
-reads: the regularizer of a spec's bundle and of the quadratic demo, and the
-analytic superlinear bounds of its closed forms. The harness's own tests live
-in perfbench/tests, outside this suite, so these guard that surface here."""
+reads: the regularizer of a spec's bundle and of the quadratic demo, the
+analytic superlinear bounds of its closed forms, and the calls it makes of
+the finite-difference and substitution functions. The harness's own tests
+live in perfbench/tests, outside this suite, so these guard that surface here."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from welfarechoice import modelspec
+from welfarechoice import core, modelspec, substitution
 from welfarechoice.modelspec import build_model, demo_brand_model, demo_quadratic_model
 from welfarechoice.ram import Regularizer
 from welfarechoice.welfare import model_bounds
@@ -67,3 +68,18 @@ def test_superlinear_models_have_analytic_bounds(label):
     bounds, estimated = model_bounds(model)
     assert estimated is False
     np.testing.assert_array_equal(bounds, model.superlinear_bounds)
+
+
+def test_the_harness_calls_of_finite_differences_and_substitution():
+    # as perfbench/workloads.py makes them
+    mu = np.array([0.5, -0.25, 1.0])
+    mnl = build_model(MNL3).model
+    np.testing.assert_allclose(core.finite_diff_gradient(mnl.value, mu), mnl.gradient(mu),
+                               atol=1e-8)
+    pair = substitution.classify_pair(demo_brand_model().model, np.array([-9.0, -6.0, 4.0]),
+                                      0, 1)
+    assert (pair.i, pair.j, pair.label) == (0, 1, substitution.COMPLEMENTARY)
+    report = substitution.substitutable_model_check(demo_quadratic_model().model, samples=6,
+                                                    seed=0, span_probes=2)
+    # the demo's coupling fails the quadratic matrix criterion
+    assert report.verdict == "violation"

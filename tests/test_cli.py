@@ -292,6 +292,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_brand_cross_substitutable_prints_its_complementary_pair(self, spec_file,
+                                                                    capsys):
+        code = main(["verify", "--spec", spec_file(BRAND_CROSS), "--suite", "substitutable",
+                     "--samples", "600", "--seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "substitutability check for cross(mnl(eta=1)): violation\n"
+            "  lattice sampling: neither (600 pairs)\n"
+            "  complementary pair (1,2) at mu=[-9.2966 -6.273   4.4246] estimate=1.246e-06\n")
+
     def test_mmm_substitutable_passes(self, spec_file):
         assert main(["verify", "--spec", spec_file(MMM3),
                      "--suite", "substitutable", "--samples", "150"]) == 0
@@ -689,6 +699,14 @@ class TestInProcessCalls:
         captured = capsys.readouterr()
         return code, captured.out
 
+    def test_an_unexpected_exception_exits_3(self, spec_file, capsys, monkeypatch):
+        def broken(spec):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "build_model", broken)
+        assert main(["validate", "--spec", spec_file(MNL3)]) == 3
+        assert capsys.readouterr().err == "numeric failure: KeyError: 'internal'\n"
+
     def test_the_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
@@ -793,6 +811,43 @@ class TestValidate:
             warnings.simplefilter("error")
             assert main(["validate", "--spec", spec_file({**spec, field: matrix})]) == 2
         assert f"input error: {field}: entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        # fields of the wrong JSON type, which exited 3 with a TypeError
+        ({"kind": "ram_mdm", "marginals": [1, 2]}, "marginals[0]: expected an object"),
+        ({"kind": "transform_mix", "n": 2, "components": [3]},
+         "components[0]: expected an object"),
+        ({"kind": "transform_mix", "n": 2, "components": [
+            {"weight": 1.0, "indices": 3, "inner": MNL2}]}, "transform_mix: "),
+        ({"kind": "transform_mix", "n": 2, "components": [
+            {"weight": 1.0, "indices": ["a", "b"], "inner": MNL2}]}, "transform_mix: "),
+        ({"kind": "nested_logit", "n": 2, "nests": 3, "lambdas": [0.5]}, "nested_logit: "),
+        ({"kind": "nested_logit", "n": 2, "nests": [["a"]], "lambdas": [0.5]},
+         "nested_logit: "),
+        ({"kind": "ram_mmm", "sigma": {"a": 1}}, "ram_mmm: "),
+        # the other refusals of a field
+        ([MNL3], "spec: expected an object"),
+        ({"kind": "transform_scale", "eta": 1.0, "inner": 3}, "inner: expected an object"),
+        ({"kind": "mnl", "n": 3}, "eta: missing required field"),
+        ({"kind": "mnl", "n": 3, "eta": "1"}, "eta: expected a number"),
+        ({"kind": "mnl", "n": 1, "eta": 1.0}, "n: expected an integer >= 2"),
+        ({"kind": "ram_quadratic", "matrix": [[1, "a"], [0, 1]]},
+         "matrix: not a numeric matrix"),
+        ({"kind": "ram_quadratic", "matrix": [1, 2]}, "matrix: expected a matrix"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "cauchy"}, {"family": "uniform"}]},
+         "marginals[0].family: unknown marginal family 'cauchy'"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "uniform"}]},
+         "marginals: expected a list of >= 2 marginals"),
+        ({"kind": "transform_mix", "n": 2, "components": []},
+         "components: expected a nonempty list"),
+    ], ids=["marginal_number", "component_number", "indices_number", "indices_strings",
+            "nests_number", "nest_strings", "sigma_object", "spec_list", "inner_number",
+            "missing_field", "number_as_string", "small_n", "matrix_string_entry",
+            "matrix_as_vector", "unknown_family", "one_marginal", "no_components"])
+    def test_a_malformed_field_exits_2_naming_it_or_its_kind(self, spec_file, capsys, spec,
+                                                             message):
+        assert main(["validate", "--spec", spec_file(spec)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
 
     def test_unknown_kind(self, spec_file):
         assert main(["validate", "--spec", spec_file({"kind": "mystery"})]) == 2

@@ -211,8 +211,7 @@ def test_per_point_function_gets_the_contract_error(name):
 
 @pytest.mark.parametrize("call", [
     lambda f: mixed_partial(f, np.array([0.3, 0.7]), (0,)),
-    lambda f: finite_diff_jacobian(f, np.array([0.3, 0.7]), 1e-6, columns=[0]),
-], ids=["mixed_partial", "finite_diff_jacobian"])
+], ids=["mixed_partial"])
 def test_per_point_function_on_a_stencil_of_n_points_gets_the_contract_error(call):
     # two points in two coordinates: m[0] * m[1] has the stencil's length
     with pytest.raises(ValueError, match="pointwise"):

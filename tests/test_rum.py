@@ -447,6 +447,11 @@ class TestMCChoiceProbs:
             for p, se, q in zip(res.probs, res.std_errors, target):
                 assert abs(p - q) <= 4 * max(se, 1e-9)
 
+    @pytest.mark.parametrize("threads", ["two", "1.5", ""])
+    def test_a_thread_count_that_is_not_an_integer_means_one(self, monkeypatch, threads):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        assert rum._thread_count() == 1
+
     def test_thread_count_does_not_change_results(self):
         # a sampler per call, so every call draws instead of reading a kept run
         def sampler():

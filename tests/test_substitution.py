@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from welfarechoice import duality, substitution
-from welfarechoice.core import stream_rng
+from welfarechoice.core import NumericError, stream_rng
 from welfarechoice.duality import invert_choice
 from welfarechoice.ram import (mmm_regularizer, quadratic_regularizer,
                                ram_welfare)
@@ -168,7 +168,7 @@ class TestScanLine:
         slopes = table[2:] - table[:-2]
         assert {dz, -dz, 0.0} <= set(slopes.tolist()) and np.isnan(slopes).any()
         assert [r.label for r in rows] == [substitution.INDETERMINATE,
-                                           *(substitution._label(s, dz) for s in slopes),
+                                           *substitution._labels(slopes, dz),
                                            substitution.INDETERMINATE]
         assert [r.label for r in rows][1:4] == ["indeterminate", "indeterminate",
                                                 SUBSTITUTABLE]
@@ -386,6 +386,16 @@ class TestSubstitutableModelCheck:
         np.testing.assert_array_equal(points, stream_rng(0, key=1).uniform(-10, 10, (10, 3)))
         assert report.points_tested == 10 * 3
         assert report.verdict == "substitutable-consistent"
+
+    def test_a_non_finite_cross_effect_is_refused(self):
+        # NaN q where mu_1 > 5: its cross effects read as no complementary
+        # pair, and the model was reported substitutable-consistent
+        base = mnl_welfare(1.0, 3)
+        model = WelfareModel(
+            n=3, value=base.value, name="nan_beyond_5",
+            gradient=lambda mu: np.where(mu[..., :1] > 5.0, np.nan, base.gradient(mu)))
+        with pytest.raises(NumericError, match="nan_beyond_5 has cross effect nan at mu="):
+            substitutable_model_check(model, samples=200, seed=0)
 
     def test_brand_model_violation_found(self):
         report = substitutable_model_check(brand_model(), samples=600, seed=0)

@@ -441,6 +441,23 @@ class TestAxiomChecker:
         assert not report.translation_invariant.passed
         assert report.translation_invariant.witness is not None
 
+    def test_a_lifted_model_that_fails_later_is_not_lifted_again(self):
+        # per point: the first call, on a block, fails and lifts the model;
+        # the lifted model then raises in the second block
+        base, points = mnl_welfare(1.0, 2), []
+
+        def value(mu):
+            points.append(mu)
+            if len(points) > 50:
+                raise ValueError("model refused the point")
+            return float(base.value(mu))
+
+        model = WelfareModel(n=2, value=value, gradient=base.gradient, name="per_point")
+        with pytest.raises(ValueError, match="model refused the point"):
+            check_axioms(model, samples=100, seed=0)
+        # the block call, the 9 fixed samples' 5 points each, lifted, and 5 more
+        assert len(points) == 1 + 45 + 5
+
     def test_concave_violator_caught_with_witness(self):
         base = mnl_welfare(1.0, 3)
         bad = WelfareModel(
