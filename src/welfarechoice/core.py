@@ -4,8 +4,8 @@ Input validation, sum-constrained Newton steps and their bordered matrix,
 the damped Newton ascent that the RAM solver and the conjugate share,
 finite differences, 1-D quadrature, monotone root finding, the seeded
 random-stream contract used by the Monte Carlo code, and `keep_last`, the
-one-entry memo by which a representation keeps its last evaluation. The
-rest is pure given its inputs; random state is created from an explicit seed.
+one-entry memo of the last Monte Carlo run and of the RAM solve `solve_ram`
+and `ram_welfare` share. The rest is pure; random state has an explicit seed.
 
 This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the

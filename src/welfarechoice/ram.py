@@ -47,7 +47,7 @@ class DegenerateRegularizerError(ValueError):
     """The regularizer is not essentially strictly convex; argmax may be non-unique."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, never by its arrays
 class Regularizer:
     """Convex regularizer V on the simplex with interior gradient.
 
@@ -103,9 +103,11 @@ def entropy_regularizer(eta: float, n: int) -> Regularizer:
 def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
     """V(x) = x' A x for symmetric positive definite A."""
     A = as_symmetric(A, "A")
+    n = A.shape[0]
+    if n < 2:
+        raise ValueError("A must be at least 2 x 2, for n >= 2 alternatives")
     if np.min(np.linalg.eigvalsh(A)) <= 1e-10:
         raise ValueError("A must be positive definite")
-    n = A.shape[0]
 
     # stacked vector products, so that each row of a batch is computed as a
     # single point is
@@ -295,8 +297,8 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
 def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
     """V(x) = -sum_i sigma_i sqrt(x_i (1 - x_i))."""
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0) or not np.all(np.isfinite(sigma)):
-        raise ValueError("sigma must be finite and nonnegative")
+    if sigma.ndim != 1 or sigma.size < 2 or np.any(sigma < 0) or not np.all(np.isfinite(sigma)):
+        raise ValueError("sigma must list n >= 2 entries, finite and nonnegative")
     n = sigma.size
     strictly = bool(np.all(sigma > 0))
 
@@ -331,6 +333,8 @@ def cmm_regularizer(cov: Sequence[Sequence[float]]) -> Regularizer:
     directions (the relative interior is the safe domain).
     """
     cov = as_symmetric(cov, "covariance")
+    if cov.shape[0] < 2:
+        raise ValueError("covariance must be at least 2 x 2, for n >= 2 alternatives")
     eigvals, eigvecs = np.linalg.eigh(cov)
     if np.min(eigvals) <= 1e-10:
         raise ValueError("covariance must be positive definite")
@@ -559,9 +563,8 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
     return x, iterations, converged & np.all(np.isfinite(x), axis=1)
 
 
-def _objective(reg: Regularizer, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mu.x - V(x) for each row, in one call of V."""
-    return rowdot(mu, x) - batch_value(reg, x)
+# the one kept solve of `solve_ram` and `ram_welfare`; `_argmax` is looked up at each call
+_solve = keep_last(lambda reg, flat: _argmax(reg, flat))
 
 
 def solve_ram(reg: Regularizer, mu) -> SolveResult:
@@ -575,19 +578,19 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
     user regularizers) a damped active-set Newton ascent that steps the
     whole batch together, at most ASCENT_MAX_ITER (50) steps a point: one
     that stalls reports the steps it took (50 when the budget ran out),
-    unconverged. Differences of mu that overflow are a ValueError.
-    V's `value` and `gradient` must broadcast over
-    points of shape (..., n); a user regularizer written for one point is
-    lifted with `welfarechoice.pointwise`.
+    unconverged. Differences of mu that overflow are a ValueError. V's
+    `value` and `gradient` must broadcast over points of shape (..., n); a
+    user regularizer written for one point is lifted with `pointwise`.
 
     A 1-D `mu` gives scalar fields. A batch of shape (..., n) is solved in
     one call and gives `x_star` of shape (..., n) and the other fields of
     shape (...), each entry equal to the solve of its own point; for a
-    separable V, `iterations` counts the bisection steps of the batch.
+    separable V, `iterations` counts the bisection steps of the batch. The
+    last solve is kept once, for `ram_welfare` too; each call gets its own arrays.
     """
     flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
-    x, iterations, converged = _argmax(reg, flat)
-    w = _objective(reg, flat, x)
+    x, iterations, converged = (a.copy() for a in _solve(reg, flat))  # kept arrays stay unshared
+    w = rowdot(flat, x) - batch_value(reg, x)  # mu.x - V(x), in one call of V
     kkt = verify_kkt(reg, flat, x)
     if np.ndim(mu) == 1:
         return SolveResult(x[0], float(w[0]), float(kkt[0]), int(iterations[0]),
@@ -600,15 +603,15 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
 def ram_welfare(reg: Regularizer) -> WelfareModel:
     """Wrap a regularizer as a WelfareModel (w from the solve, q = argmax).
 
-    `value` and `gradient` solve their whole point set in one call, kept by
-    `core.keep_last`, so w and q at the same points cost one solve. As x = e_i
-    gives w(mu) >= mu_i - V(e_i), the superlinear bounds are -V(e_i) when V is
-    finite at every vertex, else None (a barrier such as the log-barrier). The
-    model keeps `reg` as its `regularizer`, whose V and grad V `duality` reads.
+    `value` and `gradient` solve their points in one call, kept once with
+    `solve_ram`'s: w, q and its record at the same points cost one solve.
+    An unconverged point is a NumericError. As x = e_i gives w(mu) >= mu_i -
+    V(e_i), the superlinear bounds are -V(e_i) when V is finite at every
+    vertex, else None (a barrier such as the log-barrier). The model keeps
+    `reg` as its `regularizer`, whose V and grad V `duality` reads.
     """
-    @keep_last
     def solve(flat):
-        x, _, converged = _argmax(reg, flat)
+        x, _, converged = _solve(reg, flat)
         if not np.all(converged):
             bad = flat[int(np.argmin(converged))]
             raise NumericError(f"solver did not converge for {reg.name} at mu={bad}")
@@ -616,7 +619,8 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
 
     def value(mu):
         flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
-        w = _objective(reg, flat, solve(flat))
+        x = solve(flat)
+        w = rowdot(flat, x) - batch_value(reg, x)
         return float(w[0]) if np.ndim(mu) == 1 else w.reshape(np.shape(mu)[:-1])
 
     def gradient(mu):

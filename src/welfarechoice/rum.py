@@ -11,12 +11,12 @@ winner counts and the sums of the row maximum and its square at a point,
 comparing and adding as `np.max` and `np.argmax` do; `_run` draws each
 partition once for a stack of points and adds its tallies in partition order.
 `mc_estimates` and `mc_welfare_model` both read `_run`, which keeps its last
-run by `core.keep_last`, as `ram.ram_welfare` keeps its last solve. So
-`mc_choice_probs` then `mc_welfare` with one sampler, point, samples and seed
-simulate once, and a model's `value` and `gradient` at one stack share one
-run. A new stack draws every partition again from its fixed stream, so memory
-is bounded per running partition (O(MC_CHUNK n)), not by `samples`; both rest
-on `NoiseSampler.draw` being a function of `(rng, size)` alone.
+run by `core.keep_last` (as `ram` keeps the solve `solve_ram` and `ram_welfare`
+share). So `mc_choice_probs` then `mc_welfare` with one sampler, point, samples
+and seed simulate once, and a model's `value` and `gradient` at one stack
+share one run. A new stack draws every partition again from its fixed stream,
+so memory is bounded per running partition (O(MC_CHUNK n)), not by `samples`;
+both rest on `NoiseSampler.draw` being a function of `(rng, size)` alone.
 """
 
 from __future__ import annotations

@@ -849,6 +849,20 @@ class TestValidate:
         assert main(["validate", "--spec", spec_file(spec)]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {message}")
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "ram_mmm", "sigma": [2.0]}, "ram_mmm: sigma must"),
+        ({"kind": "ram_mmm", "sigma": 2.0}, "ram_mmm: sigma must"),
+        ({"kind": "ram_quadratic", "matrix": [[1.0]]}, "ram_quadratic: A must"),
+        ({"kind": "ram_cmm", "covariance": [[1.0]]}, "ram_cmm: covariance must"),
+    ], ids=["mmm", "mmm_scalar", "quadratic", "cmm"])
+    def test_a_one_alternative_ram_spec_exits_2(self, spec_file, capsys, spec, message):
+        # each built a model with n = 1: validate printed "valid", and eval
+        # at mu = 0 printed w = 0, q = 1 with exit 0
+        for argv in (["validate"], ["eval", "--mu", "0"]):
+            assert main([*argv, "--spec", spec_file(spec)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {message}") and "n >= 2" in err
+
     def test_unknown_kind(self, spec_file):
         assert main(["validate", "--spec", spec_file({"kind": "mystery"})]) == 2
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ def grid_maximizer_2d(objective, resolution=10001):
     vals = np.array([objective(np.array([a, 1.0 - a])) for a in t])
     k = int(np.argmax(vals))
     return np.array([t[k], 1.0 - t[k]]), vals[k]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The row counts of the solves `ram._argmax` makes while the test runs."""
+    solved = []
+    argmax = ram._argmax
+
+    def counting(reg, mu):
+        solved.append(mu.shape[0])
+        return argmax(reg, mu)
+
+    monkeypatch.setattr(ram, "_argmax", counting)
+    return solved
 
 
 class TestEntropyRegularizer:
@@ -464,6 +479,66 @@ class TestSolverPaths:
         expected = solve_ram(reg, points)
         np.testing.assert_array_equal(w, expected.w_value)
         np.testing.assert_array_equal(model.gradient(points), expected.x_star)
+
+    @pytest.mark.parametrize("family", sorted(REGULARIZERS))
+    def test_the_benchmark_call_pattern_makes_two_solves(self, family, solves):
+        # solve_ram, then w and q at the same point, then the FD gradient of w:
+        # the point and its 2n-point stencil, where three solves were made
+        # when solve_ram and the model each solved the point
+        reg = self.REGULARIZERS[family]()
+        model = ram_welfare(reg)
+        mu = np.array([0.4, -0.3, 0.1])
+        result = solve_ram(reg, mu)
+        w, q = model.value(mu), model.gradient(mu)
+        core.finite_diff_gradient(model.value, mu)
+        assert solves == [1, 6]
+        assert w == result.w_value
+        np.testing.assert_array_equal(q, result.x_star)
+
+    @pytest.mark.parametrize("family", sorted(REGULARIZERS))
+    def test_callers_get_copies_of_the_kept_solve(self, family, solves):
+        reg = self.REGULARIZERS[family]()
+        model = ram_welfare(reg)
+        points = np.random.default_rng(14).uniform(-2.0, 2.0, (4, 3))
+        batch = solve_ram(reg, points)
+        expected = [batch.x_star.copy(), batch.iterations.copy(), batch.converged.copy()]
+        batch.x_star[...], batch.iterations[...], batch.converged[...] = 7.0, -1, False
+        model.gradient(points)[...] = 7.0
+        again = solve_ram(reg, points)
+        for got, want in zip((again.x_star, again.iterations, again.converged), expected):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(model.gradient(points), expected[0])
+        single = solve_ram(reg, points[0])
+        single.x_star[...] = 7.0
+        np.testing.assert_array_equal(solve_ram(reg, points[0]).x_star, expected[0][0])
+        np.testing.assert_array_equal(model.gradient(points[0]), expected[0][0])
+        assert solves == [4, 1]  # every read above but the first of each was kept
+
+    def test_an_equal_copy_of_a_quadratic_solves_bit_for_bit(self, solves):
+        # the kept solve compares regularizers by identity: == on the copy
+        # would read its equal but distinct matrix as a bool, and raise
+        reg = quadratic_regularizer(COUPLING)
+        twin = replace(reg, quadratic_matrix=reg.quadratic_matrix.copy())
+        points = np.random.default_rng(15).uniform(-2.0, 2.0, (5, 3))
+        first = solve_ram(reg, points)
+        second = solve_ram(twin, points)
+        for field in ("x_star", "w_value", "kkt_residual", "iterations", "converged"):
+            np.testing.assert_array_equal(getattr(second, field), getattr(first, field))
+        np.testing.assert_array_equal(ram_welfare(twin).gradient(points), first.x_star)
+        np.testing.assert_array_equal(ram_welfare(reg).value(points), first.w_value)
+        assert solves == [5, 5, 5]
+
+    def test_a_kept_unconverged_solve_makes_the_model_raise(self, monkeypatch, solves):
+        # a sign-flipped KKT system: the walk cycles until its cap
+        monkeypatch.setattr(ram, "bordered", lambda m: core.bordered(-m))
+        reg = quadratic_regularizer(np.eye(3))
+        mu = np.array([2.0, -2.0, 0.0])
+        assert not solve_ram(reg, mu).converged
+        model = ram_welfare(reg)
+        for read in (model.value, model.gradient):
+            with pytest.raises(core.NumericError, match="did not converge"):
+                read(mu)
+        assert solves == [1]
 
 
 class TestKnownFailurePoints:
