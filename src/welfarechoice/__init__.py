@@ -10,9 +10,8 @@ composition operators, and a CLI.
 
 __version__ = "0.1.0"
 
-from .core import (BracketError, NumericError, QuadratureError,
-                   as_probability, bisect_increasing,
-                   finite_diff_gradient, integrate_1d, mixed_partial,
+from .core import (BracketError, NumericError, as_probability,
+                   bisect_increasing, finite_diff_gradient, mixed_partial,
                    normal_quantile)
 from .duality import (AnchorDistribution, ConvergenceError, anchor_family,
                       conjugate_V, invert_choice, semiparametric_sup,

@@ -2,10 +2,10 @@
 
 Input validation, sum-constrained Newton steps and their bordered matrix,
 the damped Newton ascent that the RAM solver and the conjugate share,
-finite differences, 1-D quadrature, monotone root finding, the seeded
-random-stream contract used by the Monte Carlo code, and `keep_last`, the
-one-entry memo of the last Monte Carlo run and of the RAM solve `solve_ram`
-and `ram_welfare` share. The rest is pure; random state has an explicit seed.
+finite differences, monotone root finding, the seeded random-stream
+contract used by the Monte Carlo code, and `keep_last`, the one-entry memo
+of the last Monte Carlo run and of the RAM solve `solve_ram` and
+`ram_welfare` share. The rest is pure; random state has an explicit seed.
 
 This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
@@ -25,7 +25,6 @@ used elsewhere is a constant of the module that reads it.
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -43,10 +42,6 @@ MC_CHUNK = 1 << 16
 
 class NumericError(RuntimeError):
     """A numeric operation produced non-finite values or failed to converge."""
-
-
-class QuadratureError(NumericError):
-    """Adaptive quadrature could not reach the requested absolute error."""
 
 
 class BracketError(ValueError):
@@ -330,37 +325,6 @@ def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
     return total / (2.0 * MIXED_PARTIAL_STEP) ** len(idx)
 
 
-def _quad_panel(g, a: float, b: float, abs_tol: float, depth: int) -> float:
-    from scipy import integrate  # imported on first use, which most CLI runs never reach
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(g, a, b, epsabs=abs_tol, epsrel=0.0, limit=200)
-    if not np.isfinite(val):
-        raise QuadratureError("quadrature produced a non-finite value")
-    if err <= max(abs_tol, 1e-13 * abs(val)):
-        return float(val)
-    if depth >= 24 or b - a <= 1e-14 * max(1.0, abs(a) + abs(b)):
-        raise QuadratureError(
-            f"quadrature error estimate {err:.2e} exceeds tolerance "
-            f"{abs_tol:.2e} after maximal refinement")
-    mid = 0.5 * (a + b)
-    return (_quad_panel(g, a, mid, 0.5 * abs_tol, depth + 1)
-            + _quad_panel(g, mid, b, 0.5 * abs_tol, depth + 1))
-
-
-def integrate_1d(g: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature of g over [a, b] with absolute error <= 1e-10.
-
-    Panels whose error estimate misses the tolerance are bisected
-    recursively, which isolates integrable endpoint singularities.
-    """
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if a == b:
-        return 0.0
-    return _quad_panel(g, a, b, 1e-10, depth=0)
-
-
 def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi):
     """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection.
 
@@ -397,13 +361,13 @@ def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi):
 
 def normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
     """Standard normal quantile (inverse CDF), accurate to machine precision."""
-    from scipy.special import ndtri  # imported on first use, like scipy.integrate
+    from scipy.special import ndtri  # imported on first use, not at start-up
     return ndtri(p)
 
 
 def normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """Standard normal distribution function."""
-    from scipy.special import ndtr  # imported on first use, like scipy.integrate
+    from scipy.special import ndtr  # imported on first use, not at start-up
     return ndtr(z)
 
 

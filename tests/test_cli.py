@@ -934,3 +934,13 @@ def test_ram_solves_load_no_scipy():
             "    assert ram.solve_ram(b.regularizer, mu).converged\n"
             "    b.model.value(mu), b.model.gradient(mu + 1.0)")
     assert scipy_modules_after(code) == "[]"
+
+
+def test_custom_mdm_value_loads_no_scipy():
+    # a custom marginal's tail is a fixed rule in numpy, not scipy.integrate
+    code = ("import sys, numpy as np\n"
+            "from welfarechoice import ram\n"
+            "custom = ram.custom_marginal(lambda t: np.log(t) - np.log1p(-t))\n"
+            "reg = ram.mdm_regularizer([custom, ram.logistic_marginal(1.0)])\n"
+            "assert np.isfinite(reg.value(np.array([0.3, 0.7])))")
+    assert scipy_modules_after(code) == "[]"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from welfarechoice import core
+from welfarechoice.ram import custom_marginal, logistic_marginal, mdm_regularizer
 from welfarechoice.welfare import mnl_welfare, pointwise
 
 
@@ -142,31 +143,56 @@ class TestMixedPartial:
             assert core.mixed_partial(model.value, row, (0, 2)) == e
 
 
-class TestIntegrate1D:
-    def test_identity_on_unit_interval(self):
-        assert abs(core.integrate_1d(lambda t: t, 0.0, 1.0) - 0.5) <= 1e-10
+def _xlogx(t):
+    return np.where(t > 0.0, t * np.log(np.maximum(t, 1e-300)), 0.0)
 
-    def test_tail_of_identity(self):
-        # integral of t over [1-x, 1] is x - x^2/2 = 0.32 at x = 0.4
-        assert abs(core.integrate_1d(lambda t: t, 0.6, 1.0) - 0.32) <= 1e-10
 
-    def test_normal_quantile_integrates_to_zero(self):
-        val = core.integrate_1d(lambda t: float(core.normal_quantile(t)),
-                                1e-12, 1.0 - 1e-12)
-        assert abs(val) <= 1e-6
+CLIP = 1e-12
+# quantile and an antiderivative of it, each exact to rounding on [CLIP, 1 - CLIP]
+QUANTILES = {
+    "t": (lambda t: t, lambda t: 0.5 * t * t),
+    "t_squared": (lambda t: t * t, lambda t: t ** 3 / 3.0),
+    "sqrt": (np.sqrt, lambda t: 2.0 / 3.0 * t ** 1.5),
+    "logistic": (lambda t: np.log(t) - np.log1p(-t), lambda t: _xlogx(t) + _xlogx(1.0 - t)),
+    "exponential": (lambda t: -np.log1p(-t), lambda t: _xlogx(1.0 - t) + t),
+    "normal": (core.normal_quantile, lambda t: -core.normal_pdf(core.normal_quantile(t))),
+}
 
-    def test_polynomial_antiderivatives(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            coeffs = rng.uniform(-3, 3, 4)
-            a, b = sorted(rng.uniform(-2, 2, 2))
-            poly = np.polynomial.Polynomial(coeffs)
-            exact = poly.integ()(b) - poly.integ()(a)
-            assert abs(core.integrate_1d(poly, a, b) - exact) <= 1e-10
 
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            core.integrate_1d(lambda t: t, 1.0, 0.0)
+class TestCustomMarginalTail:
+    """A custom marginal's tail is one fixed tanh-sinh rule over clipped limits."""
+
+    @pytest.mark.parametrize("name", sorted(QUANTILES))
+    def test_matches_the_exact_integral(self, name):
+        quantile, antiderivative = QUANTILES[name]
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(0.0, 1.0, 400), np.logspace(-11.0, 0.0, 200)])
+        lo = np.maximum(1.0 - x, CLIP)
+        exact = antiderivative(1.0 - CLIP) - antiderivative(lo)
+        got = custom_marginal(quantile).tail_integral(x)
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(QUANTILES))
+    def test_edges_give_zero_or_the_mean_without_warnings(self, name):
+        quantile, antiderivative = QUANTILES[name]
+        mean = antiderivative(1.0 - CLIP) - antiderivative(CLIP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = custom_marginal(quantile).tail_integral(
+                np.array([-0.5, 0.0, 1e-300, 1e-13, 1.0, 1.5]))
+        np.testing.assert_array_equal(got[:4], 0.0)
+        np.testing.assert_allclose(got[4:], mean, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_quantile_at_a_node_raises(self):
+        # NaN only on (0.0040, 0.0041): no point of the 33-point grid check,
+        # nor a node of the mean, lands there
+        def quantile(t):
+            return np.where((t > 0.0040) & (t < 0.0041), np.nan, np.log(t) - np.log1p(-t))
+
+        reg = mdm_regularizer([custom_marginal(quantile), logistic_marginal(1.0)])
+        assert np.isfinite(reg.value(np.array([0.5, 0.5])))
+        with pytest.raises(core.NumericError, match="custom marginal"):
+            reg.value(np.array([0.99595, 0.00405]))
 
 
 class TestBisectIncreasing:

@@ -10,7 +10,7 @@ import pytest
 
 from welfarechoice import core, modelspec, ram
 from welfarechoice.cli import main
-from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError,
+from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError, Marginal,
                                cmm_regularizer, custom_marginal,
                                entropy_regularizer,
                                exponential_marginal, log_barrier_regularizer,
@@ -109,7 +109,7 @@ class TestMDMRegularizer:
 
     def test_quadrature_path_matches_closed_forms(self):
         # custom marginals carry only the quantile; their tail integrals are
-        # computed by adaptive quadrature and must agree with the analytics
+        # computed by a fixed tanh-sinh rule and must agree with the analytics
         pairs = [
             (logistic_marginal(1.0),
              custom_marginal(lambda t: np.log(t / (1.0 - t)))),
@@ -200,6 +200,17 @@ class TestCustomMarginals:
     def test_scalar_only_quantile_is_refused_when_built(self, quantile):
         with pytest.raises(ValueError, match="does not broadcast"):
             mdm_regularizer([custom_marginal(quantile), logistic_marginal(1.0)])
+
+    @pytest.mark.parametrize("tail", [lambda x: x - 0.5 * x * x if x > 0.0 else 0.0,
+                                      lambda x: float(np.mean(x))],
+                             ids=["raises", "returns_a_scalar"])
+    def test_scalar_only_tail_integral_is_refused_when_built(self, tail):
+        uniform = uniform_marginal()
+        scalar_tail = Marginal(family="scalar_tail", upper_quantile=uniform.upper_quantile,
+                               survival=uniform.survival, tail_integral=tail, bounded=True)
+        with pytest.raises(ValueError,
+                           match="tail integral of scalar_tail marginal does not broadcast"):
+            mdm_regularizer([scalar_tail, logistic_marginal(1.0)])
 
 
 class TestMMMRegularizer:
