@@ -243,8 +243,8 @@ def cmd_convert(args) -> int:
 
     if args.direction == "v-to-w":
         if bundle.regularizer is None:
-            raise SpecError("--direction",
-                            "v-to-w requires a regularizer-backed (ram_*) spec")
+            raise SpecError("--direction", "v-to-w requires a spec whose model carries its V "
+                            "(ram_*, mnl, nested_logit or their transform_scale)")
         _, header, rows = _welfare_table(model, args.mu)
         _csv("convert", {"direction": "v-to-w", "spec": bundle.spec},
              header, rows, args.out)

@@ -2,10 +2,11 @@
 at one point (n,) or a stack of points (..., n) in one batch of model calls.
 
 welfare -> regularizer: the convex conjugate V(x) = sup_y { y.x - w(y) },
-read from the V a RAM model carries (`WelfareModel.regularizer`), since
-V = w*. Any other model is maximized over the zero-sum hyperplane by
-`core.newton_ascent`, the damped Newton method that RAM's solver shares, of
-at most ASCENT_MAX_ITER steps.
+read from the V a model carries (`WelfareModel.regularizer`: RAM models,
+mnl, nested logit and their scale), since V = w*. Any other model is
+maximized over the zero-sum hyperplane by `core.newton_ascent`, the damped
+Newton method that RAM's solver shares, of at most ASCENT_MAX_ITER steps.
+A conjugate or inverse past the float range is a NumericError.
 
 welfare -> choice inversion: the same maximizer y* satisfies q(y*) = x, so
 the ascent doubles as the inverse choice map on the simplex interior; from
@@ -26,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ASCENT_MAX_ITER, as_probability, as_utility_of, newton_ascent, rowdot
+from .core import (ASCENT_MAX_ITER, NumericError, as_probability, as_utility_of, newton_ascent,
+                   rowdot)
 from .welfare import WelfareModel, batch_gradient, batch_value, model_bounds
 
 INTERIOR_MIN = 1e-6
@@ -65,10 +67,23 @@ def strict_V(model: WelfareModel):
     return model.regularizer if getattr(model.regularizer, "strictly_convex", False) else None
 
 
+def _in_range(read, what: str) -> np.ndarray:
+    """read(), refused with a NumericError where it leaves the float range, as
+    a V scaled by a huge eta can: never an inf or a NaN from inf - inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = read()
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"{what} leaves the float range at x")
+    return out
+
+
 def inverse_from_V(reg, x) -> np.ndarray:
     """q^{-1}(x) = grad V(x) + c 1 at simplex points x (..., n), c making each sum zero."""
-    g = batch_gradient(reg, x)
-    return g - np.mean(g, axis=-1, keepdims=True)
+    def centred():
+        g = batch_gradient(reg, x)
+        return g - np.mean(g, axis=-1, keepdims=True)
+
+    return _in_range(centred, f"grad V of {reg.name}")
 
 
 def _interior(model: WelfareModel, x, what: str):
@@ -98,7 +113,8 @@ def conjugate_V(model: WelfareModel, x):
     """Convex conjugate V(x) = sup_y { y.x - w(y) } at interior points x of
     shape (..., n): a float for one point, shape (...) for a stack."""
     x, reg, y = _interior(model, x, "x")
-    v = batch_value(reg, x) if y is None else rowdot(y, x) - batch_value(model, y)
+    v = _in_range(lambda: batch_value(reg, x) if y is None
+                  else rowdot(y, x) - batch_value(model, y), f"the conjugate of {model.name}")
     return float(v) if x.ndim == 1 else v
 
 

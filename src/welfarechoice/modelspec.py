@@ -47,7 +47,8 @@ class ModelBundle:
 
     @property
     def regularizer(self) -> Optional[ram.Regularizer]:
-        """The regularizer that defines the model (ram_* kinds), else None."""
+        """The model's V: the regularizer of ram_* kinds, the conjugate of mnl
+        and nested_logit, eta V of their transform_scale; else None."""
         return self.model.regularizer
 
 

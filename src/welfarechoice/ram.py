@@ -2,10 +2,10 @@
 
 A `Regularizer` is a convex function V on the simplex; the induced choice
 model solves max_x { mu.x - V(x) } over the simplex. This module provides
-the regularizer library (entropy, quadratic, log-barrier, and the three
-moment-based families built from marginal quantiles, marginal standard
-deviations, and full covariance matrices), the solver, and KKT residual
-verification.
+the regularizer library (entropy, defined in `welfare` as mnl's V;
+quadratic, log-barrier, and the three moment-based families built from
+marginal quantiles, marginal standard deviations, and full covariance
+matrices), the solver, and KKT residual verification.
 
 Solver layout: the path follows the regularizer's fields, and each path
 takes a batch of points, read as utilities relative to each point's
@@ -28,14 +28,15 @@ point is lifted with `welfarechoice.pointwise`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (NumericError, as_symmetric, as_utilities, bisect_increasing,
                    bordered, keep_last, newton_ascent, normal_cdf,
                    normal_pdf, normal_quantile, positive_scale, rowdot)
-from .welfare import WelfareModel, _shifted_exp, batch_gradient, batch_value
+from .welfare import (Regularizer, WelfareModel, batch_gradient, batch_value,
+                      entropy_regularizer)
 
 ACTIVE_TOL = 1e-9
 SOLVER_TOL = 1e-9
@@ -50,59 +51,6 @@ _EIG_FLOOR = 1e-12
 
 class DegenerateRegularizerError(ValueError):
     """The regularizer is not essentially strictly convex; argmax may be non-unique."""
-
-
-@dataclass(frozen=True, eq=False)  # compared by identity, never by its arrays
-class Regularizer:
-    """Convex regularizer V on the simplex with interior gradient.
-
-    `value` maps points of shape (..., n) to shape (...) and `gradient` maps
-    them to shape (..., n), each row equal to the call on that row alone;
-    per-point functions meet this contract through `pointwise`.
-    `boundary_barrier` marks gradients that blow up toward the boundary
-    (solver must stay interior). `quadratic_matrix` holds A for
-    V(x) = x' A x. `choice` is set for a separable V = sum_i v_i(x_i): it
-    maps t of shape (..., n) to the coordinates x_i = (v_i')^{-1}(-t_i),
-    clipped to [0, 1], so that the maximizer is choice(lam - mu) for the one
-    multiplier lam with unit sum. `multiplier` maps mu of shape (m, n) to that lam
-    where it has a closed form (entropy), which spares the search for it.
-    """
-
-    n: int
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    boundary_barrier: bool
-    strictly_convex: bool = True
-    name: str = "regularizer"
-    quadratic_matrix: Optional[np.ndarray] = None
-    choice: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-def entropy_regularizer(eta: float, n: int) -> Regularizer:
-    """V(x) = eta * sum_i x_i log x_i with the 0 log 0 = 0 convention."""
-    positive_scale(eta, "eta")
-
-    def value(x):
-        x = np.asarray(x, float)
-        return eta * np.sum(np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0),
-                            axis=-1)
-
-    def gradient(x):
-        return eta * (1.0 + np.log(np.maximum(np.asarray(x, float), 1e-300)))
-
-    def choice(t):
-        with np.errstate(over="ignore"):  # a t / eta past the float range: exp(-inf) = 0
-            return np.exp(np.minimum(-np.asarray(t, float) / eta - 1.0, 0.0))
-
-    def multiplier(mu):  # divides after the shift, so no finite mu overflows
-        z, m = _shifted_exp(mu, eta)
-        return eta * (np.log(z.sum(axis=-1)) - 1.0) + m[..., 0]
-
-    return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=True,
-                       name=f"entropy(eta={eta:g})", choice=choice,
-                       multiplier=multiplier)
 
 
 def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:

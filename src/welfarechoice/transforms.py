@@ -15,11 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import NumericError, positive_scale
-from .welfare import WelfareModel
+from .welfare import Regularizer, WelfareModel
 
 
 def scale(model: WelfareModel, eta: float) -> WelfareModel:
-    """w(mu) = eta * w_inner(mu / eta); the gradient is q_inner(mu / eta)."""
+    """w(mu) = eta * w_inner(mu / eta); the gradient is q_inner(mu / eta), and
+    the conjugate eta V where the inner model carries V (no solver fields)."""
     positive_scale(eta, "eta")
 
     def inner(mu):  # not shifted: the inner model need not be translation invariant
@@ -38,9 +39,16 @@ def scale(model: WelfareModel, eta: float) -> WelfareModel:
     bounds = None
     if model.superlinear_bounds is not None:
         bounds = eta * np.asarray(model.superlinear_bounds, dtype=float)
+    reg, inner_V = None, model.regularizer
+    if inner_V is not None:
+        reg = Regularizer(n=inner_V.n, value=lambda x: eta * inner_V.value(x),
+                          gradient=lambda x: eta * np.asarray(inner_V.gradient(x)),
+                          boundary_barrier=inner_V.boundary_barrier,
+                          strictly_convex=inner_V.strictly_convex,
+                          name=f"scale({inner_V.name}, {eta:g})")
     return WelfareModel(n=model.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,
-                        name=f"scale({model.name}, {eta:g})")
+                        name=f"scale({model.name}, {eta:g})", regularizer=reg)
 
 
 @dataclass(frozen=True)

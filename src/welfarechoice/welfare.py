@@ -12,20 +12,44 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import (NumericError, _evaluate, finite_diff_jacobian, mixed_partial,
                    positive_scale, stream_rng)
 
-if TYPE_CHECKING:
-    from .ram import Regularizer
-
 SIGN_REL_TOL = 1e-4
 GEV_VALIDATION_SAMPLES = 64
 GEV_VALIDATION_SEED = 7
 _DRAW_BLOCK = 2 ** 16  # rows per block of `check_superlinear`, bounding its memory
+
+
+@dataclass(frozen=True, eq=False)  # compared by identity, never by its arrays
+class Regularizer:
+    """Convex regularizer V on the simplex with interior gradient.
+
+    `value` maps points of shape (..., n) to shape (...) and `gradient` maps
+    them to shape (..., n), each row equal to the call on that row alone;
+    per-point functions meet this contract through `pointwise`.
+    `boundary_barrier` marks gradients that blow up toward the boundary
+    (solver must stay interior). `quadratic_matrix` holds A for
+    V(x) = x' A x. `choice` is set for a separable V = sum_i v_i(x_i): it
+    maps t of shape (..., n) to the coordinates x_i = (v_i')^{-1}(-t_i),
+    clipped to [0, 1], so that the maximizer is choice(lam - mu) for the one
+    multiplier lam with unit sum. `multiplier` maps mu of shape (m, n) to that lam
+    where it has a closed form (entropy), which spares the search for it.
+    """
+
+    n: int
+    value: Callable[[np.ndarray], float]
+    gradient: Callable[[np.ndarray], np.ndarray]
+    boundary_barrier: bool
+    strictly_convex: bool = True
+    name: str = "regularizer"
+    quadratic_matrix: Optional[np.ndarray] = None
+    choice: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -38,9 +62,9 @@ class WelfareModel:
     functions meet this contract through `pointwise`.
     `superlinear_bounds` holds per-alternative constants b with
     w(mu) >= mu_i + b_i when such bounds are known analytically.
-    `regularizer` is the V a RAM model was built from (`ram_welfare`), so
-    that its conjugate and inverse choice map are read from V and grad V;
-    it is None for closed forms and transforms.
+    `regularizer` is the model's V = w*, from which its conjugate and inverse
+    choice map are read: a RAM model's (`ram_welfare`), mnl's and nested
+    logit's, and eta V of their `transforms.scale`; None for other models.
     """
 
     n: int
@@ -105,8 +129,39 @@ def softmax(a: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def _xlogx(x):
+    """x log x elementwise, with the 0 log 0 = 0 convention."""
+    x = np.asarray(x, float)
+    return np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
+
+
+def entropy_regularizer(eta: float, n: int) -> Regularizer:
+    """V(x) = eta * sum_i x_i log x_i with the 0 log 0 = 0 convention."""
+    positive_scale(eta, "eta")
+
+    def value(x):
+        return eta * np.sum(_xlogx(x), axis=-1)
+
+    def gradient(x):
+        return eta * (1.0 + np.log(np.maximum(np.asarray(x, float), 1e-300)))
+
+    def choice(t):
+        with np.errstate(over="ignore"):  # a t / eta past the float range: exp(-inf) = 0
+            return np.exp(np.minimum(-np.asarray(t, float) / eta - 1.0, 0.0))
+
+    def multiplier(mu):  # divides after the shift, so no finite mu overflows
+        z, m = _shifted_exp(mu, eta)
+        return eta * (np.log(z.sum(axis=-1)) - 1.0) + m[..., 0]
+
+    return Regularizer(n=n, value=value, gradient=gradient,
+                       boundary_barrier=True,
+                       name=f"entropy(eta={eta:g})", choice=choice,
+                       multiplier=multiplier)
+
+
 def mnl_welfare(eta: float, n: int) -> WelfareModel:
-    """Multinomial logit: w(mu) = eta * log(sum_i exp(mu_i / eta))."""
+    """Multinomial logit: w(mu) = eta * log(sum_i exp(mu_i / eta)), whose
+    conjugate is the entropy V(x) = eta * sum_i x_i log x_i."""
     positive_scale(eta, "eta")
     if n < 1:
         raise ValueError("need at least one alternative")
@@ -121,7 +176,8 @@ def mnl_welfare(eta: float, n: int) -> WelfareModel:
 
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=np.zeros(n),
-                        name=f"mnl(eta={eta:g})")
+                        name=f"mnl(eta={eta:g})",
+                        regularizer=entropy_regularizer(eta, n))
 
 
 def nested_logit_welfare(nests: Sequence[Sequence[int]],
@@ -130,7 +186,9 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
     """Nested logit with w(mu) = log sum_l (sum_{i in B_l} e^{mu_i/l_l})^{l_l}.
 
     `nests` partitions range(n) into disjoint blocks; each block has a
-    dissimilarity parameter in (0, 1].
+    dissimilarity parameter in (0, 1]. Its conjugate is the strictly convex
+    V(x) = sum_l [l_l sum_{i in B_l} x_i log x_i + (1 - l_l) X_l log X_l],
+    X_l = sum_{i in B_l} x_i (Fosgerau, McFadden & Bierlaire 2013).
     """
     blocks = [np.asarray(sorted(b), dtype=int) for b in nests]
     lam = np.asarray(lambdas, dtype=float)
@@ -171,9 +229,21 @@ def nested_logit_welfare(nests: Sequence[Sequence[int]],
         ls = nest_logsums(z)
         return np.exp(z - ls[..., nest_of]) * softmax(lam * ls)[..., nest_of]
 
+    lam_of = lam[nest_of]
+    member = np.equal.outer(nest_of, np.arange(len(blocks))).astype(float)  # (n, K)
+
+    def V(x):  # x @ member holds the nest sums X_l
+        return np.sum(lam_of * _xlogx(x), axis=-1) + _xlogx(x @ member) @ (1.0 - lam)
+
+    def grad_V(x):
+        return (1.0 + lam_of * np.log(np.maximum(x, 1e-300))
+                + (1.0 - lam_of) * np.log(np.maximum(x @ member, 1e-300))[..., nest_of])
+
+    name = f"nested_logit(K={len(blocks)})"
     return WelfareModel(n=n, value=value, gradient=gradient,
-                        superlinear_bounds=np.zeros(n),
-                        name=f"nested_logit(K={len(blocks)})")
+                        superlinear_bounds=np.zeros(n), name=name,
+                        regularizer=Regularizer(n=n, value=V, gradient=grad_V,
+                                                boundary_barrier=True, name=name))
 
 
 def log_sum_welfare(weights: Sequence[Sequence[float]],

@@ -61,10 +61,18 @@ def test_demo_quadratic_regularizer():
                                   0.5 * modelspec.DEMO_QUADRATIC_COUPLING)
 
 
+# the closed forms whose conjugate V is known, so duality reads it
+CARRY_V = {"mnl", "nested_logit", "scale"}
+
+
 @pytest.mark.parametrize("label", list(SUPERLINEAR))
 def test_superlinear_models_have_analytic_bounds(label):
     model = SUPERLINEAR[label]()
-    assert model.regularizer is None
+    if label in CARRY_V:
+        assert isinstance(model.regularizer, Regularizer)
+        assert model.regularizer.strictly_convex
+    else:
+        assert model.regularizer is None
     bounds, estimated = model_bounds(model)
     assert estimated is False
     np.testing.assert_array_equal(bounds, model.superlinear_bounds)

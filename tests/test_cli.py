@@ -405,9 +405,36 @@ class TestConvert:
         assert abs(sum(w * (0.0 + offset) for w in weights)
                    - math.log(3)) <= 1e-9
 
-    def test_v_to_w_requires_regularizer_spec(self, spec_file):
-        assert main(["convert", "--spec", spec_file(MNL3),
+    def test_v_to_w_requires_regularizer_spec(self, spec_file, capsys):
+        # a gev_custom spec is a crossed logit, which carries no V
+        spec = {"kind": "gev_custom", "eta": 1.0,
+                "exponents": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]}
+        assert main(["convert", "--spec", spec_file(spec),
                      "--direction", "v-to-w", "--mu", "0,0,0"]) == 2
+        assert ("v-to-w requires a spec whose model carries its V (ram_*, mnl, "
+                "nested_logit or their transform_scale)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["mnl", "ram_entropy"])
+    def test_w_to_v_past_the_float_range_exits_3(self, spec_file, capsys, kind):
+        # eta log 8 > the largest float: V = -inf was printed with exit 0
+        assert main(["convert", "--spec", spec_file({"kind": kind, "n": 8, "eta": 1e308}),
+                     "--direction", "w-to-v", "--x", ",".join(["0.125"] * 8)]) == 3
+        assert "leaves the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        MNL3,
+        {"kind": "nested_logit", "n": 3, "nests": [[1, 2], [3]], "lambdas": [0.5, 1.0]},
+        {"kind": "transform_scale", "eta": 2.0, "inner": MNL3},
+    ], ids=["mnl", "nested_logit", "transform_scale"])
+    def test_v_to_w_accepts_a_closed_form_that_carries_its_V(self, spec_file, tmp_path,
+                                                             spec):
+        points = ["--mu=0.4,-0.3,0.1", "--mu=2,0,-1"]
+        out_v, out_e = str(tmp_path / "v2w.csv"), str(tmp_path / "eval.csv")
+        path = spec_file(spec)
+        assert main(["convert", "--spec", path, "--direction", "v-to-w",
+                     *points, "--out", out_v]) == 0
+        assert main(["eval", "--spec", path, *points, "--out", out_e]) == 0
+        assert read_csv(out_v)[1:] == read_csv(out_e)[1:]
 
     @pytest.mark.parametrize("x", ["nan,0.5,0.5", "0.3,0.3,0.3", "-0.1,0.6,0.5"])
     def test_w_to_v_rejects_points_off_the_simplex(self, spec_file, x):
@@ -569,12 +596,20 @@ class TestRum:
                     + [f"--mu={mu}" for mu in GOLDEN_POINTS]) == 0
         assert sizes == [MC_CHUNK, MC_CHUNK, 17]
 
+    def test_binary_noise_past_the_float_range_exits_3(self, spec_file, capsys):
+        # xi = eta logit(u) overflows at eta = 1e308: inf and NaN were printed with exit 0
+        assert main(["rum", "--binary-from-spec", spec_file({"kind": "mnl", "n": 2, "eta": 1e308}),
+                     "--mu=0,0", "--samples", "1000"]) == 3
+        assert "leaves the float range" in capsys.readouterr().err
+
     def test_binary_cdf_calls_do_not_grow_with_points(self, spec_file, tmp_path,
                                                        monkeypatch):
         calls = []
         binary_rum_from_welfare = cli.binary_rum_from_welfare
 
         def counted(model):
+            # without its V, so the construction inverts the CDF by gradient calls
+            model = replace(model, regularizer=None)
             construction = binary_rum_from_welfare(model)
 
             def gradient(mu):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from welfarechoice import duality
-from welfarechoice.core import finite_diff_gradient, finite_diff_jacobian, newton_step
+from welfarechoice.core import (NumericError, finite_diff_gradient, finite_diff_jacobian,
+                               newton_step)
 from welfarechoice.duality import (ASCENT_MAX_ITER, GRAD_TOL, RESIDUAL_TOL, ConvergenceError,
                                    anchor_family, conjugate_V, invert_choice,
                                    semiparametric_sup, simplex_grid,
@@ -19,7 +20,7 @@ from welfarechoice.ram import (DegenerateRegularizerError, entropy_regularizer,
                                quadratic_regularizer, ram_welfare)
 from welfarechoice.rum import gumbel_sampler, mc_welfare_model
 from welfarechoice.substitution import substitutable_model_check
-from welfarechoice.transforms import MixtureComponent, mix
+from welfarechoice.transforms import MixtureComponent, mix, scale
 from welfarechoice.welfare import (GEVGenerator, WelfareModel, gev_welfare, log_sum_welfare,
                                    mnl_welfare, nested_logit_welfare, pointwise)
 
@@ -327,7 +328,8 @@ class TestOneCallPerCaller:
         ascend = duality._ascend
         monkeypatch.setattr(duality, "_ascend",
                             lambda model, x: calls.append(len(x)) or ascend(model, x))
-        _, nodes, _ = tabulated_welfare(mnl_welfare(1.0, 3), 0.05)
+        # the logit without its V, so the conjugate is the ascent's
+        _, nodes, _ = tabulated_welfare(replace(mnl_welfare(1.0, 3), regularizer=None), 0.05)
         assert calls == [len(nodes)]
 
     def test_span_probes_are_one_inversion(self, monkeypatch):
@@ -397,6 +399,73 @@ class TestReadFromV:
         model = ram_welfare(mmm_regularizer([0.0, 1.0, 1.0]))
         with pytest.raises(DegenerateRegularizerError):
             fn(model, np.ones(3) / 3)
+
+
+CLOSED_FORMS_WITH_V = {
+    "mnl_0.25": lambda: mnl_welfare(0.25, 4),
+    "mnl_1": lambda: mnl_welfare(1.0, 3),
+    "mnl_4": lambda: mnl_welfare(4.0, 5),
+    "nested_5": lambda: nested_logit_welfare([[0, 1], [2], [3, 4]], [0.1, 0.55, 1.0], 5),
+    "nested_4": lambda: nested_logit_welfare([[0], [1, 2, 3]], [1.0, 0.3], 4),
+    "scale_mnl": lambda: scale(mnl_welfare(4.0, 3), 0.5),
+    "scale_nested": lambda: scale(nested_logit_welfare([[0, 1], [2], [3, 4]],
+                                                       [0.1, 0.55, 1.0], 5), 2.5),
+}
+
+
+class TestClosedFormV:
+    """mnl, nested logit and their scale carry V = w*: the conjugate and the
+    inverse choice map read it, and agree with the ascent on the copy without it."""
+
+    @staticmethod
+    def case(name):
+        model = CLOSED_FORMS_WITH_V[name]()
+        x = np.random.default_rng(31).dirichlet(np.ones(model.n), 200)
+        return model, replace(model, regularizer=None), x * 0.98 + 0.02 / model.n
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS_WITH_V))
+    def test_conjugate_read_from_V_is_the_ascent(self, name, monkeypatch):
+        model, ascent_model, x = self.case(name)
+        calls = []
+        ascend = duality._ascend
+        monkeypatch.setattr(duality, "_ascend",
+                            lambda m, t: calls.append(m.name) or ascend(m, t))
+        read = conjugate_V(model, x)
+        assert calls == []
+        assert np.max(np.abs(read - conjugate_V(ascent_model, x))) <= 1e-12
+        assert calls == [ascent_model.name]
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS_WITH_V))
+    def test_inverse_read_from_V_has_the_smaller_residual(self, name):
+        model, ascent_model, x = self.case(name)
+        mu = invert_choice(model, x)
+        residual = np.max(np.abs(model.gradient(mu) - x), axis=-1)
+        ascent_residual = np.max(np.abs(model.gradient(invert_choice(ascent_model, x)) - x),
+                                 axis=-1)
+        assert np.max(np.abs(np.sum(mu, axis=-1))) <= 1e-12
+        assert np.max(residual) <= 1e-12
+        assert np.max(ascent_residual) <= GRAD_TOL
+        assert np.all(residual <= np.fmax(ascent_residual, 1e-15))
+
+
+class TestPastTheFloatRange:
+    """A conjugate or inverse that a huge eta carries past the largest float is refused."""
+
+    @pytest.mark.parametrize("model", [
+        mnl_welfare(1e308, 8), ram_welfare(entropy_regularizer(1e308, 8)),
+        replace(mnl_welfare(1e308, 8), regularizer=None)], ids=["mnl", "ram_entropy", "ascent"])
+    def test_a_conjugate_past_the_float_range_is_refused(self, model):
+        # eta log 8 > the largest float: an -inf V was returned
+        with pytest.raises(NumericError, match="leaves the float range"):
+            conjugate_V(model, np.full(8, 0.125))
+
+    @pytest.mark.parametrize("model", [mnl_welfare(1e308, 3), scale(mnl_welfare(1.0, 3), 1e308),
+                                       ram_welfare(entropy_regularizer(1e308, 3))],
+                             ids=["mnl", "scale", "ram_entropy"])
+    def test_an_inverse_past_the_float_range_is_refused(self, model):
+        # eta (1 + log x) overflows: a NaN inverse, from -inf minus -inf, was returned
+        with pytest.raises(NumericError, match="leaves the float range"):
+            invert_choice(model, np.array([1e-6, 0.5, 0.5 - 1e-6]))
 
 
 class TestAnchorFamily:

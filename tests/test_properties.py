@@ -7,15 +7,19 @@ RAM = logit to 1e-6 (criterion 1). The separable RAM families are also
 drawn far from the origin, where their multiplier search must still meet
 the solver's KKT tolerance; CMM must meet it through its Newton ascent;
 and the conjugate of a welfare (V = w*) must give back V at interior
-points to 1e-4 (criterion 9).
+points to 1e-4 (criterion 9). Where a closed form carries its V, the
+conjugate and inverse read from it agree with the ascent on the copy
+without it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from welfarechoice import core
-from welfarechoice.duality import conjugate_V
+from welfarechoice.duality import GRAD_TOL, conjugate_V, invert_choice
 from welfarechoice.ram import (SOLVER_TOL, cmm_regularizer, entropy_regularizer,
                                log_barrier_regularizer, logistic_marginal,
                                mdm_regularizer, mmm_regularizer,
@@ -182,7 +186,9 @@ def conjugate_cases(draw):
     if family == "entropy":
         reg = entropy_regularizer(eta, n)
         return ram_welfare(reg), x, reg.value(x)
-    return mnl_welfare(eta, n), x, eta * float(np.sum(x * np.log(x)))
+    # mnl without the V it carries, so that V = w* is the ascent's, not a read
+    return (replace(mnl_welfare(eta, n), regularizer=None), x,
+            eta * float(np.sum(x * np.log(x))))
 
 
 @given(conjugate_cases())
@@ -190,3 +196,26 @@ def conjugate_cases(draw):
 def test_conjugate_of_welfare_is_the_regularizer(case):
     model, x, expected = case
     assert abs(conjugate_V(model, x) - expected) <= 1e-4
+
+
+@st.composite
+def closed_forms_with_V(draw):
+    """(mnl, nested logit or the scale of either, interior x)."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(["mnl", "nested_logit", "scale_mnl", "scale_nested_logit"]))
+    model = mnl_welfare(draw(etas), n) if kind.endswith("mnl") else draw(nested_models(n))
+    if kind.startswith("scale"):
+        model = scale(model, draw(etas))
+    return model, draw(interior_points(n))
+
+
+@given(closed_forms_with_V())
+@settings(max_examples=100, deadline=None)
+def test_V_read_agrees_with_the_ascent(case):
+    model, x = case
+    ascent_model = replace(model, regularizer=None)
+    assert abs(conjugate_V(model, x) - conjugate_V(ascent_model, x)) <= 1e-10
+    q_read = model.gradient(invert_choice(model, x))
+    q_ascent = model.gradient(invert_choice(ascent_model, x))
+    assert np.max(np.abs(q_read - x)) <= 1e-12
+    assert np.max(np.abs(q_ascent - x)) <= GRAD_TOL

@@ -21,8 +21,9 @@ from welfarechoice.rum import (InvalidBinaryWelfareError, THREADS_ENV,
                                gumbel_sampler, logistic_sampler,
                                mc_choice_probs, mc_estimates, mc_welfare,
                                mc_welfare_model, normal_sampler, rum_sign_test)
+from welfarechoice.transforms import scale
 from welfarechoice.welfare import (GEVGenerator, WelfareModel, batch_value, gev_welfare,
-                                   log_sum_welfare, mnl_welfare)
+                                   log_sum_welfare, mnl_welfare, nested_logit_welfare)
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
@@ -519,6 +520,23 @@ RAM2 = [{"kind": "ram_entropy", "n": 2, "eta": 1.0},
         {"kind": "ram_cmm", "covariance": [[9.0, 0.9], [0.9, 9.0]]}]
 
 
+# two-alternative models that carry V: (the factor of their logit xi, the model)
+BINARY_WITH_V = {
+    "mnl_0.25": (0.25, lambda: mnl_welfare(0.25, 2)),
+    "mnl_1": (1.0, lambda: mnl_welfare(1.0, 2)),
+    "mnl_4": (4.0, lambda: mnl_welfare(4.0, 2)),
+    "nested_one_nest": (0.1, lambda: nested_logit_welfare([[0, 1]], [0.1], 2)),
+    "nested_singletons": (1.0, lambda: nested_logit_welfare([[0], [1]], [0.2, 0.9], 2)),
+    "scale_mnl": (2.5, lambda: scale(mnl_welfare(1.0, 2), 2.5)),
+    "scale_nested": (1.5, lambda: scale(nested_logit_welfare([[0, 1]], [0.5], 2), 3.0)),
+}
+
+
+def logit_without_V(eta):
+    """Two-alternative logit without its V, so its xi is the Newton inversion's."""
+    return replace(mnl_welfare(eta, 2), regularizer=None)
+
+
 class TestBinaryConstruction:
     def test_mnl_slice_derivative_is_logistic_cdf(self):
         construction = binary_rum_from_welfare(mnl_welfare(1.0, 2))
@@ -570,7 +588,7 @@ class TestBinaryConstruction:
 
     @pytest.mark.parametrize("eta", [1.0, 4.0])
     def test_inverted_xi_is_the_scaled_logit_into_both_tails(self, eta):
-        construction = binary_rum_from_welfare(mnl_welfare(eta, 2))
+        construction = binary_rum_from_welfare(logit_without_V(eta))
         u = np.concatenate([np.geomspace(1e-300, 0.5, 3000),
                             1.0 - np.geomspace(2.0 ** -53, 0.5, 3000),
                             np.random.default_rng(16).random(3000)])
@@ -593,7 +611,7 @@ class TestBinaryConstruction:
         assert np.max(np.abs(construction.sample_xi(u))) <= rum.XI_TOL
 
     def test_inverting_4096_logit_draws_takes_at_most_12_gradient_calls(self):
-        model = mnl_welfare(1.0, 2)
+        model = logit_without_V(1.0)
         calls = []
 
         def gradient(mu):
@@ -606,7 +624,7 @@ class TestBinaryConstruction:
         assert 0 < len(calls) <= 12
 
     def test_on_scaled_model_brackets_grow(self):
-        construction = binary_rum_from_welfare(mnl_welfare(4.0, 2))
+        construction = binary_rum_from_welfare(logit_without_V(4.0))
         assert construction.bracket > 32.0
         assert not construction.truncated
 
@@ -634,6 +652,30 @@ class TestBinaryConstruction:
         est = mc_welfare(construction.sampler(), np.array([0.5, -0.5]), 20000, seed=1)
         assert calls == []
         assert abs(est.value - model.value(np.array([0.5, -0.5]))) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("name", list(BINARY_WITH_V))
+    def test_closed_form_xi_read_from_V_is_the_inversion(self, name):
+        # each model's xi is the logit scaled by the given factor
+        factor, build = BINARY_WITH_V[name]
+        model = build()
+        construction = binary_rum_from_welfare(model)
+        assert construction.bracket is None and not construction.truncated
+        inversion = binary_rum_from_welfare(replace(model, regularizer=None))
+        assert inversion.bracket is not None and not inversion.truncated
+        u = np.random.default_rng(19).random(4096)
+        xi = construction.sample_xi(u)
+        assert np.max(np.abs(xi - inversion.sample_xi(u))) <= 1e-12
+        assert np.max(np.abs(xi - factor * (np.log(u) - np.log1p(-u)))) <= 1e-12
+
+    def test_a_wide_logit_is_not_truncated(self):
+        # its CDF spreads past BRACKET_CAP, where the inversion's bracket stopped
+        eta = 1e5
+        construction = binary_rum_from_welfare(mnl_welfare(eta, 2))
+        assert construction.bracket is None
+        assert construction.truncated is False
+        u = np.random.default_rng(20).random(4096)
+        logit = eta * (np.log(u) - np.log1p(-u))
+        assert np.max(np.abs(construction.sample_xi(u) - logit) / np.abs(logit)) <= 1e-12
 
     def test_requires_two_alternatives(self):
         with pytest.raises(ValueError):
