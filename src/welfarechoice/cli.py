@@ -120,12 +120,12 @@ def _welfare_table(model, texts: Sequence[str]):
     points = _parse_points(texts, "--mu", model.n)
     header = [f"mu_{i+1}" for i in range(model.n)] + ["w"] + \
         [f"q_{i+1}" for i in range(model.n)]
-    w, q = batch_value(model, points), batch_gradient(model, points)
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN sum, refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf w, or inf - inf: refused below
+        w, q = batch_value(model, points), batch_gradient(model, points)
         bad = ~np.isfinite(w) | ~(np.abs(q.sum(axis=-1) - 1.0) <= 1e-9)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise NumericError(f"{model.name} gave w = {w[k]!r}, q = {q[k].tolist()} "
+        raise NumericError(f"{model.name} gave w = {float(w[k])}, q = {q[k].tolist()} "
                            f"at mu = {points[k].tolist()}")
     rows = [list(mu) + [w_k] + list(q_k) for mu, w_k, q_k in zip(points, w, q)]
     return points, header, rows

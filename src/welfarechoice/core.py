@@ -10,12 +10,12 @@ of the last Monte Carlo run and of the RAM solve `solve_ram` and
 This is the package's one finite-difference layer: every numeric
 derivative elsewhere (gradient checks, FD Hessians and Jacobians in the
 solvers, cross effects, sign tests) goes through `finite_diff_gradient`,
-`finite_diff_jacobian` or `mixed_partial`. A stencil is one call: its 2k
-or 2^k points are stacked into one (points, n) array, so the function
-differenced must broadcast over (..., n), as a `WelfareModel` does. A
-per-point function is lifted with `welfarechoice.pointwise`; one that is
-not gets a ValueError saying so, never a result of the wrong shape. The
-same check (`_evaluate`) guards every batch call of a model or regularizer.
+`finite_diff_jacobian` or `mixed_partial`. A stencil costs one block,
+one contract check (`_evaluate`, which guards every batch call of a model
+or regularizer too) and one call: its 2n or 2^k points are written into
+one array, so the function differenced must broadcast over (..., n), as a
+`WelfareModel` does. A per-point function is lifted with `pointwise`; one
+that is not gets a ValueError saying so, never a result of the wrong shape.
 
 Steps and tolerances are fixed numbers, never parameters with defaults:
 GRADIENT_STEP, MIXED_PARTIAL_STEP and BISECT_TOL here, and each tolerance
@@ -24,6 +24,7 @@ used elsewhere is a constant of the module that reads it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterator, Sequence
 
@@ -259,21 +260,25 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray], points, value_shape=()) -> 
     return (out[:-1] if pad else out).reshape(points.shape[:-1] + out.shape[1:])
 
 
+def _central(F: Callable[[np.ndarray], np.ndarray], x, h, value_shape):
+    """(F(x + h_i e_i), F(x - h_i e_i), h as an array): the 2n points of the
+    stencil at each x (..., n) written into one (2, ..., n, n) block, one call."""
+    x, step = np.asarray(x, dtype=float), np.asarray(h, dtype=float)
+    n = x.shape[-1]
+    points = np.empty((2,) + x.shape + (n,))
+    points[0], points[1] = x[..., None, :] + 0.0, x[..., None, :]  # + 0 e_j: -0.0 reads 0.0
+    points.reshape(points.shape[:-2] + (n * n,))[..., ::n + 1] = x + step, x - step  # (i, i)
+    return (*_evaluate(F, points, value_shape), step)
+
+
 def finite_diff_gradient(f: Callable[[np.ndarray], np.ndarray], mu: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function at `mu`, its
     `finite_diff_jacobian` at GRADIENT_STEP; a non-finite f raises NumericError."""
-    mu = np.asarray(mu, dtype=float)
-
-    def finite(points):
-        values = _evaluate(f, points)
-        bad = ~np.isfinite(values)
-        if np.any(bad):
-            # the first coordinate whose pair of points holds one
-            raise NumericError("non-finite function value near coordinate "
-                               f"{int(np.argmax(bad.reshape(2, -1).any(axis=0)))}")
-        return values
-
-    return finite_diff_jacobian(finite, mu, GRADIENT_STEP)
+    hi, lo, step = _central(f, mu, GRADIENT_STEP, ())
+    bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+    if bad.size:  # name the coordinate, in [0, n), of the first pair that holds one
+        raise NumericError(f"non-finite function value near coordinate {bad[0] % hi.shape[-1]}")
+    return (hi - lo) / (2.0 * step)
 
 
 def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
@@ -287,15 +292,18 @@ def finite_diff_jacobian(F: Callable[[np.ndarray], np.ndarray],
     maps them to scalars (the result has shape (..., n)) or to vectors of
     length p (shape (..., p, n)).
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    step = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
-    shift = step[..., None] * np.eye(n)  # row i is h_i e_i
-    points = np.stack([x[..., None, :] + shift, x[..., None, :] - shift])
-    hi, lo = _evaluate(F, points, None)  # F gives scalars or vectors
-    if hi.ndim > step.ndim:  # a vector F: one column per perturbed coordinate
-        return np.swapaxes(hi - lo, -1, -2) / (2.0 * step[..., None, :])
+    hi, lo, step = _central(F, x, h, None)  # F gives scalars or vectors
+    if hi.ndim > np.ndim(x):  # a vector F: one column per perturbed coordinate
+        return np.swapaxes(hi - lo, -1, -2) / (2.0 * (step[..., None, :] if step.ndim else step))
     return (hi - lo) / (2.0 * step)
+
+
+@functools.cache
+def _corners(k: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Shared read-only corner offsets (2^k, k) and +-1 weights of an order-k mixed stencil."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+    return (np.broadcast_to(signs * MIXED_PARTIAL_STEP, signs.shape),
+            tuple(float(np.prod(s)) for s in signs))
 
 
 def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
@@ -313,15 +321,14 @@ def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("indices must be distinct")
     if not 1 <= len(idx) <= mu.shape[-1]:
         raise ValueError("need between 1 and n distinct indices")
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(idx))))
-    points = np.repeat(mu[..., None, :], len(signs), axis=-2)
-    points[..., idx] += signs * MIXED_PARTIAL_STEP
+    offsets, weights = _corners(len(idx))
+    points = np.repeat(mu[..., None, :], len(weights), axis=-2)
+    points[..., idx] += offsets
     values = _evaluate(f, points)
     if not np.all(np.isfinite(values)):
         raise NumericError("non-finite function value in difference stencil")
     # summed in stencil order, as one point at a time would be
-    values = np.moveaxis(values, -1, 0)
-    total = sum(float(np.prod(s)) * v for s, v in zip(signs, values))
+    total = sum(w * v for w, v in zip(weights, np.moveaxis(values, -1, 0)))
     return total / (2.0 * MIXED_PARTIAL_STEP) ** len(idx)
 
 
@@ -344,8 +351,8 @@ def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi):
     if np.any(outside):
         k = np.flatnonzero(outside)[0]
         raise BracketError(
-            f"target {target.flat[k]!r} outside [g(lo), g(hi)] = "
-            f"[{np.ravel(flo)[k]!r}, {np.ravel(fhi)[k]!r}]")
+            f"target {float(target.flat[k])} outside [g(lo), g(hi)] = "
+            f"[{float(np.ravel(flo)[k])}, {float(np.ravel(fhi)[k])}]")
     width = hi - lo
     with np.errstate(divide="ignore"):
         steps = np.maximum(np.ceil(np.log2(width / BISECT_TOL) / 4.0), 0.0)

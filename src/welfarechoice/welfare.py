@@ -449,7 +449,7 @@ def _refuse_non_finite(model: WelfareModel, w: np.ndarray, points: np.ndarray) -
     at the leading rows of `points`, naming its point."""
     bad = np.flatnonzero(~np.isfinite(w))
     if bad.size:
-        raise NumericError(f"{model.name} has value {w[bad[0]]} at mu={points[bad[0]]}")
+        raise NumericError(f"{model.name} has value {w[bad[0]]} at mu={points[bad[0]].tolist()}")
 
 
 def _check_draws(samples: int, box: float) -> None:
@@ -526,7 +526,8 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
             nu = -box + 2.0 * box * nu
             points["mid"], points["nu"] = 0.5 * (mu + nu), nu
         stacked = np.stack(list(points.values()), axis=1).reshape(-1, n)
-        flat = evaluate(stacked)
+        with np.errstate(over="ignore"):  # a w past the float range: inf, refused below
+            flat = evaluate(stacked)
         w = dict(zip(points, flat.reshape(size, len(points)).T))
 
         # per live axiom: its violations and the witness at sample i
@@ -536,7 +537,8 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
                 "mu": mu[i].copy(), "delta": delta[i].copy(),
                 "gap": float(w["mu"][i] - w["up"][i])})
         if live["trans"]:
-            err = np.abs(w["shift"] - w["mu"] - t)
+            with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused below
+                err = np.abs(w["shift"] - w["mu"] - t)
             tests["trans"] = (err > 1e-8, lambda i: {
                 "mu": mu[i].copy(), "t": float(t[i]), "error": float(err[i])})
         if live["conv"]:
@@ -587,7 +589,8 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     worst = np.inf
     for start in range(0, samples, _DRAW_BLOCK):
         mu = rng.uniform(-box, box, (min(_DRAW_BLOCK, samples - start), model.n))
-        w = batch_value(model, mu)
+        with np.errstate(over="ignore"):  # a w past the float range: inf, refused below
+            w = batch_value(model, mu)
         margins = w[:, None] - mu - b
         lowest = np.min(margins, axis=1)
         bad = np.flatnonzero(lowest < -1e-9)

@@ -319,6 +319,26 @@ class TestVerify:
         assert main(["verify", "--spec", spec_file(MNL3),
                      "--suite", "axioms", "--samples", samples]) == 2
 
+    @pytest.mark.parametrize("command, refusal", [
+        (["eval", "--mu", ",".join(["0"] * 8)], "gave w = inf, q = [0.125"),
+        (["verify", "--suite", "superlinear"], "has value inf at mu=["),
+        (["verify", "--suite", "axioms"], "has value inf at mu=["),
+    ], ids=["eval", "superlinear", "axioms"])
+    @pytest.mark.parametrize("spec", [
+        {"kind": "mnl", "n": 8, "eta": 1e308},
+        {"kind": "ram_entropy", "n": 8, "eta": 1e308},
+        {"kind": "transform_scale", "eta": 1e308, "inner": {"kind": "mnl", "n": 8, "eta": 1.0}},
+    ], ids=["mnl", "ram_entropy", "transform_scale"])
+    def test_a_w_past_the_float_range_exits_3_without_a_warning(self, spec_file, capsys,
+                                                                spec, command, refusal):
+        # each printed numpy's overflow (and, for axioms, inf - inf) warning
+        # first, and eval printed w = np.float64(inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--spec", spec_file(spec)]) == 3
+        err = capsys.readouterr().err
+        assert refusal in err and "Warning" not in err and "np.float64" not in err
+
     def test_bound_grid_above_the_cap_exits_2(self, spec_file):
         # each row pairs two alternatives, so H(e_i) = 0 and no analytic bound exists
         rows = [[0.5 if k in (i, (i + 1) % 8) else 0.0 for k in range(8)]

@@ -1,5 +1,6 @@
 """Numeric foundation tests: Newton steps, differences, quadrature, roots."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -65,18 +66,25 @@ class TestFiniteDiffGradient:
         with pytest.raises(core.NumericError):
             core.finite_diff_gradient(pointwise(lambda m: np.inf), np.zeros(2))
 
-    @pytest.mark.parametrize("f, coordinate", [
-        (lambda m: np.inf, 0),
-        (lambda m: np.float64(-np.inf), 0),
-        (lambda m: np.nan, 0),
-        (lambda m: np.inf if m[1] > 0 else 0.0, 1),
-    ], ids=["inf", "minus-inf", "nan", "inf-beyond-coordinate-1"])
-    def test_non_finite_value_raises_without_a_warning(self, f, coordinate):
+    @pytest.mark.parametrize("f, mu, coordinate", [
+        (pointwise(lambda m: np.inf), np.zeros(3), 0),
+        (pointwise(lambda m: np.float64(-np.inf)), np.zeros(3), 0),
+        (pointwise(lambda m: np.nan), np.zeros(3), 0),
+        (pointwise(lambda m: np.inf if m[1] > 0 else 0.0), np.zeros(3), 1),
+        # the second point's stencil: coordinate 2 of 3, not 5 of the flattened pair
+        (lambda m: np.where(m[..., 2] > 0.5, np.nan, m.sum(-1)),
+         np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5]]), 2),
+        # the last of six points: coordinate 0, not 15
+        (lambda m: np.where(m[..., 0] < -0.5, np.inf, m.sum(-1)),
+         np.array([[[0.0, 0.0, 0.0]] * 3, [[0.0, 0.0, 0.0]] * 2 + [[-0.5, 0.0, 0.0]]]), 0),
+    ], ids=["inf", "minus-inf", "nan", "inf-beyond-coordinate-1", "batch-nan-at-coordinate-2",
+            "batch-2x3-inf-at-coordinate-0"])
+    def test_non_finite_value_raises_without_a_warning(self, f, mu, coordinate):
         # a stencil that subtracted before checking would warn on inf - inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(core.NumericError, match=f"coordinate {coordinate}$"):
-                core.finite_diff_gradient(pointwise(f), np.zeros(3))
+                core.finite_diff_gradient(f, mu)
 
     def test_is_the_jacobian_of_a_scalar_function(self):
         f = mnl_welfare(1.0, 3).value
@@ -141,6 +149,96 @@ class TestMixedPartial:
         assert est.shape == (5,)
         for row, e in zip(mu, est):
             assert core.mixed_partial(model.value, row, (0, 2)) == e
+
+
+def smooth(x):
+    """A broadcasting scalar function whose value reads the sign of a zero, with
+    terms of unlike size, so that a stencil summed out of order rounds differently."""
+    return (np.sin(x[..., 0]) * np.exp(3.0 * x[..., 1]) + 1e3 * x[..., 2] * x[..., 2] * x[..., 2]
+            + np.arctan2(x[..., 2], -1.0))
+
+
+def smooth_vector(x):
+    return np.stack([np.sin(x[..., 0]) * x[..., 1], np.arctan2(x[..., 1], -1.0) + x[..., 2],
+                     np.exp(x[..., 2] - x[..., 0])], axis=-1)
+
+
+def explicit_jacobian(F, x, h):
+    """(F(x + h_i e_i) - F(x - h_i e_i)) / (2 h_i), one point and one column at a time."""
+    h = np.broadcast_to(h, x.shape)
+    columns = np.empty(x.shape[:-1] + np.shape(F(x[(0,) * (x.ndim - 1)])) + x.shape[-1:])
+    for lead in np.ndindex(x.shape[:-1]):
+        for i in range(x.shape[-1]):
+            e = np.zeros(x.shape[-1])
+            e[i] = h[lead][i]
+            columns[lead][..., i] = (F(x[lead] + e) - F(x[lead] - e)) / (2.0 * h[lead][i])
+    return columns
+
+
+STENCIL_POINTS = {
+    "point": np.array([0.3, -1.2, 2.0]),
+    "zeros": np.array([-0.0, 0.0, -0.0]),
+    "batch": np.array([[0.4, -0.0, -0.0], [1.5, 0.2, -0.7], [-0.0, -0.0, 0.0],
+                       [2.0, 1.0, -3.0], [0.1, 0.1, 0.1]]),
+    "batch-2x3": np.random.default_rng(8).normal(size=(2, 3, 3)) * np.array([1.0, -0.0, 1.0]),
+}
+
+
+class TestStencilsAreTheExplicitFormulas:
+    """Every stencil equals its formula evaluated point by point, bit for bit."""
+
+    @pytest.mark.parametrize("where", sorted(STENCIL_POINTS))
+    def test_gradient(self, where):
+        mu = STENCIL_POINTS[where]
+        expected = explicit_jacobian(smooth, mu, core.GRADIENT_STEP)
+        assert core.finite_diff_gradient(smooth, mu).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("step", ["scalar", "per-column", "per-point"])
+    @pytest.mark.parametrize("F", [smooth, smooth_vector], ids=["scalar-F", "vector-F"])
+    @pytest.mark.parametrize("where", sorted(STENCIL_POINTS))
+    def test_jacobian(self, where, F, step):
+        x = STENCIL_POINTS[where]
+        h = {"scalar": 1e-5, "per-column": np.array([1e-6, 3e-5, 2e-7]),
+             "per-point": np.random.default_rng(9).uniform(1e-7, 1e-4, x.shape)}[step]
+        got = core.finite_diff_jacobian(F, x, h)
+        assert got.tobytes() == explicit_jacobian(F, x, h).tobytes()
+
+    @pytest.mark.parametrize("indices", [(1,), (2, 0), (0, 1, 2)], ids=["k1", "k2", "k3"])
+    @pytest.mark.parametrize("where", sorted(STENCIL_POINTS))
+    def test_mixed_partial(self, where, indices):
+        mu = STENCIL_POINTS[where]
+        expected = np.empty(mu.shape[:-1])
+        for lead in np.ndindex(mu.shape[:-1]):
+            total = 0  # summed in stencil order, as the stencil is
+            for signs in itertools.product((1.0, -1.0), repeat=len(indices)):
+                corner = mu[lead].copy()
+                corner[list(indices)] += np.array(signs) * core.MIXED_PARTIAL_STEP
+                total = total + float(np.prod(signs)) * smooth(corner)
+            expected[lead] = total / (2.0 * core.MIXED_PARTIAL_STEP) ** len(indices)
+        got = core.mixed_partial(smooth, mu, indices)
+        assert np.asarray(got).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("stencil", [
+        lambda f, x: core.finite_diff_gradient(f, x),
+        lambda f, x: core.finite_diff_jacobian(f, x, np.full(x.shape, 1e-6)),
+        lambda f, x: core.mixed_partial(f, x, (0, 2)),
+    ], ids=["gradient", "jacobian", "mixed_partial"])
+    @pytest.mark.parametrize("where", ["point", "batch-2x3"])
+    def test_one_contract_check_and_one_call_per_stencil(self, monkeypatch, where, stencil):
+        checks, calls = [], []
+        evaluate = core._evaluate
+
+        def counted(*args):
+            checks.append(args[1].shape)
+            return evaluate(*args)
+
+        def f(x):
+            calls.append(x.shape)
+            return smooth(x)
+
+        monkeypatch.setattr(core, "_evaluate", counted)
+        stencil(f, STENCIL_POINTS[where])
+        assert len(checks) == 1 and len(calls) == 1
 
 
 def _xlogx(t):
@@ -211,6 +309,12 @@ class TestBisectIncreasing:
     def test_out_of_bracket(self):
         with pytest.raises(core.BracketError):
             core.bisect_increasing(lambda x: x, 2.0, 0.0, 1.0)
+
+    def test_out_of_bracket_message_prints_plain_floats(self):
+        # printed np.float64(5.0) and [np.float64(0.0), np.float64(1.0)]
+        with pytest.raises(core.BracketError) as err:
+            core.bisect_increasing(lambda x: x, np.array([0.5, 5.0]), 0.0, 1.0)
+        assert str(err.value) == "target 5.0 outside [g(lo), g(hi)] = [0.0, 1.0]"
 
 
 class TestRandomStreams:
