@@ -31,7 +31,7 @@ from .core import NumericError, stream_rng
 from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
-from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
+from .rum import (_finite, binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
                   logistic_sampler, mc_estimates, normal_sampler, rum_sign_test)
 from .substitution import scan_line, substitutable_model_check
 from .welfare import (batch_gradient, batch_value, check_axioms, check_superlinear,
@@ -267,14 +267,22 @@ def cmd_rum(args) -> int:
     seed = args.seed if args.seed is not None else 0
     samples = args.samples
     mus = _parse_points(args.mu, "--mu", 2 if args.binary_from_spec else None)
-
+    n = mus.shape[1]
     if args.binary_from_spec:
         bundle = load_model(args.binary_from_spec)
         construction = binary_rum_from_welfare(bundle.model)
         sampler = construction.sampler()
+    else:
+        sampler = {"gumbel": lambda: gumbel_sampler(args.eta, n),
+                   "normal": lambda: normal_sampler(args.sd, n),
+                   "logistic": lambda: logistic_sampler(args.scale, n),
+                   "degenerate": lambda: degenerate_sampler(n)}[args.family]()
+    estimates = mc_estimates(sampler, mus, samples, seed)
+    _finite(mus, *zip(*((welf.value, welf.std_error) for _, welf in estimates)))
+    if args.binary_from_spec:
         header = ["mu_1", "mu_2", "mc_welfare", "std_error", "w_closed_form"]
-        rows = [list(mu) + [est.value, est.std_error, bundle.model.value(mu)]
-                for mu, (_, est) in zip(mus, mc_estimates(sampler, mus, samples, seed))]
+        rows = [list(mu) + [welf.value, welf.std_error, w]
+                for mu, (_, welf), w in zip(mus, estimates, batch_value(bundle.model, mus))]
         _csv("rum", {"mode": "binary-from-welfare", "spec": bundle.spec,
                      "samples": samples, "seed": seed,
                      "bracket": construction.bracket,
@@ -282,19 +290,13 @@ def cmd_rum(args) -> int:
              header, rows, args.out)
         return EXIT_OK
 
-    n = mus.shape[1]
-    sampler = {"gumbel": lambda: gumbel_sampler(args.eta, n),
-               "normal": lambda: normal_sampler(args.sd, n),
-               "logistic": lambda: logistic_sampler(args.scale, n),
-               "degenerate": lambda: degenerate_sampler(n)}[args.family]()
-
     header = ([f"mu_{i+1}" for i in range(n)]
               + [f"p_{i+1}" for i in range(n)]
               + [f"se_{i+1}" for i in range(n)]
               + ["mc_welfare", "welfare_se"])
     rows = [list(mu) + list(probs.probs) + list(probs.std_errors)
             + [welf.value, welf.std_error]
-            for mu, (probs, welf) in zip(mus, mc_estimates(sampler, mus, samples, seed))]
+            for mu, (probs, welf) in zip(mus, estimates)]
     _csv("rum", {"family": sampler.family, "samples": samples, "seed": seed},
          header, rows, args.out)
     return EXIT_OK

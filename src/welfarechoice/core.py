@@ -199,10 +199,7 @@ def newton_ascent(F, target: np.ndarray, z: np.ndarray, h: Callable, residual: C
         free, p, gap = tangent(z, g)
         d = newton_step(finite_diff_jacobian(F.gradient, z, h(z)), p, gap, free)
         newton = np.maximum.reduce(np.abs(d), axis=1) <= 1e6  # False for an unusable (NaN) step
-        fallback = not newton.all()
-        if fallback:
-            d[~newton] = p[~newton]
-        d = project(d)
+        d = project(np.where(newton[:, None], d, p))
         a = np.where(newton, 1.0, step)
         trial = slice(None)  # the rows still backtracking: all, then an index array
         for _ in range(70):
@@ -233,8 +230,7 @@ def newton_ascent(F, target: np.ndarray, z: np.ndarray, h: Callable, residual: C
             a[trial] *= 0.5
         else:
             stuck[trial] = True
-        if fallback:
-            step = np.where(newton | stuck, step, np.minimum(a * 2.0, 1e6))
+        step = np.where(newton | stuck, step, np.minimum(a * 2.0, 1e6))
     return z_out, res_out, iters
 
 

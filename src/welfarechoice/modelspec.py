@@ -93,19 +93,14 @@ def _matrix(spec: dict, field: str, path: str) -> np.ndarray:
 
 def _marginal(entry: dict, path: str) -> ram.Marginal:
     family = _require(entry, "family", path)
-    try:
-        if family == "uniform":
-            return ram.uniform_marginal()
-        if family == "exponential":
-            return ram.exponential_marginal(_number(entry, "rate", path, positive=True))
-        if family == "logistic":
-            return ram.logistic_marginal(_number(entry, "scale", path, positive=True))
-        if family == "normal":
-            return ram.normal_marginal(_number(entry, "sd", path, positive=True))
-    except ValueError as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(path, str(exc)) from exc
+    if family == "uniform":
+        return ram.uniform_marginal()
+    if family == "exponential":
+        return ram.exponential_marginal(_number(entry, "rate", path, positive=True))
+    if family == "logistic":
+        return ram.logistic_marginal(_number(entry, "scale", path, positive=True))
+    if family == "normal":
+        return ram.normal_marginal(_number(entry, "sd", path, positive=True))
     raise SpecError(f"{path}family", f"unknown marginal family {family!r}")
 
 

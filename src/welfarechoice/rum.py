@@ -171,10 +171,14 @@ class MCWelfare:
     seed: int
 
 
-def _finite(mean_max):
-    if not np.all(np.isfinite(mean_max)):
-        raise NumericError("noise draws are infinite: the mean maximum is undefined")
-    return mean_max
+def _finite(points, *estimates):
+    """`estimates` at `points` (..., n), refused where not finite, naming the point."""
+    bad = ~np.all(np.isfinite(estimates), axis=0).ravel()
+    if bad.any():
+        mu = np.reshape(points, (-1, np.shape(points)[-1]))[np.argmax(bad)]
+        raise NumericError(f"the mean maximum is undefined at mu = {mu.tolist()}: a maximum "
+                           "is infinite, or a sum of the maxima or their squares overflows")
+    return estimates
 
 
 @keep_last
@@ -219,9 +223,10 @@ def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
 
 
 def mc_welfare(sampler: NoiseSampler, mu, samples: int, seed: int) -> MCWelfare:
-    """Sample mean of max_i(mu_i + eps_i) with its standard error."""
+    """Sample mean of max_i(mu_i + eps_i) with its standard error, each refused unless finite."""
     welfare = mc_estimates(sampler, [mu], samples, seed)[0][1]
-    return replace(welfare, value=_finite(welfare.value))
+    _finite([mu], [welfare.value], [welfare.std_error])
+    return welfare
 
 
 class InvalidBinaryWelfareError(ValueError):
@@ -400,5 +405,5 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
         return probs.reshape(mu.shape), means.reshape(mu.shape[:-1])
 
     return WelfareModel(n=sampler.n, name=f"mc[{sampler.family}]",
-                        value=lambda mu: _finite(estimates(mu)[1]).copy()[()],
+                        value=lambda mu: _finite(mu, estimates(mu)[1])[0].copy()[()],
                         gradient=lambda mu: estimates(mu)[0].copy())

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, _evaluate, finite_diff_jacobian, mixed_partial,
+from .core import (NumericError, _central, _evaluate, mixed_partial,
                    positive_scale, stream_rng)
 
 SIGN_REL_TOL = 1e-4
@@ -406,7 +406,8 @@ def gev_welfare(gen: GEVGenerator, n: int) -> WelfareModel:
     def gradient(mu):
         s = log_y(mu)[0]
         if gen.partials is None:
-            d = finite_diff_jacobian(lambda t: _evaluate(gen.H, np.exp(t)), s, 1e-5)
+            hi, lo, step = _central(lambda t: gen.H(np.exp(t)), s, 1e-5, ())
+            d = (hi - lo) / (2.0 * step)
             return d / positive(d.sum(axis=-1, keepdims=True))
         y = np.exp(s)
         h = positive(_evaluate(gen.H, y))[..., None]

@@ -622,6 +622,46 @@ class TestRum:
                      "--mu=0,0", "--samples", "1000"]) == 3
         assert "leaves the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, mu", [
+        (["--family", "gumbel", "--eta", "1e307", "--mu", "0,0"], [0.0, 0.0]),
+        (["--family", "normal", "--sd", "1e307", "--mu", "1,2", "--mu", "0,0"], [1.0, 2.0]),
+        (["--binary-from-spec", {"kind": "transform_scale", "eta": 1e308, "inner": {
+            "kind": "transform_cross", "matrix": [[1, 0], [0, 1], [0.5, 0.5]],
+            "inner": {"kind": "mnl", "n": 3, "eta": 1.0}}}, "--mu", "0.5,-0.5"], [0.5, -0.5]),
+    ], ids=["gumbel", "normal", "binary"])
+    def test_a_non_finite_welfare_estimate_exits_3_naming_the_point(self, spec_file, capsys,
+                                                                    argv, mu):
+        # the sums of the maxima overflow: mc_welfare inf and its error nan
+        # were printed with exit 0
+        argv = [spec_file(a) if isinstance(a, dict) else a for a in argv]
+        assert main(["rum", *argv, "--samples", "1000", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"numeric failure: the mean maximum is undefined at mu = {mu}" in captured.err
+
+    def test_binary_closed_form_column_is_one_solve(self, spec_file, tmp_path, monkeypatch):
+        # w_closed_form was one model.value call per --mu point, a RAM solve each
+        from welfarechoice import ram
+        mus = np.array([[0.5, -0.5], [-1.0, 0.25], [2.0, 1.0]])
+        solves = []
+        argmax = ram._argmax
+
+        def counting(reg, mu):
+            if any(np.all(mu == p, axis=1).any() for p in mus):
+                solves.append(len(mu))
+            return argmax(reg, mu)
+
+        monkeypatch.setattr(ram, "_argmax", counting)
+        assert main(["rum", "--binary-from-spec",
+                     spec_file({"kind": "ram_mmm", "sigma": [1.0, 2.0]}),
+                     "--samples", "200", "--out", str(tmp_path / "bin.csv")]
+                    + [f"--mu={a},{b}" for a, b in mus]) == 0
+        assert solves == [3]
+        _, _, rows = read_csv(str(tmp_path / "bin.csv"))
+        assert [float(row[4]) for row in rows] == pytest.approx(
+            [build_model({"kind": "ram_mmm", "sigma": [1.0, 2.0]}).model(mu) for mu in mus],
+            rel=1e-9)
+
     def test_binary_cdf_calls_do_not_grow_with_points(self, spec_file, tmp_path,
                                                        monkeypatch):
         calls = []
@@ -891,6 +931,21 @@ class TestValidate:
         ({"kind": "ram_quadratic", "matrix": [1, 2]}, "matrix: expected a matrix"),
         ({"kind": "ram_mdm", "marginals": [{"family": "cauchy"}, {"family": "uniform"}]},
          "marginals[0].family: unknown marginal family 'cauchy'"),
+        # each value a marginal constructor would refuse is refused here first
+        ({"kind": "ram_mdm", "marginals": [{"family": "uniform"},
+                                           {"family": "exponential", "rate": 0}]},
+         "marginals[1].rate: must be positive"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "uniform"},
+                                           {"family": "logistic", "scale": -1}]},
+         "marginals[1].scale: must be positive"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "uniform"},
+                                           {"family": "normal", "sd": 1e400}]},
+         "marginals[1].sd: must be finite"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "uniform"},
+                                           {"family": "normal", "sd": True}]},
+         "marginals[1].sd: expected a number, got True"),
+        ({"kind": "ram_mdm", "marginals": [{"family": "uniform"}, "normal"]},
+         "marginals[1]: expected an object"),
         ({"kind": "ram_mdm", "marginals": [{"family": "uniform"}]},
          "marginals: expected a list of >= 2 marginals"),
         ({"kind": "transform_mix", "n": 2, "components": []},
@@ -898,7 +953,8 @@ class TestValidate:
     ], ids=["marginal_number", "component_number", "indices_number", "indices_strings",
             "nests_number", "nest_strings", "sigma_object", "spec_list", "inner_number",
             "missing_field", "number_as_string", "small_n", "matrix_string_entry",
-            "matrix_as_vector", "unknown_family", "one_marginal", "no_components"])
+            "matrix_as_vector", "unknown_family", "zero_rate", "negative_scale",
+            "sd_past_float", "sd_boolean", "marginal_string", "one_marginal", "no_components"])
     def test_a_malformed_field_exits_2_naming_it_or_its_kind(self, spec_file, capsys, spec,
                                                              message):
         assert main(["validate", "--spec", spec_file(spec)]) == 2

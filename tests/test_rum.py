@@ -400,7 +400,8 @@ class TestMCValidation:
 
     def test_draws_whose_squares_overflow_do_not_warn(self):
         # the sum of squared maxima overflows; it feeds only the welfare's
-        # standard error, which reads nan, and every number is as before
+        # standard error, which reads nan, so `mc_welfare` refuses the point
+        # (it returned the nan) and every other number is as before
         def draw(rng, size):
             return 1e160 * (1.0 + rng.random((size, 3)))
 
@@ -408,9 +409,30 @@ class TestMCValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = mc_choice_probs(sampler, np.zeros(3), 1000, seed=1)
-            est = mc_welfare(sampler, np.zeros(3), 1000, seed=1)
+            [(_, est)] = mc_estimates(sampler, [np.zeros(3)], 1000, seed=1)
+            with pytest.raises(NumericError, match=r"undefined at mu = \[0.0, 0.0, 0.0\]"):
+                mc_welfare(sampler, np.zeros(3), 1000, seed=1)
         np.testing.assert_array_equal(res.probs, [0.369, 0.306, 0.325])
         assert est.value == 1.7481164096000934e+160 and math.isnan(est.std_error)
+
+
+    @pytest.mark.parametrize("sampler, value_overflows", [
+        (normal_sampler(1e155, 2), False), (normal_sampler(1e307, 2), True),
+        (gumbel_sampler(1e307, 2), True)], ids=["normal-squares", "normal", "gumbel"])
+    def test_a_non_finite_welfare_is_refused_naming_the_point(self, sampler, value_overflows):
+        # mc_welfare returned a nan standard error, with an inf value where the
+        # sum of the maxima overflows too; the choice probabilities stay valid
+        with pytest.raises(NumericError, match=r"undefined at mu = \[0.0, 0.0\]"):
+            mc_welfare(sampler, np.zeros(2), 1000, seed=1)
+        probs = mc_choice_probs(sampler, np.zeros(2), 1000, seed=1).probs
+        model = mc_welfare_model(sampler, 1000, seed=1)
+        np.testing.assert_array_equal(model.gradient(np.zeros(2)), probs)
+        points = np.array([[1.0, 0.0], [0.0, 0.0]])
+        if value_overflows:
+            with pytest.raises(NumericError, match=r"undefined at mu = \[1.0, 0.0\]"):
+                model.value(points)
+        else:
+            assert np.all(np.isfinite(model.value(points)))
 
 
 class TestMCChoiceProbs:

@@ -349,6 +349,35 @@ class TestGEV:
         gm = gev_welfare(replace(gen, H=welfare.pointwise(gen.H)), 3)
         np.testing.assert_allclose(gm.gradient(np.zeros(3)), np.full(3, 1.0 / 3), atol=1e-10)
 
+    def test_a_gradient_without_partials_makes_one_check_per_stencil(self, monkeypatch):
+        # the stencil of H(e^s) is checked once, as a scalar function; H
+        # wrapped in its own check inside the Jacobian's made two:
+        # [(2, 4, 3, 3), (24, 3)]
+        gm = gev_welfare(GEVGenerator(0.8, H=lambda y: np.sum(y ** 1.25, axis=-1)), 3)
+        checks = []
+        evaluate = core._evaluate
+
+        def counted(*args):
+            checks.append(np.shape(args[1]))
+            return evaluate(*args)
+
+        for module in (core, welfare):
+            monkeypatch.setattr(module, "_evaluate", counted)
+        gm.gradient(np.zeros((4, 3)))
+        assert checks == [(2, 4, 3, 3)]
+
+    @pytest.mark.parametrize("late", [
+        lambda y: float(np.sum(y)),
+        lambda y: np.stack([np.sum(y ** 1.25, axis=-1)] * 2, axis=-1)],
+        ids=["per-point", "vector"])
+    def test_a_generator_off_the_contract_gets_the_error_from_gradient(self, late):
+        # H is swapped after the model is built, so only `gradient` sees it
+        H = [lambda y: np.sum(y ** 1.25, axis=-1)]
+        gm = gev_welfare(GEVGenerator(0.8, H=lambda y: H[0](y)), 3)
+        H[0] = late
+        with pytest.raises(ValueError, match="the function must broadcast over"):
+            gm.gradient(np.zeros((4, 3)))
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_alternatives_refused(self, n):
         gen = GEVGenerator(eta=1.0, H=lambda y: np.sum(y, axis=-1))
