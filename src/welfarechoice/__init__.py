@@ -16,9 +16,8 @@ from .core import (BracketError, NumericError, as_probability,
 from .duality import (AnchorDistribution, ConvergenceError, anchor_family,
                       conjugate_V, invert_choice, semiparametric_sup,
                       simplex_grid, tabulated_welfare)
-from .ram import (DegenerateRegularizerError, Marginal, Regularizer,
-                  SolveResult, cmm_regularizer, custom_marginal,
-                  entropy_regularizer, exponential_marginal,
+from .ram import (Marginal, Regularizer, SolveResult, cmm_regularizer,
+                  custom_marginal, entropy_regularizer, exponential_marginal,
                   log_barrier_regularizer, logistic_marginal, mdm_regularizer,
                   mmm_regularizer, normal_marginal, quadratic_regularizer,
                   ram_welfare, solve_ram, uniform_marginal, verify_kkt)

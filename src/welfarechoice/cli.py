@@ -166,10 +166,9 @@ def cmd_verify(args) -> int:
     bundle = load_model(args.spec)
     model = bundle.model
     samples = args.samples
-    seed = args.seed or 0
 
     if args.suite == "axioms":
-        report = check_axioms(model, samples=samples, box=10.0, seed=seed)
+        report = check_axioms(model, samples=samples, box=10.0, seed=args.seed)
         lines = [f"axiom suite for {model.name} ({samples} samples, box 10):"]
         for label, check in [("monotonicity", report.monotonic),
                              ("translation invariance", report.translation_invariant),
@@ -181,7 +180,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.all_passed else EXIT_VIOLATION
 
     if args.suite == "rum-signs":
-        rng = stream_rng(seed)
+        rng = stream_rng(args.seed)
         points = [rng.uniform(-3.0, 3.0, model.n) for _ in range(min(samples, 50))]
         report = rum_sign_test(model, max_order=3, points=points)
         lines = [f"sign tests for {model.name} ({len(points)} points):"]
@@ -194,7 +193,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.passed else EXIT_VIOLATION
 
     if args.suite == "substitutable":
-        report = substitutable_model_check(model, samples=samples, seed=seed)
+        report = substitutable_model_check(model, samples=samples, seed=args.seed)
         lines = [f"substitutability check for {model.name}: {report.verdict}",
                  f"  lattice sampling: {report.submodularity.verdict} "
                  f"({report.submodularity.samples_used} pairs)"]
@@ -209,7 +208,7 @@ def cmd_verify(args) -> int:
 
     # superlinear, the last suite argparse lets through
     bounds, _ = model_bounds(model)
-    report = check_superlinear(model, bounds, samples=samples, seed=seed)
+    report = check_superlinear(model, bounds, samples=samples, seed=args.seed)
     lines = [f"superlinear bound check for {model.name} (analytic bounds "
              f"{np.round(bounds, 6)}):"]
     if report.passed:
@@ -264,7 +263,6 @@ def cmd_convert(args) -> int:
 
 
 def cmd_rum(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     samples = args.samples
     mus = _parse_points(args.mu, "--mu", 2 if args.binary_from_spec else None)
     n = mus.shape[1]
@@ -277,14 +275,14 @@ def cmd_rum(args) -> int:
                    "normal": lambda: normal_sampler(args.sd, n),
                    "logistic": lambda: logistic_sampler(args.scale, n),
                    "degenerate": lambda: degenerate_sampler(n)}[args.family]()
-    estimates = mc_estimates(sampler, mus, samples, seed)
+    estimates = mc_estimates(sampler, mus, samples, args.seed)
     _finite(mus, *zip(*((welf.value, welf.std_error) for _, welf in estimates)))
     if args.binary_from_spec:
         header = ["mu_1", "mu_2", "mc_welfare", "std_error", "w_closed_form"]
         rows = [list(mu) + [welf.value, welf.std_error, w]
                 for mu, (_, welf), w in zip(mus, estimates, batch_value(bundle.model, mus))]
         _csv("rum", {"mode": "binary-from-welfare", "spec": bundle.spec,
-                     "samples": samples, "seed": seed,
+                     "samples": samples, "seed": args.seed,
                      "bracket": construction.bracket,
                      "truncated": construction.truncated},
              header, rows, args.out)
@@ -297,7 +295,7 @@ def cmd_rum(args) -> int:
     rows = [list(mu) + list(probs.probs) + list(probs.std_errors)
             + [welf.value, welf.std_error]
             for mu, (probs, welf) in zip(mus, estimates)]
-    _csv("rum", {"family": sampler.family, "samples": samples, "seed": seed},
+    _csv("rum", {"family": sampler.family, "samples": samples, "seed": args.seed},
          header, rows, args.out)
     return EXIT_OK
 
@@ -335,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("axioms", "rum-signs", "substitutable",
                                 "superlinear"))
     p_ver.add_argument("--samples", type=_positive_int, default=1000)
-    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     p_conv = sub.add_parser("convert", help="representation conversions")
@@ -358,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rum.add_argument("--binary-from-spec")
     p_rum.add_argument("--mu", action="append", default=[])
     p_rum.add_argument("--samples", type=_positive_int, default=100000)
-    p_rum.add_argument("--seed", type=int)
+    p_rum.add_argument("--seed", type=int, default=0)
     p_rum.add_argument("--out")
     p_rum.set_defaults(func=cmd_rum)
 

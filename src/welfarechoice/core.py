@@ -334,7 +334,8 @@ def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi):
     Each step makes four halvings in one call of g: it evaluates g at the
     15 interior points that split the bracket into 16 equal parts and keeps
     the part where g crosses the target. After ceil(log2(width / BISECT_TOL) / 4)
-    steps the bracket is at most BISECT_TOL wide, and its midpoint is returned.
+    steps, taken as a difference of logs that no finite width overflows, the
+    bracket is at most BISECT_TOL wide, and its midpoint is returned.
 
     Broadcasts elementwise: `target`, `lo` and `hi` may be arrays, and g
     maps an array of any shape ending in theirs to values of that shape,
@@ -351,7 +352,7 @@ def bisect_increasing(g: Callable[[np.ndarray], np.ndarray], target, lo, hi):
             f"[{float(np.ravel(flo)[k])}, {float(np.ravel(fhi)[k])}]")
     width = hi - lo
     with np.errstate(divide="ignore"):
-        steps = np.maximum(np.ceil(np.log2(width / BISECT_TOL) / 4.0), 0.0)
+        steps = np.maximum(np.ceil((np.log2(width) - np.log2(BISECT_TOL)) / 4.0), 0.0)
     final = np.ldexp(width, -4 * steps.astype(int))  # dividing by 16 is exact
     split = (np.arange(1.0, 16.0) / 16.0).reshape((15,) + (1,) * lo.ndim)
     for step in range(int(np.max(steps, initial=0.0))):

@@ -62,11 +62,6 @@ def _ascend(model: WelfareModel, x: np.ndarray):
         lambda y, d, a: (y + a[:, None] * d, a))
 
 
-def strict_V(model: WelfareModel):
-    """The model's V if strictly convex (then V = w* and q^{-1} = grad V + c 1), else None."""
-    return model.regularizer if getattr(model.regularizer, "strictly_convex", False) else None
-
-
 def _in_range(read, what: str) -> np.ndarray:
     """read(), refused with a NumericError where it leaves the float range, as
     a V scaled by a huge eta can: never an inf or a NaN from inf - inf."""
@@ -88,17 +83,16 @@ def inverse_from_V(reg, x) -> np.ndarray:
 
 def _interior(model: WelfareModel, x, what: str):
     """(x, V, y): x, refused with a ValueError naming it `what` unless simplex
-    points (..., n) of the model's length with entries >= INTERIOR_MIN; its
-    `strict_V`, and if that is None the maximizers y, held to RESIDUAL_TOL."""
+    points (..., n) of the model's length with entries >= INTERIOR_MIN; the
+    V it carries, and if that is None the maximizers y, held to RESIDUAL_TOL."""
     x = as_probability(x)
     if x.shape[-1] != model.n:
         raise ValueError(f"{what} has {x.shape[-1]} entries, "
                          f"not one for each of {model.n} alternatives")
     if np.min(x, initial=1.0) < INTERIOR_MIN:
         raise ValueError(f"{what} must be strictly interior (min entry >= {INTERIOR_MIN:g})")
-    reg = strict_V(model)
-    if reg is not None:
-        return x, reg, None
+    if model.regularizer is not None:
+        return x, model.regularizer, None
     # an empty stack makes no model call
     y, res, _ = _ascend(model, x.reshape(-1, model.n)) if x.size else (x * 0.0, x[..., 0], 0)
     y, res = y.reshape(x.shape), res.reshape(x.shape[:-1])[()]

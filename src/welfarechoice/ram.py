@@ -1,6 +1,6 @@
 """Representative agent models on the probability simplex.
 
-A `Regularizer` is a convex function V on the simplex; the induced choice
+A `Regularizer` is a strictly convex function V on the simplex; the choice
 model solves max_x { mu.x - V(x) } over the simplex. This module provides
 the regularizer library (entropy, defined in `welfare` as mnl's V;
 quadratic, log-barrier, and the three moment-based families built from
@@ -47,10 +47,6 @@ _TANH_SINH_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TANH_SINH_T)))
 _TANH_SINH_WEIGHTS = (np.pi / 64.0) * np.cosh(_TANH_SINH_T) / np.cosh(
     0.5 * np.pi * np.sinh(_TANH_SINH_T)) ** 2
 _EIG_FLOOR = 1e-12
-
-
-class DegenerateRegularizerError(ValueError):
-    """The regularizer is not essentially strictly convex; argmax may be non-unique."""
 
 
 def quadratic_regularizer(A: Sequence[Sequence[float]]) -> Regularizer:
@@ -219,14 +215,15 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
     The gradient is -Finv_i(1 - x_i) and the choice map x_i = 1 - F_i(t_i).
     Marginals with quantiles unbounded near 0 or 1 act as boundary
     barriers. Each upper quantile and tail integral must broadcast, each
-    upper quantile must not increase, and each mean, -V(e_i) =
-    tail_integral(1), must be finite.
+    upper quantile must not increase and be finite at _QUANTILE_CLIP and
+    1 - _QUANTILE_CLIP, and each mean, -V(e_i) = tail_integral(1), must be finite.
     """
     marginals = list(marginals)
     n = len(marginals)
     if n < 2:
         raise ValueError("need at least two marginals")
-    grid = np.linspace(0.01, 0.99, 33)
+    # the clipped ends, where a quantile is largest in size, and a grid between
+    grid = np.concatenate([[_QUANTILE_CLIP], np.linspace(0.01, 0.99, 33), [1.0 - _QUANTILE_CLIP]])
 
     def on_grid(what, f, family):
         try:
@@ -236,11 +233,14 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
                              f"over arrays: {exc}") from exc
 
     for m in marginals:
-        if np.any(np.diff(on_grid("quantile", m.upper_quantile, m.family)) > 1e-10):
+        with np.errstate(over="ignore"):  # a huge scale overflows to inf, refused below
+            quantiles = on_grid("quantile", m.upper_quantile, m.family)
+            on_grid("tail integral", m.tail_integral, m.family)
+            mean = m.tail_integral(1.0)
+        if not (np.all(np.isfinite(quantiles)) and np.isfinite(mean)):
+            raise ValueError(f"{m.family} marginal must have finite quantiles and mean")
+        if np.any(np.diff(quantiles) > 1e-10):
             raise ValueError(f"quantile of {m.family} marginal is decreasing on a grid")
-        on_grid("tail integral", m.tail_integral, m.family)
-        if not np.isfinite(m.tail_integral(1.0)):
-            raise ValueError(f"{m.family} marginal must have a finite mean")
 
     def value(x):
         x = np.asarray(x, float)
@@ -263,12 +263,13 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
 
 
 def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
-    """V(x) = -sum_i sigma_i sqrt(x_i (1 - x_i))."""
+    """V(x) = -sum_i sigma_i sqrt(x_i (1 - x_i)), strictly convex as every sigma_i > 0."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 1 or sigma.size < 2 or np.any(sigma < 0) or not np.all(np.isfinite(sigma)):
-        raise ValueError("sigma must list n >= 2 entries, finite and nonnegative")
+    with np.errstate(over="ignore"):
+        square = sigma ** 2
+    if sigma.ndim != 1 or sigma.size < 2 or not np.all((sigma > 0) & np.isfinite(square)):
+        raise ValueError("sigma must list n >= 2 entries, each positive with a finite square")
     n = sigma.size
-    strictly = bool(np.all(sigma > 0))
 
     def value(x):
         x = np.asarray(x, float)
@@ -280,13 +281,14 @@ def mmm_regularizer(sigma: Sequence[float]) -> Regularizer:
         return -sigma * (1.0 - 2.0 * x) / (2.0 * root)
 
     def choice(t):
-        # 1 - t/r = sigma^2 / (r (r + t)) keeps the t > 0 branch free of cancellation
+        # 1 - t/r = sigma^2 / (r (r + t)) keeps the t > 0 branch free of
+        # cancellation; where r (r + t) overflows, it is the limit 0
         t = np.asarray(t, float)
         r = np.hypot(t, sigma)
-        return np.where(t > 0.0, 0.5 * sigma ** 2 / (r * (r + np.abs(t))), 0.5 * (1.0 - t / r))
+        with np.errstate(over="ignore"):
+            return np.where(t > 0.0, 0.5 * square / (r * (r + np.abs(t))), 0.5 * (1.0 - t / r))
 
-    return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=strictly, strictly_convex=strictly,
+    return Regularizer(n=n, value=value, gradient=gradient, boundary_barrier=True,
                        name="mmm", choice=choice)
 
 
@@ -516,9 +518,6 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
     relative to each point's largest, where huge ones do not cancel; a point
     whose differences overflow is a ValueError. Converged x are finite.
     """
-    if not reg.strictly_convex:
-        raise DegenerateRegularizerError(
-            f"{reg.name} is not strictly convex; the argmax may be non-unique")
     with np.errstate(over="ignore"):
         shifted = mu - mu.max(axis=1, keepdims=True)
     finite = np.all(np.isfinite(shifted), axis=1)

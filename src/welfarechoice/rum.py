@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (NumericError, as_utilities, as_utility_of, keep_last, mc_partitions,
                    normal_quantile, positive_scale, stream_rng)
-from .duality import inverse_from_V, strict_V
+from .duality import inverse_from_V
 from .welfare import SignTestReport, WelfareModel, _sign_test, batch_gradient
 
 THREADS_ENV = "WELFARECHOICE_THREADS"
@@ -350,7 +350,7 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
     """Build the exact two-alternative noise representation of a welfare model.
 
     Validates that x -> dw/dmu_1 (x, 0) is nondecreasing with range inside
-    [0, 1]. A model with a strictly convex V needs no bracket; for any other
+    [0, 1]. A model that carries its V needs no bracket; for any other
     the inversion bracket grows geometrically until the CDF is within 1e-9
     of {0, 1} at the ends, capping at BRACKET_CAP with the truncation flagged.
     """
@@ -363,7 +363,7 @@ def binary_rum_from_welfare(model: WelfareModel) -> BinaryRUMConstruction:
         raise InvalidBinaryWelfareError("v'(x) is decreasing on the grid")
     if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
         raise InvalidBinaryWelfareError("v'(x) leaves [0, 1] on the grid")
-    if strict_V(model) is not None:
+    if model.regularizer is not None:
         return construction
 
     bracket = 1.0

@@ -44,7 +44,6 @@ def scale(model: WelfareModel, eta: float) -> WelfareModel:
         reg = Regularizer(n=inner_V.n, value=lambda x: eta * inner_V.value(x),
                           gradient=lambda x: eta * np.asarray(inner_V.gradient(x)),
                           boundary_barrier=inner_V.boundary_barrier,
-                          strictly_convex=inner_V.strictly_convex,
                           name=f"scale({inner_V.name}, {eta:g})")
     return WelfareModel(n=model.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,

@@ -27,7 +27,8 @@ _DRAW_BLOCK = 2 ** 16  # rows per block of `check_superlinear`, bounding its mem
 
 @dataclass(frozen=True, eq=False)  # compared by identity, never by its arrays
 class Regularizer:
-    """Convex regularizer V on the simplex with interior gradient.
+    """Strictly convex regularizer V on the simplex with interior gradient, so
+    that mu.x - V(x) has one maximizer; the constructors refuse any other V.
 
     `value` maps points of shape (..., n) to shape (...) and `gradient` maps
     them to shape (..., n), each row equal to the call on that row alone;
@@ -45,7 +46,6 @@ class Regularizer:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     boundary_barrier: bool
-    strictly_convex: bool = True
     name: str = "regularizer"
     quadratic_matrix: Optional[np.ndarray] = None
     choice: Optional[Callable[[np.ndarray], np.ndarray]] = None

@@ -70,7 +70,6 @@ def test_superlinear_models_have_analytic_bounds(label):
     model = SUPERLINEAR[label]()
     if label in CARRY_V:
         assert isinstance(model.regularizer, Regularizer)
-        assert model.regularizer.strictly_convex
     else:
         assert model.regularizer is None
     bounds, estimated = model_bounds(model)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -974,6 +975,25 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.startswith(f"input error: {message}") and "n >= 2" in err
 
+    def test_a_zero_sigma_mmm_spec_exits_2(self, spec_file, capsys):
+        # V was not strictly convex: validate exited 0, and every solve refused it
+        spec = spec_file({"kind": "ram_mmm", "sigma": [1.0, 0.0]})
+        assert main(["validate", "--spec", spec]) == 2
+        assert capsys.readouterr().err.startswith("input error: ram_mmm: sigma must")
+
+    @pytest.mark.parametrize("marginal", [{"family": "normal", "sd": 1e308},
+                                          {"family": "logistic", "scale": 1e308},
+                                          {"family": "exponential", "rate": 1e-308}],
+                             ids=["normal", "logistic", "exponential"])
+    def test_a_marginal_whose_quantile_overflows_exits_2(self, spec_file, capsys, marginal):
+        # validate exited 0 after a RuntimeWarning from the quantile at the clip
+        spec = {"kind": "ram_mdm", "marginals": [{"family": "uniform"}, marginal]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--spec", spec_file(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: ram_mdm: {marginal['family']}(") and "finite" in err
+
     def test_unknown_kind(self, spec_file):
         assert main(["validate", "--spec", spec_file({"kind": "mystery"})]) == 2
 
@@ -995,7 +1015,7 @@ class TestValidate:
                                         [0.5, 0.5, 0.0]]})
         assert main(["validate", "--spec", spec]) == 0
 
-    def test_readme_spec_examples_build(self):
+    def test_readme_spec_examples_build(self, spec_file, tmp_path, capsys):
         # the "Model spec files" block of the README: one JSON document per example
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("Model spec files are JSON", 1)[1]
@@ -1005,9 +1025,25 @@ class TestValidate:
             spec, end = decoder.raw_decode(rest)
             specs.append(spec)
             rest = rest[end:].lstrip()
-        for spec in specs:
-            build_model(spec)
         assert sorted(spec["kind"] for spec in specs) == sorted(KINDS)
+        # at utility spreads up to 1e300 each gives finite rows, or exit 3
+        # naming the point; the separable solves exited 3 with "numeric
+        # failure: OverflowError" past ~1e296
+        out = str(tmp_path / "eval.csv")
+        for spec in specs:
+            n = build_model(spec).model.n
+            path = spec_file(spec)
+            for lead in (1e300, -1e300, 1e150):
+                mu = ",".join(map(repr, [lead] + [0.0] * (n - 1)))
+                code = main(["eval", "--spec", path, f"--mu={mu}", "--out", out])
+                err = capsys.readouterr().err
+                assert code in (0, 3), (spec["kind"], lead, err)
+                assert not re.match(r"numeric failure: \w+(Error|Warning):", err), err
+                if code == 0:
+                    _, _, rows = read_csv(out)
+                    assert all(math.isfinite(float(v)) for v in rows[0]), (spec["kind"], lead)
+                else:
+                    assert "mu=[" in err or "mu = [" in err, (spec["kind"], lead, err)
 
 
 def scipy_modules_after(code):

@@ -306,6 +306,12 @@ class TestBisectIncreasing:
         root = core.bisect_increasing(lambda x: x ** 3, 8.0, 0.0, 3.0)
         assert abs(root - 2.0) <= 1e-9
 
+    def test_bracket_wider_than_1e296(self):
+        # width / BISECT_TOL overflowed, and the step count raised OverflowError;
+        # the root is as close to 0 as the bracket's ends resolve
+        root = core.bisect_increasing(lambda x: x, 0.0, -1e300, 1e300)
+        assert abs(root) <= np.spacing(1e300)
+
     def test_out_of_bracket(self):
         with pytest.raises(core.BracketError):
             core.bisect_increasing(lambda x: x, 2.0, 0.0, 1.0)

@@ -15,9 +15,8 @@ from welfarechoice.duality import (ASCENT_MAX_ITER, GRAD_TOL, RESIDUAL_TOL, Conv
                                    semiparametric_sup, simplex_grid,
                                    tabulated_welfare)
 from welfarechoice.modelspec import DEMO_QUADRATIC_COUPLING, build_model
-from welfarechoice.ram import (DegenerateRegularizerError, entropy_regularizer,
-                               log_barrier_regularizer, mmm_regularizer,
-                               quadratic_regularizer, ram_welfare)
+from welfarechoice.ram import (entropy_regularizer, log_barrier_regularizer,
+                               mmm_regularizer, quadratic_regularizer, ram_welfare)
 from welfarechoice.rum import gumbel_sampler, mc_welfare_model
 from welfarechoice.substitution import substitutable_model_check
 from welfarechoice.transforms import MixtureComponent, mix, scale
@@ -394,11 +393,10 @@ class TestReadFromV:
         assert report.verdict == "substitutable-consistent"
         assert report.points_tested == 11 * 28
 
-    @pytest.mark.parametrize("fn", [conjugate_V, invert_choice])
-    def test_degenerate_regularizer_is_refused(self, fn):
-        model = ram_welfare(mmm_regularizer([0.0, 1.0, 1.0]))
-        with pytest.raises(DegenerateRegularizerError):
-            fn(model, np.ones(3) / 3)
+    def test_degenerate_regularizer_is_refused(self):
+        # a zero sigma is refused where V is built, before duality can read it
+        with pytest.raises(ValueError, match="sigma must"):
+            mmm_regularizer([0.0, 1.0, 1.0])
 
 
 CLOSED_FORMS_WITH_V = {

@@ -10,7 +10,7 @@ import pytest
 
 from welfarechoice import core, modelspec, ram
 from welfarechoice.cli import main
-from welfarechoice.ram import (SOLVER_TOL, DegenerateRegularizerError, Marginal,
+from welfarechoice.ram import (SOLVER_TOL, Marginal,
                                cmm_regularizer, custom_marginal,
                                entropy_regularizer,
                                exponential_marginal, log_barrier_regularizer,
@@ -215,8 +215,18 @@ class TestCustomMarginals:
 
 class TestMMMRegularizer:
     def test_value(self):
-        reg = mmm_regularizer([2.0, 0.0])
-        assert abs(reg.value(np.array([0.5, 0.5])) + 1.0) <= 1e-12
+        reg = mmm_regularizer([2.0, 0.5])
+        assert abs(reg.value(np.array([0.5, 0.5])) + 1.25) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [[2.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1.0, np.nan],
+                                       [1e308, 1e308], [1.0, 2e154]],
+                             ids=["one_zero", "all_zero", "negative", "nan", "square_past_float",
+                                  "one_square_past_float"])
+    def test_a_sigma_not_positive_or_whose_square_overflows_is_refused(self, sigma):
+        # a zero sigma made V not strictly convex: it was built, and every
+        # solve refused it; a squared sigma of inf made the bracket's g nan
+        with pytest.raises(ValueError, match="each positive with a finite square"):
+            mmm_regularizer(sigma)
 
     def test_symmetric_solve(self):
         reg = mmm_regularizer([1.0, 1.0])
@@ -227,11 +237,18 @@ class TestMMMRegularizer:
             lambda x: -reg.value(x))
         assert abs(oracle_val - 1.0) <= 1e-7
 
-    def test_zero_sigma_rejected_at_solve(self):
-        reg = mmm_regularizer([0.0, 0.0])
-        assert abs(reg.value(np.array([0.5, 0.5]))) == 0.0
-        with pytest.raises(DegenerateRegularizerError):
-            solve_ram(reg, np.array([1.0, 0.0]))
+    def test_sigma_squared_near_the_float_range_solves(self):
+        # sigma^2 = 1e300: the bracket at (1e300, 0) was past 1e296, and its
+        # step count overflowed
+        result = solve_ram(mmm_regularizer([1e150, 1e150]), np.array([[0.0, 0.0], [1e300, 0.0]]))
+        assert np.all(result.converged)
+        np.testing.assert_array_equal(result.x_star, [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_array_equal(result.w_value, [1e150, 1e300])
+
+    def test_choice_is_0_where_its_denominator_overflows(self):
+        # r (r + t) overflowed with a RuntimeWarning; its limit is x = 0
+        x = mmm_regularizer([1.0, 2.0]).choice(np.array([1e300, -1e300]))
+        np.testing.assert_array_equal(x, [0.0, 1.0])
 
     def test_grid_agreement_50_random_instances(self):
         # brute-force oracle: the objective on a 1e-4-spaced simplex grid,
