@@ -393,10 +393,11 @@ class TestReadFromV:
         assert report.verdict == "substitutable-consistent"
         assert report.points_tested == 11 * 28
 
-    def test_degenerate_regularizer_is_refused(self):
-        # a zero sigma is refused where V is built, before duality can read it
+    @pytest.mark.parametrize("fn", [conjugate_V, invert_choice])
+    def test_degenerate_regularizer_is_refused(self, fn):
+        # a zero sigma is refused where V is built, before fn can read it
         with pytest.raises(ValueError, match="sigma must"):
-            mmm_regularizer([0.0, 1.0, 1.0])
+            fn(ram_welfare(mmm_regularizer([0.0, 1.0, 1.0])), np.ones(3) / 3)
 
 
 CLOSED_FORMS_WITH_V = {
