@@ -28,8 +28,8 @@ from .rum import (BinaryRUMConstruction, InvalidBinaryWelfareError,
                   normal_sampler, rum_sign_test)
 from .substitution import (COMPLEMENTARY, INDETERMINATE, SUBSTITUTABLE,
                            ModularityReport, PairClassification,
-                           QuadraticCriterionReport, ReducedRegularizer,
-                           SubstitutionReport, check_modularity, classify_pair,
+                           QuadraticCriterionReport, SubstitutionReport,
+                           check_modularity, classify_pair,
                            corner_simplex_sampler, quadratic_criterion,
                            reduced_regularizer, scan_line,
                            substitutable_model_check, substitution_report,

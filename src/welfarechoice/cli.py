@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import NumericError, stream_rng
+from .core import NumericError, refuse_non_finite, stream_rng
 from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
-from .rum import (_finite, binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
+from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
                   logistic_sampler, mc_estimates, normal_sampler, rum_sign_test)
 from .substitution import scan_line, substitutable_model_check
 from .welfare import (batch_gradient, batch_value, check_axioms, check_superlinear,
@@ -276,7 +276,8 @@ def cmd_rum(args) -> int:
                    "logistic": lambda: logistic_sampler(args.scale, n),
                    "degenerate": lambda: degenerate_sampler(n)}[args.family]()
     estimates = mc_estimates(sampler, mus, samples, args.seed)
-    _finite(mus, *zip(*((welf.value, welf.std_error) for _, welf in estimates)))
+    refuse_non_finite("the mean maximum or its standard error",
+                      [(welf.value, welf.std_error) for _, welf in estimates], mus)
     if args.binary_from_spec:
         header = ["mu_1", "mu_2", "mc_welfare", "std_error", "w_closed_form"]
         rows = [list(mu) + [welf.value, welf.std_error, w]

@@ -1,6 +1,7 @@
 """Shared numeric foundations.
 
-Input validation, sum-constrained Newton steps and their bordered matrix,
+Input validation, `refuse_non_finite` (the one refusal of a non-finite
+result, naming its point), sum-constrained Newton steps and their bordered matrix,
 the damped Newton ascent that the RAM solver and the conjugate share,
 finite differences, monotone root finding, the seeded random-stream
 contract used by the Monte Carlo code, and `keep_last`, the one-entry memo
@@ -47,6 +48,20 @@ class NumericError(RuntimeError):
 
 class BracketError(ValueError):
     """Root-finding target lies outside the supplied bracket."""
+
+
+def refuse_non_finite(what: str, values, points):
+    """`values`, refused with a NumericError at the first of `points` (..., n)
+    whose row of `values`, of shape (...) or (..., k), is not finite; the
+    message names `what`, that row's first non-finite entry and the point."""
+    values = np.asarray(values, dtype=float)
+    if np.isfinite(values).all():
+        return values
+    points = np.reshape(points, (-1, np.shape(points)[-1]))
+    rows = values.reshape(len(points), -1)
+    k = np.argmin(np.all(np.isfinite(rows), axis=1))
+    value = rows[k][np.argmin(np.isfinite(rows[k]))]
+    raise NumericError(f"{what} has value {value} at mu={points[k].tolist()}")
 
 
 def positive_scale(value: float, name: str) -> None:
@@ -180,9 +195,7 @@ def newton_ascent(F, target: np.ndarray, z: np.ndarray, h: Callable, residual: C
     m, n = z.shape
     z_out, res_out, iters = np.zeros_like(z), np.zeros(m), np.zeros(m, dtype=int)
     idx, z = np.arange(m), z.copy()  # row k of the pending state is row idx[k]
-    g = target - _evaluate(F.gradient, z, (n,))
-    if not np.all(np.isfinite(g)):
-        raise NumericError("gradient is not finite at the starting point")
+    g = refuse_non_finite("the starting gradient", target - _evaluate(F.gradient, z, (n,)), target)
     res = residual(z, g)
     val = np.full(m, np.nan)  # target.z - F(z), evaluated when a step needs the Armijo test
     step, stuck = np.ones(m), np.zeros(m, dtype=bool)  # stuck: no trial length accepted
@@ -320,9 +333,7 @@ def mixed_partial(f: Callable[[np.ndarray], np.ndarray],
     offsets, weights = _corners(len(idx))
     points = np.repeat(mu[..., None, :], len(weights), axis=-2)
     points[..., idx] += offsets
-    values = _evaluate(f, points)
-    if not np.all(np.isfinite(values)):
-        raise NumericError("non-finite function value in difference stencil")
+    values = refuse_non_finite("a difference stencil", _evaluate(f, points), points)
     # summed in stencil order, as one point at a time would be
     total = sum(w * v for w, v in zip(weights, np.moveaxis(values, -1, 0)))
     return total / (2.0 * MIXED_PARTIAL_STEP) ** len(idx)

@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ASCENT_MAX_ITER, NumericError, as_probability, as_utility_of, newton_ascent,
-                   rowdot)
+from .core import (ASCENT_MAX_ITER, as_probability, as_utility_of, newton_ascent,
+                   refuse_non_finite, rowdot)
 from .welfare import WelfareModel, batch_gradient, batch_value, model_bounds
 
 INTERIOR_MIN = 1e-6
@@ -62,23 +62,12 @@ def _ascend(model: WelfareModel, x: np.ndarray):
         lambda y, d, a: (y + a[:, None] * d, a))
 
 
-def _in_range(read, what: str) -> np.ndarray:
-    """read(), refused with a NumericError where it leaves the float range, as
-    a V scaled by a huge eta can: never an inf or a NaN from inf - inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = read()
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"{what} leaves the float range at x")
-    return out
-
-
 def inverse_from_V(reg, x) -> np.ndarray:
     """q^{-1}(x) = grad V(x) + c 1 at simplex points x (..., n), c making each sum zero."""
-    def centred():
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
         g = batch_gradient(reg, x)
-        return g - np.mean(g, axis=-1, keepdims=True)
-
-    return _in_range(centred, f"grad V of {reg.name}")
+        g = g - np.mean(g, axis=-1, keepdims=True)
+    return refuse_non_finite(f"grad V of {reg.name}, which leaves the float range,", g, x)
 
 
 def _interior(model: WelfareModel, x, what: str):
@@ -96,10 +85,12 @@ def _interior(model: WelfareModel, x, what: str):
     # an empty stack makes no model call
     y, res, _ = _ascend(model, x.reshape(-1, model.n)) if x.size else (x * 0.0, x[..., 0], 0)
     y, res = y.reshape(x.shape), res.reshape(x.shape[:-1])[()]
-    stalled = np.count_nonzero(res > RESIDUAL_TOL)
-    if stalled:
-        raise ConvergenceError(f"ascent for {what} stalled at {stalled} of {res.size} targets "
-                               f"(residual up to {np.max(res):.2e} > {RESIDUAL_TOL:.0e})", y, res)
+    stalled = np.ravel(res > RESIDUAL_TOL)
+    if stalled.any():
+        first = x.reshape(-1, model.n)[np.argmax(stalled)].tolist()
+        raise ConvergenceError(f"ascent for {what} stalled at {stalled.sum()} of {res.size} "
+                               f"targets, first at {what}={first} (residual up to "
+                               f"{np.max(res):.2e} > {RESIDUAL_TOL:.0e})", y, res)
     return x, None, y
 
 
@@ -107,8 +98,9 @@ def conjugate_V(model: WelfareModel, x):
     """Convex conjugate V(x) = sup_y { y.x - w(y) } at interior points x of
     shape (..., n): a float for one point, shape (...) for a stack."""
     x, reg, y = _interior(model, x, "x")
-    v = _in_range(lambda: batch_value(reg, x) if y is None
-                  else rowdot(y, x) - batch_value(model, y), f"the conjugate of {model.name}")
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+        v = batch_value(reg, x) if y is None else rowdot(y, x) - batch_value(model, y)
+    v = refuse_non_finite(f"the conjugate of {model.name}, which leaves the float range,", v, x)
     return float(v) if x.ndim == 1 else v
 
 
@@ -155,11 +147,13 @@ def _anchor_stack(model: WelfareModel, anchors: Sequence) -> AnchorDistribution:
     b, _ = model_bounds(model)
     z = np.reshape([as_utility_of(a, model.n) for a in anchors], (-1, model.n))
     q = batch_gradient(model, z)
-    t_star = np.min(np.where(q > 0.0, q, np.inf), axis=1)
-    if np.any(np.isinf(t_star)):
-        raise AssertionError("gradient has no positive entry on the simplex")
-    offset = batch_value(model, z) - rowdot(z, q)
-    penalty = np.fmax(1.0 + np.ptp(z, axis=1), (offset - np.min(b)) / t_star)
+    # past the float range, or a q with no positive entry (t_star = inf): refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_star = np.min(np.where(q > 0.0, q, np.inf), axis=1)
+        offset = batch_value(model, z) - rowdot(z, q)
+        penalty = np.fmax(1.0 + np.ptp(z, axis=1), (offset - np.min(b)) / t_star)
+    refuse_non_finite(f"the anchor distribution of {model.name} (offset, penalty, t_star)",
+                      np.column_stack([offset, penalty, t_star]), z)
     return AnchorDistribution(z, q, offset, penalty, t_star)
 
 

@@ -35,7 +35,6 @@ class SpecError(ValueError):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)

@@ -125,10 +125,13 @@ def exponential_marginal(rate: float = 1.0) -> Marginal:
         x = np.asarray(x, float)
         return np.where(x <= 0.0, 0.0, (x - x * np.log(np.maximum(x, 1e-300))) / rate)[()]
 
+    def survival(t):
+        with np.errstate(over="ignore"):  # rate * t past the float range: exp(-inf) = 0
+            return np.exp(-rate * np.maximum(t, 0.0))
+
     return Marginal(family=f"exponential(rate={rate:g})",
                     upper_quantile=lambda x: -np.log(np.maximum(x, _QUANTILE_CLIP)) / rate,
-                    survival=lambda t: np.exp(-rate * np.maximum(t, 0.0)),
-                    tail_integral=tail)
+                    survival=survival, tail_integral=tail)
 
 
 def logistic_marginal(scale: float = 1.0) -> Marginal:
@@ -142,7 +145,8 @@ def logistic_marginal(scale: float = 1.0) -> Marginal:
 
     def survival(t):
         # exp stays finite; 1 / (1 + e^700) is already below any probability that matters
-        return 1.0 / (1.0 + np.exp(np.minimum(np.asarray(t, float) / scale, 700.0)))
+        with np.errstate(over="ignore"):  # a t / scale past the float range is clipped too
+            return 1.0 / (1.0 + np.exp(np.minimum(np.asarray(t, float) / scale, 700.0)))
 
     def upper_q(x):
         x = np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)
@@ -161,11 +165,14 @@ def normal_marginal(sd: float = 1.0) -> Marginal:
         return np.where((x <= 0.0) | (x >= 1.0), 0.0,
                         sd * normal_pdf(normal_quantile(1.0 - x)))[()]
 
+    def survival(t):
+        with np.errstate(over="ignore"):  # t / sd past the float range: a cdf of 0 or 1
+            return normal_cdf(-np.asarray(t, float) / sd)
+
     return Marginal(family=f"normal(sd={sd:g})",
                     upper_quantile=lambda x: -sd * normal_quantile(
                         np.clip(x, _QUANTILE_CLIP, 1.0 - _QUANTILE_CLIP)),
-                    survival=lambda t: normal_cdf(-np.asarray(t, float) / sd),
-                    tail_integral=tail)
+                    survival=survival, tail_integral=tail)
 
 
 def custom_marginal(quantile: Callable[[np.ndarray], np.ndarray],

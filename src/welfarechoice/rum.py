@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (NumericError, as_utilities, as_utility_of, keep_last, mc_partitions,
-                   normal_quantile, positive_scale, stream_rng)
+                   normal_quantile, positive_scale, refuse_non_finite, stream_rng)
 from .duality import inverse_from_V
 from .welfare import SignTestReport, WelfareModel, _sign_test, batch_gradient
 
@@ -139,7 +139,7 @@ def _tally(mu: np.ndarray, cols: np.ndarray) -> np.ndarray:
     m = cols[0] + mu[0]
     for i in range(1, mu.size):
         np.maximum(m, cols[i] + mu[i], out=m)
-    with np.errstate(over="ignore", invalid="ignore"):  # read only via `_finite`'s caller
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused by the caller
         total, total_sq = float(np.sum(m)), float(np.sum(m * m))
     # a NaN draw makes its maximum NaN, and so the sum; inf - inf does too
     if np.isnan(total) and np.isnan(m).any():
@@ -169,16 +169,6 @@ class MCWelfare:
     std_error: float
     samples: int
     seed: int
-
-
-def _finite(points, *estimates):
-    """`estimates` at `points` (..., n), refused where not finite, naming the point."""
-    bad = ~np.all(np.isfinite(estimates), axis=0).ravel()
-    if bad.any():
-        mu = np.reshape(points, (-1, np.shape(points)[-1]))[np.argmax(bad)]
-        raise NumericError(f"the mean maximum is undefined at mu = {mu.tolist()}: a maximum "
-                           "is infinite, or a sum of the maxima or their squares overflows")
-    return estimates
 
 
 @keep_last
@@ -225,7 +215,8 @@ def mc_choice_probs(sampler: NoiseSampler, mu, samples: int,
 def mc_welfare(sampler: NoiseSampler, mu, samples: int, seed: int) -> MCWelfare:
     """Sample mean of max_i(mu_i + eps_i) with its standard error, each refused unless finite."""
     welfare = mc_estimates(sampler, [mu], samples, seed)[0][1]
-    _finite([mu], [welfare.value], [welfare.std_error])
+    refuse_non_finite("the mean maximum or its standard error",
+                      [welfare.value, welfare.std_error], [mu])
     return welfare
 
 
@@ -405,5 +396,6 @@ def mc_welfare_model(sampler: NoiseSampler, samples: int, seed: int) -> WelfareM
         return probs.reshape(mu.shape), means.reshape(mu.shape[:-1])
 
     return WelfareModel(n=sampler.n, name=f"mc[{sampler.family}]",
-                        value=lambda mu: _finite(mu, estimates(mu)[1])[0].copy()[()],
+                        value=lambda mu: refuse_non_finite(
+                            "the mean maximum", estimates(mu)[1], mu).copy()[()],
                         gradient=lambda mu: estimates(mu)[0].copy())

@@ -40,12 +40,12 @@ MAX_RESAMPLES = 50
 CORNER_MARGIN = 1e-6
 
 
-def _labels(estimates, dead_zone: float) -> np.ndarray:
+def _labels(estimates) -> np.ndarray:
     """The label of each cross-effect estimate, an object array of its shape:
     complementary above the dead zone, substitutable below its negative,
     indeterminate inside it or at NaN."""
-    return np.where(estimates > dead_zone, COMPLEMENTARY,
-                    np.where(estimates < -dead_zone, SUBSTITUTABLE, INDETERMINATE)).astype(object)
+    return np.where(estimates > DEAD_ZONE, COMPLEMENTARY,
+                    np.where(estimates < -DEAD_ZONE, SUBSTITUTABLE, INDETERMINATE)).astype(object)
 
 
 def _cross_effects(model: WelfareModel, mu: np.ndarray) -> np.ndarray:
@@ -63,8 +63,7 @@ class PairClassification:
     label: str
 
 
-def classify_pair(model: WelfareModel, mu, i: int, j: int,
-                  dead_zone: float = DEAD_ZONE) -> PairClassification:
+def classify_pair(model: WelfareModel, mu, i: int, j: int) -> PairClassification:
     """Classify the (i, j) relation at mu from the sign of dq_j/dmu_i.
 
     The cross effect is entry (i, j) of `_cross_effects`; estimates inside
@@ -73,7 +72,7 @@ def classify_pair(model: WelfareModel, mu, i: int, j: int,
     i == j returns that label directly (with the estimate attached).
     """
     est = float(_cross_effects(model, as_utility_of(mu, model.n))[i, j])
-    label = COMPLEMENTARY if i == j else _labels(est, dead_zone)[()]
+    label = COMPLEMENTARY if i == j else _labels(est)[()]
     return PairClassification(i=i, j=j, estimate=est, label=label)
 
 
@@ -95,7 +94,7 @@ def substitution_report(model: WelfareModel, mu) -> SubstitutionReport:
     """
     mu = as_utility_of(mu, model.n)
     estimates = _cross_effects(model, mu)
-    labels = _labels(estimates, DEAD_ZONE)
+    labels = _labels(estimates)
     np.fill_diagonal(labels, COMPLEMENTARY)
     tol = SYMMETRY_REL_TOL * max(1.0, abs(model.value(mu)))
     symmetric = bool(np.max(np.abs(estimates - estimates.T)) <= tol)
@@ -124,7 +123,7 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     points[:, i] = grid
     q_vals = batch_gradient(model, points)[:, j]
     slopes = (q_vals[2:] - q_vals[:-2]) / (2.0 * (grid[1] - grid[0]))
-    labels = [INDETERMINATE, *_labels(slopes, DEAD_ZONE).tolist(), INDETERMINATE]
+    labels = [INDETERMINATE, *_labels(slopes).tolist(), INDETERMINATE]
     return list(map(ScanRow, grid.tolist(), q_vals.tolist(), labels))
 
 
@@ -168,22 +167,14 @@ def quadratic_criterion(A: Sequence[Sequence[float]]) -> QuadraticCriterionRepor
                                     passed=all(t.passed for t in checks))
 
 
-@dataclass(frozen=True)
-class ReducedRegularizer:
+def reduced_regularizer(reg: Regularizer, index: int) -> Callable[[np.ndarray], np.ndarray]:
     """Slice of V with coordinate `index` eliminated via the simplex equation.
 
-    value(z) = V(z_1, .., z_{index-1}, 1 - sum z, z_index, .., z_{n-2}) on
-    {z >= 0, sum z <= 1}, +inf outside, where V is never evaluated. The
+    The slice is z -> V(z_1, .., z_{index-1}, 1 - sum z, z_index, .., z_{n-2})
+    on {z >= 0, sum z <= 1}, +inf outside, where V is never evaluated. The
     eliminated coordinate absorbs the simplex constraint so lattice
-    operations on z are meaningful. `value` broadcasts over (..., n - 1).
+    operations on z are meaningful. It broadcasts over (..., n - 1).
     """
-
-    index: int
-    n: int
-    value: Callable[[np.ndarray], np.ndarray]
-
-
-def reduced_regularizer(reg: Regularizer, index: int) -> ReducedRegularizer:
     if not 0 <= index < reg.n:
         raise ValueError("index out of range")
     n = reg.n
@@ -199,7 +190,7 @@ def reduced_regularizer(reg: Regularizer, index: int) -> ReducedRegularizer:
         out[inside] = batch_value(reg, x)
         return out[()]
 
-    return ReducedRegularizer(index=index, n=n, value=value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (NumericError, _central, _evaluate, mixed_partial,
-                   positive_scale, stream_rng)
+from .core import (_central, _evaluate, mixed_partial, positive_scale, refuse_non_finite,
+                   stream_rng)
 
 SIGN_REL_TOL = 1e-4
 GEV_VALIDATION_SAMPLES = 64
@@ -445,14 +445,6 @@ class AxiomReport:
                 and self.convex.passed)
 
 
-def _refuse_non_finite(model: WelfareModel, w: np.ndarray, points: np.ndarray) -> None:
-    """Raise NumericError at the first non-finite entry of `w`, the values
-    at the leading rows of `points`, naming its point."""
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise NumericError(f"{model.name} has value {w[bad[0]]} at mu={points[bad[0]].tolist()}")
-
-
 def _check_draws(samples: int, box: float) -> None:
     """Refuse fewer than one sample, and a box whose draws, -box + 2 box u,
     would not all be finite: a NaN point makes no comparison fail."""
@@ -550,7 +542,8 @@ def check_axioms(model: WelfareModel, samples: int = 1000, box: float = 10.0,
 
         first = {name: int(np.argmax(bad)) for name, (bad, _) in tests.items() if bad.any()}
         k0 = min(first.values(), default=size - 1)
-        _refuse_non_finite(model, flat[:(k0 + 1) * len(points)], stacked)
+        rows = (k0 + 1) * len(points)
+        refuse_non_finite(model.name, flat[:rows], stacked[:rows])
         if not first:
             k += size
             continue
@@ -595,7 +588,8 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
         margins = w[:, None] - mu - b
         lowest = np.min(margins, axis=1)
         bad = np.flatnonzero(lowest < -1e-9)
-        _refuse_non_finite(model, w[:bad[0] + 1] if bad.size else w, mu)
+        seen = bad[0] + 1 if bad.size else len(w)  # the draws up to the witness, or all
+        refuse_non_finite(model.name, w[:seen], mu[:seen])
         if bad.size:
             k, m = bad[0], float(lowest[bad[0]])
             witness = {"mu": mu[k].copy(), "i": int(np.argmin(margins[k])), "margin": m}

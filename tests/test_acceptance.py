@@ -178,7 +178,7 @@ def test_criterion_04_quadratic_demo_slopes_criterion_and_slice():
     for _ in range(200):
         z = rng.dirichlet(np.ones(3))[:2]
         expected = float(z @ quad @ z + linear @ z + 3.0)
-        assert abs(slice_v2.value(z) - expected) <= 1e-12
+        assert abs(slice_v2(z) - expected) <= 1e-12
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0

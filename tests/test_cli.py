@@ -472,6 +472,13 @@ class TestConvert:
         assert time.perf_counter() - started < 1.0
         assert "input error: --grid-step:" in capsys.readouterr().err
 
+    def test_w_to_v_grids_stop_at_three_alternatives(self, spec_file, capsys):
+        spec = spec_file({"kind": "mnl", "n": 4, "eta": 1.0})
+        assert main(["convert", "--spec", spec, "--direction", "w-to-v",
+                     "--grid-step", "0.25"]) == 2
+        assert "input error: --grid-step: grids are supported for n in {2, 3}" \
+            in capsys.readouterr().err
+
     def test_w_to_v_on_a_grid(self, spec_file, tmp_path):
         out = str(tmp_path / "grid.csv")
         assert main(["convert", "--spec", spec_file(MNL3),
@@ -638,7 +645,8 @@ class TestRum:
         assert main(["rum", *argv, "--samples", "1000", "--seed", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"numeric failure: the mean maximum is undefined at mu = {mu}" in captured.err
+        assert re.search(r"numeric failure: the mean maximum or its standard error has value "
+                         rf"(inf|nan) at mu={re.escape(str(mu))}", captured.err)
 
     def test_binary_closed_form_column_is_one_solve(self, spec_file, tmp_path, monkeypatch):
         # w_closed_form was one model.value call per --mu point, a RAM solve each
@@ -1016,15 +1024,7 @@ class TestValidate:
         assert main(["validate", "--spec", spec]) == 0
 
     def test_readme_spec_examples_build(self, spec_file, tmp_path, capsys):
-        # the "Model spec files" block of the README: one JSON document per example
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("Model spec files are JSON", 1)[1]
-        block = block.split("```json\n", 1)[1].split("```", 1)[0]
-        decoder, specs, rest = json.JSONDecoder(), [], block.strip()
-        while rest:
-            spec, end = decoder.raw_decode(rest)
-            specs.append(spec)
-            rest = rest[end:].lstrip()
+        specs = readme_specs()
         assert sorted(spec["kind"] for spec in specs) == sorted(KINDS)
         # at utility spreads up to 1e300 each gives finite rows, or exit 3
         # naming the point; the separable solves exited 3 with "numeric
@@ -1044,6 +1044,55 @@ class TestValidate:
                     assert all(math.isfinite(float(v)) for v in rows[0]), (spec["kind"], lead)
                 else:
                     assert "mu=[" in err or "mu = [" in err, (spec["kind"], lead, err)
+
+
+def readme_specs():
+    """The "Model spec files" block of the README: one JSON document per example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Model spec files are JSON", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    decoder, specs, rest = json.JSONDecoder(), [], block.strip()
+    while rest:
+        spec, end = decoder.raw_decode(rest)
+        specs.append(spec)
+        rest = rest[end:].lstrip()
+    return specs
+
+
+def test_output_contract_sweep(spec_file, tmp_path, capsys):
+    """Every README spec, and one scaled past the float range, through `eval`
+    and each `convert` direction it allows, at the edges of the float range:
+    exit 0 with every CSV cell finite, or exit 2/3 with no CSV, naming a point.
+    RuntimeWarnings are errors, so a leaked one reads "numeric failure: RuntimeWarning:"."""
+    started = time.perf_counter()
+    specs = readme_specs() + [{"kind": "transform_scale", "eta": 1e308,
+                               "inner": {"kind": "mnl", "n": 3, "eta": 1}}]
+    out = tmp_path / "out.csv"
+    for spec in specs:
+        bundle = build_model(spec)
+        n, path = bundle.model.n, spec_file(spec)
+        edges = [[1e308, -1e308] + [0.0] * (n - 2), [0.0] * n]
+        xs = [[1.0 / n] * n, [1.0 - (n - 1) * 1e-6] + [1e-6] * (n - 1)]
+        runs = [(["eval", "--mu"], mu) for mu in edges]
+        runs += [(["convert", "--direction", "w-to-v", "--x"], x) for x in xs]
+        if bundle.regularizer is not None:
+            runs += [(["convert", "--direction", "v-to-w", "--mu"], mu) for mu in edges]
+        if bundle.model.superlinear_bounds is not None:
+            runs += [(["convert", "--direction", "w-to-theta", "--anchor"], z) for z in edges]
+        for (command, *options, flag), point in runs:
+            out.unlink(missing_ok=True)
+            code = main([command, "--spec", path, *options,
+                         f"{flag}={','.join(map(repr, point))}", "--out", str(out)])
+            err = capsys.readouterr().err
+            where = (spec["kind"], command, *options, point, err)
+            assert not re.match(r"numeric failure: \w+(Error|Warning):", err), where
+            if code == 0:
+                _, _, rows = read_csv(str(out))
+                assert all(math.isfinite(float(v)) for row in rows for v in row), where
+            else:
+                assert code in (2, 3) and not out.exists(), where
+                assert re.search(r"\b(mu|x|target) ?= ?\[", err), where
+    assert time.perf_counter() - started < 2.0
 
 
 def scipy_modules_after(code):

@@ -8,7 +8,8 @@ import pytest
 
 from welfarechoice import core
 from welfarechoice.ram import custom_marginal, logistic_marginal, mdm_regularizer
-from welfarechoice.welfare import mnl_welfare, pointwise
+from welfarechoice.transforms import MixtureComponent, cross, mix
+from welfarechoice.welfare import mnl_welfare, nested_logit_welfare, pointwise
 
 
 class TestNewtonStep:
@@ -134,6 +135,13 @@ class TestMixedPartial:
     def test_repeated_index_rejected(self):
         with pytest.raises(ValueError):
             core.mixed_partial(lambda m: m[0], np.zeros(2), (0, 0))
+
+    def test_a_non_finite_value_names_its_corner(self):
+        # the corners run (+, +), (+, -), (-, +), (-, -): the first with m_2 < 0
+        with pytest.raises(core.NumericError, match=r"a difference stencil has value nan "
+                           r"at mu=\[0.01, -0.01\]"):
+            core.mixed_partial(lambda m: np.where(m[..., 1] < 0.0, np.nan, m[..., 0]),
+                               np.zeros(2), (0, 1))
 
     def test_batch_is_one_call_and_equals_each_row(self):
         model = mnl_welfare(1.0, 3)
@@ -429,6 +437,20 @@ class TestModelParameters:
                  MixtureComponent(mnl_welfare(1.0, 2), (0, 1), 1.0)]
         with pytest.raises(ValueError, match="weights must be nonnegative"):
             mix(comps, 2)
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: mix([], 2), "at least one component"),
+        (lambda: mix([MixtureComponent(mnl_welfare(1.0, 3), (0, 1), 1.0)], 2),
+         "size must match its index set"),
+        (lambda: mix([MixtureComponent(mnl_welfare(1.0, 2), (0, 2), 1.0)], 2),
+         "index out of range"),
+        (lambda: cross(mnl_welfare(1.0, 2), [1.0, 0.0]), "two-dimensional"),
+        (lambda: nested_logit_welfare([[0, 1], [2]], [0.5], 3), "one lambda per nest"),
+    ], ids=["no_components", "size_mismatch", "index_out_of_range", "flat_matrix",
+            "lambda_count"])
+    def test_a_malformed_structure_is_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     @pytest.mark.parametrize("entry", [float("nan"), -0.5])
     def test_crossing_entries_are_nonnegative(self, entry):

@@ -1,6 +1,7 @@
 """Conversions among welfare, regularizer, and distribution-set forms."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -171,6 +172,7 @@ class TestAscentFailures:
         with pytest.raises(ConvergenceError) as info:
             no_runtime_warning(lambda: invert_choice(model, x))
         err = info.value
+        assert f"first at target={np.asarray(x).tolist()} (" in str(err)
         assert err.best.shape == (3,) and np.all(np.isfinite(err.best))
         assert err.residual > RESIDUAL_TOL
         assert abs(float(np.sum(err.best))) <= 1e-12 * (1.0 + np.max(np.abs(err.best)))
@@ -184,6 +186,13 @@ class TestAscentFailures:
         assert res > RESIDUAL_TOL
         with pytest.raises(ConvergenceError):
             no_runtime_warning(lambda: invert_choice(model, x))
+
+    def test_a_non_finite_starting_gradient_names_its_target(self):
+        model = WelfareModel(n=3, value=lambda mu: np.max(mu, axis=-1),
+                             gradient=lambda mu: np.full(np.shape(mu), np.nan))
+        with pytest.raises(NumericError, match=r"the starting gradient has value nan "
+                           r"at mu=\[0.2, 0.3, 0.5\]"):
+            invert_choice(model, [0.2, 0.3, 0.5])
 
 
 def per_point_ascend(model, x):
@@ -466,6 +475,21 @@ class TestPastTheFloatRange:
         with pytest.raises(NumericError, match="leaves the float range"):
             invert_choice(model, np.array([1e-6, 0.5, 0.5 - 1e-6]))
 
+    @pytest.mark.parametrize("model, anchor", [
+        (mnl_welfare(1.0, 3), [1e308, -1e308, 0.0]),
+        (scale(mnl_welfare(1.0, 3), 1e308), [0.0, 0.0, 0.0]),
+        # no positive weight, so no smallest one: t_star = inf
+        (WelfareModel(n=3, value=lambda mu: np.max(mu, axis=-1),
+                      gradient=lambda mu: np.zeros(np.shape(mu)),
+                      superlinear_bounds=np.zeros(3)), [0.0, 0.0, 0.0]),
+    ], ids=["spread", "scale", "no_positive_weight"])
+    def test_an_anchor_past_the_float_range_is_refused(self, model, anchor):
+        # the penalty overflowed to inf with a RuntimeWarning and was returned;
+        # a q with no positive entry raised an AssertionError
+        with pytest.raises(NumericError, match=r"anchor distribution of .* has value "
+                           rf"inf at mu={re.escape(str(anchor))}"):
+            no_runtime_warning(lambda: anchor_family(model, [anchor]))
+
 
 class TestAnchorFamily:
     def test_anchor_at_origin(self):
@@ -596,7 +620,7 @@ class TestTabulatedRoundTrip:
 
     @pytest.mark.parametrize("n, spacing", [(3, 0.0), (3, -0.1), (3, 1.0),
                                             (3, float("nan")), (3, float("inf")),
-                                            (3, 1e-3), (2, 1e-5)])
+                                            (3, 1e-3), (2, 1e-5), (4, 0.1)])
     def test_grid_refuses_bad_spacing_and_oversized_grids(self, n, spacing):
         with pytest.raises(ValueError):
             simplex_grid(n, spacing)

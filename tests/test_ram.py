@@ -147,6 +147,18 @@ class TestMDMRegularizer:
             np.testing.assert_allclose(result.x_star, m.gradient(mu), atol=1e-5)
             assert abs(result.w_value - (m.value(mu) + 1.0)) <= 1e-6
 
+    @pytest.mark.parametrize("marginal", [normal_marginal(1e-308), logistic_marginal(1e-308),
+                                          exponential_marginal(1e308)], ids=lambda m: m.family)
+    def test_a_tiny_scale_solves_without_overflow(self, marginal):
+        # the survival's t / scale (rate * t for the exponential) overflowed
+        # with a RuntimeWarning
+        reg = mdm_regularizer([uniform_marginal(), marginal])
+        result = solve_ram(reg, np.array([-10.0, 0.0]))
+        assert result.converged
+        np.testing.assert_array_equal(result.x_star, [0.0, 1.0])
+        s = marginal.survival(np.array([-1e300, 1e300]))
+        assert s[0] == 1.0 and 0.0 <= s[1] < 1e-300
+
     def test_logistic_marginals_match_grid_oracle_not_mnl(self):
         reg = mdm_regularizer([logistic_marginal(1.0)] * 2)
         mu = np.array([1.0, 0.0])

@@ -309,7 +309,7 @@ class TestLastRun:
         np.testing.assert_array_equal(
             mc_choice_probs(sampler, np.zeros(3), 1000, seed=1).probs, [1.0, 0.0, 0.0])
         for _ in range(2):
-            with pytest.raises(NumericError, match="the mean maximum is undefined"):
+            with pytest.raises(NumericError, match="the mean maximum.* has value"):
                 mc_welfare(sampler, np.zeros(3), 1000, seed=1)
         assert sizes == [1000]
 
@@ -372,10 +372,10 @@ class TestMCValidation:
             return eps
 
         sampler = NoiseSampler(n=2, family="inf", draw=draw)
-        with pytest.raises(NumericError, match="the mean maximum is undefined"):
+        with pytest.raises(NumericError, match="the mean maximum.* has value"):
             mc_welfare(sampler, np.zeros(2), 1000, seed=1)
         model = mc_welfare_model(sampler, 1000, seed=1)
-        with pytest.raises(NumericError, match="the mean maximum is undefined"):
+        with pytest.raises(NumericError, match="the mean maximum.* has value"):
             model.value(np.zeros(2))
         np.testing.assert_array_equal(model.gradient(np.zeros(2)), [1.0, 0.0])
         res = mc_choice_probs(sampler, np.zeros(2), 1000, seed=1)
@@ -393,7 +393,7 @@ class TestMCValidation:
         sampler = NoiseSampler(n=2, family="inf-both", draw=draw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="the mean maximum is undefined"):
+            with pytest.raises(NumericError, match="the mean maximum.* has value"):
                 mc_welfare(sampler, np.zeros(2), 1000, seed=1)
             res = mc_choice_probs(sampler, np.zeros(2), 1000, seed=1)
         np.testing.assert_array_equal(res.probs, [1.0, 0.0])
@@ -410,7 +410,7 @@ class TestMCValidation:
             warnings.simplefilter("error")
             res = mc_choice_probs(sampler, np.zeros(3), 1000, seed=1)
             [(_, est)] = mc_estimates(sampler, [np.zeros(3)], 1000, seed=1)
-            with pytest.raises(NumericError, match=r"undefined at mu = \[0.0, 0.0, 0.0\]"):
+            with pytest.raises(NumericError, match=r"has value (inf|nan) at mu=\[0.0, 0.0, 0.0\]"):
                 mc_welfare(sampler, np.zeros(3), 1000, seed=1)
         np.testing.assert_array_equal(res.probs, [0.369, 0.306, 0.325])
         assert est.value == 1.7481164096000934e+160 and math.isnan(est.std_error)
@@ -422,14 +422,14 @@ class TestMCValidation:
     def test_a_non_finite_welfare_is_refused_naming_the_point(self, sampler, value_overflows):
         # mc_welfare returned a nan standard error, with an inf value where the
         # sum of the maxima overflows too; the choice probabilities stay valid
-        with pytest.raises(NumericError, match=r"undefined at mu = \[0.0, 0.0\]"):
+        with pytest.raises(NumericError, match=r"has value (inf|nan) at mu=\[0.0, 0.0\]"):
             mc_welfare(sampler, np.zeros(2), 1000, seed=1)
         probs = mc_choice_probs(sampler, np.zeros(2), 1000, seed=1).probs
         model = mc_welfare_model(sampler, 1000, seed=1)
         np.testing.assert_array_equal(model.gradient(np.zeros(2)), probs)
         points = np.array([[1.0, 0.0], [0.0, 0.0]])
         if value_overflows:
-            with pytest.raises(NumericError, match=r"undefined at mu = \[1.0, 0.0\]"):
+            with pytest.raises(NumericError, match=r"has value (inf|nan) at mu=\[1.0, 0.0\]"):
                 model.value(points)
         else:
             assert np.all(np.isfinite(model.value(points)))
