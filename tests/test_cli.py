@@ -62,6 +62,12 @@ CONVERT_GOLDENS = {
     "w_to_theta_brand": (BRAND_CROSS, ["--direction", "w-to-theta", *CONVERT_ANCHORS]),
 }
 
+# eval and figure CSVs recorded when `_csv` took its table as rows; the eval
+# points print -0.0, subnormals and magnitudes near the float limit
+EVAL_GOLDEN_POINTS = ["--mu=0,0,0", "--mu=-0.0,0.5,-0.0", "--mu=-1e300,0,0",
+                      "--mu=1e300,1e300,-1e300", "--mu=-5e-324,1e-320,0",
+                      "--mu=700,-700,0.5", "--mu=123456789.125,-0.5,3e-7"]
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -246,6 +252,12 @@ class TestEval:
     def test_dimension_mismatch_exits_2(self, spec_file):
         assert main(["eval", "--spec", spec_file(MNL3), "--mu", "0,0"]) == 2
 
+    def test_csv_bytes_match_the_golden(self, spec_file, tmp_path):
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--spec", spec_file(MNL3), *EVAL_GOLDEN_POINTS,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "eval_mnl.csv").read_bytes()
+
     @pytest.mark.parametrize("mu", ["nan,0,0", "0,inf,0", "0,0,-inf"])
     def test_non_finite_mu_exits_2_and_writes_nothing(self, spec_file, tmp_path, mu):
         out = tmp_path / "never.csv"
@@ -279,6 +291,12 @@ class TestFigure:
         first = rows[0]
         assert float(first[0]) == -10.0
         assert 0.0 < float(first[1]) < 0.1
+
+    @pytest.mark.parametrize("example", [2, 3])
+    def test_csv_bytes_match_the_goldens(self, tmp_path, example):
+        out = tmp_path / "figure.csv"
+        assert main(["figure", "--example", str(example), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"figure_{example}.csv").read_bytes()
 
 
 class TestVerify:
