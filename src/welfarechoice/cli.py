@@ -28,12 +28,12 @@ import numpy as np
 
 from . import __version__
 from .core import NumericError, refuse_non_finite, stream_rng
-from .duality import ConvergenceError, anchor_family, conjugate_V, simplex_grid
+from .duality import ConvergenceError, _anchor_stack, conjugate_V, simplex_grid
 from .modelspec import (SpecError, build_model, demo_brand_model,
                         demo_quadratic_model, load_model, load_spec)
 from .rum import (binary_rum_from_welfare, degenerate_sampler, gumbel_sampler,
                   logistic_sampler, mc_estimates, normal_sampler, rum_sign_test)
-from .substitution import scan_line, substitutable_model_check
+from .substitution import _scan_columns, substitutable_model_check
 from .welfare import (batch_gradient, batch_value, check_axioms, check_superlinear,
                       model_bounds)
 
@@ -100,21 +100,22 @@ def _emit(out: Optional[str], lines: list[str]) -> None:
 
 
 def _csv(command: str, config: dict, header: Sequence[str],
-         rows: Sequence[Sequence[float]], out: Optional[str]) -> None:
-    """Write the manifest, the header and the rows: a text column as it is, a
-    numeric one converted to float once, with + 0.0 turning -0.0 into 0."""
+         columns: Sequence[Sequence], out: Optional[str]) -> None:
+    """Write the manifest, the header and the table given as its columns: a
+    text column as it is, a numeric one converted to float once, with + 0.0
+    turning -0.0 into 0."""
     lines = _manifest_lines(command, config)
     lines.append(",".join(header))
-    columns = list(zip(*rows))
-    fmt = ",".join("%s" if isinstance(col[0], str) else "%.10g" for col in columns)
-    columns = [col if isinstance(col[0], str) else (np.asarray(col, float) + 0.0).tolist()
-               for col in columns]
-    lines.extend(fmt % row for row in zip(*columns))
+    text = [len(col) > 0 and isinstance(col[0], str) for col in columns]
+    fmt = ",".join("%s" if t else "%.10g" for t in text)
+    cells = [col if t else (np.asarray(col, float) + 0.0).tolist()
+             for t, col in zip(text, columns)]
+    lines.extend(map(fmt.__mod__, zip(*cells)))
     _emit(out, lines)
 
 
 def _welfare_table(model, texts: Sequence[str]):
-    """The --mu points, and the header and rows (mu, w, q) at them, from one
+    """The --mu points, and the header and columns (mu, w, q) at them, from one
     batch_value and one batch_gradient call. A row whose w or q is not finite,
     or whose q is off the unit sum by more than 1e-9, is a NumericError."""
     points = _parse_points(texts, "--mu", model.n)
@@ -127,15 +128,14 @@ def _welfare_table(model, texts: Sequence[str]):
         k = int(np.argmax(bad))
         raise NumericError(f"{model.name} gave w = {float(w[k])}, q = {q[k].tolist()} "
                            f"at mu = {points[k].tolist()}")
-    rows = [list(mu) + [w_k] + list(q_k) for mu, w_k, q_k in zip(points, w, q)]
-    return points, header, rows
+    return points, header, [*points.T, w, *q.T]
 
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.spec)
-    mus, header, rows = _welfare_table(bundle.model, args.mu)
+    mus, header, columns = _welfare_table(bundle.model, args.mu)
     _csv("eval", {"spec": bundle.spec, "mu": [list(m) for m in mus]},
-         header, rows, args.out)
+         header, columns, args.out)
     return EXIT_OK
 
 
@@ -146,19 +146,18 @@ def cmd_figure(args) -> int:
         grid = np.round(np.arange(-200, 201) * 0.01, 10)
         points = np.zeros((grid.size, 3))
         points[:, 0] = grid
-        rows = [[t, *q] for t, q in zip(grid, batch_gradient(model, points))]
         _csv("figure", {"example": 2, "grid": [-2.0, 2.0, 0.01]},
-             ["mu1", "q1", "q2", "q3"], rows, args.out)
+             ["mu1", "q1", "q2", "q3"], [grid, *batch_gradient(model, points).T], args.out)
         return EXIT_OK
     # example 3, the one other that argparse lets through
     model = demo_brand_model().model
     lo, hi, step = -10.0, 5.0, 0.01
     steps = int(round((hi - lo) / step)) + 1
-    rows = scan_line(model, np.array([0.0, 0.0, 3.0]), i=0, j=1,
-                     lo=lo, hi=hi, steps=steps)
+    columns = _scan_columns(model, np.array([0.0, 0.0, 3.0]), i=0, j=1,
+                            lo=lo, hi=hi, steps=steps)
     _csv("figure", {"example": 3, "grid": [lo, hi, step],
                     "mu2": 0.0, "mu3": 3.0},
-         ["mu1", "q2", "classification"], rows, args.out)
+         ["mu1", "q2", "classification"], columns, args.out)
     return EXIT_OK
 
 
@@ -235,30 +234,28 @@ def cmd_convert(args) -> int:
                 raise SpecError("--grid-step", "no grid node lies inside the simplex")
         header = [f"x_{i+1}" for i in range(model.n)] + ["V"]
         # conjugate_V refuses an x off the model's simplex (exit 2)
-        rows = [list(x) + [v] for x, v in zip(points, conjugate_V(model, points))]
         _csv("convert", {"direction": "w-to-v", "spec": bundle.spec},
-             header, rows, args.out)
+             header, [*points.T, conjugate_V(model, points)], args.out)
         return EXIT_OK
 
     if args.direction == "v-to-w":
         if bundle.regularizer is None:
             raise SpecError("--direction", "v-to-w requires a spec whose model carries its V "
                             "(ram_*, mnl, nested_logit or their transform_scale)")
-        _, header, rows = _welfare_table(model, args.mu)
+        _, header, columns = _welfare_table(model, args.mu)
         _csv("convert", {"direction": "v-to-w", "spec": bundle.spec},
-             header, rows, args.out)
+             header, columns, args.out)
         return EXIT_OK
 
     # w-to-theta, the last direction argparse lets through
-    family = anchor_family(model, _parse_points(args.anchor, "--anchor", model.n))
+    stack = _anchor_stack(model, _parse_points(args.anchor, "--anchor", model.n))
     n = model.n
     header = ([f"z_{i+1}" for i in range(n)]
               + [f"weight_{i+1}" for i in range(n)]
               + ["offset", "penalty", "t_star"])
-    rows = [list(d.z) + list(d.weights) + [d.offset, d.penalty, d.t_star]
-            for d in family]
     _csv("convert", {"direction": "w-to-theta", "spec": bundle.spec},
-         header, rows, args.out)
+         header, [*stack.z.T, *stack.weights.T, stack.offset, stack.penalty, stack.t_star],
+         args.out)
     return EXIT_OK
 
 
@@ -276,28 +273,24 @@ def cmd_rum(args) -> int:
                    "logistic": lambda: logistic_sampler(args.scale, n),
                    "degenerate": lambda: degenerate_sampler(n)}[args.family]()
     estimates = mc_estimates(sampler, mus, samples, args.seed)
-    refuse_non_finite("the mean maximum or its standard error",
-                      [(welf.value, welf.std_error) for _, welf in estimates], mus)
+    welfare = refuse_non_finite("the mean maximum or its standard error",
+                                [(welf.value, welf.std_error) for _, welf in estimates], mus)
     if args.binary_from_spec:
         header = ["mu_1", "mu_2", "mc_welfare", "std_error", "w_closed_form"]
-        rows = [list(mu) + [welf.value, welf.std_error, w]
-                for mu, (_, welf), w in zip(mus, estimates, batch_value(bundle.model, mus))]
         _csv("rum", {"mode": "binary-from-welfare", "spec": bundle.spec,
                      "samples": samples, "seed": args.seed,
                      "bracket": construction.bracket,
                      "truncated": construction.truncated},
-             header, rows, args.out)
+             header, [*mus.T, *welfare.T, batch_value(bundle.model, mus)], args.out)
         return EXIT_OK
 
     header = ([f"mu_{i+1}" for i in range(n)]
               + [f"p_{i+1}" for i in range(n)]
               + [f"se_{i+1}" for i in range(n)]
               + ["mc_welfare", "welfare_se"])
-    rows = [list(mu) + list(probs.probs) + list(probs.std_errors)
-            + [welf.value, welf.std_error]
-            for mu, (probs, welf) in zip(mus, estimates)]
+    probs = np.array([(p.probs, p.std_errors) for p, _ in estimates])
     _csv("rum", {"family": sampler.family, "samples": samples, "seed": args.seed},
-         header, rows, args.out)
+         header, [*mus.T, *probs[:, 0].T, *probs[:, 1].T, *welfare.T], args.out)
     return EXIT_OK
 
 

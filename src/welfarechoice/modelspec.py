@@ -197,12 +197,10 @@ def _build(kind: str, spec: dict, path: str) -> ModelBundle:
                 weight=weight))
         return ModelBundle(transforms.mix(comps, n), spec)
 
-    if kind == "transform_cross":
-        matrix = _matrix(spec, "matrix", path)
-        inner = build_model(_require(spec, "inner", path), f"{path}inner.")
-        return ModelBundle(transforms.cross(inner.model, matrix), spec)
-
-    raise SpecError(f"{path}kind", f"unhandled kind {kind!r}")
+    # transform_cross, the last of KINDS, which `build_model` checked
+    matrix = _matrix(spec, "matrix", path)
+    inner = build_model(_require(spec, "inner", path), f"{path}inner.")
+    return ModelBundle(transforms.cross(inner.model, matrix), spec)
 
 
 def load_spec(path: str) -> dict:

@@ -523,7 +523,8 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
 
     x depends only on utility differences, so every path sees utilities
     relative to each point's largest, where huge ones do not cancel; a point
-    whose differences overflow is a ValueError. Converged x are finite.
+    whose differences overflow is a ValueError. Converged x are finite: each
+    path's convergence test fails a row that is not.
     """
     with np.errstate(over="ignore"):
         shifted = mu - mu.max(axis=1, keepdims=True)
@@ -533,8 +534,7 @@ def _argmax(reg: Regularizer, mu: np.ndarray):
     solve = (_quadratic_argmax if reg.quadratic_matrix is not None
              else _separable_argmax if reg.choice is not None
              else _iterative_solve)  # the rest: CMM and user regularizers
-    x, iterations, converged = solve(reg, shifted)
-    return x, iterations, converged & np.all(np.isfinite(x), axis=1)
+    return solve(reg, shifted)
 
 
 # the one kept solve of `solve_ram` and `ram_welfare`; `_argmax` is looked up at each call
@@ -574,6 +574,33 @@ def solve_ram(reg: Regularizer, mu) -> SolveResult:
                        iterations.reshape(shape), converged.reshape(shape))
 
 
+def _refuse_below_bound(reg: Regularizer, b: np.ndarray, mu: np.ndarray, x: np.ndarray,
+                        v: np.ndarray, w: np.ndarray) -> None:
+    """Refuse with a NumericError the first w = mu.x - V(x) (m,) below its lower
+    bound max_i(mu_i + b_i) by more than forming both sides explains: n + 2
+    roundings (the dot product's n, the difference, the sum with b), each
+    counted at eps of max_i(|mu_i| + |b_i|) + |V(x)|, which bounds every
+    magnitude they touch, and the unit-sum defect of x, which moves w by
+    (1 - sum x) lam to first order, lam = mu_k - dV_k(x) at x's largest
+    coordinate k, the multiplier of the unit sum."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past the float range refuses
+        lower = (mu + b).max(axis=1)
+        short = lower - w
+        if not short.max(initial=0.0) > 0.0:  # the common case, settled in four operations
+            return
+        short -= (reg.n + 2) * np.finfo(float).eps * ((abs(mu) + abs(b)).max(axis=1) + abs(v))
+    rows = np.flatnonzero(short > 0.0)  # only these few pay for a gradient of V
+    if not rows.size:
+        return
+    k = np.argmax(x[rows], axis=1)
+    lam = mu[rows, k] - batch_gradient(reg, x[rows])[np.arange(rows.size), k]
+    below = short[rows] > (1.0 - x[rows].sum(axis=1)) * lam
+    if below.any():
+        r = rows[np.argmax(below)]
+        raise NumericError(f"{reg.name} gave w = {w[r]} below its bound "
+                           f"max_i(mu_i + b_i) = {lower[r]} at mu={mu[r].tolist()}")
+
+
 def ram_welfare(reg: Regularizer) -> WelfareModel:
     """Wrap a regularizer as a WelfareModel (w from the solve, q = argmax).
 
@@ -581,8 +608,9 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
     `solve_ram`'s: w, q and its record at the same points cost one solve.
     An unconverged point is a NumericError. As x = e_i gives w(mu) >= mu_i -
     V(e_i), the superlinear bounds are -V(e_i) when V is finite at every
-    vertex, else None (a barrier such as the log-barrier). The model keeps
-    `reg` as its `regularizer`, whose V and grad V `duality` reads.
+    vertex, else None (a barrier such as the log-barrier); a w below them
+    beyond rounding is a NumericError too. The model keeps `reg` as its
+    `regularizer`, whose V and grad V `duality` reads.
     """
     def solve(flat):
         x, _, converged = _solve(reg, flat)
@@ -594,7 +622,10 @@ def ram_welfare(reg: Regularizer) -> WelfareModel:
     def value(mu):
         flat = as_utilities(mu, reg.n).reshape(-1, reg.n)
         x = solve(flat)
-        w = rowdot(flat, x) - batch_value(reg, x)
+        v = batch_value(reg, x)
+        w = rowdot(flat, x) - v
+        if bounds is not None:
+            _refuse_below_bound(reg, bounds, flat, x, v, w)
         return float(w[0]) if np.ndim(mu) == 1 else w.reshape(np.shape(mu)[:-1])
 
     def gradient(mu):

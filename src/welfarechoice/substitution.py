@@ -108,13 +108,10 @@ class ScanRow(NamedTuple):
     label: str
 
 
-def scan_line(model: WelfareModel, mu_base, i: int, j: int,
-              lo: float, hi: float, steps: int) -> list[ScanRow]:
-    """Evaluate q_j along mu_i in [lo, hi]; classify interior grid points.
-
-    Classification uses the grid's own central differences; the two
-    endpoints are reported indeterminate.
-    """
+def _scan_columns(model: WelfareModel, mu_base, i: int, j: int,
+                  lo: float, hi: float, steps: int) -> tuple:
+    """The rows of `scan_line` as three columns: the grid of mu_i, q_j on it
+    and the labels."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
     mu_base = as_utility_of(mu_base, model.n)
@@ -123,7 +120,17 @@ def scan_line(model: WelfareModel, mu_base, i: int, j: int,
     points[:, i] = grid
     q_vals = batch_gradient(model, points)[:, j]
     slopes = (q_vals[2:] - q_vals[:-2]) / (2.0 * (grid[1] - grid[0]))
-    labels = [INDETERMINATE, *_labels(slopes).tolist(), INDETERMINATE]
+    return grid, q_vals, [INDETERMINATE, *_labels(slopes).tolist(), INDETERMINATE]
+
+
+def scan_line(model: WelfareModel, mu_base, i: int, j: int,
+              lo: float, hi: float, steps: int) -> list[ScanRow]:
+    """Evaluate q_j along mu_i in [lo, hi]; classify interior grid points.
+
+    Classification uses the grid's own central differences; the two
+    endpoints are reported indeterminate.
+    """
+    grid, q_vals, labels = _scan_columns(model, mu_base, i, j, lo, hi, steps)
     return list(map(ScanRow, grid.tolist(), q_vals.tolist(), labels))
 
 

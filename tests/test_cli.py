@@ -252,6 +252,17 @@ class TestEval:
     def test_dimension_mismatch_exits_2(self, spec_file):
         assert main(["eval", "--spec", spec_file(MNL3), "--mu", "0,0"]) == 2
 
+    @pytest.mark.parametrize("mu", ["1e10,0,0", "1e150,0,0"])
+    def test_cmm_below_its_lower_bound_exits_3_and_writes_nothing(self, spec_file, tmp_path,
+                                                                   capsys, mu):
+        cmm = {"kind": "ram_cmm", "covariance": [[2.0, 0.3, 0], [0.3, 1.0, 0], [0, 0, 1.5]]}
+        out = tmp_path / "never.csv"
+        assert main(["eval", "--spec", spec_file(cmm), "--mu", mu, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "below its bound max_i(mu_i + b_i)" in err
+        assert f"at mu=[{float(mu.split(',')[0])!r}, 0.0, 0.0]" in err
+        assert not out.exists()
+
     def test_csv_bytes_match_the_golden(self, spec_file, tmp_path):
         out = tmp_path / "eval.csv"
         assert main(["eval", "--spec", spec_file(MNL3), *EVAL_GOLDEN_POINTS,
@@ -877,7 +888,7 @@ class TestCsvCells:
     def test_cells_match_the_per_cell_rule(self, capsys):
         rows = [[x, f"text {k}", -x if isinstance(x, float) else x]
                 for k, x in enumerate(self.VALUES)]
-        cli._csv("eval", {"k": 1}, ["x", "label", "y"], rows, None)
+        cli._csv("eval", {"k": 1}, ["x", "label", "y"], list(zip(*rows)), None)
         lines = capsys.readouterr().out.splitlines()
         assert lines[:4] == ["# welfarechoice " + cli.__version__, "# command=eval",
                              '# config={"k":1}', "x,label,y"]
@@ -886,7 +897,7 @@ class TestCsvCells:
                               "4.940656458e-324,text 2,-4.940656458e-324"]
 
     def test_a_table_without_rows_is_its_header(self, capsys):
-        cli._csv("eval", {}, ["x", "y"], [], None)
+        cli._csv("eval", {}, ["x", "y"], [[], []], None)
         assert capsys.readouterr().out.splitlines()[-1] == "x,y"
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -354,6 +355,38 @@ class TestSuperlinearBounds:
 
     def test_log_barrier_has_none(self):
         assert ram_welfare(log_barrier_regularizer(3)).superlinear_bounds is None
+
+    @pytest.mark.parametrize("reg, scales", [
+        (entropy_regularizer(1.0, 3), [1.0, 1e3, 1e6, 1e12]),
+        (quadratic_regularizer(COUPLING), [1.0, 1e3, 1e6, 1e12]),
+        (mdm_regularizer([logistic_marginal(1.0), exponential_marginal(1.0),
+                          normal_marginal(0.5)]), [1.0, 30.0, 1e3, 1e6, 1e12]),
+        (mdm_regularizer([uniform_marginal(), exponential_marginal(3.0),
+                          normal_marginal(2.0)]), [1.0, 30.0, 1e3, 1e6, 1e12]),
+        (mmm_regularizer([1.0, 1.0, 1.0]), [1.0, 1e3, 1e6, 1e12]),
+        (cmm_regularizer([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.5]]), [1.0]),
+    ], ids=["entropy", "quadratic", "mdm", "mdm_uniform", "mmm", "cmm"])
+    def test_solves_meet_the_lower_bound(self, reg, scales):
+        # w >= max_i(mu_i + b_i) within the value's own allowance, also near
+        # the vertices, where a unit-sum defect of x moves w by (1 - sum x) lam
+        model = ram_welfare(reg)
+        rng = np.random.default_rng(38)
+        for s in scales:
+            mu = rng.uniform(-1.0, 1.0, (300, 3)) * s
+            mu[150:] += rng.uniform(-1.0, 1.0, (150, 1)) * 1e3 * s
+            w = model.value(mu)
+            assert np.all(w >= np.max(mu + model.superlinear_bounds, axis=1)
+                          - 1e-9 * np.max(np.abs(mu), axis=1))
+
+    @pytest.mark.parametrize("mu", [[1e10, 0.0, 0.0], [1e150, 0.0, 0.0]])
+    def test_a_cmm_w_below_its_lower_bound_is_refused(self, mu):
+        # the solve reports convergence with x_2, x_3 below ACTIVE_TOL, and
+        # mu.x - V(x) falls 3.8e-10 |mu_1| short of mu_1 + b_1 = mu_1
+        model = ram_welfare(cmm_regularizer([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+                                             [0.0, 0.0, 1.5]]))
+        with pytest.raises(core.NumericError, match=re.escape(
+                f"below its bound max_i(mu_i + b_i) = {mu[0]!r} at mu={mu}")):
+            model.value(np.array(mu))
 
 
 class TestSolveRAM:
