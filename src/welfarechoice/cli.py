@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,14 +104,15 @@ def _csv(command: str, config: dict, header: Sequence[str],
          columns: Sequence[Sequence], out: Optional[str]) -> None:
     """Write the manifest, the header and the table given as its columns: a
     text column as it is, a numeric one converted to float once, with + 0.0
-    turning -0.0 into 0."""
+    turning -0.0 into 0, and every row formatted by one % operation."""
     lines = _manifest_lines(command, config)
     lines.append(",".join(header))
     text = [len(col) > 0 and isinstance(col[0], str) for col in columns]
-    fmt = ",".join("%s" if t else "%.10g" for t in text)
     cells = [col if t else (np.asarray(col, float) + 0.0).tolist()
              for t, col in zip(text, columns)]
-    lines.extend(map(fmt.__mod__, zip(*cells)))
+    if len(cells[0]):
+        row = ",".join("%s" if t else "%.10g" for t in text)
+        lines.append("\n".join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
     _emit(out, lines)
 
 

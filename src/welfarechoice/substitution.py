@@ -38,14 +38,15 @@ SYMMETRY_REL_TOL = 1e-4
 LATTICE_TOL = 1e-9
 MAX_RESAMPLES = 50
 CORNER_MARGIN = 1e-6
+_LABELS = np.array([SUBSTITUTABLE, INDETERMINATE, COMPLEMENTARY], dtype=object)
 
 
-def _labels(estimates) -> np.ndarray:
-    """The label of each cross-effect estimate, an object array of its shape:
-    complementary above the dead zone, substitutable below its negative,
-    indeterminate inside it or at NaN."""
-    return np.where(estimates > DEAD_ZONE, COMPLEMENTARY,
-                    np.where(estimates < -DEAD_ZONE, SUBSTITUTABLE, INDETERMINATE)).astype(object)
+def _labels(estimates):
+    """The label of each cross-effect estimate, an object array of its shape
+    (one label for a scalar): complementary above the dead zone,
+    substitutable below its negative, indeterminate inside it or at NaN."""
+    return _LABELS[np.greater(estimates, DEAD_ZONE).astype(np.intp)
+                   - np.less(estimates, -DEAD_ZONE) + 1]
 
 
 def _cross_effects(model: WelfareModel, mu: np.ndarray) -> np.ndarray:
@@ -72,7 +73,7 @@ def classify_pair(model: WelfareModel, mu, i: int, j: int) -> PairClassification
     i == j returns that label directly (with the estimate attached).
     """
     est = float(_cross_effects(model, as_utility_of(mu, model.n))[i, j])
-    label = COMPLEMENTARY if i == j else _labels(est)[()]
+    label = COMPLEMENTARY if i == j else _labels(est)
     return PairClassification(i=i, j=j, estimate=est, label=label)
 
 
