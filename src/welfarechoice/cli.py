@@ -104,13 +104,13 @@ def _csv(command: str, config: dict, header: Sequence[str],
          columns: Sequence[Sequence], out: Optional[str]) -> None:
     """Write the manifest, the header and the table given as its columns: a
     text column as it is, a numeric one converted to float once, with + 0.0
-    turning -0.0 into 0, and every row formatted by one % operation."""
+    turning -0.0 into 0, and all rows formatted by one % operation."""
     lines = _manifest_lines(command, config)
     lines.append(",".join(header))
-    text = [len(col) > 0 and isinstance(col[0], str) for col in columns]
-    cells = [col if t else (np.asarray(col, float) + 0.0).tolist()
-             for t, col in zip(text, columns)]
-    if len(cells[0]):
+    if len(columns[0]):
+        text = [isinstance(col[0], str) for col in columns]
+        cells = [col if t else (np.asarray(col, float) + 0.0).tolist()
+                 for t, col in zip(text, columns)]
         row = ",".join("%s" if t else "%.10g" for t in text)
         lines.append("\n".join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
     _emit(out, lines)
