@@ -102,20 +102,18 @@ class Marginal:
     broadcast elementwise over arrays, as `mdm_regularizer` checks. The
     built-in families compute them in closed form, without forming 1 - F or
     1 - x, which would drop the digits of a small x.
-    `bounded` marks quantiles bounded on (0, 1).
     """
 
     family: str
     upper_quantile: Callable[[np.ndarray], np.ndarray]
     survival: Callable[[np.ndarray], np.ndarray]
     tail_integral: Callable[[np.ndarray], np.ndarray]
-    bounded: bool = False
 
 
 def uniform_marginal() -> Marginal:
     return Marginal(family="uniform", upper_quantile=lambda x: 1.0 - x,
                     survival=lambda t: np.clip(1.0 - np.asarray(t, float), 0.0, 1.0),
-                    tail_integral=lambda x: x - 0.5 * x * x, bounded=True)
+                    tail_integral=lambda x: x - 0.5 * x * x)
 
 
 def exponential_marginal(rate: float = 1.0) -> Marginal:
@@ -175,8 +173,7 @@ def normal_marginal(sd: float = 1.0) -> Marginal:
                     survival=survival, tail_integral=tail)
 
 
-def custom_marginal(quantile: Callable[[np.ndarray], np.ndarray],
-                    bounded: bool = False) -> Marginal:
+def custom_marginal(quantile: Callable[[np.ndarray], np.ndarray]) -> Marginal:
     """Marginal from a nondecreasing quantile F^{-1} that broadcasts over arrays.
 
     The tail integral over [1 - x, 1] is a fixed tanh-sinh rule (Takahasi &
@@ -213,7 +210,7 @@ def custom_marginal(quantile: Callable[[np.ndarray], np.ndarray],
         return 1.0 / (1.0 + np.exp(-s))
 
     return Marginal(family="custom", upper_quantile=upper_quantile, survival=survival,
-                    tail_integral=tail, bounded=bounded)
+                    tail_integral=tail)
 
 
 def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
@@ -221,9 +218,11 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
 
     The gradient is -Finv_i(1 - x_i) and the choice map x_i = 1 - F_i(t_i).
     Marginals with quantiles unbounded near 0 or 1 act as boundary
-    barriers. Each upper quantile and tail integral must broadcast, each
-    upper quantile must not increase and be finite at _QUANTILE_CLIP and
-    1 - _QUANTILE_CLIP, and each mean, -V(e_i) = tail_integral(1), must be finite.
+    barriers; every MDM is marked one, a mark no solve reads, as `choice`
+    sends it (and its `transforms.scale`) to the separable path. Each upper
+    quantile and tail integral must broadcast, each upper quantile must not
+    increase and be finite at _QUANTILE_CLIP and 1 - _QUANTILE_CLIP, and
+    each mean, -V(e_i) = tail_integral(1), must be finite.
     """
     marginals = list(marginals)
     n = len(marginals)
@@ -264,8 +263,7 @@ def mdm_regularizer(marginals: Sequence[Marginal]) -> Regularizer:
         t = np.asarray(t, float)
         return np.stack([m.survival(t[..., i]) for i, m in enumerate(marginals)], axis=-1)
 
-    return Regularizer(n=n, value=value, gradient=gradient,
-                       boundary_barrier=not all(m.bounded for m in marginals),
+    return Regularizer(n=n, value=value, gradient=gradient, boundary_barrier=True,
                        name="mdm", choice=choice)
 
 

@@ -9,18 +9,20 @@ tabulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .core import NumericError, positive_scale
-from .welfare import Regularizer, WelfareModel
+from .welfare import WelfareModel
 
 
 def scale(model: WelfareModel, eta: float) -> WelfareModel:
     """w(mu) = eta * w_inner(mu / eta); the gradient is q_inner(mu / eta), and
-    the conjugate eta V where the inner model carries V (no solver fields)."""
+    the conjugate eta V where the inner model carries V. eta V keeps V's
+    solver fields (eta A, t -> choice(t / eta), mu -> eta multiplier(mu / eta)),
+    so `solve_ram` takes the inner V's path."""
     positive_scale(eta, "eta")
 
     def inner(mu):  # not shifted: the inner model need not be translation invariant
@@ -36,15 +38,17 @@ def scale(model: WelfareModel, eta: float) -> WelfareModel:
     def gradient(mu):
         return model.gradient(inner(mu))
 
-    bounds = None
-    if model.superlinear_bounds is not None:
-        bounds = eta * np.asarray(model.superlinear_bounds, dtype=float)
-    reg, inner_V = None, model.regularizer
-    if inner_V is not None:
-        reg = Regularizer(n=inner_V.n, value=lambda x: eta * inner_V.value(x),
-                          gradient=lambda x: eta * np.asarray(inner_V.gradient(x)),
-                          boundary_barrier=inner_V.boundary_barrier,
-                          name=f"scale({inner_V.name}, {eta:g})")
+    b, V, reg = model.superlinear_bounds, model.regularizer, None
+    with np.errstate(over="ignore"):  # an overflow is refused where it is read
+        bounds = None if b is None else eta * np.asarray(b, dtype=float)
+        matrix = None if V is None or V.quadratic_matrix is None else eta * V.quadratic_matrix
+    if V is not None:
+        reg = replace(V, value=lambda x: eta * V.value(x),
+                      gradient=lambda x: eta * np.asarray(V.gradient(x)),
+                      name=f"scale({V.name}, {eta:g})", quadratic_matrix=matrix,
+                      choice=None if V.choice is None else lambda t: V.choice(inner(t)),
+                      multiplier=(None if V.multiplier is None
+                                  else lambda mu: eta * V.multiplier(inner(mu))))
     return WelfareModel(n=model.n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,
                         name=f"scale({model.name}, {eta:g})", regularizer=reg)
@@ -62,9 +66,10 @@ class MixtureComponent:
 def mix(components: Sequence[MixtureComponent], n: int) -> WelfareModel:
     """Population mixture: w(mu) = sum_k weight_k * w_k(mu restricted).
 
-    The index sets must cover range(n) (overlaps allowed) and the weights
-    must sum to one. Zero-weight components are kept but contribute
-    nothing.
+    The index sets must cover range(n), n >= 2 (overlaps allowed), and the
+    weights must sum to one. Zero-weight components are kept but contribute
+    nothing. The superlinear bounds sum weight times those of each
+    positive-weight component, read as a `cross` by the rows e_i of its indices.
     """
     comps = list(components)
     if not comps:
@@ -84,31 +89,23 @@ def mix(components: Sequence[MixtureComponent], n: int) -> WelfareModel:
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
-    index_arrays = [np.asarray(c.indices, dtype=int) for c in comps]
+    # the components that contribute: weight, model and index array
+    live = [(c.weight, c.model, np.asarray(c.indices, dtype=int)) for c in comps if c.weight > 0]
 
     def value(mu):
         mu = np.asarray(mu, float)
-        return sum(c.weight * c.model.value(mu[..., idx])
-                   for c, idx in zip(comps, index_arrays) if c.weight > 0)
+        return sum(w * model.value(mu[..., idx]) for w, model, idx in live)
 
     def gradient(mu):
         mu = np.asarray(mu, float)
         q = np.zeros(mu.shape)
-        for c, idx in zip(comps, index_arrays):
-            if c.weight > 0:
-                # add.at sums over a repeated index; q[..., idx] += would count it once
-                np.add.at(q, (..., idx),
-                          c.weight * np.asarray(c.model.gradient(mu[..., idx]), float))
+        for w, model, idx in live:
+            # add.at sums over a repeated index; q[..., idx] += would count it once
+            np.add.at(q, (..., idx), w * np.asarray(model.gradient(mu[..., idx]), float))
         return q
 
-    bounds = None
-    if all(set(c.indices) == set(range(n)) for c in comps):
-        inner = [c.model.superlinear_bounds for c in comps]
-        if all(b is not None for b in inner):
-            bounds = np.zeros(n)
-            for c, b in zip(comps, inner):
-                perm = np.argsort(np.asarray(c.indices))
-                bounds += c.weight * np.asarray(b, float)[perm]
+    inner = [(w, cross(model, np.eye(n)[idx]).superlinear_bounds) for w, model, idx in live]
+    bounds = None if any(b is None for _, b in inner) else sum(w * b for w, b in inner)
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,
                         name=f"mix({len(comps)} components)")
@@ -119,7 +116,8 @@ def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareMode
     invariant inner model.
 
     A must be nonnegative with unit row sums and have one row per inner
-    alternative; the output model lives on A's column space.
+    alternative; the output model lives on A's column space. Only rows
+    exactly e_i certify superlinear bounds.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2:
@@ -154,12 +152,11 @@ def cross(model: WelfareModel, matrix: Sequence[Sequence[float]]) -> WelfareMode
 
     bounds = None
     if model.superlinear_bounds is not None:
-        # row r of A equal to the unit vector e_i certifies w(mu) >= mu_i + b_r
-        unit = np.all(np.isclose(A[:, None, :], np.eye(n)), axis=-1)
+        # row r of A exactly the unit vector e_i certifies w(mu) >= mu_i + b_r
+        unit = np.all(A[:, None, :] == np.eye(n), axis=-1)
         inner_b = np.asarray(model.superlinear_bounds, dtype=float)[:, None]
         per_col = np.max(np.where(unit, inner_b, -np.inf), axis=0)
-        if np.all(np.isfinite(per_col)):
-            bounds = per_col
+        bounds = per_col if np.all(np.isfinite(per_col)) else None
     return WelfareModel(n=n, value=value, gradient=gradient,
                         superlinear_bounds=bounds,
                         name=f"cross({model.name})")

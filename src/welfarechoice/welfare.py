@@ -571,6 +571,7 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
                       samples: int = 1000, box: float = 10.0,
                       seed: int = 0) -> SuperlinearReport:
     """Test w(mu) >= mu_i + b_i at random points; failures carry (mu, i).
+    A b that is not n finite numbers is a ValueError.
 
     Points are drawn and evaluated in blocks, one `batch_value` call each;
     the witness is the first violating draw. A non-finite value at a draw
@@ -578,7 +579,9 @@ def check_superlinear(model: WelfareModel, b: Sequence[float] | np.ndarray,
     margin breaks no bound.
     """
     _check_draws(samples, box)
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b, dtype=float)  # None reads as NaN
+    if b.shape != (model.n,) or not np.isfinite(b).all():
+        raise ValueError(f"b must be {model.n} finite numbers, got {b.tolist()}")
     rng = stream_rng(seed)
     worst = np.inf
     for start in range(0, samples, _DRAW_BLOCK):

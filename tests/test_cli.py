@@ -491,6 +491,18 @@ class TestConvert:
         assert main(["convert", "--spec", spec_file(MNL3),
                      "--direction", "w-to-v", "--x", x]) == 2
 
+    def test_w_to_v_names_a_negative_entry(self, spec_file, capsys):
+        # "--x" "-0.1,..." reads as an option; "--x=-0.1,..." reaches the check
+        assert main(["convert", "--spec", spec_file(MNL3), "--direction", "w-to-v",
+                     "--x=-0.1,0.6,0.5"]) == 2
+        assert "entry -1.000e-01 below" in capsys.readouterr().err
+
+    def test_w_to_v_refuses_a_grid_with_no_interior_node(self, spec_file, capsys):
+        assert main(["convert", "--spec", spec_file(MNL3), "--direction", "w-to-v",
+                     "--grid-step", "0.6"]) == 2
+        assert ("input error: --grid-step: no grid node lies inside the simplex"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("step", ["1e-9", "0", "-1", "nan", "2", "inf"])
     def test_w_to_v_rejects_bad_grid_steps(self, spec_file, capsys, step):
         started = time.perf_counter()
@@ -988,11 +1000,14 @@ class TestValidate:
          "marginals: expected a list of >= 2 marginals"),
         ({"kind": "transform_mix", "n": 2, "components": []},
          "components: expected a nonempty list"),
+        ({"kind": "gev_custom", "eta": 1.0, "exponents": [[1.5, -0.5], [0, 1]]},
+         "exponents: entries must be nonnegative"),
     ], ids=["marginal_number", "component_number", "indices_number", "indices_strings",
             "nests_number", "nest_strings", "sigma_object", "spec_list", "inner_number",
             "missing_field", "number_as_string", "small_n", "matrix_string_entry",
             "matrix_as_vector", "unknown_family", "zero_rate", "negative_scale",
-            "sd_past_float", "sd_boolean", "marginal_string", "one_marginal", "no_components"])
+            "sd_past_float", "sd_boolean", "marginal_string", "one_marginal", "no_components",
+            "negative_exponent"])
     def test_a_malformed_field_exits_2_naming_it_or_its_kind(self, spec_file, capsys, spec,
                                                              message):
         assert main(["validate", "--spec", spec_file(spec)]) == 2
@@ -1075,17 +1090,30 @@ class TestValidate:
                     assert "mu=[" in err or "mu = [" in err, (spec["kind"], lead, err)
 
 
+def readme_block(after, language):
+    """The first README code block in `language` after the text `after`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(after, 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_specs():
     """The "Model spec files" block of the README: one JSON document per example."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("Model spec files are JSON", 1)[1]
-    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Model spec files are JSON", "json")
     decoder, specs, rest = json.JSONDecoder(), [], block.strip()
     while rest:
         spec, end = decoder.raw_decode(rest)
         specs.append(spec)
         rest = rest[end:].lstrip()
     return specs
+
+
+def test_readme_quick_start_runs():
+    """The README's "Library quick start" block runs as written, with
+    RuntimeWarnings as errors."""
+    block = readme_block("## Library quick start", "python")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(compile(block, "README.md (Library quick start)", "exec"), {})
 
 
 def test_output_contract_sweep(spec_file, tmp_path, capsys):

@@ -156,7 +156,7 @@ REGULARIZERS = {
                                     exponential_marginal(2.0), uniform_marginal()]),
     "mdm_custom": lambda: mdm_regularizer(
         [custom_marginal(lambda t: np.log(t) - np.log1p(-t)), logistic_marginal(1.3),
-         custom_marginal(lambda t: t, bounded=True)]),
+         custom_marginal(lambda t: t)]),
     "mmm": lambda: mmm_regularizer([2.0, 2.5, 2.0]),
     "cmm": lambda: cmm_regularizer(np.eye(3) + 0.2),
 }

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from welfarechoice import core
-from welfarechoice.ram import custom_marginal, logistic_marginal, mdm_regularizer
+from welfarechoice.ram import (custom_marginal, log_barrier_regularizer, logistic_marginal,
+                               mdm_regularizer)
 from welfarechoice.transforms import MixtureComponent, cross, mix
 from welfarechoice.welfare import mnl_welfare, nested_logit_welfare, pointwise
 
@@ -135,6 +136,11 @@ class TestMixedPartial:
     def test_repeated_index_rejected(self):
         with pytest.raises(ValueError):
             core.mixed_partial(lambda m: m[0], np.zeros(2), (0, 0))
+
+    @pytest.mark.parametrize("indices", [(), (0, 1, 2)], ids=["none", "more_than_n"])
+    def test_an_index_count_outside_one_to_n_is_refused(self, indices):
+        with pytest.raises(ValueError, match="need between 1 and n distinct indices"):
+            core.mixed_partial(lambda m: m[..., 0], np.zeros(2), indices)
 
     def test_a_non_finite_value_names_its_corner(self):
         # the corners run (+, +), (+, -), (-, +), (-, -): the first with m_2 < 0
@@ -410,6 +416,19 @@ def _scale_constructors():
     }
 
 
+class TestInputShapes:
+    @pytest.mark.parametrize("x", [0.5, [1.0], np.ones((2, 1))], ids=["scalar", "one", "column"])
+    def test_a_probability_vector_needs_two_entries(self, x):
+        with pytest.raises(ValueError, match="must have n >= 2 entries"):
+            core.as_probability(x)
+
+    @pytest.mark.parametrize("matrix", [[1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                             ids=["vector", "rectangular"])
+    def test_a_matrix_that_is_not_square_is_refused_by_name(self, matrix):
+        with pytest.raises(ValueError, match="covariance must be square"):
+            core.as_symmetric(matrix, "covariance")
+
+
 class TestModelParameters:
     """Parameters are checked when a model is built: a NaN or infinite one once
     built a model that printed nan or inf, or drew noise that did."""
@@ -446,8 +465,13 @@ class TestModelParameters:
          "index out of range"),
         (lambda: cross(mnl_welfare(1.0, 2), [1.0, 0.0]), "two-dimensional"),
         (lambda: nested_logit_welfare([[0, 1], [2]], [0.5], 3), "one lambda per nest"),
+        (lambda: mix([MixtureComponent(mnl_welfare(1.0, 1), (0,), 1.0)], 1),
+         "need at least two alternatives"),
+        (lambda: mnl_welfare(1.0, 0), "need at least one alternative"),
+        (lambda: log_barrier_regularizer(1), "need at least two alternatives"),
+        (lambda: mdm_regularizer([logistic_marginal(1.0)]), "need at least two marginals"),
     ], ids=["no_components", "size_mismatch", "index_out_of_range", "flat_matrix",
-            "lambda_count"])
+            "lambda_count", "mix_of_one", "mnl_of_none", "log_barrier_of_one", "mdm_of_one"])
     def test_a_malformed_structure_is_refused(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()

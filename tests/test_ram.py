@@ -182,7 +182,7 @@ class TestCustomMarginals:
                     normal_marginal(sd)) for sd in (0.8, 1.0, 1.3)],
         "exponential": [(custom_marginal(lambda t, r=r: -np.log1p(-t) / r),
                          exponential_marginal(r)) for r in (1.0, 2.0, 0.5)],
-        "uniform": [(custom_marginal(lambda t: t, bounded=True), uniform_marginal())] * 3,
+        "uniform": [(custom_marginal(lambda t: t), uniform_marginal())] * 3,
     }
 
     @pytest.mark.parametrize("box, atol", [(3.0, 1e-11), (30.0, 1e-8)])
@@ -214,13 +214,17 @@ class TestCustomMarginals:
         with pytest.raises(ValueError, match="does not broadcast"):
             mdm_regularizer([custom_marginal(quantile), logistic_marginal(1.0)])
 
+    def test_a_decreasing_quantile_is_refused(self):
+        with pytest.raises(ValueError, match="quantile of custom marginal is decreasing"):
+            mdm_regularizer([custom_marginal(lambda t: -t), uniform_marginal()])
+
     @pytest.mark.parametrize("tail", [lambda x: x - 0.5 * x * x if x > 0.0 else 0.0,
                                       lambda x: float(np.mean(x))],
                              ids=["raises", "returns_a_scalar"])
     def test_scalar_only_tail_integral_is_refused_when_built(self, tail):
         uniform = uniform_marginal()
         scalar_tail = Marginal(family="scalar_tail", upper_quantile=uniform.upper_quantile,
-                               survival=uniform.survival, tail_integral=tail, bounded=True)
+                               survival=uniform.survival, tail_integral=tail)
         with pytest.raises(ValueError,
                            match="tail integral of scalar_tail marginal does not broadcast"):
             mdm_regularizer([scalar_tail, logistic_marginal(1.0)])
@@ -348,7 +352,7 @@ class TestSuperlinearBounds:
         assert check_superlinear(model, model.superlinear_bounds, samples=50).passed
 
     def test_custom_marginal_bound_is_its_integrated_mean(self):
-        reg = mdm_regularizer([custom_marginal(lambda t: t * t, bounded=True),
+        reg = mdm_regularizer([custom_marginal(lambda t: t * t),
                                uniform_marginal()])
         np.testing.assert_allclose(ram_welfare(reg).superlinear_bounds,
                                    [1.0 / 3.0, 0.5], atol=1e-10)

@@ -713,6 +713,17 @@ class TestBinaryConstruction:
         with pytest.raises(InvalidBinaryWelfareError):
             binary_rum_from_welfare(bad)
 
+    def test_a_decreasing_slice_is_refused(self):
+        # q_1 = 1 - logistic(mu_1 - mu_2) stays in [0, 1] but falls
+        def gradient(mu):
+            p = 1.0 / (1.0 + np.exp(np.asarray(mu)[..., 0] - np.asarray(mu)[..., 1]))
+            return np.stack([p, 1.0 - p], axis=-1)
+
+        bad = WelfareModel(n=2, value=lambda mu: np.zeros(np.shape(mu)[:-1]),
+                           gradient=gradient, name="falling_slope")
+        with pytest.raises(InvalidBinaryWelfareError, match="decreasing on the grid"):
+            binary_rum_from_welfare(bad)
+
 
 class TestSignTests:
     def test_mnl_passes_orders_two_and_three(self):

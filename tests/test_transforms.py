@@ -6,13 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from welfarechoice import ram
 from welfarechoice.cli import main
 from welfarechoice.core import NumericError, finite_diff_gradient
 from welfarechoice.modelspec import build_model
+from welfarechoice.ram import (exponential_marginal, log_barrier_regularizer,
+                               logistic_marginal, mdm_regularizer, mmm_regularizer,
+                               quadratic_regularizer, ram_welfare, solve_ram, uniform_marginal)
 from welfarechoice.rum import rum_sign_test
 from welfarechoice.transforms import MixtureComponent, cross, mix, scale
 from welfarechoice.welfare import (batch_gradient, batch_value, check_axioms,
-                                   log_sum_welfare, mnl_welfare)
+                                   check_superlinear, log_sum_welfare, mnl_welfare)
 
 BRAND_WEIGHTS = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0],
@@ -68,6 +72,49 @@ class TestScale:
         with pytest.raises(ValueError):
             scale(mnl_welfare(1.0, 2), 0.0)
 
+    @pytest.mark.parametrize("spread", [1.0, 300.0, 1e4, 1e6])
+    @pytest.mark.parametrize("inner", [
+        lambda: mnl_welfare(1.0, 3),
+        lambda: ram_welfare(quadratic_regularizer([[2, 0.3, 0], [0.3, 1, 0], [0, 0, 1.5]])),
+        lambda: ram_welfare(mmm_regularizer([1.0, 2.0, 3.0])),
+        lambda: ram_welfare(log_barrier_regularizer(3)),
+        lambda: ram_welfare(mdm_regularizer([uniform_marginal()] * 3)),
+    ], ids=["mnl", "ram_quadratic", "ram_mmm", "ram_logbarrier", "ram_mdm"])
+    def test_a_scaled_V_is_solved_on_its_inner_path(self, inner, spread):
+        # eta V without the inner solver fields went to the Newton ascent,
+        # which left 40 of these mnl points unconverged at spread 300
+        scaled = scale(inner(), 2.0)
+        mu = np.random.default_rng(1).uniform(-1.0, 1.0, (200, 3)) * spread
+        result = solve_ram(scaled.regularizer, mu)
+        assert np.all(result.converged)
+        np.testing.assert_allclose(result.x_star, batch_gradient(scaled, mu),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_a_scale_past_the_float_range_builds_without_a_warning(self, tmp_path, capsys):
+        # eta b and eta A overflowed with a RuntimeWarning when built, and
+        # verify --suite superlinear passed the bounds -inf with margin inf
+        spec = {"kind": "transform_scale", "eta": 1e308,
+                "inner": {"kind": "ram_quadratic", "matrix": [[3, 2, 0], [2, 3, 2], [0, 2, 3]]}}
+        path = tmp_path / "scale.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = build_model(spec).model
+            assert main(["verify", "--suite", "superlinear", "--spec", str(path)]) == 2
+        np.testing.assert_array_equal(scaled.superlinear_bounds, [-np.inf] * 3)
+        assert "b must be 3 finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu", [[0.3, -0.2], [3.0, -3.0]])
+    def test_a_scaled_uniform_mdm_takes_no_iterative_solve(self, monkeypatch, mu):
+        # the ascent read the MDM's boundary_barrier, which `Marginal.bounded` set
+        def iterative(*args):
+            raise AssertionError("_iterative_solve ran")
+
+        monkeypatch.setattr(ram, "_iterative_solve", iterative)
+        reg = scale(ram_welfare(mdm_regularizer([uniform_marginal()] * 2)), 2.0).regularizer
+        result = solve_ram(reg, np.array(mu))
+        assert result.converged and result.kkt_residual <= ram.SOLVER_TOL
+
 
 class TestMix:
     def two_segment_mixture(self):
@@ -117,6 +164,39 @@ class TestMix:
         m3 = mnl_welfare(1.0, 3)
         with pytest.raises(ValueError):
             mix([MixtureComponent(m3, (0, 1, 2), 0.9)], n=3)
+
+    def test_a_zero_weight_partial_component_keeps_the_bounds(self):
+        mixed = mix([MixtureComponent(mnl_welfare(1.0, 3), (0, 1, 2), 1.0),
+                     MixtureComponent(mnl_welfare(1.0, 2), (0, 1), 0.0)], n=3)
+        np.testing.assert_array_equal(mixed.superlinear_bounds, np.zeros(3))
+
+    def test_bounds_follow_a_permuted_component(self):
+        # inner alternative r is global alternative indices[r]
+        ram3 = ram_welfare(mdm_regularizer([uniform_marginal(), exponential_marginal(1.0),
+                                            logistic_marginal(1.0)]))
+        brand = cross(mnl_welfare(1.0, 4), BRAND_WEIGHTS)
+        mixed = mix([MixtureComponent(brand, (2, 0, 1), 0.25),
+                     MixtureComponent(scale(ram3, 2.0), (1, 2, 0), 0.75)], n=3)
+        expected = 0.75 * 2.0 * ram3.superlinear_bounds[[2, 0, 1]]
+        np.testing.assert_allclose(mixed.superlinear_bounds, expected, rtol=0.0, atol=1e-15)
+        assert check_superlinear(mixed, mixed.superlinear_bounds, samples=200).passed
+
+    def test_a_repeated_index_over_the_whole_set_evaluates_and_keeps_its_bounds(
+            self, tmp_path, capsys):
+        # the permuted inner bounds of [1, 2, 2] did not broadcast: exit 2
+        spec = {"kind": "transform_mix", "n": 2, "components": [
+            {"weight": 0.5, "indices": [1, 2, 2], "inner": {"kind": "mnl", "n": 3, "eta": 1}},
+            {"weight": 0.5, "indices": [1, 2], "inner": {"kind": "mnl", "n": 2, "eta": 1}}]}
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(spec))
+        assert main(["eval", "--spec", str(path), "--mu=0.3,-0.2"]) == 0
+        assert main(["verify", "--suite", "superlinear", "--spec", str(path)]) == 0
+        assert "pass" in capsys.readouterr().out
+        model = build_model(spec).model
+        np.testing.assert_array_equal(model.superlinear_bounds, np.zeros(2))
+        for mu in np.random.default_rng(6).uniform(-3.0, 3.0, (10, 2)):
+            np.testing.assert_allclose(model.gradient(mu),
+                                       finite_diff_gradient(model.value, mu), atol=1e-7)
 
 
 class TestCross:
@@ -184,6 +264,22 @@ class TestCross:
             assert main(["eval", "--spec", str(path), "--mu=1e308,-1e308,0"]) == 0
         row = capsys.readouterr().out.splitlines()[-1].split(",")
         assert [float(v) for v in row[3:]] == [1e308, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "superlinear"],
+        ["convert", "--direction", "w-to-theta", "--anchor=0,-1,1"]])
+    def test_a_near_unit_row_certifies_no_bound(self, tmp_path, capsys, command):
+        # np.isclose took (1 - 1e-9, 1e-9, 0) for e_1 and certified b_1 = 0,
+        # yet w(0, -1e6, -1e6) = -0.001
+        spec = {"kind": "transform_cross", "inner": {"kind": "mnl", "n": 3, "eta": 1},
+                "matrix": [[1 - 1e-9, 1e-9, 0], [0, 1, 0], [0, 0, 1]]}
+        model = build_model(spec).model
+        assert model.superlinear_bounds is None
+        assert model.value(np.array([0.0, -1e6, -1e6])) < 0.0
+        path = tmp_path / "cross.json"
+        path.write_text(json.dumps(spec))
+        assert main([*command, "--spec", str(path)]) == 2
+        assert "has no analytic superlinear bounds" in capsys.readouterr().err
 
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):

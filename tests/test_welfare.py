@@ -254,6 +254,8 @@ class TestGEV:
         assert not rep.passed
         assert rep.verdict(1).passed and rep.verdict(3).passed
         assert rep.verdict(2).witness_indices == (0, 1)
+        with pytest.raises(KeyError):
+            rep.verdict(4)  # an order the report did not test
         # construction still accepts it (only nonnegativity and homogeneity
         # are hard requirements)
         gev_welfare(shared, 3)
@@ -760,6 +762,14 @@ class TestSuperlinear:
     def test_nonpositive_samples_refused(self, samples):
         with pytest.raises(ValueError, match="samples"):
             check_superlinear(mnl_welfare(1.0, 3), np.zeros(3), samples=samples)
+
+    @pytest.mark.parametrize("b", [None, [0.0, np.nan, 0.0], [0.0, 0.0]],
+                             ids=["none", "nan", "wrong_length"])
+    def test_a_bound_that_is_not_n_finite_numbers_is_refused(self, b):
+        # None and NaN passed with margin inf, so a model without bounds
+        # "passed" its own; a wrong length died broadcasting
+        with pytest.raises(ValueError, match="b must be 3 finite numbers"):
+            check_superlinear(mnl_welfare(1.0, 3), b, samples=10)
 
     @pytest.mark.parametrize("box", [np.nan, np.inf, 0.0, -1.0, 1e308])
     def test_box_must_be_positive_and_finite(self, box):
